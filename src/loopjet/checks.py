@@ -7,7 +7,10 @@ identity being tested, written inline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from .errors import LoopjetError
 
 __all__ = ["CheckRecord", "CATALOG", "record", "catalog_entries"]
 
@@ -123,6 +126,10 @@ CATALOG: dict[str, tuple[str, float]] = {
 
 def record(check_id: str, value: float, note: str = "",
            tolerance: float | None = None) -> CheckRecord:
+    """Check record; a defect that is not finite (overflow, NaN) is a
+    numerical failure of the check, never a value in the report."""
+    if not math.isfinite(value):
+        raise LoopjetError(f"check {check_id}: defect is {value}")
     anchor, default_tol = CATALOG[check_id]
     tol = default_tol if tolerance is None else tolerance
     return CheckRecord(check_id, anchor, float(value), tol,

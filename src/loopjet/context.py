@@ -6,11 +6,22 @@ A :class:`JetContext` fixes, once per scenario,
 * the matrix dimension ``n``,
 * the lambda storage window ``[lo, hi]``,
 
-and precomputes the multiplication table of the graded jet algebra (all
-multi-index pairs with admissible total degree, sorted by output index so
-products reduce with ``np.add.reduceat``) together with index maps for
-partial derivatives and monomial shifts.  Laurent-degree convolutions are
-done by FFT along the degree axis; ``nfft`` is sized so circular wrap-around
+and precomputes the multiplication tables of the graded jet algebra
+together with index maps for partial derivatives and monomial shifts:
+
+* the row-prefix table that drives series products.  Multi-indices are
+  stored in graded order, so for a row ``a`` the rows ``b`` with
+  ``|a| + |b| <= k`` are the prefix ``[0, upto[k - |a|])``, and
+  ``row_out[a][b]`` is the index of ``a + b``.  The outputs of one row are
+  distinct, so a product adds each ``a``-row contribution straight into
+  its output rows, with no gather of ``b`` rows and no reduction.
+* the pair table (``pair_a``, ``pair_b``, ``pair_c``: every admissible
+  multi-index pair, sorted by output index, with ``group_starts`` and
+  ``group_out`` for ``np.add.reduceat``).  It reduces the integer degree
+  bounds of series products and drives pairings and scalar-jet products.
+
+Laurent-degree convolutions are done by FFT along the degree axis; ``nfft``
+is the next power of two at or above ``2W - 1``, so circular wrap-around
 never reaches the extracted window.
 
 Contexts are immutable and cheap to share; every series value carries a
@@ -96,18 +107,17 @@ class JetContext:
 
     def _build_pair_table(self) -> None:
         d = self.order
-        ia, ib, ic = [], [], []
-        for a in range(self.T):
-            ta = self.totals[a]
-            for b in range(self.T):
-                if ta + self.totals[b] > d:
-                    continue
-                ia.append(a)
-                ib.append(b)
-                ic.append(self.index_of[tuple(self.midx[a] + self.midx[b])])
-        ia = np.array(ia, dtype=np.int64)
-        ib = np.array(ib, dtype=np.int64)
-        ic = np.array(ic, dtype=np.int64)
+        # graded order: the rows b with |a| + |b| <= d are a prefix
+        self.upto = np.searchsorted(self.totals, np.arange(d + 1), side="right")
+        self.row_out = [
+            np.array([self.index_of[tuple(self.midx[a] + self.midx[b])]
+                      for b in range(self.upto[d - self.totals[a]])],
+                     dtype=np.int64)
+            for a in range(self.T)]
+        sizes = [r.size for r in self.row_out]
+        ia = np.repeat(np.arange(self.T, dtype=np.int64), sizes)
+        ib = np.concatenate([np.arange(k, dtype=np.int64) for k in sizes])
+        ic = np.concatenate(self.row_out)
         perm = np.argsort(ic, kind="stable")
         self.pair_a = ia[perm]
         self.pair_b = ib[perm]

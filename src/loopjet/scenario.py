@@ -78,26 +78,37 @@ class ScenarioConfig:
                               f"{raw.get('schema')!r}")
         try:
             family = raw["family"]
-            n = int(raw["n"])
+            n = _convert(int, raw["n"], "n")
         except KeyError as e:
             raise ConfigError(f"missing required field {e}") from None
         if family not in FAMILIES:
             raise ConfigError(f"unknown family {family!r}")
         a_diag = None
         if raw.get("a_diag") is not None:
-            a_diag = [complex(re, im) for re, im in raw["a_diag"]]
+            try:
+                a_diag = [complex(re, im) for re, im in raw["a_diag"]]
+            except (TypeError, ValueError):
+                raise ConfigError("a_diag must be a list of [re, im] "
+                                  "pairs") from None
         window = None
         if raw.get("window") is not None:
-            window = (int(raw["window"]["lo"]), int(raw["window"]["hi"]))
+            w = raw["window"]
+            if not isinstance(w, dict):
+                raise ConfigError("window must be an object {lo, hi}")
+            window = (_convert(int, w.get("lo"), "window.lo"),
+                      _convert(int, w.get("hi"), "window.hi"))
         src = raw.get("f_source", {"kind": "seeded"})
+        if not isinstance(src, dict):
+            raise ConfigError("f_source must be an object")
         explicit = None
         seed, depth, amp = 1, 3, 0.3
         if src.get("kind") == "explicit":
             explicit = src["coeffs"]
         elif src.get("kind") == "seeded":
-            seed = int(src.get("seed", 1))
-            depth = int(src.get("depth", 3))
-            amp = float(src.get("amplitude", 0.3))
+            seed = _convert(int, src.get("seed", 1), "f_source.seed")
+            depth = _convert(int, src.get("depth", 3), "f_source.depth")
+            amp = _convert(float, src.get("amplitude", 0.3),
+                           "f_source.amplitude")
         else:
             raise ConfigError("f_source.kind must be 'seeded' or 'explicit'")
         suites = tuple(raw.get("suites", ["factorization"]))
@@ -111,8 +122,8 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown gamma preset {g!r}")
         cfg = cls(
             family=family, n=n, variant=raw.get("variant", "standard"),
-            a_diag=a_diag, num_flows=int(raw.get("flows", 3)),
-            order=int(raw.get("order", 3)), window=window,
+            a_diag=a_diag, num_flows=_convert(int, raw.get("flows", 3), "flows"),
+            order=_convert(int, raw.get("order", 3), "order"), window=window,
             f_seed=seed, f_depth=depth, f_amplitude=amp, f_explicit=explicit,
             suites=suites,
             virasoro_ells=tuple(vira.get("ells", [-1, 0, 1, 2, 3])),
@@ -162,6 +173,16 @@ class ScenarioConfig:
                                "depth": self.f_depth,
                                "amplitude": self.f_amplitude}
         return out
+
+
+def _convert(kind, value, name: str):
+    """``kind(value)`` for a config field; a malformed value is a
+    :class:`ConfigError` naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"field {name!r} must be {kind.__name__}, "
+                          f"got {value!r}") from None
 
 
 class Scenario:
@@ -266,7 +287,8 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=1)
+        return json.dumps(self.as_dict(), sort_keys=True, indent=1,
+                          allow_nan=False)
 
 
 class _Runner:

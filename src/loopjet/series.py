@@ -26,6 +26,17 @@ result is zero there by definition.  ``vorder`` tracks the trusted jet
 order (a time derivative lowers it by one) and comparisons mask orders
 beyond it.
 
+Coefficients are stored as ``(T, W, n, n)``: jet row, lambda position,
+matrix entry.  Products convolve in lambda by FFT and cache each operand's
+spectrum entry-major, as ``(n, n, T, nfft)``, with certified-zero rows
+(``shi == NEG``) held at exact zero.  The jet product runs over the live
+rows ``a`` of the left factor: the admissible right rows are the prefix
+``[0, upto[top - |a|])`` of the context's row-prefix table, their outputs
+``row_out[a]`` are distinct, and the n x n product of spectra is summed
+entry by entry (``_entry_mul``), the one way spectra are multiplied here.
+The integer degree bounds of a product are reduced over the context's pair
+table.
+
 A first-order nilpotent extension (``eps**2 = 0``) rides along as an
 optional second component of every value, so any pipeline stage can be
 differentiated exactly in a direction by running it on ``f.with_eps(df)``
@@ -65,8 +76,13 @@ class _Slab:
         self._hat = None
 
     def fft(self, ctx: JetContext):
+        """Entry-major spectrum ``(n, n, T, nfft)``; certified-zero rows
+        (``shi == NEG``) are exact zeros whatever their stored data."""
         if self._hat is None:
-            self._hat = np.fft.fft(self.data, n=ctx.nfft, axis=1)
+            T, _, n, _ = self.data.shape
+            live = np.flatnonzero(self.shi != NEG)
+            self._hat = np.zeros((n, n, T, ctx.nfft), dtype=np.complex128)
+            self._hat[:, :, live] = _spectrum(ctx, self.data[live])
         return self._hat
 
     def is_zero(self) -> bool:
@@ -107,6 +123,32 @@ def _cap_top(ctx: JetContext, shi, thi):
     thi = np.where(shi > ctx.hi, np.minimum(thi, ctx.hi), thi)
     return np.where(thi >= ctx.hi, np.where(shi > ctx.hi, ctx.hi, POS),
                     thi).astype(np.int64)
+
+
+def _spectrum(ctx: JetContext, x: np.ndarray) -> np.ndarray:
+    """Entry-major spectrum ``(n, n, ..., nfft)`` of window coefficients
+    ``(..., W, n, n)``."""
+    return np.fft.fft(np.moveaxis(x, (-2, -1), (0, 1)), n=ctx.nfft, axis=-1)
+
+
+def _coefficients(ctx: JetContext, hat: np.ndarray) -> np.ndarray:
+    """Window coefficients ``(..., W, n, n)`` of an entry-major spectrum."""
+    data = np.fft.ifft(hat, axis=-1)[..., ctx.extract]
+    return np.ascontiguousarray(np.moveaxis(data, (0, 1), (-2, -1)))
+
+
+def _entry_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """n x n product over the two leading (entry) axes of entry-major
+    spectra, broadcasting the trailing axes."""
+    acc = x[:, 0:1] * y[0:1]
+    for k in range(1, x.shape[1]):
+        acc += x[:, k:k + 1] * y[k:k + 1]
+    return acc
+
+
+def _live_end(slab: _Slab) -> int:
+    """One past the last jet row that is not certified zero."""
+    return int(np.flatnonzero(slab.shi != NEG)[-1]) + 1
 
 
 def _slab_mul(ctx: JetContext, a: _Slab, b: _Slab,
@@ -150,13 +192,24 @@ def _slab_mul(ctx: JetContext, a: _Slab, b: _Slab,
     tlo[outs] = np.maximum.reduceat(cand_tlo, starts)
     thi[outs] = np.minimum.reduceat(cand_thi, starts)
 
-    G = np.matmul(a.fft(ctx)[pa], b.fft(ctx)[pb])
-    red = np.add.reduceat(G, starts, axis=0)
-    C = np.zeros((ctx.T, ctx.nfft, ctx.n, ctx.n), dtype=np.complex128)
-    C[outs] = red
-    data = np.fft.ifft(C, axis=1)[:, ctx.extract]
+    # a-row by a-row: the admissible b rows are a prefix whose outputs are
+    # distinct, so each contribution adds straight into its output rows;
+    # dead rows are zero in the cached spectra and contribute nothing
+    top = ctx.order if cap is None else min(cap, ctx.order)
+    A, B = a.fft(ctx), b.fft(ctx)
+    b_end = _live_end(b)
+    C = np.zeros((ctx.n, ctx.n, ctx.upto[top], ctx.nfft), dtype=np.complex128)
+    for ia in np.flatnonzero(a.shi != NEG):
+        rest = top - ctx.totals[ia]
+        if rest < 0:
+            break  # graded order: every later row is past the cap too
+        nb = min(ctx.upto[rest], b_end)
+        C[:, :, ctx.row_out[ia][:nb]] += _entry_mul(A[:, :, ia, None],
+                                                    B[:, :, :nb])
+    data = np.zeros((ctx.T, ctx.W, ctx.n, ctx.n), dtype=np.complex128)
+    data[:ctx.upto[top]] = _coefficients(ctx, C)
 
-    slab = _Slab(np.ascontiguousarray(data), _finalize_tlo(ctx, tlo, slo),
+    slab = _Slab(data, _finalize_tlo(ctx, tlo, slo),
                  slo, shi, _cap_top(ctx, shi, thi))
     return _apply_support_mask(ctx, slab)
 
@@ -171,12 +224,14 @@ def _slab_mul_const(ctx: JetContext, a: _Slab, b: _Slab, b_const: bool) -> _Slab
     ta = np.where(full.thi == POS, POS, full.thi + l0)
     tb = POS if h0 == POS else h0 + full.slo
     thi = np.minimum(ta, tb)
+    m = _live_end(full)
     if b_const:
-        G = np.matmul(a.fft(ctx), b.fft(ctx)[0])
+        G = _entry_mul(a.fft(ctx)[:, :, :m], b.fft(ctx)[:, :, 0:1])
     else:
-        G = np.matmul(a.fft(ctx)[0], b.fft(ctx))
-    data = np.fft.ifft(G, axis=1)[:, ctx.extract]
-    slab = _Slab(np.ascontiguousarray(data), _finalize_tlo(ctx, tlo, slo),
+        G = _entry_mul(a.fft(ctx)[:, :, 0:1], b.fft(ctx)[:, :, :m])
+    data = np.zeros_like(full.data)
+    data[:m] = _coefficients(ctx, G)
+    slab = _Slab(data, _finalize_tlo(ctx, tlo, slo),
                  slo, shi, _cap_top(ctx, shi, thi))
     return _apply_support_mask(ctx, slab)
 
@@ -806,10 +861,10 @@ def _pad_const(ctx: JetContext, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conv_row(ctx: JetContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    fx = np.fft.fft(x, n=ctx.nfft, axis=0)
-    fy = np.fft.fft(y, n=ctx.nfft, axis=0)
-    return np.fft.ifft(np.matmul(fx, fy), axis=0)[ctx.extract]
+def _conv_row(ctx: JetContext, fx: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Laurent product X Y of window coefficients ``y`` by the series whose
+    entry-major spectrum is ``fx``."""
+    return _coefficients(ctx, _entry_mul(fx, _spectrum(ctx, y)))
 
 
 def _laurent_inv(ctx: JetContext, slab: _Slab) -> _Slab:
@@ -847,8 +902,9 @@ def _laurent_inv(ctx: JetContext, slab: _Slab) -> _Slab:
     term = acc.copy()
     k_added = 0
     nilpotent = False
+    n_hat = _spectrum(ctx, n_mat)
     for k in range(1, ctx.W + 2):
-        term = -_conv_row(ctx, n_mat, term)
+        term = -_conv_row(ctx, n_hat, term)
         # mask to the certified support of N**k before the zero test, so
         # FFT round-trip dust cannot fake content
         lo_k = max(k * step_lo, ctx.lo) if is_neg else k * step_lo
@@ -865,7 +921,7 @@ def _laurent_inv(ctx: JetContext, slab: _Slab) -> _Slab:
         k_added = k
     clipped = not nilpotent
 
-    res = _conv_row(ctx, acc, _pad_const(ctx, a0inv))
+    res = _conv_row(ctx, _spectrum(ctx, acc), _pad_const(ctx, a0inv))
     out.data[0] = res
     if is_neg:
         out.shi[0] = 0

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from loopjet.cli import csv_to_explicit_coeffs, main
 from loopjet.scenario import ScenarioConfig
 
@@ -169,6 +171,38 @@ def test_exit_code_numerical_failure(tmp_path):
     rc = main(["run", "--config", _write(tmp_path, "c.json", cfg),
                "--out", str(tmp_path / "r.json")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("path,value", [
+    (("order",), "three"), (("flows",), "two"), (("n",), "2x"),
+    (("f_source", "depth"), "deep"), (("f_source", "seed"), [7]),
+    (("f_source", "amplitude"), "big"), (("window", "lo"), "low")])
+def test_exit_code_malformed_field(tmp_path, capsys, path, value):
+    bad = json.loads(json.dumps(SEEDED))
+    holder = bad
+    for key in path[:-1]:
+        holder = holder.setdefault(key, {})
+    holder[path[-1]] = value
+    rc = main(["run", "--config", _write(tmp_path, "c.json", bad),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert ".".join(path) in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_exit_code_non_finite_defect(tmp_path, capsys):
+    # amplitude 50 overflows the truncated series: the first check whose
+    # defect is not finite stops the run instead of writing NaN
+    cfg = {"schema": "loopjet-scenario/1", "family": "kdv_twisted", "n": 2,
+           "flows": 2, "order": 2, "suites": ["factorization", "flows", "tau"],
+           "f_source": {"kind": "seeded", "seed": 31, "depth": 3,
+                        "amplitude": 50}}
+    rc = main(["run", "--config", _write(tmp_path, "c.json", cfg),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "defect is nan" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_unknown_dump_target(tmp_path):

@@ -11,6 +11,8 @@ from loopjet import (JetContext, ScalarJet, Series, ShapeError, TrustError,
                      WindowExhausted, cocycle, directional_derivative,
                      jet_exp, pairing_k, series_dlambda, series_inv,
                      series_mul)
+from loopjet.context import NEG, POS
+from loopjet.series import _cap_top, _finalize_tlo
 
 from helpers import (conv_oracle, jet_conv_oracle, random_jet_series,
                      random_laurent_dict, random_matrix, rng, series_from_dict)
@@ -350,3 +352,119 @@ def test_series_mul_empty_trusted_window_raises():
     b = a * a          # trusted floor rises, trusted top caps at the window
     with pytest.raises(WindowExhausted):
         series_mul(b, b)
+
+
+# -- product kernel vs brute-force oracles --------------------------------------
+
+class _Laurent:
+    """Laurent coefficient dict whose ``@`` is the brute-force convolution,
+    so ``jet_conv_oracle`` runs the jet and degree double sums together."""
+
+    def __init__(self, coeffs: dict):
+        self.coeffs = coeffs
+
+    def __matmul__(self, other: "_Laurent") -> "_Laurent":
+        return _Laurent(conv_oracle(self.coeffs, other.coeffs))
+
+    def __add__(self, other: "_Laurent") -> "_Laurent":
+        out = dict(self.coeffs)
+        for k, m in other.coeffs.items():
+            out[k] = out.get(k, 0) + m
+        return _Laurent(out)
+
+    def __radd__(self, other):  # the oracle starts each sum from 0
+        return self if other == 0 else self + other
+
+
+def _mixed_jet_operand(ctx, gen, dead_rows):
+    """Series with its own degree range and exactness on every jet row; the
+    ``dead_rows`` are then certified zero but keep stale non-zero data.
+    Returns the series and the oracle dict of its live rows."""
+    out = Series.zeros(ctx)
+    live = {}
+    for row in range(ctx.T):
+        lo = int(gen.integers(-5, 1))
+        hi = int(gen.integers(lo, 4))
+        coeffs = random_laurent_dict(gen, ctx.n, lo, hi, 0.7)
+        out = out + Series.from_degree_matrices(
+            ctx, coeffs, alpha=row, exact=bool(gen.integers(2)))
+        if row not in dead_rows:
+            live[tuple(ctx.midx[row])] = _Laurent(coeffs)
+    slab = out.slabs[0]
+    for row in dead_rows:
+        assert np.abs(slab.data[row]).max() > 0
+        slab.shi[row], slab.slo[row] = NEG, POS
+        slab.tlo[row], slab.thi[row] = NEG, POS
+    return out, live
+
+
+def _pair_table_bounds(ctx, a, b, top):
+    """Degree bounds of a product from the pair table, one pair at a time."""
+    shi = np.full(ctx.T, NEG, dtype=np.int64)
+    slo = np.full(ctx.T, POS, dtype=np.int64)
+    tlo = np.full(ctx.T, NEG, dtype=np.int64)
+    thi = np.full(ctx.T, POS, dtype=np.int64)
+    for ia, ib, ic in zip(ctx.pair_a, ctx.pair_b, ctx.pair_c):
+        if a.shi[ia] == NEG or b.shi[ib] == NEG or ctx.totals[ic] > top:
+            continue
+        shi[ic] = max(shi[ic], a.shi[ia] + b.shi[ib])
+        slo[ic] = min(slo[ic], a.slo[ia] + b.slo[ib])
+        tlo[ic] = max(tlo[ic], a.tlo[ia] + b.shi[ib], b.tlo[ib] + a.shi[ia])
+        ta = POS if a.thi[ia] == POS else a.thi[ia] + b.slo[ib]
+        tb = POS if b.thi[ib] == POS else b.thi[ib] + a.slo[ia]
+        thi[ic] = min(thi[ic], ta, tb)
+    return (_finalize_tlo(ctx, tlo, slo), slo, shi, _cap_top(ctx, shi, thi))
+
+
+def _assert_data_matches(ctx, slab, oracle):
+    """Every stored coefficient of ``slab`` equals the oracle's (zero where
+    the oracle has no term)."""
+    for row in range(ctx.T):
+        want = oracle.get(tuple(ctx.midx[row]), _Laurent({})).coeffs
+        for p, k in enumerate(ctx.degrees):
+            expect = want.get(int(k), np.zeros((ctx.n, ctx.n)))
+            assert np.abs(slab.data[row, p] - expect).max() < 1e-12
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_slab_mul_matches_oracle(n, cap):
+    ctx = JetContext(("t1", "t2"), 3, n, -9, 5)
+    gen = rng(100 * n + (cap if cap is not None else 9))
+    A, da = _mixed_jet_operand(ctx, gen, dead_rows=(2, 7))
+    B, db = _mixed_jet_operand(ctx, gen, dead_rows=(1, 5, 9))
+    out = A.matmul(B, cap).slabs[0]
+    top = ctx.order if cap is None else cap
+    _assert_data_matches(ctx, out, jet_conv_oracle(da, db, top))
+    ref = _pair_table_bounds(ctx, A.slabs[0], B.slabs[0], top)
+    for got, expect in zip((out.tlo, out.slo, out.shi, out.thi), ref):
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("b_const", [True, False])
+def test_slab_mul_const_ignores_stale_rows(b_const):
+    ctx = JetContext(("t1", "t2"), 2, 3, -9, 5)
+    gen = rng(7 if b_const else 8)
+    full, dfull = _mixed_jet_operand(ctx, gen, dead_rows=(1, 4))
+    cst, dcst = _mixed_jet_operand(ctx, gen, dead_rows=range(1, ctx.T))
+    assert cst.slabs[0].jet_const()
+    A, B, da, db = (full, cst, dfull, dcst) if b_const else (cst, full, dcst, dfull)
+    _assert_data_matches(ctx, A.matmul(B).slabs[0],
+                         jet_conv_oracle(da, db, ctx.order))
+
+
+@pytest.mark.parametrize("variables,order", [((), 0), (("t1",), 4),
+                                              (("t1", "t2", "t3"), 3)])
+def test_row_prefix_table_matches_pair_table(variables, order):
+    ctx = JetContext(variables, order, 2, -4, 2)
+    from_rows = set()
+    for a in range(ctx.T):
+        outs = ctx.row_out[a]
+        assert outs.size == ctx.upto[order - ctx.totals[a]]
+        assert len(set(outs.tolist())) == outs.size
+        for b, c in enumerate(outs):
+            assert np.array_equal(ctx.midx[a] + ctx.midx[b], ctx.midx[c])
+            from_rows.add((a, b, int(c)))
+    pairs = set(zip(ctx.pair_a.tolist(), ctx.pair_b.tolist(),
+                    ctx.pair_c.tolist()))
+    assert from_rows == pairs and len(pairs) == ctx.pair_a.size
