@@ -6,8 +6,8 @@ Subcommands:
   execute the configured suites and write the JSON report; the exit code is
   0 when every check passed, 1 on a check failure, 2 for an invalid
   configuration and 3 for a numerical failure (window exhaustion, untrusted
-  read, shape violation, a defect that is not finite), naming the failing
-  stage or check.
+  read, shape violation, a floating overflow or invalid operation, a defect
+  that is not finite), naming the failing stage or check.
 * ``dump --config c.json --target {M,E,u,v,lntau} --out file.csv`` --
   coefficient dump with columns multi_index;lambda_degree;row;col;re;im,
   deterministically ordered, nonzero entries only (magnitudes below 1e-12

@@ -24,8 +24,12 @@ Laurent-degree convolutions are done by FFT along the degree axis; ``nfft``
 is the next power of two at or above ``2W - 1``, so circular wrap-around
 never reaches the extracted window.
 
-Contexts are immutable and cheap to share; every series value carries a
-reference to the context it lives in.
+A context also holds the memo of base Laurent inverses (``inv_memo``):
+the Neumann inverse of a jet's row-0 coefficient depends only on that
+coefficient and its trusted floor, and one scenario inverts the same few
+coefficients many times.  Apart from that memo contexts are immutable and
+cheap to share; every series value carries a reference to the context it
+lives in.
 """
 
 from __future__ import annotations
@@ -73,7 +77,8 @@ def _graded_multi_indices(num_vars: int, order: int) -> list[tuple[int, ...]]:
 
 
 class JetContext:
-    """Immutable truncation context with precomputed product tables."""
+    """Truncation context with precomputed product tables and the memo of
+    base Laurent inverses."""
 
     def __init__(self, variables: tuple[str, ...] | list[str], order: int,
                  n: int, lo: int, hi: int):
@@ -104,6 +109,8 @@ class JetContext:
         # so degrees [lo, hi] sit at positions [-lo, -lo+W).
         self.extract = slice(-self.lo, -self.lo + self.W)
         self.degrees = np.arange(self.lo, self.hi + 1, dtype=np.int64)
+        # (row-0 coefficient bytes, trusted floor) -> row 0 of the inverse
+        self.inv_memo: dict[tuple[bytes, int], tuple] = {}
 
     def _build_pair_table(self) -> None:
         d = self.order

@@ -49,21 +49,27 @@ class FactorizationResult:
         self.vfinv = vfinv
         self.u = u
         self.v = v
-        self._einv = None
-        self._conj_cache: dict[str, Series] = {}
+        self._cache: dict = {}
+
+    def cached(self, key, build):
+        """``build()``, computed once per result and key."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     @property
     def Einv(self) -> Series:
-        if self._einv is None:
-            self._einv = self.E.inv()
-        return self._einv
+        return self.cached("Einv", self.E.inv)
+
+    @property
+    def xi(self) -> Series:
+        """xi = M^-1 d_lam M (degrees <= -2)."""
+        return self.cached("xi", lambda: self.Minv * self.M.dlambda())
 
     def conjugated_base(self, key: str) -> Series:
         """M J_base M^-1, cached per base element."""
-        if key not in self._conj_cache:
-            base = self.seq.base_series(self.ctx, key)
-            self._conj_cache[key] = self.M * base * self.Minv
-        return self._conj_cache[key]
+        return self.cached(("conj", key), lambda: (
+            self.M * self.seq.base_series(self.ctx, key) * self.Minv))
 
     def conjugated_generator(self, var: str) -> Series:
         base, shift = self.seq.gens[var]
@@ -275,18 +281,15 @@ def m_ode_defect(result: FactorizationResult) -> float:
     return worst
 
 
-def frame_variation_defect(spec: SplittingSpec, seq: VacuumSequence,
-                           ctx: JetContext, f: Series, df: Series,
-                           V: Series | None = None) -> float:
-    """Variation law of the reduced frame: for a tangent perturbation df,
-    (delta M) M^-1 = (E (df) f^-1 E^-1)_-."""
-    res = factorize_jet(spec, seq, ctx, f.embed(ctx).with_eps(df.embed(ctx)),
-                        V=V)
+def frame_variation_defect(result_eps: FactorizationResult) -> float:
+    """Variation law of the reduced frame: for the tangent perturbation df
+    of a factorization of f + eps df, (delta M) M^-1 = (E (df) f^-1 E^-1)_-."""
+    res = result_eps
     m0 = res.M.base_part()
     dm = res.M.eps_part()
     lhs = dm * m0.inv()
     e0 = res.E.base_part()
-    rhs = (e0 * df.embed(ctx) * res.f.base_part().inv() * e0.inv()).minus()
+    rhs = (e0 * res.f.eps_part() * res.f.base_part().inv() * e0.inv()).minus()
     return (lhs - rhs).max_abs()
 
 
@@ -318,42 +321,39 @@ def reality_propagation_check(result: FactorizationResult) -> dict:
     return out
 
 
-def stabilizer_h_check(spec: SplittingSpec, seq: VacuumSequence,
-                       ctx: JetContext, f: Series, h: Series,
-                       V: Series | None = None) -> dict:
+def stabilizer_h_check(result: FactorizationResult, h: Series) -> dict:
     """Right translation by h in the negative subgroup commuting with J_1
-    leaves u_f unchanged and maps M to M h."""
-    h = h.embed(ctx)
-    j1 = seq.j1(ctx)
+    leaves u_f unchanged and maps M to M h; ``result`` factorizes f."""
+    res = result
+    h = h.embed(res.ctx)
+    j1 = res.seq.j1(res.ctx)
     comm = commutator(h, j1).max_abs()
     if comm > 1e-9 * max(1.0, h.max_abs()):
         raise ShapeError(f"stabilizer_h_check: [h, J_1] != 0 ({comm:.3e})")
-    res = factorize_jet(spec, seq, ctx, f, V=V)
-    res_h = factorize_jet(spec, seq, ctx, (f.embed(ctx) * h), V=V)
+    res_h = factorize_jet(res.spec, res.seq, res.ctx, res.f * h, V=res.V)
     return {
         "u_unchanged": (res_h.u - res.u).max_abs(),
         "reduced_frame_translates": (res_h.M - res.M * h).max_abs(),
-        "result": res, "result_h": res_h,
+        "result_h": res_h,
     }
 
 
-def stabilizer_k_check(spec: SplittingSpec, seq: VacuumSequence,
-                       ctx: JetContext, f: Series, k: np.ndarray,
-                       V: Series | None = None) -> dict:
+def stabilizer_k_check(result: FactorizationResult, k: np.ndarray) -> dict:
     """Conjugation by a constant k commuting with the vacuum sequence maps
-    f to k f k^-1, M to k M k^-1, E to k E k^-1 and u to k u k^-1."""
+    f to k f k^-1, M to k M k^-1, E to k E k^-1 and u to k u k^-1;
+    ``result`` factorizes f."""
+    res = result
     k = np.asarray(k, dtype=complex)
-    for key, coeffs in seq.bases.items():
+    for key, coeffs in res.seq.bases.items():
         for m in coeffs.values():
             if np.abs(k @ m - m @ k).max() > 1e-12 * max(1.0, np.abs(m).max()):
                 raise ShapeError("stabilizer_k_check: k does not commute "
                                  f"with generator base {key}")
-    res = factorize_jet(spec, seq, ctx, f, V=V)
-    res_k = factorize_jet(spec, seq, ctx, f.embed(ctx).conjugate_by(k), V=V)
-    out = {
+    res_k = factorize_jet(res.spec, res.seq, res.ctx, res.f.conjugate_by(k),
+                          V=res.V)
+    return {
         "u_conjugates": (res_k.u - res.u.conjugate_by(k)).max_abs(),
         "m_conjugates": (res_k.M - res.M.conjugate_by(k)).max_abs(),
         "e_conjugates": (res_k.E - res.E.conjugate_by(k)).max_abs(),
-        "result": res, "result_k": res_k,
+        "result_k": res_k,
     }
-    return out

@@ -11,6 +11,7 @@ Everything is deterministic given the configuration and seed.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ import numpy as np
 
 from .checks import CATALOG, CheckRecord, record
 from .context import JetContext, default_window
-from .errors import ConfigError
+from .errors import ConfigError, LoopjetError
 from .hierarchy import (VacuumSequence, akns_sequence, gl_sequence,
                         kdv_sequence, named_flow_residual, odd_akns_sequence,
                         flow_rhs, q_recursion_vector_akns)
@@ -103,32 +104,48 @@ class ScenarioConfig:
         explicit = None
         seed, depth, amp = 1, 3, 0.3
         if src.get("kind") == "explicit":
-            explicit = src["coeffs"]
+            explicit = _explicit_coeffs(src.get("coeffs"), n)
         elif src.get("kind") == "seeded":
             seed = _convert(int, src.get("seed", 1), "f_source.seed")
-            depth = _convert(int, src.get("depth", 3), "f_source.depth")
+            depth = _at_least(1, _convert(int, src.get("depth", 3),
+                                          "f_source.depth"), "f_source.depth")
             amp = _convert(float, src.get("amplitude", 0.3),
                            "f_source.amplitude")
         else:
             raise ConfigError("f_source.kind must be 'seeded' or 'explicit'")
-        suites = tuple(raw.get("suites", ["factorization"]))
+        suites = tuple(_list_of(raw.get("suites", ["factorization"]),
+                                "suites"))
         for s in suites:
             if s not in ALL_SUITES:
                 raise ConfigError(f"unknown suite {s!r}")
         vira = raw.get("virasoro", {})
-        gammas = tuple(vira.get("gammas", ["zero"]))
+        if not isinstance(vira, dict):
+            raise ConfigError("virasoro must be an object {ells, gammas}")
+        gammas = tuple(_list_of(vira.get("gammas", ["zero"]),
+                                "virasoro.gammas"))
         for g in gammas:
             if g not in ("zero", "xi0"):
                 raise ConfigError(f"unknown gamma preset {g!r}")
+        ells = tuple(_at_least(-1, _convert(int, ell, "virasoro.ells"),
+                               "virasoro.ells")
+                     for ell in _list_of(vira.get("ells", [-1, 0, 1, 2, 3]),
+                                         "virasoro.ells"))
+        tolerances = raw.get("tolerances", {})
+        if not isinstance(tolerances, dict):
+            raise ConfigError("tolerances must be an object {check id: value}")
+        tolerances = {cid: _tolerance(tol, f"tolerances.{cid}")
+                      for cid, tol in tolerances.items()}
         cfg = cls(
             family=family, n=n, variant=raw.get("variant", "standard"),
-            a_diag=a_diag, num_flows=_convert(int, raw.get("flows", 3), "flows"),
+            a_diag=a_diag,
+            num_flows=_at_least(1, _convert(int, raw.get("flows", 3), "flows"),
+                                "flows"),
             order=_convert(int, raw.get("order", 3), "order"), window=window,
             f_seed=seed, f_depth=depth, f_amplitude=amp, f_explicit=explicit,
             suites=suites,
-            virasoro_ells=tuple(vira.get("ells", [-1, 0, 1, 2, 3])),
+            virasoro_ells=ells,
             virasoro_gammas=gammas,
-            tolerances=dict(raw.get("tolerances", {})),
+            tolerances=tolerances,
         )
         cfg.validate()
         return cfg
@@ -185,6 +202,46 @@ def _convert(kind, value, name: str):
                           f"got {value!r}") from None
 
 
+def _list_of(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"field {name!r} must be a list, got {value!r}")
+    return value
+
+
+def _at_least(low, value, name: str):
+    if value < low:
+        raise ConfigError(f"field {name!r} must be >= {low}, got {value}")
+    return value
+
+
+def _tolerance(value, name: str) -> float | None:
+    """A tolerance override; null keeps the catalog default."""
+    if value is None:
+        return None
+    return _at_least(0.0, _convert(float, value, name), name)
+
+
+def _explicit_coeffs(coeffs, n: int) -> list:
+    """Validate an explicit coefficient table ``[[degree, row, col, re, im],
+    ...]`` (rows and columns 1-based); the entries are kept as given."""
+    if not isinstance(coeffs, list):
+        raise ConfigError("field 'f_source.coeffs' must be a list of "
+                          "[degree, row, col, re, im] entries")
+    for i, entry in enumerate(coeffs):
+        name = f"f_source.coeffs[{i}]"
+        if not isinstance(entry, list) or len(entry) != 5:
+            raise ConfigError(f"field {name!r} must be [degree, row, col, "
+                              f"re, im], got {entry!r}")
+        _convert(int, entry[0], name)
+        for label, idx in (("row", entry[1]), ("col", entry[2])):
+            if not 1 <= _convert(int, idx, name) <= n:
+                raise ConfigError(f"field {name!r}: {label} {idx!r} is "
+                                  f"outside 1..{n}")
+        _convert(float, entry[3], name)
+        _convert(float, entry[4], name)
+    return coeffs
+
+
 class Scenario:
     """A configured scenario: splitting, sequence, context and datum."""
 
@@ -195,7 +252,8 @@ class Scenario:
                   else default_window(cfg.order, self.seq.j_max))
         self.ctx = JetContext(self.seq.variables, cfg.order, self.seq.n, lo, hi)
         self.fctx = JetContext((), 0, self.seq.n, lo, hi)
-        self.f = self._make_f()
+        with _stage("scattering datum"):
+            self.f = self._make_f()
 
     def _make_f(self) -> Series:
         cfg = self.cfg
@@ -205,7 +263,7 @@ class Scenario:
                 m = coeffs.setdefault(int(deg),
                                       np.zeros((self.seq.n, self.seq.n),
                                                dtype=complex))
-                m[int(row) - 1, int(col) - 1] += re + 1j * im
+                m[int(row) - 1, int(col) - 1] += float(re) + 1j * float(im)
             # explicit tables are treated as window-truncated data (same
             # trust floor a seeded datum carries), so dump/reload round
             # trips reproduce reports bit for bit
@@ -310,7 +368,8 @@ class _Runner:
         self._ensure_factorized()  # prerequisite of every suite
         for suite in order:
             t0 = time.perf_counter()
-            getattr(self, f"_suite_{suite}")()
+            with _stage(f"suite {suite}"):
+                getattr(self, f"_suite_{suite}")()
             self.timing[suite] = round(time.perf_counter() - t0, 3)
         return Report(self.cfg.echo(), self.records, self.conventions,
                       self.timing)
@@ -318,7 +377,8 @@ class _Runner:
     def _ensure_factorized(self) -> None:
         if self.result is None:
             s = self.scen
-            self.result = factorize_jet(s.spec, s.seq, s.ctx, s.f)
+            with _stage("prerequisite factorization"):
+                self.result = factorize_jet(s.spec, s.seq, s.ctx, s.f)
 
     def _ensure_tau(self):
         if self.tau is None:
@@ -369,7 +429,7 @@ class _Runner:
         s, res = self.scen, self.result
         h = _commuting_h(s)
         if h is not None:
-            chk = stabilizer_h_check(s.spec, s.seq, s.ctx, s.f, h, V=res.V)
+            chk = stabilizer_h_check(res, h)
             self.add("stabilizer_h", max(chk["u_unchanged"],
                                          chk["reduced_frame_translates"]))
             self._result_h = chk["result_h"]
@@ -378,7 +438,7 @@ class _Runner:
             self._result_h = None
         k = _commuting_k(s)
         if k is not None:
-            chk = stabilizer_k_check(s.spec, s.seq, s.ctx, s.f, k, V=res.V)
+            chk = stabilizer_k_check(res, k)
             self.add("stabilizer_k", max(chk["u_conjugates"],
                                          chk["m_conjugates"],
                                          chk["e_conjugates"]))
@@ -474,15 +534,10 @@ class _Runner:
         for tag, gamma in gammas:
             for j in ells:
                 worst_tan = max(worst_tan, tangency_defect(f, j, gamma))
-                for k in ells:
-                    worst_br = max(worst_br, bracket_defect(f, j, k, gamma))
+            worst_br = max(worst_br, bracket_defect(f, ells, gamma))
         self.add("virasoro_tangent", worst_tan)
         self.add("virasoro_bracket", worst_br)
-        df = _tangent_sample(s)
-        self.add("frame_variation",
-                 frame_variation_defect(s.spec, s.seq, s.ctx, f, df, V=res.V))
-        self.add("lntau_variation",
-                 thm56_defect(eps_perturbed_result(res, df)))
+        self._variation_laws()
         worst_frame, worst_lk, worst_gl = 0.0, 0.0, 0.0
         for tag, gamma in gammas:
             for ell in ells:
@@ -514,10 +569,16 @@ class _Runner:
                  note="c_l = 0 for l <= 1 included")
         if s.spec.variant in ("sigma_twisted", "tau_sigma"):
             worst_t = max(eta_tangency_defect(s.spec, f, j) for j in (0, 1, 2))
-            worst_b = max(eta_bracket_defect(f, j, k)
-                          for j in (0, 1) for k in (0, 1))
+            worst_b = eta_bracket_defect(f, (0, 1))
             self.add("eta_tangency", worst_t)
             self.add("eta_bracket", worst_b)
+
+    def _variation_laws(self) -> None:
+        """Both general variation laws, read off one refactorization of
+        f + eps df for the tangent sample df."""
+        eps = eps_perturbed_result(self.result, _tangent_sample(self.scen))
+        self.add("frame_variation", frame_variation_defect(eps))
+        self.add("lntau_variation", thm56_defect(eps))
 
     def _t76_checks(self, ells) -> None:
         s, res = self.scen, self.result
@@ -571,6 +632,18 @@ class _Runner:
 
 
 # -- helpers ---------------------------------------------------------------
+
+@contextlib.contextmanager
+def _stage(name: str):
+    """Raise numpy overflow and invalid operations inside a stage as a
+    :class:`LoopjetError` naming it, so a blow-up fails where it happens
+    instead of at a later check."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as e:
+        raise LoopjetError(f"{name}: {e}") from None
+
 
 def _full_grid(seq) -> bool:
     flows = sorted({shift + 1 for _, shift in seq.gens.values()})

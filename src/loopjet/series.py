@@ -37,10 +37,12 @@ entry by entry (``_entry_mul``), the one way spectra are multiplied here.
 The integer degree bounds of a product are reduced over the context's pair
 table.
 
-A first-order nilpotent extension (``eps**2 = 0``) rides along as an
-optional second component of every value, so any pipeline stage can be
-differentiated exactly in a direction by running it on ``f.with_eps(df)``
-and taking ``.eps_part()`` of the result.
+Every value carries K >= 0 tangent components next to its base value: a
+first-order nilpotent extension with ``eps_i eps_j = 0`` (vector forward
+mode).  Any pipeline stage is differentiated exactly along K directions at
+once by running it on ``f.with_eps(df_0, ..., df_{K-1})`` and reading
+``.eps_part(i)`` of the result; each tangent component is computed by the
+same operations as a single-direction run, so it is bit-identical to one.
 """
 
 from __future__ import annotations
@@ -218,8 +220,9 @@ def _slab_mul_const(ctx: JetContext, a: _Slab, b: _Slab, b_const: bool) -> _Slab
     """Product where one operand only occupies the zero multi-index."""
     full, cst = (a, b) if b_const else (b, a)
     s0, l0, t0, h0 = cst.shi[0], cst.slo[0], cst.tlo[0], cst.thi[0]
-    shi = full.shi + s0
-    slo = full.slo + l0
+    # certified-zero rows of the full operand stay certified zero
+    shi = np.where(full.shi == NEG, NEG, full.shi + s0)
+    slo = np.where(full.slo == POS, POS, full.slo + l0)
     tlo = np.maximum(full.tlo + s0, t0 + full.shi)
     ta = np.where(full.thi == POS, POS, full.thi + l0)
     tb = POS if h0 == POS else h0 + full.slo
@@ -242,8 +245,23 @@ def _slab_add(a: _Slab, b: _Slab, sign: float) -> _Slab:
                  np.minimum(a.thi, b.thi))
 
 
+def _leibniz(a: tuple, b: tuple, mul, add) -> tuple:
+    """Components of a bilinear product of values with tangent parts
+    (``eps_i eps_j = 0``): ``a_0 b_0``, then ``a_0 b_i + a_i b_0`` for each
+    tangent i, a component that one factor lacks counting as zero."""
+    out = [mul(a[0], b[0])]
+    for i in range(1, max(len(a), len(b))):
+        left = mul(a[0], b[i]) if i < len(b) else None
+        right = mul(a[i], b[0]) if i < len(a) else None
+        out.append(right if left is None else
+                   left if right is None else add(left, right))
+    return tuple(out)
+
+
 class Series:
-    """Jet of matrix Laurent series, optionally with a nilpotent eps part."""
+    """Jet of matrix Laurent series with K >= 0 tangent components:
+    ``slabs[0]`` is the base value, ``slabs[1 + i]`` tangent component i,
+    and ``E = 1 + K``."""
 
     __slots__ = ("ctx", "slabs", "vorder")
 
@@ -308,17 +326,20 @@ class Series:
     def base_part(self) -> "Series":
         return Series(self.ctx, (self.slabs[0],), self.vorder)
 
-    def eps_part(self) -> "Series":
-        if self.E == 1:
+    def eps_part(self, i: int = 0) -> "Series":
+        """Tangent component ``i`` (zero if the value has none)."""
+        if i + 1 >= self.E:
             return Series.zeros(self.ctx)
-        return Series(self.ctx, (self.slabs[1],), self.vorder)
+        return Series(self.ctx, (self.slabs[i + 1],), self.vorder)
 
-    def with_eps(self, eps: "Series") -> "Series":
-        self.ctx.require_compatible(eps.ctx)
-        if self.E != 1 or eps.E != 1:
+    def with_eps(self, *dirs: "Series") -> "Series":
+        """The base value with one tangent component per direction."""
+        for d in dirs:
+            self.ctx.require_compatible(d.ctx)
+        if self.E != 1 or any(d.E != 1 for d in dirs):
             raise DimensionMismatch("cannot nest epsilon extensions")
-        return Series(self.ctx, (self.slabs[0], eps.slabs[0]),
-                      min(self.vorder, eps.vorder))
+        return Series(self.ctx, self.slabs + tuple(d.slabs[0] for d in dirs),
+                      min([self.vorder] + [d.vorder for d in dirs]))
 
     # -- ring operations ---------------------------------------------------
 
@@ -362,14 +383,9 @@ class Series:
         self.ctx.require_compatible(other.ctx)
         if self.ctx.n != other.ctx.n:
             raise DimensionMismatch("matrix dimension mismatch")
-        if self.E == 1 and other.E == 1:
-            slabs = (_slab_mul(self.ctx, self.slabs[0], other.slabs[0], cap),)
-        else:
-            za, zb = self._binary_slabs(other)
-            c0 = _slab_mul(self.ctx, za[0], zb[0], cap)
-            c1 = _slab_add(_slab_mul(self.ctx, za[0], zb[1], cap),
-                           _slab_mul(self.ctx, za[1], zb[0], cap), 1.0)
-            slabs = (c0, c1)
+        slabs = _leibniz(self.slabs, other.slabs,
+                         lambda a, b: _slab_mul(self.ctx, a, b, cap),
+                         lambda x, y: _slab_add(x, y, 1.0))
         vorder = min(self.vorder, other.vorder)
         if cap is not None:
             vorder = min(vorder, cap)
@@ -515,10 +531,10 @@ class Series:
     # -- inverses and exponentials -----------------------------------------
 
     def inv(self, cap: int | None = None) -> "Series":
-        if self.E == 2:
+        if self.E > 1:
             b = self.base_part().inv(cap)
-            corr = b.matmul(self.eps_part(), cap).matmul(b, cap)
-            return b.with_eps(-corr)
+            return b.with_eps(*[-b.matmul(self.eps_part(i), cap).matmul(b, cap)
+                                for i in range(self.E - 1)])
         ctx = self.ctx
         base = _laurent_inv(ctx, self.slabs[0])
         x = Series(ctx, (base,), self.vorder)
@@ -667,12 +683,10 @@ class Series:
     def pairing(self, other: "Series", k: int) -> "ScalarJet":
         """<X, Y>_k: the lambda**k coefficient of tr(X(lambda) Y(lambda))."""
         self.ctx.require_compatible(other.ctx)
-        za, zb = self._binary_slabs(other)
-        vals = [self._slab_pairing(other, za[0], zb[0], k)]
-        if max(self.E, other.E) == 2:
-            vals.append(self._slab_pairing(other, za[0], zb[1], k)
-                        + self._slab_pairing(other, za[1], zb[0], k))
-        return ScalarJet(self.ctx, tuple(vals), min(self.vorder, other.vorder))
+        vals = _leibniz(self.slabs, other.slabs,
+                        lambda a, b: self._slab_pairing(other, a, b, k),
+                        np.add)
+        return ScalarJet(self.ctx, vals, min(self.vorder, other.vorder))
 
     def trace_coeff(self, k: int) -> "ScalarJet":
         """Trusted scalar jet tr(X)_k."""
@@ -739,7 +753,8 @@ class Series:
 
 
 class ScalarJet:
-    """Scalar-valued jet (pairings, ln tau, q/r entries); exact once created."""
+    """Scalar-valued jet (pairings, ln tau, q/r entries); exact once created.
+    ``vals[0]`` is the base value, ``vals[1 + i]`` tangent component i."""
 
     __slots__ = ("ctx", "vals", "vorder")
 
@@ -765,10 +780,11 @@ class ScalarJet:
     def base_part(self) -> "ScalarJet":
         return ScalarJet(self.ctx, (self.vals[0],), self.vorder)
 
-    def eps_part(self) -> "ScalarJet":
-        if self.E == 1:
+    def eps_part(self, i: int = 0) -> "ScalarJet":
+        """Tangent component ``i`` (zero if the value has none)."""
+        if i + 1 >= self.E:
             return ScalarJet.zeros(self.ctx)
-        return ScalarJet(self.ctx, (self.vals[1],), self.vorder)
+        return ScalarJet(self.ctx, (self.vals[i + 1],), self.vorder)
 
     def _binary(self, other: "ScalarJet"):
         E = max(self.E, other.E)
@@ -805,11 +821,8 @@ class ScalarJet:
         if not isinstance(other, ScalarJet):
             return self.scale(other)
         self.ctx.require_compatible(other.ctx)
-        va, vb = self._binary(other)
-        out = [self._mul_vals(va[0], vb[0])]
-        if max(self.E, other.E) == 2:
-            out.append(self._mul_vals(va[0], vb[1]) + self._mul_vals(va[1], vb[0]))
-        return ScalarJet(self.ctx, tuple(out), min(self.vorder, other.vorder))
+        out = _leibniz(self.vals, other.vals, self._mul_vals, np.add)
+        return ScalarJet(self.ctx, out, min(self.vorder, other.vorder))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -868,6 +881,24 @@ def _conv_row(ctx: JetContext, fx: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _laurent_inv(ctx: JetContext, slab: _Slab) -> _Slab:
+    """Inverse of the base (jet index zero) Laurent coefficient, computed
+    once per context and input: the Neumann loop reads only the row-0 data
+    and trusted floor, so those key the context's memo.  Every call returns
+    a fresh slab."""
+    key = (slab.data[0].tobytes(), int(slab.tlo[0]))
+    row = ctx.inv_memo.get(key)
+    if row is None:
+        inv = _neumann_inv(ctx, slab)
+        row = (inv.data[0].copy(), inv.tlo[0], inv.slo[0], inv.shi[0],
+               inv.thi[0])
+        ctx.inv_memo[key] = row
+    out = _zero_slab(ctx)
+    out.data[0] = row[0]
+    out.tlo[0], out.slo[0], out.shi[0], out.thi[0] = row[1:]
+    return out
+
+
+def _neumann_inv(ctx: JetContext, slab: _Slab) -> _Slab:
     """Neumann inverse of the base (jet index zero) Laurent coefficient.
 
     Accepts A = A0 (I + N) with N strictly negative (the L- shape), the

@@ -35,11 +35,6 @@ class LnTauJet:
     result: FactorizationResult
 
 
-def _xi(result: FactorizationResult) -> Series:
-    """xi = M^-1 d_lam M (degrees <= -2)."""
-    return result.Minv * result.M.dlambda()
-
-
 def ln_tau_jet(result: FactorizationResult, var_choice: str = "first") -> LnTauJet:
     """Integrate (ln tau)_{t_v} = <J_v, M^-1 M_lam>_{-1} from ln tau(0) = 0.
 
@@ -49,7 +44,7 @@ def ln_tau_jet(result: FactorizationResult, var_choice: str = "first") -> LnTauJ
     """
     ctx = result.ctx
     seq = result.seq
-    xi = _xi(result)
+    xi = result.xi
     integrands = {}
     for var in seq.variables:
         j_v = seq.generator(ctx, var)
@@ -82,7 +77,7 @@ def first_partial_pairing(result: FactorizationResult, base_key: str,
     the reduced frame; well defined even for flow times outside the active
     variable set."""
     j_v = result.seq.base_series(result.ctx, base_key).shift(shift)
-    return j_v.pairing(_xi(result), -1)
+    return j_v.pairing(result.xi, -1)
 
 
 def second_partial_formula(result: FactorizationResult,
@@ -109,7 +104,7 @@ def tau_route_defects(result: FactorizationResult, tau: LnTauJet) -> dict:
     """Cross-checks between the defining relation, jet differentiation, the
     second-partial pairing, its (t_1, t_j) specialization and symmetry."""
     ctx, seq = result.ctx, result.seq
-    xi = _xi(result)
+    xi = result.xi
     defining = 0.0
     for var in seq.variables:
         iv = seq.generator(ctx, var).pairing(xi, -1)
@@ -261,8 +256,8 @@ def shift_constancy_check(result: FactorizationResult,
     h = h.embed(ctx)
     hterm = h.dlambda() * h.inv()
     worst = 0.0
-    xi_f = _xi(result)
-    xi_fh = _xi(result_h)
+    xi_f = result.xi
+    xi_fh = result_h.xi
     for var in seq.variables:
         j_v = seq.generator(ctx, var)
         delta = j_v.pairing(xi_fh, -1) - j_v.pairing(xi_f, -1)

@@ -19,7 +19,7 @@ import numpy as np
 from .context import JetContext
 from .errors import ShapeError
 from .scattering import FactorizationResult, factorize_jet
-from .series import ScalarJet, Series, directional_derivative
+from .series import ScalarJet, Series
 from .splitting import SplittingSpec, reality_check
 from .tau import LnTauJet, first_partial_pairing, ln_tau_jet, \
     second_partial_formula
@@ -54,40 +54,71 @@ def tangency_defect(f: Series, ell: int, gamma: np.ndarray | None) -> float:
     return (z * f.inv()).plus().max_abs()
 
 
-def bracket_defect(f: Series, j: int, k: int,
-                   gamma: np.ndarray | None) -> float:
-    """|| [Z_j, Z_k](f) - (k - j) Z_{j+k}(f) || with the vector-field bracket
-    computed exactly through directional derivatives."""
-    zj = virasoro_field(f, j, gamma)
-    zk = virasoro_field(f, k, gamma)
-    lhs = (directional_derivative(lambda g: virasoro_field(g, k, gamma), f, zj)
-           - directional_derivative(lambda g: virasoro_field(g, j, gamma), f, zk))
-    if k == j:
-        return lhs.max_abs()
-    rhs = virasoro_field(f, j + k, gamma) * float(k - j)
-    return (lhs - rhs).max_abs()
+def _bracket_worst(field, f: Series, ells) -> float:
+    """max over j, k in ``ells`` of || [Z_j, Z_k](f) - (k - j) Z_{j+k}(f) ||
+    for the field family ``Z_l = field(., l)``, the vector-field bracket
+    computed exactly through directional derivatives: one pass over f with
+    a tangent component per Z_j gives D Z_k(f)[Z_j] for every j."""
+    z: dict[int, Series] = {}
+
+    def field_at_f(ell: int) -> Series:
+        if ell not in z:
+            z[ell] = field(f, ell)
+        return z[ell]
+
+    ext = f.with_eps(*(field_at_f(j) for j in ells))
+    dz = {}
+    for k in ells:
+        out = field(ext, k)
+        for i, j in enumerate(ells):
+            dz[j, k] = out.eps_part(i)  # D Z_k(f)[Z_j]
+    worst = 0.0
+    for j in ells:
+        for k in ells:
+            lhs = dz[j, k] - dz[k, j]
+            if k == j:
+                worst = max(worst, lhs.max_abs())
+            else:
+                rhs = field_at_f(j + k) * float(k - j)
+                worst = max(worst, (lhs - rhs).max_abs())
+    return worst
+
+
+def bracket_defect(f: Series, ells, gamma: np.ndarray | None) -> float:
+    """max over j, k in ``ells`` of || [Z_j, Z_k](f) - (k - j) Z_{j+k}(f) ||."""
+    return _bracket_worst(lambda g, ell: virasoro_field(g, ell, gamma), f, ells)
 
 
 # ---------------------------------------------------------------------------
 # induced variations
 
-def _gamma_operand(result: FactorizationResult,
-                   gamma: np.ndarray | None) -> Series:
-    """lam f_lam f^-1 + f Gamma f^-1 as a jet-constant series."""
-    f = result.f.base_part()
-    finv = f.inv()
-    x = (f.dlambda() * finv).shift(1)
-    if gamma is not None:
-        g = Series.monomial(result.ctx, np.asarray(gamma, dtype=complex))
-        x = x + f * g * finv
-    return x
+def _conjugated_operand(result: FactorizationResult,
+                        gamma: np.ndarray | None) -> Series:
+    """E (lam f_lam f^-1 + f Gamma f^-1) E^-1, built once per result and
+    Gamma (it does not depend on l)."""
+
+    def build() -> Series:
+        f = result.f.base_part()
+        finv = f.inv()
+        x = (f.dlambda() * finv).shift(1)
+        if gamma is not None:
+            g = Series.monomial(result.ctx, np.asarray(gamma, dtype=complex))
+            x = x + f * g * finv
+        return result.E * x * result.Einv
+
+    key = None if gamma is None else np.asarray(gamma, dtype=complex).tobytes()
+    return result.cached(("operand", key), build)
+
+
+def _e_log(result: FactorizationResult) -> Series:
+    """E_lam E^-1, built once per result."""
+    return result.cached("E_log", lambda: result.E.dlambda() * result.Einv)
 
 
 def induced_frame_variation(result: FactorizationResult, ell: int,
                             gamma: np.ndarray | None) -> Series:
     """delta_l(M) M^-1 = -(lam**l E (lam f_lam f^-1 + f Gamma f^-1) E^-1)_-."""
-    a = _gamma_operand(result, gamma)
-    return -((result.E * a * result.Einv).shift(ell)).minus()
+    return -(_conjugated_operand(result, gamma).shift(ell)).minus()
 
 
 def script_j(result: FactorizationResult) -> Series:
@@ -129,9 +160,8 @@ def induced_lntau_variation(result: FactorizationResult, ell: int,
     """delta_l(ln tau) = <lam**l E (lam f_lam f^-1 + f Gamma f^-1) E^-1,
     lam E_lam E^-1>_0; the index-(-1) reading without the lam shift is
     asserted equal (the two appear interchangeably)."""
-    a = _gamma_operand(result, gamma)
-    g = (result.E * a * result.Einv).shift(ell)
-    e_log = result.E.dlambda() * result.Einv
+    g = _conjugated_operand(result, gamma).shift(ell)
+    e_log = _e_log(result)
     out = g.pairing(e_log.shift(1), 0)
     alt = g.pairing(e_log, -1)
     if (out - alt).max_abs() > 1e-9 * max(1.0, out.max_abs()):
@@ -164,7 +194,7 @@ def c_ell(f: Series, ell: int) -> complex:
 def c_ell_const_defect(result: FactorizationResult, ell: int) -> float:
     """<lam**l (E lam f_lam f^-1 E^-1)^2>_0 must be the t-independent c_l(f)."""
     f0 = result.f.base_part()
-    g = result.E * (f0.dlambda() * f0.inv()).shift(1) * result.Einv
+    g = _conjugated_operand(result, None)
     jet = (g * g).trace_coeff(-ell)
     return (jet - ScalarJet.const(result.ctx, c_ell(f0.at_zero(
         JetContext((), 0, result.ctx.n, result.ctx.lo, result.ctx.hi)), ell))
@@ -297,7 +327,7 @@ def proof_identities_check(result: FactorizationResult, tau: LnTauJet,
             continue
         worst_tr = max(worst_tr, (B * dB).trace_coeff(k).max_abs())
     out["b_trace"] = worst_tr
-    xi = result.Minv * result.M.dlambda()
+    xi = result.xi
     out["xi_support"] = max(xi.plus().max_abs(), xi.degree_slice(-1).max_abs())
     worst = 0.0
     for var in seq.variables:
@@ -340,12 +370,6 @@ def eta_tangency_defect(spec: SplittingSpec, f: Series, j: int) -> float:
     return reality_check(spec, ext, level="group")
 
 
-def eta_bracket_defect(f: Series, j: int, k: int) -> float:
-    ej = eta_field(f, j)
-    ek = eta_field(f, k)
-    lhs = (directional_derivative(lambda g: eta_field(g, k), f, ej)
-           - directional_derivative(lambda g: eta_field(g, j), f, ek))
-    if j == k:
-        return lhs.max_abs()
-    rhs = eta_field(f, j + k) * float(k - j)
-    return (lhs - rhs).max_abs()
+def eta_bracket_defect(f: Series, js) -> float:
+    """max over j, k in ``js`` of || [eta_j, eta_k](f) - (k - j) eta_{j+k}(f) ||."""
+    return _bracket_worst(eta_field, f, js)

@@ -176,7 +176,11 @@ def test_exit_code_numerical_failure(tmp_path):
 @pytest.mark.parametrize("path,value", [
     (("order",), "three"), (("flows",), "two"), (("n",), "2x"),
     (("f_source", "depth"), "deep"), (("f_source", "seed"), [7]),
-    (("f_source", "amplitude"), "big"), (("window", "lo"), "low")])
+    (("f_source", "amplitude"), "big"), (("window", "lo"), "low"),
+    (("flows",), 0), (("f_source", "depth"), 0), (("suites",), "factorization"),
+    (("f_source",), {"kind": "explicit", "coeffs": [[-1, 5, 1, 0.1, 0.0]]}),
+    (("virasoro", "ells"), "abc"), (("virasoro", "ells"), [-2]),
+    (("virasoro", "gammas"), "zero"), (("tolerances", "fact_oracle"), -1.0)])
 def test_exit_code_malformed_field(tmp_path, capsys, path, value):
     bad = json.loads(json.dumps(SEEDED))
     holder = bad
@@ -191,8 +195,8 @@ def test_exit_code_malformed_field(tmp_path, capsys, path, value):
 
 
 def test_exit_code_non_finite_defect(tmp_path, capsys):
-    # amplitude 50 overflows the truncated series: the first check whose
-    # defect is not finite stops the run instead of writing NaN
+    # amplitude 50 overflows the truncated series: the run stops at the
+    # stage that overflowed, before any check or report sees a non-finite value
     cfg = {"schema": "loopjet-scenario/1", "family": "kdv_twisted", "n": 2,
            "flows": 2, "order": 2, "suites": ["factorization", "flows", "tau"],
            "f_source": {"kind": "seeded", "seed": 31, "depth": 3,
@@ -201,7 +205,21 @@ def test_exit_code_non_finite_defect(tmp_path, capsys):
                "--out", str(tmp_path / "r.json")])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "numerical failure" in err and "defect is nan" in err
+    assert "numerical failure" in err and "prerequisite factorization" in err
+    assert "overflow" in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_exit_code_overflow_in_scattering_datum(tmp_path, capsys):
+    cfg = {"schema": "loopjet-scenario/1", "family": "kdv_twisted", "n": 2,
+           "flows": 1, "order": 1, "suites": ["factorization"],
+           "f_source": {"kind": "seeded", "seed": 31, "depth": 3,
+                        "amplitude": 1e200}}
+    rc = main(["run", "--config", _write(tmp_path, "c.json", cfg),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "scattering datum" in err and "overflow" in err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -94,7 +94,8 @@ def test_frame_variation_law():
     spec, seq, ctx, f = akns_setup()
     df = sample_negative_element(spec, ctx, seed=99, depth=2, amplitude=0.2) \
         - Series.identity(ctx)
-    assert frame_variation_defect(spec, seq, ctx, f, df) < 1e-9
+    res_eps = factorize_jet(spec, seq, ctx, f.embed(ctx).with_eps(df.embed(ctx)))
+    assert frame_variation_defect(res_eps) < 1e-9
 
 
 def test_stabilizer_translation():
@@ -102,23 +103,25 @@ def test_stabilizer_translation():
     diag = np.diag([0.2 + 0.1j, -0.3])
     h = exp_series(Series.monomial(ctx, diag, -1)
                    + Series.monomial(ctx, 0.4 * diag, -2))
-    chk = stabilizer_h_check(spec, seq, ctx, f, h)
+    res = factorize_jet(spec, seq, ctx, f)
+    chk = stabilizer_h_check(res, h)
     assert chk["u_unchanged"] < 1e-9
     assert chk["reduced_frame_translates"] < 1e-9
     bad = exp_series(Series.monomial(ctx, E21, -1))
     with pytest.raises(ShapeError):
-        stabilizer_h_check(spec, seq, ctx, f, bad)
+        stabilizer_h_check(res, bad)
 
 
 def test_stabilizer_conjugation_and_printed_form():
     spec, seq, ctx, f = akns_setup()
     c = 1.3 - 0.4j
     k = np.diag([c, 1.0 / c])
-    chk = stabilizer_k_check(spec, seq, ctx, f, k)
+    res = factorize_jet(spec, seq, ctx, f)
+    chk = stabilizer_k_check(res, k)
     assert chk["u_conjugates"] < 1e-9
     assert chk["m_conjugates"] < 1e-9
     assert chk["e_conjugates"] < 1e-9
-    res, res_k = chk["result"], chk["result_k"]
+    res_k = chk["result_k"]
     q = res.u.entry_jet(0, 1, 0)
     r = res.u.entry_jet(1, 0, 0)
     assert (res_k.u.entry_jet(0, 1, 0) - q * c ** 2).max_abs() < 1e-9
@@ -132,8 +135,8 @@ def test_gl_diagonal_action_on_v():
     spec = SplittingSpec("standard", 3)
     f = sample_negative_element(spec, ctx, seed=5, depth=2, amplitude=0.3)
     k = np.diag([1.2, 0.7 + 0.3j, 1.0 - 0.2j])
-    chk = stabilizer_k_check(spec, seq, ctx, f, k)
-    res, res_k = chk["result"], chk["result_k"]
+    res = factorize_jet(spec, seq, ctx, f)
+    res_k = stabilizer_k_check(res, k)["result_k"]
     for i in range(3):
         for j in range(3):
             if i == j:
@@ -199,10 +202,11 @@ def test_gl_coordinate_change():
 
 def test_trivial_stabilizers_have_zero_defect():
     spec, seq, ctx, f = akns_setup(order=2, flows=2)
-    chk = stabilizer_h_check(spec, seq, ctx, f, Series.identity(ctx))
+    res = factorize_jet(spec, seq, ctx, f)
+    chk = stabilizer_h_check(res, Series.identity(ctx))
     assert chk["u_unchanged"] < 1e-13
     assert chk["reduced_frame_translates"] < 1e-13
-    chk2 = stabilizer_k_check(spec, seq, ctx, f, np.eye(2))
+    chk2 = stabilizer_k_check(res, np.eye(2))
     assert chk2["u_conjugates"] < 1e-13
     assert chk2["m_conjugates"] < 1e-13
     assert chk2["e_conjugates"] < 1e-13

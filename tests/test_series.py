@@ -468,3 +468,93 @@ def test_row_prefix_table_matches_pair_table(variables, order):
     pairs = set(zip(ctx.pair_a.tolist(), ctx.pair_b.tolist(),
                     ctx.pair_c.tolist()))
     assert from_rows == pairs and len(pairs) == ctx.pair_a.size
+
+
+@pytest.mark.parametrize("b_const", [True, False])
+def test_slab_mul_const_keeps_dead_rows_dead(b_const):
+    ctx = JetContext(("t1", "t2"), 2, 2, -9, 5)
+    gen = rng(17 if b_const else 18)
+    full, _ = _mixed_jet_operand(ctx, gen, dead_rows=(1, 4))
+    cst, _ = _mixed_jet_operand(ctx, gen, dead_rows=range(1, ctx.T))
+    out = (full.matmul(cst) if b_const else cst.matmul(full)).slabs[0]
+    for row in (1, 4):
+        assert (out.shi[row], out.slo[row]) == (NEG, POS)
+        assert (out.tlo[row], out.thi[row]) == (NEG, POS)
+        assert not np.any(out.data[row])
+    assert np.all(out.shi[[0, 2, 3, 5]] != NEG)
+    # the product of two jet-constant operands is jet-constant
+    cst2, _ = _mixed_jet_operand(ctx, gen, dead_rows=range(1, ctx.T))
+    assert cst.matmul(cst2).slabs[0].jet_const()
+
+
+# -- tangent components and the inverse memo ----------------------------------
+
+def _same_slab(x, y):
+    return (np.array_equal(x.data, y.data)
+            and all(np.array_equal(getattr(x, b), getattr(y, b))
+                    for b in ("tlo", "slo", "shi", "thi")))
+
+
+@pytest.mark.parametrize("K", [0, 1, 3])
+def test_tangent_components_equal_single_direction_runs(K):
+    ctx = JetContext(("t1", "t2"), 2, 2, -14, 4)
+    gen = rng(300 + K)
+    ident = Series.identity(ctx)
+    A = ident + random_jet_series(ctx, gen, -3, -1, 0.3)
+    B = ident + random_jet_series(ctx, gen, -2, 0, 0.3)
+    da = [random_jet_series(ctx, gen, -3, 0, 0.3) for _ in range(K)]
+    db = [random_jet_series(ctx, gen, -2, 0, 0.3) for _ in range(K)]
+    a, b = A.with_eps(*da), B.with_eps(*db)
+    assert a.E == b.E == K + 1
+    ops = {
+        "matmul": (lambda x, y: x.matmul(y), lambda r: r.slabs, _same_slab),
+        "matmul_cap": (lambda x, y: x.matmul(y, 1), lambda r: r.slabs,
+                       _same_slab),
+        "matmul_plain_right": (lambda x, y: x.matmul(y.base_part()),
+                               lambda r: r.slabs, _same_slab),
+        "inv": (lambda x, y: x.inv(), lambda r: r.slabs, _same_slab),
+        "pairing": (lambda x, y: x.pairing(y, -1), lambda r: r.vals,
+                    np.array_equal),
+    }
+    for name, (op, parts, same) in ops.items():
+        stacked = parts(op(a, b))
+        assert len(stacked) == K + 1, name
+        assert same(stacked[0], parts(op(A, B))[0]), name
+        for i in range(K):
+            single = parts(op(A.with_eps(da[i]), B.with_eps(db[i])))
+            assert same(stacked[1 + i], single[1]), (name, i)
+    vals = [gen.standard_normal(ctx.T) + 1j * gen.standard_normal(ctx.T)
+            for _ in range(2 * K + 2)]
+    x = ScalarJet(ctx, tuple(vals[:K + 1]), ctx.order)
+    y = ScalarJet(ctx, tuple(vals[K + 1:]), ctx.order)
+    prod = (x * y).vals
+    assert len(prod) == K + 1
+    assert np.array_equal(prod[0], (x.base_part() * y.base_part()).vals[0])
+    for i in range(K):
+        xi = ScalarJet(ctx, (vals[0], vals[1 + i]), ctx.order)
+        yi = ScalarJet(ctx, (vals[K + 1], vals[K + 2 + i]), ctx.order)
+        assert np.array_equal(prod[1 + i], (xi * yi).vals[1])
+        assert np.array_equal((x * y).eps_part(i).vals[0], (xi * yi).vals[1])
+
+
+def test_laurent_inv_memo_matches_uncached_call():
+    from loopjet.series import _laurent_inv, _neumann_inv
+    ctx = fctx(lo=-16)
+    gen = rng(71)
+    neg = Series.identity(ctx) + series_from_dict(
+        ctx, random_laurent_dict(gen, 2, -3, -1, 0.3))
+    pos = Series.identity(ctx) + series_from_dict(
+        ctx, random_laurent_dict(gen, 2, 1, 2, 0.3))
+    cut = series_from_dict(ctx, {k: neg.coeff(0, k) for k in range(-3, 1)},
+                           exact=False)
+    for s in (neg, pos, cut):
+        slab = s.slabs[0]
+        first = _laurent_inv(ctx, slab)
+        assert _same_slab(first, _neumann_inv(ctx, slab))
+        first.data[0] += 1.0
+        first.tlo[0], first.shi[0] = 3, -7
+        again = _laurent_inv(ctx, slab)
+        assert again is not first
+        assert _same_slab(again, _neumann_inv(ctx, slab))
+    # one entry per distinct (row-0 data, trusted floor)
+    assert len(ctx.inv_memo) == 3

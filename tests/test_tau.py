@@ -118,10 +118,10 @@ def test_shift_constancy_and_conjugation_invariance(akns):
     spec, seq, ctx, f, res, _ = akns
     diag = np.diag([0.2 + 0.1j, -0.3])
     h = exp_series(Series.monomial(ctx, diag, -1))
-    chk = stabilizer_h_check(spec, seq, ctx, f, h)
+    chk = stabilizer_h_check(res, h)
     assert shift_constancy_check(res, chk["result_h"], h) < 1e-9
     k = np.diag([1.2 - 0.3j, 1.0 / (1.2 - 0.3j)])
-    chk2 = stabilizer_k_check(spec, seq, ctx, f, k)
+    chk2 = stabilizer_k_check(res, k)
     assert conjugation_invariance_check(res, chk2["result_k"]) < 1e-9
 
 
@@ -138,7 +138,7 @@ def vector3():
 def test_vector_recovery_and_k_invariance(vector3):
     spec, seq, ctx, f, res = vector3
     k = np.diag([1.3 + 0.1j, 0.8, 1.0 / (0.9 - 0.2j)])
-    chk = stabilizer_k_check(spec, seq, ctx, f, k)
+    chk = stabilizer_k_check(res, k)
     out = vector_akns_recovery(res, chk["result_k"])
     assert not out["degenerate"]
     assert out["recovery_q"] < 1e-6

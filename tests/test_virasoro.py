@@ -64,16 +64,38 @@ def test_tangency(f2):
 
 def test_bracket_relations(f2):
     for gamma in (None, gamma_xi0(2)):
-        worst = 0.0
-        for j in (-1, 0, 1, 2, 3):
-            for k in (-1, 0, 1, 2, 3):
-                worst = max(worst, bracket_defect(f2, j, k, gamma))
-        assert worst < 1e-8
+        assert bracket_defect(f2, (-1, 0, 1, 2, 3), gamma) < 1e-8
+
+
+def _pairwise_bracket(field, f, j, k):
+    """Reference: one directional-derivative pass per (j, k) pair."""
+    from loopjet import directional_derivative
+    zj, zk = field(f, j), field(f, k)
+    lhs = (directional_derivative(lambda g: field(g, k), f, zj)
+           - directional_derivative(lambda g: field(g, j), f, zk))
+    if k == j:
+        return lhs.max_abs()
+    return (lhs - field(f, j + k) * float(k - j)).max_abs()
+
+
+def test_stacked_bracket_equals_pairwise_reference(f2):
+    ells = (-1, 0, 1, 2, 3)
+    for gamma in (None, gamma_xi0(2)):
+        field = lambda g, ell: virasoro_field(g, ell, gamma)  # noqa: E731
+        ref = max(_pairwise_bracket(field, f2, j, k)
+                  for j in ells for k in ells)
+        assert bracket_defect(f2, ells, gamma) == ref
+    spec = SplittingSpec("sigma_twisted", 3, sigma_mode="transpose_inv")
+    f3 = sample_negative_element(spec, fctx(n=3), seed=71, depth=3,
+                                 amplitude=0.3)
+    ref = max(_pairwise_bracket(eta_field, f3, j, k)
+              for j in (0, 1) for k in (0, 1))
+    assert eta_bracket_defect(f3, (0, 1)) == ref
 
 
 def test_bracket_diagonal_trivial(f2):
-    assert bracket_defect(f2, -1, -1, None) < 1e-14
-    assert bracket_defect(f2, 2, 2, gamma_xi0(2)) < 1e-14
+    assert bracket_defect(f2, [-1], None) < 1e-14
+    assert bracket_defect(f2, [2], gamma_xi0(2)) < 1e-14
 
 
 def test_c_ell_values(f2):
@@ -103,9 +125,7 @@ def test_eta_tangency_and_bracket():
     f = sample_negative_element(spec, ctx, seed=71, depth=3, amplitude=0.3)
     for j in (0, 1, 2):
         assert eta_tangency_defect(spec, f, j) < 1e-9
-    for j in (0, 1):
-        for k in (0, 1):
-            assert eta_bracket_defect(f, j, k) < 1e-8
+    assert eta_bracket_defect(f, (0, 1)) < 1e-8
     # eta = zeta_{2j}/2 by definition
     assert (eta_field(f, 1) - virasoro_field(f, 2, None).scale(0.5)).max_abs() == 0.0
 
