@@ -6,19 +6,15 @@ actions, with every identity checked numerically at truncation precision."""
 from .context import JetContext, default_window
 from .errors import (ConfigError, DimensionMismatch, LoopjetError, ShapeError,
                      TrustError, WindowExhausted)
-from .series import (ScalarJet, Series, cocycle, commutator, defect,
-                     directional_derivative, exp_series, jet_add, jet_exp,
-                     jet_mul, jet_partial, jet_scale, pairing_k,
-                     scalar_defect, series_dlambda, series_inv, series_mul)
+from .series import (ScalarJet, Series, cocycle, commutator,
+                     directional_derivative, exp_series)
 
 __all__ = [
     "JetContext", "default_window",
     "LoopjetError", "DimensionMismatch", "TrustError", "WindowExhausted",
     "ShapeError", "ConfigError",
-    "Series", "ScalarJet", "series_mul", "series_inv", "series_dlambda",
-    "jet_mul", "jet_add", "jet_scale", "jet_partial", "jet_exp",
-    "exp_series", "pairing_k", "cocycle", "commutator",
-    "directional_derivative", "defect", "scalar_defect",
+    "Series", "ScalarJet", "exp_series", "cocycle", "commutator",
+    "directional_derivative",
 ]
 
 __version__ = "0.1.0"

@@ -27,9 +27,10 @@ never reaches the extracted window.
 A context also holds the memo of base Laurent inverses (``inv_memo``):
 the Neumann inverse of a jet's row-0 coefficient depends only on that
 coefficient and its trusted floor, and one scenario inverts the same few
-coefficients many times.  Apart from that memo contexts are immutable and
-cheap to share; every series value carries a reference to the context it
-lives in.
+coefficients many times.  It also keeps the integration steps that the
+factorization and ln tau share.  Apart from these memos contexts are
+immutable and cheap to share; every series value carries a reference to
+the context it lives in.
 """
 
 from __future__ import annotations
@@ -111,6 +112,7 @@ class JetContext:
         self.degrees = np.arange(self.lo, self.hi + 1, dtype=np.int64)
         # (row-0 coefficient bytes, trusted floor) -> row 0 of the inverse
         self.inv_memo: dict[tuple[bytes, int], tuple] = {}
+        self._steps: dict[str, dict] = {}  # see integration_steps
 
     def _build_pair_table(self) -> None:
         d = self.order
@@ -175,11 +177,28 @@ class JetContext:
         """Storage position of a lambda degree."""
         return degree - self.lo
 
-    def scalarized(self) -> "JetContext":
-        """Same jet structure with n = 1 (used by scalar-valued helpers)."""
-        if self.n == 1:
-            return self
-        return JetContext(self.variables, self.order, 1, self.lo, self.hi)
+    def integration_steps(self, var_choice: str = "first") -> dict:
+        """How jet rows are integrated, worked out once per ``var_choice``:
+        each row of total order >= 1 in the first (``"last"``: the last)
+        variable v with a positive exponent, from the row of its index minus
+        e_v, dividing by that exponent.  ``{order: {v: (rows, src_rows,
+        exponents)}}``."""
+        if var_choice not in self._steps:
+            nv = len(self.variables)
+            order_v = range(nv) if var_choice == "first" else range(nv - 1, -1, -1)
+            steps: dict = {}
+            for row in range(1, self.T):  # graded order: row 0 is order 0
+                alpha = self.midx[row]
+                v = next(p for p in order_v if alpha[p] >= 1)
+                beta = alpha.copy()
+                beta[v] -= 1
+                steps.setdefault(int(self.totals[row]), {}).setdefault(
+                    v, []).append((row, self.index_of[tuple(beta)], alpha[v]))
+            self._steps[var_choice] = {
+                ell: {v: tuple(np.array(c, dtype=np.int64) for c in zip(*rows))
+                      for v, rows in by_var.items()}
+                for ell, by_var in steps.items()}
+        return self._steps[var_choice]
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"JetContext(vars={self.variables}, order={self.order}, "

@@ -26,7 +26,7 @@ from .series import Series, commutator
 from .splitting import SplittingSpec, reality_check
 
 __all__ = ["FactorizationResult", "factorize_jet", "factorize_oracle",
-           "lax_residual", "e_ode_defect", "m_ode_defect",
+           "l_minus_stray", "lax_residual", "e_ode_defect", "m_ode_defect",
            "frame_variation_defect", "reality_propagation_check",
            "stabilizer_h_check", "stabilizer_k_check"]
 
@@ -101,10 +101,16 @@ def _window_budget_check(seq: VacuumSequence, ctx: JetContext) -> None:
             f"{ctx.order} with generator degree {seq.j_max} (need <= {-need})")
 
 
+def l_minus_stray(f: Series) -> float | None:
+    """The size of the degrees >= 0 of f - I when it exceeds rounding (f is
+    then not in the negative subgroup), else None."""
+    stray = (f - Series.identity(f.ctx)).plus().max_abs()
+    return stray if stray > L_MINUS_TOL * max(1.0, f.max_abs()) else None
+
+
 def _check_f(spec: SplittingSpec, f: Series) -> None:
-    ident = Series.identity(f.ctx)
-    stray = (f - ident).plus().max_abs()
-    if stray > L_MINUS_TOL * max(1.0, f.max_abs()):
+    stray = l_minus_stray(f)
+    if stray is not None:
         raise ShapeError(f"factorize_jet: f has non-negative degrees "
                          f"({stray:.3e}); not in the negative subgroup")
     bad = reality_check(spec, f.base_part(), level="group")
@@ -131,58 +137,19 @@ def factorize_jet(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
         V = vacuum_frame(seq, ctx)
     vfinv = V * f.inv()
 
-    nE = f.E
-    work = []
-    for e in range(nE):
-        s = f.slabs[e]
-        work.append({"data": s.data.copy(), "tlo": s.tlo.copy(),
-                     "slo": s.slo.copy(), "shi": s.shi.copy(),
-                     "thi": s.thi.copy()})
-
-    def current() -> Series:
-        from .series import _Slab
-        return Series(ctx, tuple(_Slab(w["data"], w["tlo"], w["slo"],
-                                       w["shi"], w["thi"]) for w in work),
-                      ctx.order)
-
-    nv = len(ctx.variables)
-    for ell in range(1, ctx.order + 1):
-        M = current()
+    M = Series.zeros(ctx).with_rows([0], f, [0])  # M(0) = f, not an alias
+    for ell, by_var in sorted(ctx.integration_steps(var_choice).items()):
         cap = ell - 1  # everything this order reads lives at order ell-1
         Minv = M.inv(cap)
         conj = {key: M.matmul(seq.base_series(ctx, key), cap).matmul(Minv, cap)
                 for key in seq.bases}
-        rows = [i for i in range(ctx.T) if ctx.totals[i] == ell]
-        needed_vars = set()
-        for i in rows:
-            alpha = ctx.midx[i]
-            order_v = range(nv) if var_choice == "first" else range(nv - 1, -1, -1)
-            v = next(p for p in order_v if alpha[p] >= 1)
-            needed_vars.add(v)
-        gvs = {}
-        for v in needed_vars:
-            var = ctx.variables[v]
-            base, shift = seq.gens[var]
-            gvs[v] = (-(conj[base].shift(shift).minus())).matmul(M, cap)
-        for i in rows:
-            alpha = ctx.midx[i]
-            order_v = range(nv) if var_choice == "first" else range(nv - 1, -1, -1)
-            v = next(p for p in order_v if alpha[p] >= 1)
-            beta = alpha.copy()
-            beta[v] -= 1
-            src = ctx.index_of[tuple(beta)]
-            g = gvs[v]
-            for e in range(nE):
-                gs = g.slabs[e] if e < g.E else None
-                if gs is None:
-                    continue
-                work[e]["data"][i] = gs.data[src] / alpha[v]
-                work[e]["tlo"][i] = gs.tlo[src]
-                work[e]["slo"][i] = gs.slo[src]
-                work[e]["shi"][i] = gs.shi[src]
-                work[e]["thi"][i] = gs.thi[src]
+        nxt = M
+        for v, (rows, src, exps) in by_var.items():
+            base, shift = seq.gens[ctx.variables[v]]
+            g = (-(conj[base].shift(shift).minus())).matmul(M, cap)
+            nxt = nxt.with_rows(rows, g, src, divisor=exps)
+        M = nxt
 
-    M = current()
     Minv = M.inv()
     E = M * vfinv
     # E lives in the positive subgroup; assert it and certify the support
@@ -221,24 +188,12 @@ def factorize_oracle(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
     if V is None:
         V = vacuum_frame(seq, ctx)
     vfinv = V * f.inv()
-    from .series import _Slab
-    s0 = f.slabs[0]
-    work = {"data": s0.data.copy(), "tlo": s0.tlo.copy(), "slo": s0.slo.copy(),
-            "shi": s0.shi.copy(), "thi": s0.thi.copy()}
+    M = f.base_part()
     for ell in range(1, ctx.order + 1):
-        M = Series(ctx, (_Slab(work["data"], work["tlo"], work["slo"],
-                               work["shi"], work["thi"]),), ctx.order)
         corr = (-(M.matmul(vfinv, ell).minus())).matmul(f, ell)
-        rows = [i for i in range(ctx.T) if ctx.totals[i] == ell]
-        cs = corr.slabs[0]
-        for i in rows:
-            work["data"][i] = cs.data[i]
-            work["tlo"][i] = cs.tlo[i]
-            work["slo"][i] = cs.slo[i]
-            work["shi"][i] = cs.shi[i]
-            work["thi"][i] = cs.thi[i]
-    return Series(ctx, (_Slab(work["data"], work["tlo"], work["slo"],
-                              work["shi"], work["thi"]),), ctx.order)
+        rows = np.flatnonzero(ctx.totals == ell)
+        M = M.with_rows(rows, corr.base_part(), rows)
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +219,7 @@ def e_ode_defect(result: FactorizationResult) -> float:
     """max_v || (d/dt_v E) E^-1 - (M J_v M^-1)_+ ||."""
     worst = 0.0
     for var in result.seq.variables:
-        lhs = result.E.jet_partial(var) * result.Einv
+        lhs = result.E.partial(var) * result.Einv
         rhs = result.conjugated_generator(var).plus()
         worst = max(worst, (lhs - rhs).max_abs())
     return worst
@@ -275,7 +230,7 @@ def m_ode_defect(result: FactorizationResult) -> float:
     is exactly independence of the integration path."""
     worst = 0.0
     for var in result.seq.variables:
-        lhs = result.M.jet_partial(var)
+        lhs = result.M.partial(var)
         rhs = -(result.conjugated_generator(var).minus()) * result.M
         worst = max(worst, (lhs - rhs).max_abs())
     return worst

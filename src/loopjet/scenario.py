@@ -26,7 +26,7 @@ from .hierarchy import (VacuumSequence, akns_sequence, gl_sequence,
                         flow_rhs, q_recursion_vector_akns)
 from .scattering import (FactorizationResult, e_ode_defect, factorize_jet,
                          factorize_oracle, frame_variation_defect,
-                         lax_residual, m_ode_defect,
+                         l_minus_stray, lax_residual, m_ode_defect,
                          reality_propagation_check, stabilizer_h_check,
                          stabilizer_k_check)
 from .series import Series, exp_series
@@ -79,7 +79,7 @@ class ScenarioConfig:
                               f"{raw.get('schema')!r}")
         try:
             family = raw["family"]
-            n = _convert(int, raw["n"], "n")
+            n = _at_least(2, _convert(int, raw["n"], "n"), "n")
         except KeyError as e:
             raise ConfigError(f"missing required field {e}") from None
         if family not in FAMILIES:
@@ -98,6 +98,9 @@ class ScenarioConfig:
                 raise ConfigError("window must be an object {lo, hi}")
             window = (_convert(int, w.get("lo"), "window.lo"),
                       _convert(int, w.get("hi"), "window.hi"))
+            if not window[0] <= 0 <= window[1]:
+                raise ConfigError(f"field 'window' must have lo <= 0 <= hi, "
+                                  f"got {w!r}")
         src = raw.get("f_source", {"kind": "seeded"})
         if not isinstance(src, dict):
             raise ConfigError("f_source must be an object")
@@ -158,16 +161,17 @@ class ScenarioConfig:
                 raise ConfigError("kdv_twisted family uses its own splitting")
         if self.family == "akns_sl2" and self.n != 2:
             raise ConfigError("akns_sl2 requires n = 2")
-        if self.family == "gl_n":
-            if self.a_diag is None or len(self.a_diag) != self.n:
-                raise ConfigError("gl_n needs an a_diag of length n")
-            if len(set(self.a_diag)) != self.n:
-                raise ConfigError("gl_n needs pairwise distinct a entries")
+        if self.family == "gl_n" and self.a_diag is None:
+            raise ConfigError("gl_n needs an a_diag of length n")
+        if self.a_diag is not None and (len(self.a_diag) != self.n or
+                                        len(set(self.a_diag)) != self.n):
+            raise ConfigError("field 'a_diag' must hold n pairwise distinct "
+                              "entries (a regular a)")
         if self.order < 1:
             raise ConfigError("order must be >= 1")
         for cid in self.tolerances:
             if cid not in CATALOG:
-                raise ConfigError(f"tolerance override for unknown check {cid!r}")
+                raise ConfigError(f"field 'tolerances.{cid}': unknown check id")
 
     def echo(self) -> dict:
         out = {
@@ -259,7 +263,11 @@ class Scenario:
         cfg = self.cfg
         if cfg.f_explicit is not None:
             coeffs: dict[int, np.ndarray] = {}
-            for deg, row, col, re, im in cfg.f_explicit:
+            for i, (deg, row, col, re, im) in enumerate(cfg.f_explicit):
+                if not self.fctx.lo <= int(deg) <= 0:
+                    raise ConfigError(
+                        f"field 'f_source.coeffs[{i}]': degree {deg} is outside "
+                        f"{self.fctx.lo}..0 (the window floor and L-)")
                 m = coeffs.setdefault(int(deg),
                                       np.zeros((self.seq.n, self.seq.n),
                                                dtype=complex))
@@ -268,6 +276,10 @@ class Scenario:
             # trust floor a seeded datum carries), so dump/reload round
             # trips reproduce reports bit for bit
             f = Series.from_degree_matrices(self.fctx, coeffs, exact=False)
+            stray = l_minus_stray(f)
+            if stray is not None:
+                raise ConfigError(f"field 'f_source.coeffs': the degree-0 "
+                                  f"entries must sum to I (off by {stray:.3e})")
             bad = reality_check(self.spec, f, level="group")
             if bad > 1e-8 * max(1.0, f.max_abs()):
                 raise ConfigError(f"explicit f violates the {self.spec.variant} "
@@ -395,7 +407,7 @@ class _Runner:
         worst = float(np.abs(v.coeff(0, 0) - np.eye(s.ctx.n)).max())
         for var in s.seq.variables:
             jv = s.seq.generator(s.ctx, var)
-            worst = max(worst, (v.jet_partial(var) - jv * v).max_abs())
+            worst = max(worst, (v.partial(var) - jv * v).max_abs())
         self.add("vacuum_frame_ode", worst)
         self.add("fact_soundness", (res.Minv * res.E - res.vfinv).max_abs())
         norm = float(np.abs(res.E.coeff(0, 0) - np.eye(s.ctx.n)).max())
@@ -453,7 +465,7 @@ class _Runner:
         worst = 0.0
         for var in s.seq.variables:
             rhs = flow_rhs(s.seq, res.u, q, var)
-            worst = max(worst, (res.u.jet_partial(var) - rhs).max_abs())
+            worst = max(worst, (res.u.partial(var) - rhs).max_abs())
         self.add("flow_rhs_match", worst)
         for name in _named_flows_for(s):
             checks = named_flow_residual(s.seq, res.u, name)

@@ -54,12 +54,8 @@ import numpy as np
 from .context import NEG, POS, JetContext
 from .errors import DimensionMismatch, ShapeError, TrustError, WindowExhausted
 
-__all__ = [
-    "Series", "ScalarJet", "series_mul", "series_inv", "series_dlambda",
-    "jet_mul", "jet_add", "jet_scale", "jet_partial", "jet_exp",
-    "exp_series", "pairing_k", "cocycle", "commutator",
-    "directional_derivative", "defect", "scalar_defect",
-]
+__all__ = ["Series", "ScalarJet", "exp_series", "cocycle", "commutator",
+           "directional_derivative"]
 
 _SINGULAR_COND = 1e12
 
@@ -243,6 +239,25 @@ def _slab_add(a: _Slab, b: _Slab, sign: float) -> _Slab:
     return _Slab(a.data + sign * b.data, np.maximum(a.tlo, b.tlo),
                  np.minimum(a.slo, b.slo), np.maximum(a.shi, b.shi),
                  np.minimum(a.thi, b.thi))
+
+
+def _row_copy(dst: tuple, rows, src: tuple, src_rows, factor=None,
+              divisor=None) -> tuple:
+    """Copies of the per-row arrays ``dst`` (data first, then any degree
+    bounds) whose ``rows`` hold the ``src_rows`` of ``src``, the data
+    multiplied by ``factor`` or divided by ``divisor`` row by row: the one
+    way jet rows are written."""
+    out = tuple(a.copy() for a in dst)
+    data = src[0][src_rows]
+    per_row = (-1,) + (1,) * (data.ndim - 1)
+    if factor is not None:
+        data = data * np.reshape(factor, per_row)
+    if divisor is not None:
+        data = data / np.reshape(divisor, per_row)
+    out[0][rows] = data
+    for o, a in zip(out[1:], src[1:]):
+        o[rows] = a[src_rows]
+    return out
 
 
 def _leibniz(a: tuple, b: tuple, mul, add) -> tuple:
@@ -546,35 +561,38 @@ class Series:
             x = x.matmul(two_i - self.matmul(x, cap), cap)
         return x
 
-    def jet_partial(self, var: str) -> "Series":
+    def with_rows(self, rows, src: "Series", src_rows, factor=None,
+                  divisor=None, vorder: int | None = None) -> "Series":
+        """A new value equal to this one except at jet ``rows``, which copy
+        the ``src_rows`` of ``src`` (data and degree bounds, for every
+        tangent component; a component one value lacks counts as zero),
+        the data multiplied by ``factor`` or divided by ``divisor`` per
+        row.  ``src`` may live in another context of the same window and
+        dimension."""
+        slabs = []
+        for e in range(max(self.E, src.E)):
+            dst = self.slabs[e] if e < self.E else _zero_slab(self.ctx)
+            s = src.slabs[e] if e < src.E else _zero_slab(src.ctx)
+            slabs.append(_Slab(*_row_copy(
+                (dst.data, dst.tlo, dst.slo, dst.shi, dst.thi), rows,
+                (s.data, s.tlo, s.slo, s.shi, s.thi), src_rows, factor,
+                divisor)))
+        return Series(self.ctx, tuple(slabs),
+                      self.vorder if vorder is None else vorder)
+
+    def partial(self, var: str) -> "Series":
         """Partial derivative in one flow variable; trusted jet order drops."""
         ctx = self.ctx
         src, dst, fac = ctx.partial_maps[ctx.var_index(var)]
-        out = []
-        for s in self.slabs:
-            slab = _zero_slab(ctx)
-            slab.data[dst] = s.data[src] * fac[:, None, None, None]
-            slab.tlo[dst] = s.tlo[src]
-            slab.slo[dst] = s.slo[src]
-            slab.shi[dst] = s.shi[src]
-            slab.thi[dst] = s.thi[src]
-            out.append(slab)
-        return Series(ctx, tuple(out), min(self.vorder - 1, ctx.order))
+        return Series.zeros(ctx).with_rows(
+            dst, self, src, factor=fac, vorder=min(self.vorder - 1, ctx.order))
 
     def times_var(self, var: str) -> "Series":
         """Multiply by the monomial t_var (exact at every stored order)."""
         ctx = self.ctx
         src, dst = ctx.monomial_maps[ctx.var_index(var)]
-        out = []
-        for s in self.slabs:
-            slab = _zero_slab(ctx)
-            slab.data[dst] = s.data[src]
-            slab.tlo[dst] = s.tlo[src]
-            slab.slo[dst] = s.slo[src]
-            slab.shi[dst] = s.shi[src]
-            slab.thi[dst] = s.thi[src]
-            out.append(slab)
-        return Series(ctx, tuple(out), min(self.vorder + 1, ctx.order))
+        return Series.zeros(ctx).with_rows(
+            dst, self, src, vorder=min(self.vorder + 1, ctx.order))
 
     # -- reads ---------------------------------------------------------------
 
@@ -618,6 +636,16 @@ class Series:
             if np.any(bad & live):
                 row = int(np.flatnonzero(bad & live)[0])
                 self._check_read(s, row, k, what)
+
+    def require_window(self, what: str = "result") -> None:
+        """Assert that every coefficient with content keeps a non-empty
+        trusted window (its trusted floor at or below its trusted top)."""
+        s = self.slabs[0]
+        lo = np.where(s.tlo == NEG, self.ctx.lo, s.tlo)
+        hi = np.where(s.thi == POS, self.ctx.hi, s.thi)
+        if np.any((s.shi >= s.slo) & (lo > hi)):
+            raise WindowExhausted(f"{what}: empty trusted window "
+                                  "(insufficient depth)")
 
     def degree_slice(self, k: int) -> "Series":
         """The lambda**k coefficient as a jet of constant matrices (placed at
@@ -673,9 +701,9 @@ class Series:
         wlo = max(0, -off)
         whi = min(ctx.W, ctx.W - off)
         out = np.zeros(ctx.T, dtype=np.complex128)
-        if whi > wlo:
-            Ag = a.data[pa][:, wlo:whi]
-            Bg = brev[pb][:, wlo + off:whi + off]
+        if whi > wlo:  # gather only the overlap: (pairs, W) copies are large
+            Ag = a.data[:, wlo:whi][pa]
+            Bg = brev[:, wlo + off:whi + off][pb]
             vals = np.einsum("pwab,pwba->p", Ag, Bg)
             out[ctx.group_out] = np.add.reduceat(vals, ctx.group_starts)
         return out
@@ -728,28 +756,14 @@ class Series:
             return self
         if (self.ctx.n, self.ctx.lo, self.ctx.hi) != (ctx.n, ctx.lo, ctx.hi):
             raise DimensionMismatch("window or dimension mismatch in embed")
-        out = []
-        for s in self.slabs:
-            z = _zero_slab(ctx)
-            z.data[0] = s.data[0]
-            for name in ("tlo", "slo", "shi", "thi"):
-                getattr(z, name)[0] = getattr(s, name)[0]
-            out.append(z)
-        return Series(ctx, tuple(out), ctx.order)
+        return Series.zeros(ctx).with_rows([0], self, [0])
 
     def at_zero(self, fctx: JetContext | None = None) -> "Series":
         """Evaluate at t = 0 (restrict to the zero jet index)."""
         ctx = self.ctx
         if fctx is None:
             fctx = JetContext((), 0, ctx.n, ctx.lo, ctx.hi)
-        out = []
-        for s in self.slabs:
-            z = _zero_slab(fctx)
-            z.data[0] = s.data[0]
-            for name in ("tlo", "slo", "shi", "thi"):
-                getattr(z, name)[0] = getattr(s, name)[0]
-            out.append(z)
-        return Series(fctx, tuple(out), 0)
+        return Series.zeros(fctx).with_rows([0], self, [0], vorder=0)
 
 
 class ScalarJet:
@@ -831,25 +845,28 @@ class ScalarJet:
         return ScalarJet(self.ctx, tuple(np.conj(v) for v in self.vals),
                          self.vorder)
 
+    def with_rows(self, rows, src: "ScalarJet", src_rows, factor=None,
+                  divisor=None, vorder: int | None = None) -> "ScalarJet":
+        """The scalar counterpart of :meth:`Series.with_rows`."""
+        vals = []
+        for e in range(max(self.E, src.E)):
+            dst = self.vals[e] if e < self.E else np.zeros(self.ctx.T, complex)
+            s = src.vals[e] if e < src.E else np.zeros(src.ctx.T, complex)
+            vals.extend(_row_copy((dst,), rows, (s,), src_rows, factor, divisor))
+        return ScalarJet(self.ctx, tuple(vals),
+                         self.vorder if vorder is None else vorder)
+
     def partial(self, var: str) -> "ScalarJet":
         ctx = self.ctx
         src, dst, fac = ctx.partial_maps[ctx.var_index(var)]
-        out = []
-        for v in self.vals:
-            nv = np.zeros(ctx.T, dtype=np.complex128)
-            nv[dst] = v[src] * fac
-            out.append(nv)
-        return ScalarJet(ctx, tuple(out), min(self.vorder - 1, ctx.order))
+        return ScalarJet.zeros(ctx).with_rows(
+            dst, self, src, factor=fac, vorder=min(self.vorder - 1, ctx.order))
 
     def times_var(self, var: str) -> "ScalarJet":
         ctx = self.ctx
         src, dst = ctx.monomial_maps[ctx.var_index(var)]
-        out = []
-        for v in self.vals:
-            nv = np.zeros(ctx.T, dtype=np.complex128)
-            nv[dst] = v[src]
-            out.append(nv)
-        return ScalarJet(ctx, tuple(out), min(self.vorder + 1, ctx.order))
+        return ScalarJet.zeros(ctx).with_rows(
+            dst, self, src, vorder=min(self.vorder + 1, ctx.order))
 
     def coeff(self, alpha, eps: int = 0) -> complex:
         ctx = self.ctx
@@ -907,7 +924,7 @@ def _neumann_inv(ctx: JetContext, slab: _Slab) -> _Slab:
     p0 = ctx.pos(0)
     a0 = slab.data[0, p0]
     if abs(np.linalg.det(a0)) == 0 or np.linalg.cond(a0) > _SINGULAR_COND:
-        raise ShapeError("series_inv: degree-0 part singular")
+        raise ShapeError("Series.inv: degree-0 part singular")
     a0inv = np.linalg.inv(a0)
     n_mat = np.matmul(a0inv, slab.data[0])
     n_mat[p0] = 0.0  # A0^{-1} A0 = I by construction; drop the rounding dust
@@ -926,7 +943,7 @@ def _neumann_inv(ctx: JetContext, slab: _Slab) -> _Slab:
     step_lo = int(ctx.degrees[n_nz[0]])
     step_hi = int(ctx.degrees[n_nz[-1]])
     if step_lo < 0 < step_hi or step_lo == 0 or step_hi == 0:
-        raise ShapeError("series_inv: shape neither L- nor L+ normalizable")
+        raise ShapeError("Series.inv: shape neither L- nor L+ normalizable")
     is_neg = step_hi < 0
 
     acc = _pad_const(ctx, np.eye(ctx.n))
@@ -973,27 +990,6 @@ def _neumann_inv(ctx: JetContext, slab: _Slab) -> _Slab:
 # ---------------------------------------------------------------------------
 # module-level operations
 
-def series_mul(a: Series, b: Series) -> Series:
-    """Product with an explicit empty-trusted-window check on the result."""
-    c = a.matmul(b)
-    s = c.slabs[0]
-    lo = np.where(s.tlo == NEG, c.ctx.lo, s.tlo)
-    hi = np.where(s.thi == POS, c.ctx.hi, s.thi)
-    content = s.shi >= s.slo
-    if np.any(content & (lo > hi)):
-        raise WindowExhausted(
-            "series_mul: empty trusted window in result (insufficient depth)")
-    return c
-
-
-def series_inv(a: Series) -> Series:
-    return a.inv()
-
-
-def series_dlambda(a: Series) -> Series:
-    return a.dlambda()
-
-
 def exp_series(x: Series, stage: str = "exp") -> Series:
     """exp of a series that is nilpotent in the joint (jet order, window)
     grading: zero jet constant term, or strictly negative lambda support."""
@@ -1014,30 +1010,6 @@ def exp_series(x: Series, stage: str = "exp") -> Series:
     return out
 
 
-def jet_exp(x: Series) -> Series:
-    return exp_series(x, stage="jet_exp")
-
-
-def jet_mul(a: Series, b: Series) -> Series:
-    return a.matmul(b)
-
-
-def jet_add(a: Series, b: Series) -> Series:
-    return a + b
-
-
-def jet_scale(a: Series, c: complex) -> Series:
-    return a.scale(c)
-
-
-def jet_partial(a: Series, var: str) -> Series:
-    return a.jet_partial(var)
-
-
-def pairing_k(a: Series, b: Series, k: int) -> ScalarJet:
-    return a.pairing(b, k)
-
-
 def cocycle(a: Series, b: Series) -> ScalarJet:
     """w(X, Y) = <d_lambda X, Y>_{-1} = sum_j j tr(X_j Y_{-j})."""
     return a.dlambda().pairing(b, -1)
@@ -1051,12 +1023,3 @@ def directional_derivative(func, f: Series, df: Series):
     """Exact derivative of ``func`` at ``f`` along ``df`` via the nilpotent
     epsilon extension; ``func`` may return a Series or a ScalarJet."""
     return func(f.with_eps(df)).eps_part()
-
-
-def defect(a: Series, b: Series) -> float:
-    """Largest trusted coefficient of a - b."""
-    return (a - b).max_abs()
-
-
-def scalar_defect(a: ScalarJet, b: ScalarJet) -> float:
-    return (a - b).max_abs()

@@ -45,29 +45,12 @@ def ln_tau_jet(result: FactorizationResult, var_choice: str = "first") -> LnTauJ
     ctx = result.ctx
     seq = result.seq
     xi = result.xi
-    integrands = {}
-    for var in seq.variables:
-        j_v = seq.generator(ctx, var)
-        integrands[var] = j_v.pairing(xi, -1)
-    nE = max(i.E for i in integrands.values())
-    vals = [np.zeros(ctx.T, dtype=np.complex128) for _ in range(nE)]
-    nv = len(ctx.variables)
-    order_rows = np.argsort(ctx.totals, kind="stable")
-    for row in order_rows:
-        alpha = ctx.midx[row]
-        if ctx.totals[row] == 0:
-            continue
-        ps = range(nv) if var_choice == "first" else range(nv - 1, -1, -1)
-        p = next(q for q in ps if alpha[q] >= 1)
-        beta = alpha.copy()
-        beta[p] -= 1
-        src = ctx.index_of[tuple(beta)]
-        iv = integrands[ctx.variables[p]]
-        for e in range(nE):
-            v = iv.vals[e] if e < iv.E else None
-            if v is not None:
-                vals[e][row] = v[src] / alpha[p]
-    X = ScalarJet(ctx, tuple(vals), ctx.order)
+    integrands = [seq.generator(ctx, var).pairing(xi, -1)
+                  for var in ctx.variables]
+    X = ScalarJet.zeros(ctx)
+    for by_var in ctx.integration_steps(var_choice).values():
+        for v, (rows, src, exps) in by_var.items():
+            X = X.with_rows(rows, integrands[v], src, divisor=exps)
     return LnTauJet(X, result)
 
 
@@ -172,8 +155,8 @@ def _akns_identities(result: FactorizationResult, tau: LnTauJet) -> list[CheckRe
         return out
     y2 = second_partial_formula(result, _gen_of(result, "t1"),
                                 _gen_of(result, "t2"))
-    qx = _dx(seq, q)
-    rx = _dx(seq, r)
+    qx = seq.partial_x(q)
+    rx = seq.partial_x(r)
     bracket = qx * r - rx * q
     best_kappa, best = None, np.inf
     for kappa in _KAPPAS:
@@ -186,21 +169,13 @@ def _akns_identities(result: FactorizationResult, tau: LnTauJet) -> list[CheckRe
     # substituting the detected constant into the printed system fixes the
     # signs of its (y_1)_{t_1} terms.
     k = best_kappa
-    y1x = _dx(seq, y1)
+    y1x = seq.partial_x(y1)
     res_q = y1 * qx + y2 * q * (1.0 / (2.0 * k)) - y1x * q * 0.5
     res_r = y1 * rx - y2 * r * (1.0 / (2.0 * k)) - y1x * r * 0.5
     generic = abs(y1.coeff(0)) > 1e-3
     out.append(record("akns_tau_ode",
                       max(res_q.max_abs(), res_r.max_abs()) if generic else 0.0,
                       note="" if generic else "skipped: y_1(0) ~ 0 (degenerate)"))
-    return out
-
-
-def _dx(seq, s: ScalarJet) -> ScalarJet:
-    out = None
-    for var, coeff in seq.x_comb:
-        term = s.partial(var) * coeff
-        out = term if out is None else out + term
     return out
 
 
@@ -301,7 +276,7 @@ def xi_helpers(result: FactorizationResult, count: int | None = None) -> dict:
     values = []
     derivs = [u]
     for _ in range(top):
-        derivs.append(_dxs(seq, derivs[-1]))
+        derivs.append(seq.partial_x(derivs[-1]))
     for j in range(top + 1):
         aj = Series.monomial(ctx, a_pow)
         values.append((u * aj * derivs[j]).trace_coeff(0))
@@ -312,8 +287,8 @@ def xi_helpers(result: FactorizationResult, count: int | None = None) -> dict:
     qs = [uq]
     rs = [ur]
     for _ in range(top):
-        qs.append(_dxs(seq, qs[-1]))
-        rs.append(_dxs(seq, rs[-1]))
+        qs.append(seq.partial_x(qs[-1]))
+        rs.append(seq.partial_x(rs[-1]))
     for i in range(len(qs)):
         for j in range(len(qs)):
             lhs = (derivs[i] * derivs[j]).trace_coeff(0)
@@ -321,14 +296,6 @@ def xi_helpers(result: FactorizationResult, count: int | None = None) -> dict:
                    + (qs[j] * rs[i]).trace_coeff(0))
             worst = max(worst, (lhs - rhs).max_abs())
     return {"xi": values, "trace_identity": worst}
-
-
-def _dxs(seq, s: Series) -> Series:
-    out = None
-    for var, coeff in seq.x_comb:
-        term = s.jet_partial(var) * coeff
-        out = term if out is None else out + term
-    return out
 
 
 def _recovery_pieces(result: FactorizationResult):
@@ -345,8 +312,8 @@ def _recovery_pieces(result: FactorizationResult):
     qs = [uq]
     rs = [ur]
     for _ in range(nv):
-        qs.append(_dxs(seq, qs[-1]))
-        rs.append(_dxs(seq, rs[-1]))
+        qs.append(seq.partial_x(qs[-1]))
+        rs.append(seq.partial_x(rs[-1]))
     entries_s = {}
     entries_r = {}
     for i in range(nv):
@@ -431,7 +398,7 @@ def kdv_restriction_formula_check(order: int = 3, seed: int = 5) -> float:
                             (1, 0): r})
     _, P, T = q_recursion_vector_akns(seq, u, 2)
     q_m1 = P[1] + T[1]
-    rx = _dx(seq, r)
+    rx = seq.partial_x(r)
     expect = _from_entries(ctx, {(0, 0): r * 0.5j, (1, 0): rx * 0.5j,
                                  (1, 1): r * (-0.5j)})
     worst = (q_m1 - expect).max_abs()

@@ -18,7 +18,7 @@ from loopjet.hierarchy import (akns_sequence, gl_sequence, kdv_sequence,
 from loopjet.scattering import (factorize_jet, frame_variation_defect,
                                 lax_residual, reality_propagation_check,
                                 stabilizer_h_check, stabilizer_k_check)
-from loopjet.series import cocycle, commutator, exp_series, pairing_k, series_mul
+from loopjet.series import cocycle, commutator, exp_series
 from loopjet.splitting import SplittingSpec, sample_negative_element
 from loopjet.tau import (conjugation_invariance_check, identity_suite,
                          kdv_restriction_formula_check, ln_tau_jet,
@@ -321,8 +321,8 @@ def test_criterion_10_kernel_properties():
                            abs(cocycle(x.minus(), y.minus()).coeff(0)))
         for k in (-1, 0, 1):
             worst_ad = max(worst_ad, abs(
-                pairing_k(commutator(z, x), y, k).coeff(0)
-                + pairing_k(x, commutator(z, y), k).coeff(0)))
+                commutator(z, x).pairing(y, k).coeff(0)
+                + x.pairing(commutator(z, y), k).coeff(0)))
         worst_der = max(worst_der, (
             (x * y).dlambda() - x.dlambda() * y - x * y.dlambda()).max_abs())
     # window deepening leaves trusted coefficients fixed
@@ -331,10 +331,12 @@ def test_criterion_10_kernel_properties():
     db = random_laurent_dict(gen, 2, -8, 2)
     shallow = JetContext((), 0, 2, -8, 2)
     deep = JetContext((), 0, 2, -20, 2)
-    cs = series_mul(series_from_dict(shallow, da, exact=False),
-                    series_from_dict(shallow, db, exact=False))
-    cd = series_mul(series_from_dict(deep, da, exact=False),
-                    series_from_dict(deep, db, exact=False))
+    cs = (series_from_dict(shallow, da, exact=False)
+          * series_from_dict(shallow, db, exact=False))
+    cd = (series_from_dict(deep, da, exact=False)
+          * series_from_dict(deep, db, exact=False))
+    cs.require_window()
+    cd.require_window()
     worst_win = max(np.abs(cs.coeff(0, k) - cd.coeff(0, k)).max()
                     for k in range(cs.trusted_lo, 3))
     verdict("10 kernel-properties",

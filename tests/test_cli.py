@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import pathlib
+import time
 
 import pytest
 
@@ -180,9 +182,27 @@ def test_exit_code_numerical_failure(tmp_path):
     (("flows",), 0), (("f_source", "depth"), 0), (("suites",), "factorization"),
     (("f_source",), {"kind": "explicit", "coeffs": [[-1, 5, 1, 0.1, 0.0]]}),
     (("virasoro", "ells"), "abc"), (("virasoro", "ells"), [-2]),
-    (("virasoro", "gammas"), "zero"), (("tolerances", "fact_oracle"), -1.0)])
+    (("virasoro", "gammas"), "zero"), (("tolerances", "fact_oracle"), -1.0),
+    (("a_diag",), [[1.0, 0.0], [1.0, 0.0]]),
+    (("window",), {"lo": -30, "hi": -1}),
+    (("f_source",), {"kind": "explicit", "coeffs": [[2, 1, 1, 0.1, 0.0]]}),
+    (("f_source",), {"kind": "explicit", "coeffs": [[-500, 1, 1, 0.1, 0.0]]}),
+    (("f_source",), {"kind": "explicit",
+                     "coeffs": [[0, 1, 1, 2.0, 0.0], [0, 2, 2, 1.0, 0.0]]}),
+    (("tolerances", "cocycle_jacobi"), 1e-9)])
 def test_exit_code_malformed_field(tmp_path, capsys, path, value):
-    bad = json.loads(json.dumps(SEEDED))
+    _assert_field_rejected(tmp_path, capsys, SEEDED, path, value)
+
+
+@pytest.mark.parametrize("family,a_diag", [("vector_akns", None),
+                                           ("gl_n", [[1.0, 0.0]])])
+def test_exit_code_trivial_dimension(tmp_path, capsys, family, a_diag):
+    base = dict(SEEDED, family=family, a_diag=a_diag)
+    _assert_field_rejected(tmp_path, capsys, base, ("n",), 1)
+
+
+def _assert_field_rejected(tmp_path, capsys, base, path, value):
+    bad = json.loads(json.dumps(base))
     holder = bad
     for key in path[:-1]:
         holder = holder.setdefault(key, {})
@@ -251,21 +271,59 @@ def test_report_records_every_enabled_suite(tmp_path):
     assert "lax_bracket" in doc["conventions"]
 
 
-def test_shipped_configs_all_pass(tmp_path):
-    import pathlib
-    import time
-    cfg_dir = pathlib.Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = pathlib.Path(__file__).resolve().parent.parent / "configs"
+PINNED = json.loads((pathlib.Path(__file__).resolve().parent / "data"
+                     / "shipped_reports.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SHIPPED.glob("*.json")))
+def test_shipped_configs_all_pass(tmp_path, name):
+    # every shipped config passes with the check ids, pass values and
+    # detected conventions pinned in tests/data/shipped_reports.json
     t0 = time.perf_counter()
-    rc = main(["run", "--config", str(cfg_dir / "gl3_full.json"),
+    rc = main(["run", "--config", str(SHIPPED / f"{name}.json"),
                "--out", str(tmp_path / "r.json")])
     elapsed = time.perf_counter() - t0
     assert rc == 0
-    assert elapsed < 60.0
+    if name == "gl3_full":
+        assert elapsed < 60.0
     doc = json.loads((tmp_path / "r.json").read_text())
     assert doc["passed"]
-    rc = main(["run", "--config", str(cfg_dir / "e21_fixture.json"),
-               "--out", str(tmp_path / "e.json")])
-    assert rc == 0
+    assert sorted([c["id"], c["passed"]] for c in doc["checks"]) == \
+        PINNED[name]["checks"]
+    assert doc["conventions"] == PINNED[name]["conventions"]
+
+
+def test_catalog_is_exactly_the_emittable_ids():
+    # literal ids passed to record(...) or _Runner.add(...), plus the named
+    # flows that some accepted family x variant pair runs
+    import ast
+    import itertools
+    from loopjet import checks, scenario
+    from loopjet.errors import ConfigError
+    emitted = set()
+    for path in pathlib.Path(checks.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)
+                    and (getattr(node.func, "id", None) == "record"
+                         or getattr(node.func, "attr", None) == "add")):
+                emitted.add(node.args[0].value)
+    variants = ("standard", "u_real", "sigma_twisted", "tau_sigma",
+                "kdv_twisted")
+    for family, variant, n in itertools.product(scenario.FAMILIES, variants,
+                                                (2, 3)):
+        raw = {"schema": "loopjet-scenario/1", "family": family, "n": n,
+               "variant": variant, "flows": 3}
+        if family == "gl_n":
+            raw["a_diag"] = [[1.0, 0.0], [-0.4, 0.8], [0.2, -1.1]][:n]
+        try:
+            scen = scenario.Scenario(scenario.ScenarioConfig.from_dict(raw))
+        except ConfigError:
+            continue
+        emitted.update(f"flow_{name}" for name in scenario._named_flows_for(scen))
+    assert set(checks.CATALOG) == emitted
 
 
 def test_config_validation_direct():

@@ -176,7 +176,7 @@ def test_gl_coordinate_change():
     def chain(u_t, i, j):
         out = None
         for k in range(1, 4):
-            term = u_t.jet_partial(f"t{k}_{j}") * (c[k - 1] ** i)
+            term = u_t.partial(f"t{k}_{j}") * (c[k - 1] ** i)
             out = term if out is None else out + term
         return out
 
@@ -185,15 +185,15 @@ def test_gl_coordinate_change():
     zero_s = (0,) * len(ctx_s.variables)
     for i in range(1, 4):
         for j in range(1, 3):
-            dus = rs.u.jet_partial(f"s{i}_{j}")
+            dus = rs.u.partial(f"s{i}_{j}")
             dut = chain(rt.u, i, j)
             worst = max(worst, float(np.abs(dus.coeff(zero_s, 0)
                                             - dut.coeff(zero_t, 0)).max()))
             for i2 in range(1, 4):
-                d2s = dus.jet_partial(f"s{i2}_1")
+                d2s = dus.partial(f"s{i2}_1")
                 d2t = None
                 for k in range(1, 4):
-                    term = dut.jet_partial(f"t{k}_1") * (c[k - 1] ** i2)
+                    term = dut.partial(f"t{k}_1") * (c[k - 1] ** i2)
                     d2t = term if d2t is None else d2t + term
                 worst = max(worst, float(np.abs(d2s.coeff(zero_s, 0)
                                                 - d2t.coeff(zero_t, 0)).max()))

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from loopjet import (JetContext, ScalarJet, Series, ShapeError, TrustError,
                      WindowExhausted, cocycle, directional_derivative,
-                     jet_exp, pairing_k, series_dlambda, series_inv,
-                     series_mul)
+                     exp_series)
 from loopjet.context import NEG, POS
 from loopjet.series import _cap_top, _finalize_tlo
 
@@ -24,7 +23,7 @@ def fctx(lo=-12, hi=6, n=2):
     return JetContext((), 0, n, lo, hi)
 
 
-# -- series_mul --------------------------------------------------------------
+# -- products ----------------------------------------------------------------
 
 def test_mul_identity_shift():
     ctx = fctx()
@@ -47,7 +46,8 @@ def test_mul_matches_bruteforce_and_trusted_lo():
     db = random_laurent_dict(gen, 2, -8, 2)
     A = series_from_dict(ctx, da, exact=False)
     B = series_from_dict(ctx, db, exact=False)
-    C = series_mul(A, B)
+    C = A * B
+    C.require_window()
     assert C.trusted_lo == -6
     oracle = conv_oracle(da, db)
     for k in range(-6, 3):
@@ -62,10 +62,12 @@ def test_mul_trusted_window_sound_under_deepening():
     db = random_laurent_dict(gen, 2, -8, 2)
     shallow = JetContext((), 0, 2, -8, 2)
     deep = JetContext((), 0, 2, -16, 2)
-    cs = series_mul(series_from_dict(shallow, da, exact=False),
-                    series_from_dict(shallow, db, exact=False))
-    cd = series_mul(series_from_dict(deep, da, exact=False),
-                    series_from_dict(deep, db, exact=False))
+    cs = (series_from_dict(shallow, da, exact=False)
+          * series_from_dict(shallow, db, exact=False))
+    cd = (series_from_dict(deep, da, exact=False)
+          * series_from_dict(deep, db, exact=False))
+    cs.require_window()
+    cd.require_window()
     for k in range(cs.trusted_lo, 3):
         assert np.abs(cs.coeff(0, k) - cd.coeff(0, k)).max() < 1e-12
 
@@ -94,12 +96,12 @@ def test_jet_ring_laws():
     assert (a * (b + c) - (a * b + a * c)).max_abs() / scale < 1e-12
 
 
-# -- series_inv --------------------------------------------------------------
+# -- inverses ----------------------------------------------------------------
 
 def test_inv_nilpotent():
     ctx = fctx()
     f = Series.identity(ctx) + Series.monomial(ctx, E21, -1)
-    finv = series_inv(f)
+    finv = f.inv()
     expect = Series.identity(ctx) - Series.monomial(ctx, E21, -1)
     assert (finv - expect).max_abs() < 1e-14
     # nilpotent termination keeps the inverse exact everywhere
@@ -110,14 +112,14 @@ def test_inv_nilpotent():
 def test_inv_constant():
     ctx = fctx()
     f = Series.identity(ctx).scale(2.0)
-    assert (series_inv(f) - Series.identity(ctx).scale(0.5)).max_abs() < 1e-15
+    assert (f.inv() - Series.identity(ctx).scale(0.5)).max_abs() < 1e-15
 
 
 def test_inv_geometric_matches_scalar_series():
     ctx = fctx(lo=-10)
     d = np.diag([1.0, 0.0]).astype(complex)
     f = Series.identity(ctx) + Series.monomial(ctx, d, -1)
-    finv = series_inv(f)
+    finv = f.inv()
     for k in range(0, 11):
         expect = (-1.0) ** k * d + (np.eye(2) - d) * (1.0 if k == 0 else 0.0)
         assert np.abs(finv.coeff(0, -k) - expect).max() < 1e-13
@@ -127,7 +129,7 @@ def test_inv_geometric_matches_scalar_series():
 def test_inv_lplus_shape():
     ctx = fctx()
     f = Series.identity(ctx) + Series.monomial(ctx, np.diag([0.5, 0.25]).astype(complex), 1)
-    finv = series_inv(f)
+    finv = f.inv()
     assert ((f * finv) - Series.identity(ctx)).max_abs() < 1e-13
     with pytest.raises(TrustError):
         # true support extends past the window top: reads there must fail
@@ -137,11 +139,11 @@ def test_inv_lplus_shape():
 def test_inv_singular_and_mixed_shapes():
     ctx = fctx()
     with pytest.raises(ShapeError):
-        series_inv(Series.monomial(ctx, E21, 0))
+        Series.monomial(ctx, E21, 0).inv()
     mixed = (Series.identity(ctx) + Series.monomial(ctx, np.eye(2) * 0.3, 1)
              + Series.monomial(ctx, np.eye(2) * 0.3, -1))
     with pytest.raises(ShapeError):
-        series_inv(mixed)
+        mixed.inv()
 
 
 def test_jet_inverse():
@@ -157,11 +159,11 @@ def test_jet_inverse():
 
 def test_dlambda_basics():
     ctx = fctx()
-    assert series_dlambda(Series.identity(ctx)).max_abs() == 0.0
+    assert Series.identity(ctx).dlambda().max_abs() == 0.0
     a = random_matrix(rng(3), 2)
-    d = series_dlambda(Series.monomial(ctx, a, 2))
+    d = Series.monomial(ctx, a, 2).dlambda()
     assert np.abs(d.coeff(0, 1) - 2 * a).max() < 1e-15
-    d2 = series_dlambda(Series.monomial(ctx, E21, -1))
+    d2 = Series.monomial(ctx, E21, -1).dlambda()
     assert np.abs(d2.coeff(0, -2) + E21).max() < 1e-15
 
 
@@ -170,8 +172,8 @@ def test_dlambda_is_derivation():
     ctx = fctx(lo=-14)
     a = series_from_dict(ctx, random_laurent_dict(gen, 2, -3, 2))
     b = series_from_dict(ctx, random_laurent_dict(gen, 2, -3, 2))
-    lhs = series_dlambda(a * b)
-    rhs = series_dlambda(a) * b + a * series_dlambda(b)
+    lhs = (a * b).dlambda()
+    rhs = a.dlambda() * b + a * b.dlambda()
     assert (lhs - rhs).max_abs() < 1e-12
 
 
@@ -181,7 +183,7 @@ def test_jet_partial_and_monomials():
     ctx = JetContext(("t1", "t2"), 3, 2, -6, 3)
     a = random_matrix(rng(23), 2)
     x = Series.monomial(ctx, a, 0, alpha=(2, 0))  # t1^2 a
-    d = x.jet_partial("t1")
+    d = x.partial("t1")
     assert np.abs(d.coeff((1, 0), 0) - 2 * a).max() < 1e-15
     assert d.vorder == 2
     y = x.times_var("t2")
@@ -219,13 +221,13 @@ def test_jet_exp():
     ctx = JetContext(("t1",), 2, 2, -4, 4)
     a = np.diag([1j, -1j])
     x = Series.monomial(ctx, a, 1, alpha=(1,))
-    v = jet_exp(x)
+    v = exp_series(x)
     assert np.abs(v.coeff((0,), 0) - np.eye(2)).max() < 1e-15
     assert np.abs(v.coeff((1,), 1) - a).max() < 1e-15
     assert np.abs(v.coeff((2,), 2) - 0.5 * a @ a).max() < 1e-15
-    assert (jet_exp(Series.zeros(ctx)) - Series.identity(ctx)).max_abs() == 0.0
+    assert (exp_series(Series.zeros(ctx)) - Series.identity(ctx)).max_abs() == 0.0
     with pytest.raises(ShapeError):
-        jet_exp(Series.identity(ctx))
+        exp_series(Series.identity(ctx))
 
 
 def test_jet_exp_commuting_factorizes():
@@ -233,7 +235,7 @@ def test_jet_exp_commuting_factorizes():
     a = np.diag([1j, -1j])
     x = Series.monomial(ctx, a, 1, alpha=(1, 0))
     y = Series.monomial(ctx, a, 3, alpha=(0, 1))
-    assert (jet_exp(x + y) - jet_exp(x) * jet_exp(y)).max_abs() < 1e-12
+    assert (exp_series(x + y) - exp_series(x) * exp_series(y)).max_abs() < 1e-12
 
 
 # -- projections ----------------------------------------------------------------
@@ -268,9 +270,9 @@ def test_pairing_examples():
     gen = rng(43)
     a = random_matrix(gen, 2)
     b = random_matrix(gen, 2)
-    assert abs(pairing_k(Series.monomial(ctx, a, 2), Series.monomial(ctx, b, -3), -1)
+    assert abs(Series.monomial(ctx, a, 2).pairing(Series.monomial(ctx, b, -3), -1)
                .coeff(0) - np.trace(a @ b)) < 1e-13
-    assert abs(pairing_k(Series.monomial(ctx, a, 1), Series.monomial(ctx, b, -1), -1)
+    assert abs(Series.monomial(ctx, a, 1).pairing(Series.monomial(ctx, b, -1), -1)
                .coeff(0)) == 0.0
 
 
@@ -279,8 +281,8 @@ def test_pairing_shift_identity():
     ctx = fctx()
     x = series_from_dict(ctx, random_laurent_dict(gen, 2, -3, 2))
     y = series_from_dict(ctx, random_laurent_dict(gen, 2, -3, 2))
-    lhs = pairing_k(x.shift(1), y, 0).coeff(0)
-    rhs = pairing_k(x, y, -1).coeff(0)
+    lhs = x.shift(1).pairing(y, 0).coeff(0)
+    rhs = x.pairing(y, -1).coeff(0)
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -351,7 +353,17 @@ def test_series_mul_empty_trusted_window_raises():
     a = series_from_dict(ctx, random_laurent_dict(gen, 2, -4, 4), exact=False)
     b = a * a          # trusted floor rises, trusted top caps at the window
     with pytest.raises(WindowExhausted):
-        series_mul(b, b)
+        (b * b).require_window()
+
+
+def test_require_window_rejects_floor_above_top():
+    # a shifted truncation-limited value times lam^4: the trusted floor of
+    # the product (5) passes the window top (4)
+    c = Series.from_degree_matrices(JetContext((), 0, 2, -2, 4),
+                                    {-2: np.eye(2)}, exact=False).shift(3)
+    prod = c * Series.from_degree_matrices(c.ctx, {4: np.eye(2)})
+    with pytest.raises(WindowExhausted):
+        prod.require_window()
 
 
 # -- product kernel vs brute-force oracles --------------------------------------

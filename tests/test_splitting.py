@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from loopjet import JetContext, Series, ShapeError, cocycle, commutator, pairing_k
+from loopjet import JetContext, Series, ShapeError, cocycle, commutator
 from loopjet.splitting import (SplitMix64, SplittingSpec, kdv_twist, project,
                                reality_check, sample_negative_element)
 
@@ -60,22 +60,22 @@ def test_pairing_examples_and_shift():
     gen = rng(5)
     a = gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
     b = gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
-    assert abs(pairing_k(Series.monomial(ctx, a, 2), Series.monomial(ctx, b, -3), -1)
+    assert abs(Series.monomial(ctx, a, 2).pairing(Series.monomial(ctx, b, -3), -1)
                .coeff(0) - np.trace(a @ b)) < 1e-12
-    assert abs(pairing_k(Series.monomial(ctx, a, 1), Series.monomial(ctx, b, -1), -1)
+    assert abs(Series.monomial(ctx, a, 1).pairing(Series.monomial(ctx, b, -1), -1)
                .coeff(0)) == 0.0
     x = random_series(7, ctx)
     y = random_series(8, ctx)
-    assert abs(pairing_k(x.shift(1), y, 0).coeff(0)
-               - pairing_k(x, y, -1).coeff(0)) < 1e-12
+    assert abs(x.shift(1).pairing(y, 0).coeff(0)
+               - x.pairing(y, -1).coeff(0)) < 1e-12
 
 
 def test_pairing_ad_invariance():
     ctx = fctx(lo=-16)
     x, y, z = (random_series(s, ctx) for s in (11, 12, 13))
     for k in (-1, 0, 1):
-        lhs = pairing_k(commutator(z, x), y, k).coeff(0)
-        rhs = pairing_k(x, commutator(z, y), k).coeff(0)
+        lhs = commutator(z, x).pairing(y, k).coeff(0)
+        rhs = x.pairing(commutator(z, y), k).coeff(0)
         assert abs(lhs + rhs) < 1e-9
 
 
