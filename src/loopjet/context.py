@@ -9,16 +9,15 @@ A :class:`JetContext` fixes, once per scenario,
 and precomputes the multiplication tables of the graded jet algebra
 together with index maps for partial derivatives and monomial shifts:
 
-* the row-prefix table that drives series products.  Multi-indices are
-  stored in graded order, so for a row ``a`` the rows ``b`` with
-  ``|a| + |b| <= k`` are the prefix ``[0, upto[k - |a|])``, and
-  ``row_out[a][b]`` is the index of ``a + b``.  The outputs of one row are
-  distinct, so a product adds each ``a``-row contribution straight into
-  its output rows, with no gather of ``b`` rows and no reduction.
-* the pair table (``pair_a``, ``pair_b``, ``pair_c``: every admissible
-  multi-index pair, sorted by output index, with ``group_starts`` and
-  ``group_out`` for ``np.add.reduceat``).  It reduces the integer degree
-  bounds of series products and drives pairings and scalar-jet products.
+* the pair table ``pair_a``, ``pair_b``, ``pair_c``: every admissible
+  multi-index pair (a, b) with its output index c, the index of a + b.
+  Multi-indices are stored in graded order, so for a row ``a`` the rows
+  ``b`` with ``|a| + |b| <= k`` are the prefix ``[0, upto[k - |a|])``; the
+  table is a-major, and ``row_out[a]`` is the view of ``pair_c`` holding
+  the outputs of row ``a``.  The outputs of one row are distinct, so a
+  product adds each ``a``-row contribution straight into its output rows,
+  with no gather of ``b`` rows; pairings, scalar-jet products and degree
+  bounds scatter their per-pair values into the ``pair_c`` rows.
 
 Laurent-degree convolutions are done by FFT along the degree axis; ``nfft``
 is the next power of two at or above ``2W - 1``, so circular wrap-around
@@ -118,23 +117,15 @@ class JetContext:
         d = self.order
         # graded order: the rows b with |a| + |b| <= d are a prefix
         self.upto = np.searchsorted(self.totals, np.arange(d + 1), side="right")
-        self.row_out = [
-            np.array([self.index_of[tuple(self.midx[a] + self.midx[b])]
-                      for b in range(self.upto[d - self.totals[a]])],
-                     dtype=np.int64)
-            for a in range(self.T)]
-        sizes = [r.size for r in self.row_out]
-        ia = np.repeat(np.arange(self.T, dtype=np.int64), sizes)
-        ib = np.concatenate([np.arange(k, dtype=np.int64) for k in sizes])
-        ic = np.concatenate(self.row_out)
-        perm = np.argsort(ic, kind="stable")
-        self.pair_a = ia[perm]
-        self.pair_b = ib[perm]
-        self.pair_c = ic[perm]
-        # group starts for reduceat; every output index occurs (pair with 0).
-        starts = np.flatnonzero(np.r_[True, np.diff(self.pair_c) != 0])
-        self.group_starts = starts
-        self.group_out = self.pair_c[starts]
+        sizes = self.upto[d - self.totals]
+        self.pair_a = np.repeat(np.arange(self.T, dtype=np.int64), sizes)
+        self.pair_b = np.concatenate([np.arange(k, dtype=np.int64)
+                                      for k in sizes])
+        self.pair_c = np.array(
+            [self.index_of[tuple(self.midx[a] + self.midx[b])]
+             for a, b in zip(self.pair_a, self.pair_b)], dtype=np.int64)
+        ends = np.cumsum(sizes)
+        self.row_out = [self.pair_c[e - k:e] for e, k in zip(ends, sizes)]
 
     def _build_var_maps(self) -> None:
         nv = len(self.variables)

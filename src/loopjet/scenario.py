@@ -370,6 +370,7 @@ class _Runner:
         self.timing: dict = {}
         self.result: FactorizationResult | None = None
         self.tau = None
+        self.stabilizers: dict | None = None
 
     def add(self, cid: str, value: float, note: str = "") -> None:
         self.records.append(record(cid, value, note,
@@ -396,6 +397,19 @@ class _Runner:
         if self.tau is None:
             self.tau = ln_tau_jet(self.result)
         return self.tau
+
+    def _ensure_stabilizers(self) -> dict:
+        """The stabilizer checks of the variant's samples, run once: "h"
+        and "k" map to the check's dict plus its sample, when it has one."""
+        if self.stabilizers is None:
+            s, res = self.scen, self.result
+            self.stabilizers = {}
+            h, k = _commuting_h(s), _commuting_k(s)
+            if h is not None:
+                self.stabilizers["h"] = dict(stabilizer_h_check(res, h), h=h)
+            if k is not None:
+                self.stabilizers["k"] = dict(stabilizer_k_check(res, k), k=k)
+        return self.stabilizers
 
     # -- suites ------------------------------------------------------------
 
@@ -435,29 +449,17 @@ class _Runner:
                      (res.u - res.v.hadamard(weights)).max_abs())
         for cid, val in reality_propagation_check(res).items():
             self.add("reality_propagation", val, note=cid)
-        self._invariance_checks()
-
-    def _invariance_checks(self) -> None:
-        s, res = self.scen, self.result
-        h = _commuting_h(s)
-        if h is not None:
-            chk = stabilizer_h_check(res, h)
+        stab = self._ensure_stabilizers()
+        if "h" in stab:
+            chk = stab["h"]
             self.add("stabilizer_h", max(chk["u_unchanged"],
                                          chk["reduced_frame_translates"]))
-            self._result_h = chk["result_h"]
-            self._h = h
-        else:
-            self._result_h = None
-        k = _commuting_k(s)
-        if k is not None:
-            chk = stabilizer_k_check(res, k)
+        if "k" in stab:
+            chk = stab["k"]
             self.add("stabilizer_k", max(chk["u_conjugates"],
                                          chk["m_conjugates"],
                                          chk["e_conjugates"]))
-            self.add("stabilizer_k_form", _k_form_defect(s, res, chk, k))
-            self._result_k = chk["result_k"]
-        else:
-            self._result_k = None
+            self.add("stabilizer_k_form", _k_form_defect(s, res, chk))
 
     def _suite_flows(self) -> None:
         s, res = self.scen, self.result
@@ -525,12 +527,14 @@ class _Runner:
                     "the detected constant" % (avals[0], avals[1]))
             if rec.check_id == "tau_uu_u_form":
                 self.conventions["tau_uu_scaling"] = rec.note
-        if getattr(self, "_result_h", None) is not None:
+        stab = self._ensure_stabilizers()
+        if "h" in stab:
+            chk = stab["h"]
             self.add("tau_shift_constancy",
-                     shift_constancy_check(res, self._result_h, self._h))
-        if getattr(self, "_result_k", None) is not None:
+                     shift_constancy_check(res, chk["result_h"], chk["h"]))
+        if "k" in stab:
             self.add("tau_conjugation",
-                     conjugation_invariance_check(res, self._result_k))
+                     conjugation_invariance_check(res, stab["k"]["result_k"]))
         if s.seq.family == "akns" and s.ctx.n >= 3:
             self.add("xi_trace_identity",
                      xi_helpers(res)["trace_identity"])
@@ -631,7 +635,8 @@ class _Runner:
         s, res = self.scen, self.result
         if s.seq.family != "akns" or s.ctx.n < 3:
             raise ConfigError("recovery suite needs the vector_akns family")
-        out = vector_akns_recovery(res, getattr(self, "_result_k", None))
+        k_chk = self._ensure_stabilizers().get("k", {})
+        out = vector_akns_recovery(res, k_chk.get("result_k"))
         if out.get("degenerate"):
             self.add("recovery_degenerate", 0.0,
                      note="S or R singular at this datum; recovery skipped")
@@ -728,8 +733,8 @@ def _commuting_k(scen: Scenario) -> np.ndarray | None:
     return None
 
 
-def _k_form_defect(scen, res, chk, k) -> float:
-    seq = scen.seq
+def _k_form_defect(scen, res, chk) -> float:
+    seq, k = scen.seq, chk["k"]
     if seq.family == "akns" and seq.n == 2:
         c = k[0, 0]
         q = res.u.entry_jet(0, 1, 0)

@@ -19,23 +19,26 @@ Truncation is tracked, never guessed.  Per jet coefficient:
   whose true support was clipped at the top of the window (Neumann
   inverses of L+ shapes, products certified past the window top).
 
-Products propagate the bounds with the convolution rule
-``tlo(AB) = max(tlo_A + shi_B, tlo_B + shi_A)`` applied per jet
-coefficient; the plus-projection restores full trust below zero because its
-result is zero there by definition.  ``vorder`` tracks the trusted jet
-order (a time derivative lowers it by one) and comparisons mask orders
-beyond it.
+Products and pairings propagate the bounds with one convolution rule
+(``_pair_bounds``), ``tlo(AB) = max(tlo_A + shi_B, tlo_B + shi_A)`` and its
+mirror for ``thi``, applied per pair of jet rows, where an exact factor
+(``tlo = NEG``) adds no untrusted floor whatever the other's support; the
+plus-projection restores full trust below zero because its result is zero
+there by definition.  ``vorder`` tracks the trusted jet order (a time
+derivative lowers it by one) and comparisons mask orders beyond it.
 
 Coefficients are stored as ``(T, W, n, n)``: jet row, lambda position,
 matrix entry.  Products convolve in lambda by FFT and cache each operand's
 spectrum entry-major, as ``(n, n, T, nfft)``, with certified-zero rows
 (``shi == NEG``) held at exact zero.  The jet product runs over the live
 rows ``a`` of the left factor: the admissible right rows are the prefix
-``[0, upto[top - |a|])`` of the context's row-prefix table, their outputs
+``[0, upto[top - |a|])`` of the context's pair table, their outputs
 ``row_out[a]`` are distinct, and the n x n product of spectra is summed
 entry by entry (``_entry_mul``), the one way spectra are multiplied here.
-The integer degree bounds of a product are reduced over the context's pair
-table.
+The per-pair degree bounds of a product, the terms of a pairing and of a
+scalar-jet product are scattered into the ``pair_c`` rows (``np.*.at``).
+A jet-order ``cap`` leaves every row past it certified zero, on the
+jet-constant path as on the general one.
 
 Every value carries K >= 0 tangent components next to its base value: a
 first-order nilpotent extension with ``eps_i eps_j = 0`` (vector forward
@@ -144,60 +147,59 @@ def _entry_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _live_end(slab: _Slab) -> int:
-    """One past the last jet row that is not certified zero."""
-    return int(np.flatnonzero(slab.shi != NEG)[-1]) + 1
+def _pair_bounds(a: _Slab, ia, b: _Slab, ib):
+    """Degree bounds ``(tlo, slo, shi, thi)`` of the products of jet rows
+    ``a[ia]`` and ``b[ib]``, pair by pair: the one convolution rule.  An
+    exact factor (``tlo == NEG``) adds no untrusted floor and an unclipped
+    one (``thi == POS``) no untrusted top, whatever the other's support."""
+    atlo, aslo, ashi, athi = a.tlo[ia], a.slo[ia], a.shi[ia], a.thi[ia]
+    btlo, bslo, bshi, bthi = b.tlo[ib], b.slo[ib], b.shi[ib], b.thi[ib]
+    tlo = np.maximum(np.where(atlo == NEG, NEG, atlo + bshi),
+                     np.where(btlo == NEG, NEG, btlo + ashi))
+    thi = np.minimum(np.where(athi == POS, POS, athi + bslo),
+                     np.where(bthi == POS, POS, bthi + aslo))
+    return tlo, aslo + bslo, ashi + bshi, thi
+
+
+def _product_slab(ctx: JetContext, data, tlo, slo, shi, thi) -> _Slab:
+    slab = _Slab(data, _finalize_tlo(ctx, tlo, slo), slo, shi,
+                 _cap_top(ctx, shi, thi))
+    return _apply_support_mask(ctx, slab)
 
 
 def _slab_mul(ctx: JetContext, a: _Slab, b: _Slab,
               cap: int | None = None) -> _Slab:
     if a.is_zero() or b.is_zero():
         return _zero_slab(ctx)
+    top = ctx.order if cap is None else min(cap, ctx.order)
     if b.jet_const():
-        return _slab_mul_const(ctx, a, b, b_const=True)
+        return _slab_mul_const(ctx, a, b, top, b_const=True)
     if a.jet_const():
-        return _slab_mul_const(ctx, a, b, b_const=False)
+        return _slab_mul_const(ctx, a, b, top, b_const=False)
 
+    # pairs with a certified-zero factor or an output order past the cap
+    # contribute nothing; their outputs stay certified zero
     pa, pb, pc = ctx.pair_a, ctx.pair_b, ctx.pair_c
-    starts, outs = ctx.group_starts, ctx.group_out
-    # skip pairs with a certified-zero factor, and (for order-capped
-    # products) output orders beyond the cap
-    live = (a.shi[pa] != NEG) & (b.shi[pb] != NEG)
-    if cap is not None:
-        live &= ctx.totals[pc] <= cap
-    if not live.all():
-        idx = np.flatnonzero(live)
-        pa, pb, pc = pa[idx], pb[idx], pc[idx]
-        if pc.size == 0:
-            return _zero_slab(ctx)
-        starts = np.flatnonzero(np.r_[True, np.diff(pc) != 0])
-        outs = pc[starts]
-
-    sa, sb = a.shi[pa], b.shi[pb]
-    cand_shi = sa + sb
-    cand_slo = a.slo[pa] + b.slo[pb]
-    cand_tlo = np.maximum(a.tlo[pa] + sb, b.tlo[pb] + sa)
-    ta = np.where(a.thi[pa] == POS, POS, a.thi[pa] + b.slo[pb])
-    tb = np.where(b.thi[pb] == POS, POS, b.thi[pb] + a.slo[pa])
-    cand_thi = np.minimum(ta, tb)
-
-    shi = np.full(ctx.T, NEG, dtype=np.int64)
-    slo = np.full(ctx.T, POS, dtype=np.int64)
+    a_live, b_live = a.shi != NEG, b.shi != NEG
+    idx = np.flatnonzero(a_live[pa] & b_live[pb] & (ctx.totals[pc] <= top))
+    cand = _pair_bounds(a, pa[idx], b, pb[idx])
+    pc = pc[idx]
     tlo = np.full(ctx.T, NEG, dtype=np.int64)
+    slo = np.full(ctx.T, POS, dtype=np.int64)
+    shi = np.full(ctx.T, NEG, dtype=np.int64)
     thi = np.full(ctx.T, POS, dtype=np.int64)
-    shi[outs] = np.maximum.reduceat(cand_shi, starts)
-    slo[outs] = np.minimum.reduceat(cand_slo, starts)
-    tlo[outs] = np.maximum.reduceat(cand_tlo, starts)
-    thi[outs] = np.minimum.reduceat(cand_thi, starts)
+    np.maximum.at(tlo, pc, cand[0])
+    np.minimum.at(slo, pc, cand[1])
+    np.maximum.at(shi, pc, cand[2])
+    np.minimum.at(thi, pc, cand[3])
 
     # a-row by a-row: the admissible b rows are a prefix whose outputs are
     # distinct, so each contribution adds straight into its output rows;
     # dead rows are zero in the cached spectra and contribute nothing
-    top = ctx.order if cap is None else min(cap, ctx.order)
     A, B = a.fft(ctx), b.fft(ctx)
-    b_end = _live_end(b)
+    b_end = np.flatnonzero(b_live)[-1] + 1
     C = np.zeros((ctx.n, ctx.n, ctx.upto[top], ctx.nfft), dtype=np.complex128)
-    for ia in np.flatnonzero(a.shi != NEG):
+    for ia in np.flatnonzero(a_live):
         rest = top - ctx.totals[ia]
         if rest < 0:
             break  # graded order: every later row is past the cap too
@@ -206,33 +208,30 @@ def _slab_mul(ctx: JetContext, a: _Slab, b: _Slab,
                                                     B[:, :, :nb])
     data = np.zeros((ctx.T, ctx.W, ctx.n, ctx.n), dtype=np.complex128)
     data[:ctx.upto[top]] = _coefficients(ctx, C)
-
-    slab = _Slab(data, _finalize_tlo(ctx, tlo, slo),
-                 slo, shi, _cap_top(ctx, shi, thi))
-    return _apply_support_mask(ctx, slab)
+    return _product_slab(ctx, data, tlo, slo, shi, thi)
 
 
-def _slab_mul_const(ctx: JetContext, a: _Slab, b: _Slab, b_const: bool) -> _Slab:
-    """Product where one operand only occupies the zero multi-index."""
-    full, cst = (a, b) if b_const else (b, a)
-    s0, l0, t0, h0 = cst.shi[0], cst.slo[0], cst.tlo[0], cst.thi[0]
-    # certified-zero rows of the full operand stay certified zero
-    shi = np.where(full.shi == NEG, NEG, full.shi + s0)
-    slo = np.where(full.slo == POS, POS, full.slo + l0)
-    tlo = np.maximum(full.tlo + s0, t0 + full.shi)
-    ta = np.where(full.thi == POS, POS, full.thi + l0)
-    tb = POS if h0 == POS else h0 + full.slo
-    thi = np.minimum(ta, tb)
-    m = _live_end(full)
-    if b_const:
-        G = _entry_mul(a.fft(ctx)[:, :, :m], b.fft(ctx)[:, :, 0:1])
-    else:
-        G = _entry_mul(a.fft(ctx)[:, :, 0:1], b.fft(ctx)[:, :, :m])
+def _slab_mul_const(ctx: JetContext, a: _Slab, b: _Slab, top: int,
+                    b_const: bool) -> _Slab:
+    """Product where one operand only occupies the zero multi-index: each
+    live row of the other operand up to jet order ``top`` makes the output
+    row of the same index, and every other row is certified zero."""
+    full = a if b_const else b
+    rows = np.flatnonzero((full.shi != NEG) & (ctx.totals <= top))
+    bounds = [np.full(ctx.T, v, dtype=np.int64) for v in (NEG, POS, NEG, POS)]
     data = np.zeros_like(full.data)
-    data[:m] = _coefficients(ctx, G)
-    slab = _Slab(data, _finalize_tlo(ctx, tlo, slo),
-                 slo, shi, _cap_top(ctx, shi, thi))
-    return _apply_support_mask(ctx, slab)
+    if rows.size:
+        cand = (_pair_bounds(a, rows, b, 0) if b_const
+                else _pair_bounds(a, 0, b, rows))
+        for out, c in zip(bounds, cand):
+            out[rows] = c
+        m = rows[-1] + 1
+        if b_const:
+            G = _entry_mul(a.fft(ctx)[:, :, :m], b.fft(ctx)[:, :, 0:1])
+        else:
+            G = _entry_mul(a.fft(ctx)[:, :, 0:1], b.fft(ctx)[:, :, :m])
+        data[:m] = _coefficients(ctx, G)
+    return _product_slab(ctx, data, *bounds)
 
 
 def _slab_add(a: _Slab, b: _Slab, sign: float) -> _Slab:
@@ -680,15 +679,9 @@ class Series:
     def _slab_pairing(self, other: "Series", a: _Slab, b: _Slab, k: int):
         ctx = self.ctx
         pa, pb, pc = ctx.pair_a, ctx.pair_b, ctx.pair_c
-        sa, sb = a.shi[pa], b.shi[pb]
-        lo_ok = k >= np.maximum(
-            np.where(a.tlo[pa] == NEG, NEG, a.tlo[pa] + sb),
-            np.where(b.tlo[pb] == NEG, NEG, b.tlo[pb] + sa))
-        hi_ok = k <= np.minimum(
-            np.where(a.thi[pa] == POS, POS, a.thi[pa] + b.slo[pb]),
-            np.where(b.thi[pb] == POS, POS, b.thi[pb] + a.slo[pa]))
+        tlo, _, _, thi = _pair_bounds(a, pa, b, pb)
         live = ctx.totals[pc] <= min(self.vorder, other.vorder)
-        bad = live & ~(lo_ok & hi_ok)
+        bad = live & ((k < tlo) | (k > thi))
         if np.any(bad):
             i = int(np.flatnonzero(bad)[0])
             raise TrustError(
@@ -704,8 +697,7 @@ class Series:
         if whi > wlo:  # gather only the overlap: (pairs, W) copies are large
             Ag = a.data[:, wlo:whi][pa]
             Bg = brev[:, wlo + off:whi + off][pb]
-            vals = np.einsum("pwab,pwba->p", Ag, Bg)
-            out[ctx.group_out] = np.add.reduceat(vals, ctx.group_starts)
+            np.add.at(out, pc, np.einsum("pwab,pwba->p", Ag, Bg))
         return out
 
     def pairing(self, other: "Series", k: int) -> "ScalarJet":
@@ -826,9 +818,8 @@ class ScalarJet:
 
     def _mul_vals(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ctx = self.ctx
-        prod = a[ctx.pair_a] * b[ctx.pair_b]
         out = np.zeros(ctx.T, dtype=np.complex128)
-        out[ctx.group_out] = np.add.reduceat(prod, ctx.group_starts)
+        np.add.at(out, ctx.pair_c, a[ctx.pair_a] * b[ctx.pair_b])
         return out
 
     def __mul__(self, other):

@@ -43,9 +43,7 @@ def ln_tau_jet(result: FactorizationResult, var_choice: str = "first") -> LnTauJ
     closedness check verifies by comparing "first" against "last".
     """
     ctx = result.ctx
-    seq = result.seq
-    xi = result.xi
-    integrands = [seq.generator(ctx, var).pairing(xi, -1)
+    integrands = [first_partial_pairing(result, *result.seq.gens[var])
                   for var in ctx.variables]
     X = ScalarJet.zeros(ctx)
     for by_var in ctx.integration_steps(var_choice).values():
@@ -58,18 +56,28 @@ def first_partial_pairing(result: FactorizationResult, base_key: str,
                           shift: int) -> ScalarJet:
     """(ln tau)_{t_v} for the generator (base) lam**shift, evaluated through
     the reduced frame; well defined even for flow times outside the active
-    variable set."""
-    j_v = result.seq.base_series(result.ctx, base_key).shift(shift)
-    return j_v.pairing(result.xi, -1)
+    variable set.  Computed once per result: the value is shared, so
+    callers must not modify it."""
+    def build() -> ScalarJet:
+        j_v = result.seq.base_series(result.ctx, base_key).shift(shift)
+        return j_v.pairing(result.xi, -1)
+
+    return result.cached(("first_partial", base_key, shift), build)
 
 
 def second_partial_formula(result: FactorizationResult,
                            gen_j: tuple[str, int],
                            gen_k: tuple[str, int]) -> ScalarJet:
-    """(ln tau)_{t_j t_k} = <M J_j M^-1, d_lam (M J_k M^-1)_+>_{-1}."""
-    wj = result.conjugated_base(gen_j[0]).shift(gen_j[1])
-    wk = result.conjugated_base(gen_k[0]).shift(gen_k[1])
-    return wj.pairing(wk.plus().dlambda(), -1)
+    """(ln tau)_{t_j t_k} = <M J_j M^-1, d_lam (M J_k M^-1)_+>_{-1},
+    computed once per result and (gen_j, gen_k) and shared like
+    :func:`first_partial_pairing`."""
+    def build() -> ScalarJet:
+        wj = result.conjugated_base(gen_j[0]).shift(gen_j[1])
+        wk = result.conjugated_base(gen_k[0]).shift(gen_k[1])
+        return wj.pairing(wk.plus().dlambda(), -1)
+
+    return result.cached(("second_partial", tuple(gen_j), tuple(gen_k)),
+                         build)
 
 
 def second_partial_via_j1(result: FactorizationResult,
@@ -79,40 +87,34 @@ def second_partial_via_j1(result: FactorizationResult,
     return wj.pairing(result.seq.j1(result.ctx).dlambda(), -1)
 
 
-def _gen_of(result: FactorizationResult, var: str) -> tuple[str, int]:
-    return result.seq.gens[var]
-
-
 def tau_route_defects(result: FactorizationResult, tau: LnTauJet) -> dict:
     """Cross-checks between the defining relation, jet differentiation, the
     second-partial pairing, its (t_1, t_j) specialization and symmetry."""
-    ctx, seq = result.ctx, result.seq
-    xi = result.xi
+    seq = result.seq
+    gens = seq.gens
     defining = 0.0
     for var in seq.variables:
-        iv = seq.generator(ctx, var).pairing(xi, -1)
+        iv = first_partial_pairing(result, *gens[var])
         defining = max(defining, (tau.X.partial(var) - iv).max_abs())
     alt = ln_tau_jet(result, var_choice="last")
     closed = (tau.X - alt.X).max_abs()
 
-    w = {v: result.conjugated_generator(v) for v in seq.variables}
-    dw = {v: w[v].plus().dlambda() for v in seq.variables}
     routes = 0.0
     symmetry = 0.0
     for vj in seq.variables:
         for vk in seq.variables:
-            form = w[vj].pairing(dw[vk], -1)
+            form = second_partial_formula(result, gens[vj], gens[vk])
             jet = tau.X.partial(vj).partial(vk)
             routes = max(routes, (jet - form).max_abs())
             if vj < vk:
-                symmetry = max(symmetry,
-                               (form - w[vk].pairing(dw[vj], -1)).max_abs())
+                other = second_partial_formula(result, gens[vk], gens[vj])
+                symmetry = max(symmetry, (form - other).max_abs())
     t1tj = 0.0
     if seq.family != "gl":
-        dj1 = result.seq.j1(ctx).dlambda()
         for vk in seq.variables:
-            a_route = w["t1"].pairing(dw[vk], -1)
-            t1tj = max(t1tj, (a_route - w[vk].pairing(dj1, -1)).max_abs())
+            a_route = second_partial_formula(result, gens["t1"], gens[vk])
+            t1tj = max(t1tj, (a_route - second_partial_via_j1(
+                result, gens[vk])).max_abs())
     return {"defining": defining, "closedness": closed, "routes": routes,
             "symmetry": symmetry, "t1tj": t1tj}
 
@@ -136,8 +138,7 @@ def identity_suite(result: FactorizationResult, tau: LnTauJet) -> list[CheckReco
         out.extend(_akns_identities(result, tau))
     if seq.family == "kdv":
         r = result.u.entry_jet(1, 0, 0)
-        y11 = second_partial_formula(result, _gen_of(result, "t1"),
-                                     _gen_of(result, "t1"))
+        y11 = second_partial_formula(result, seq.gens["t1"], seq.gens["t1"])
         out.append(record("kdv_tau_t1t1", (y11 + r).max_abs()))
     if seq.family == "gl":
         out.extend(_gl_identities(result, tau))
@@ -148,13 +149,11 @@ def _akns_identities(result: FactorizationResult, tau: LnTauJet) -> list[CheckRe
     seq = result.seq
     out = []
     q, r = _akns_qr(result)
-    y1 = second_partial_formula(result, _gen_of(result, "t1"),
-                                _gen_of(result, "t1"))
+    y1 = second_partial_formula(result, seq.gens["t1"], seq.gens["t1"])
     out.append(record("akns_tau_qr", (y1 + q * r).max_abs()))
     if "t2" not in seq.variables:
         return out
-    y2 = second_partial_formula(result, _gen_of(result, "t1"),
-                                _gen_of(result, "t2"))
+    y2 = second_partial_formula(result, seq.gens["t1"], seq.gens["t2"])
     qx = seq.partial_x(q)
     rx = seq.partial_x(r)
     bracket = qx * r - rx * q
@@ -231,12 +230,11 @@ def shift_constancy_check(result: FactorizationResult,
     h = h.embed(ctx)
     hterm = h.dlambda() * h.inv()
     worst = 0.0
-    xi_f = result.xi
-    xi_fh = result_h.xi
     for var in seq.variables:
-        j_v = seq.generator(ctx, var)
-        delta = j_v.pairing(xi_fh, -1) - j_v.pairing(xi_f, -1)
-        expect = j_v.pairing(hterm, -1)
+        gen = seq.gens[var]
+        delta = (first_partial_pairing(result_h, *gen)
+                 - first_partial_pairing(result, *gen))
+        expect = seq.generator(ctx, var).pairing(hterm, -1)
         worst = max(worst, (delta - expect).max_abs())
     return worst
 
@@ -246,14 +244,11 @@ def conjugation_invariance_check(result: FactorizationResult,
     """Second partials of ln tau agree for f and k f k^-1."""
     seq = result.seq
     worst = 0.0
-    wa = {v: result.conjugated_generator(v) for v in seq.variables}
-    wb = {v: result_k.conjugated_generator(v) for v in seq.variables}
-    da = {v: wa[v].plus().dlambda() for v in seq.variables}
-    db = {v: wb[v].plus().dlambda() for v in seq.variables}
     for vj in seq.variables:
         for vk in seq.variables:
-            a = wa[vj].pairing(da[vk], -1)
-            b = wb[vj].pairing(db[vk], -1)
+            gj, gk = seq.gens[vj], seq.gens[vk]
+            a = second_partial_formula(result, gj, gk)
+            b = second_partial_formula(result_k, gj, gk)
             worst = max(worst, (a - b).max_abs())
     return worst
 
@@ -261,7 +256,7 @@ def conjugation_invariance_check(result: FactorizationResult,
 # ---------------------------------------------------------------------------
 # vector AKNS: xi helpers and the constructive recovery of u_f
 
-def xi_helpers(result: FactorizationResult, count: int | None = None) -> dict:
+def xi_helpers(result: FactorizationResult) -> dict:
     """xi_j = tr(u a^j u^(j)) for j = 0..2n-1, plus the exact trace identity
     tr(u^(i) u^(j)) = q^(i).r^(j) + q^(j).r^(i)."""
     seq = result.seq
@@ -270,8 +265,7 @@ def xi_helpers(result: FactorizationResult, count: int | None = None) -> dict:
     ctx = result.ctx
     nv = seq.n - 1
     u = result.u
-    top = count if count is not None else 2 * nv - 1
-    top = min(top, ctx.order)
+    top = min(2 * nv - 1, ctx.order)
     a_pow = np.eye(seq.n, dtype=complex)
     values = []
     derivs = [u]

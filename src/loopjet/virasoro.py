@@ -92,6 +92,10 @@ def bracket_defect(f: Series, ells, gamma: np.ndarray | None) -> float:
 # ---------------------------------------------------------------------------
 # induced variations
 
+def _gamma_key(gamma: np.ndarray | None):
+    return None if gamma is None else np.asarray(gamma, dtype=complex).tobytes()
+
+
 def _conjugated_operand(result: FactorizationResult,
                         gamma: np.ndarray | None) -> Series:
     """E (lam f_lam f^-1 + f Gamma f^-1) E^-1, built once per result and
@@ -106,8 +110,7 @@ def _conjugated_operand(result: FactorizationResult,
             x = x + f * g * finv
         return result.E * x * result.Einv
 
-    key = None if gamma is None else np.asarray(gamma, dtype=complex).tobytes()
-    return result.cached(("operand", key), build)
+    return result.cached(("operand", _gamma_key(gamma)), build)
 
 
 def _e_log(result: FactorizationResult) -> Series:
@@ -159,15 +162,20 @@ def induced_lntau_variation(result: FactorizationResult, ell: int,
                             gamma: np.ndarray | None) -> ScalarJet:
     """delta_l(ln tau) = <lam**l E (lam f_lam f^-1 + f Gamma f^-1) E^-1,
     lam E_lam E^-1>_0; the index-(-1) reading without the lam shift is
-    asserted equal (the two appear interchangeably)."""
-    g = _conjugated_operand(result, gamma).shift(ell)
-    e_log = _e_log(result)
-    out = g.pairing(e_log.shift(1), 0)
-    alt = g.pairing(e_log, -1)
-    if (out - alt).max_abs() > 1e-9 * max(1.0, out.max_abs()):
-        raise ShapeError("pairing-index readings of the ln tau variation "
-                         "disagree; window too shallow")
-    return out
+    asserted equal (the two appear interchangeably).  Computed once per
+    result, l and Gamma: the value is shared, so callers must not modify
+    it."""
+    def build() -> ScalarJet:
+        g = _conjugated_operand(result, gamma).shift(ell)
+        e_log = _e_log(result)
+        out = g.pairing(e_log.shift(1), 0)
+        alt = g.pairing(e_log, -1)
+        if (out - alt).max_abs() > 1e-9 * max(1.0, out.max_abs()):
+            raise ShapeError("pairing-index readings of the ln tau variation "
+                             "disagree; window too shallow")
+        return out
+
+    return result.cached(("lntau_variation", ell, _gamma_key(gamma)), build)
 
 
 def thm56_defect(result_eps: FactorizationResult) -> float:

@@ -271,6 +271,23 @@ def test_report_records_every_enabled_suite(tmp_path):
     assert "lax_bracket" in doc["conventions"]
 
 
+@pytest.mark.parametrize("config,suite,needs_stabilizers", [
+    ("akns_standard", "tau", {"tau_shift_constancy", "tau_conjugation"}),
+    ("vector_akns", "recovery", {"recovery_k_invariance"})],
+    ids=["akns_standard-tau", "vector_akns-recovery"])
+def test_suite_order_does_not_change_the_checks(tmp_path, config, suite,
+                                                needs_stabilizers):
+    # the tau and recovery suites read the stabilizer factorizations
+    # whether or not the factorization suite ran first
+    base = json.loads((SHIPPED / f"{config}.json").read_text())
+    for suites in (["factorization", suite], [suite, "factorization"]):
+        cfgp = _write(tmp_path, "c.json", dict(base, suites=suites))
+        out = tmp_path / "r.json"
+        assert main(["run", "--config", cfgp, "--out", str(out)]) == 0
+        ids = {c["id"] for c in json.loads(out.read_text())["checks"]}
+        assert needs_stabilizers <= ids, suites
+
+
 SHIPPED = pathlib.Path(__file__).resolve().parent.parent / "configs"
 PINNED = json.loads((pathlib.Path(__file__).resolve().parent / "data"
                      / "shipped_reports.json").read_text())

@@ -480,6 +480,49 @@ def test_row_prefix_table_matches_pair_table(variables, order):
     pairs = set(zip(ctx.pair_a.tolist(), ctx.pair_b.tolist(),
                     ctx.pair_c.tolist()))
     assert from_rows == pairs and len(pairs) == ctx.pair_a.size
+    # one table: a-major, and each row's outputs are a view into pair_c
+    assert np.all(np.diff(ctx.pair_a) >= 0)
+    for a in range(ctx.T):
+        assert np.shares_memory(ctx.row_out[a], ctx.pair_c)
+        assert np.array_equal(ctx.row_out[a], ctx.pair_c[ctx.pair_a == a])
+
+
+@pytest.mark.parametrize("b_const", [True, False])
+def test_capped_product_with_jet_constant_factor(b_const):
+    # cap means the same on the jet-constant path as on the general one:
+    # rows past the cap are certified zero
+    ctx = JetContext(("t1", "t2"), 3, 2, -9, 5)
+    cap = 1
+    gen = rng(27 if b_const else 28)
+    full, dfull = _mixed_jet_operand(ctx, gen, dead_rows=(2,))
+    cst, dcst = _mixed_jet_operand(ctx, gen, dead_rows=range(1, ctx.T))
+    A, B, da, db = (full, cst, dfull, dcst) if b_const else (cst, full, dcst, dfull)
+    out = A.matmul(B, cap).slabs[0]
+    _assert_data_matches(ctx, out, jet_conv_oracle(da, db, cap))
+    ref = _pair_table_bounds(ctx, A.slabs[0], B.slabs[0], cap)
+    for got, expect in zip((out.tlo, out.slo, out.shi, out.thi), ref):
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+    past = ctx.totals > cap
+    assert past.sum() == 7
+    assert np.all(out.shi[past] == NEG) and np.all(out.slo[past] == POS)
+    assert np.all(out.tlo[past] == NEG) and np.all(out.thi[past] == POS)
+    assert not np.any(out.data[past])
+
+
+def test_exact_times_clipped_lplus_is_trusted():
+    # an exact factor adds no untrusted floor, even against a factor whose
+    # support top is POS (the clipped Neumann inverse of an L+ shape)
+    ctx = JetContext((), 0, 2, -6, 4)
+    x = np.array([[0.3, 0.1], [0.2, -0.4]], dtype=complex)
+    b = Series.from_degree_matrices(ctx, {0: np.eye(2), 1: x}).inv()
+    assert b.slabs[0].shi[0] == POS and b.slabs[0].thi[0] == ctx.hi
+    a = Series.from_degree_matrices(ctx, {-2: np.eye(2), 0: x})
+    prod = a * b
+    assert prod.slabs[0].tlo[0] == NEG
+    # (lam^-2 + X)(I - lam X + ...) has lam^-1 coefficient -X
+    got = prod.coeff(0, -1)
+    assert np.abs(got + x).max() < 1e-15
+    assert abs(np.trace(got) - a.pairing(b, -1).coeff(0)) < 1e-15
 
 
 @pytest.mark.parametrize("b_const", [True, False])

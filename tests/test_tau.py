@@ -10,10 +10,11 @@ from loopjet.hierarchy import akns_sequence, gl_sequence, kdv_sequence
 from loopjet.scattering import factorize_jet, stabilizer_h_check, stabilizer_k_check
 from loopjet.series import exp_series
 from loopjet.splitting import SplittingSpec, sample_negative_element
-from loopjet.tau import (conjugation_invariance_check, identity_suite,
-                         kdv_restriction_formula_check, ln_tau_jet,
-                         second_partial_formula, shift_constancy_check,
-                         tau_route_defects, vector_akns_recovery, xi_helpers)
+from loopjet.tau import (conjugation_invariance_check, first_partial_pairing,
+                         identity_suite, kdv_restriction_formula_check,
+                         ln_tau_jet, second_partial_formula,
+                         shift_constancy_check, tau_route_defects,
+                         vector_akns_recovery, xi_helpers)
 
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -65,6 +66,16 @@ def test_tau_routes(akns):
     assert d["routes"] < 1e-9
     assert d["symmetry"] < 1e-9
     assert d["t1tj"] < 1e-9
+
+
+def test_pairings_are_computed_once_per_result(akns):
+    _, seq, ctx, _, res, tau = akns
+    first = first_partial_pairing(res, "J1", 1)
+    assert first_partial_pairing(res, "J1", 1) is first
+    expect = seq.generator(ctx, "t2").pairing(res.xi, -1)
+    assert np.array_equal(first.vals[0], expect.vals[0])
+    gens = (seq.gens["t1"], seq.gens["t2"])
+    assert second_partial_formula(res, *gens) is second_partial_formula(res, *gens)
 
 
 def test_akns_identities_and_detected_constants(akns):
