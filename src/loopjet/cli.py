@@ -110,20 +110,6 @@ def dump_series(cfg: ScenarioConfig, target: str) -> str:
     return "\n".join([header] + body) + "\n"
 
 
-def csv_to_explicit_coeffs(text: str) -> list:
-    """Explicit-f coefficient table from an M dump (its zero multi-index
-    block is exactly f); used for report round-trips."""
-    out = []
-    for line in text.splitlines()[1:]:
-        if not line.strip():
-            continue
-        midx, deg, row, col, re, im = line.split(",")
-        if any(int(x) != 0 for x in midx.split(";")):
-            continue
-        out.append([int(deg), int(row), int(col), float(re), float(im)])
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="loopjet",

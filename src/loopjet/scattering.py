@@ -22,7 +22,7 @@ import numpy as np
 from .context import JetContext
 from .errors import ShapeError, WindowExhausted
 from .hierarchy import VacuumSequence, lax_bracket, vacuum_frame
-from .series import Series, commutator
+from .series import Series, _Slab, commutator
 from .splitting import SplittingSpec, reality_check
 
 __all__ = ["FactorizationResult", "factorize_jet", "factorize_oracle",
@@ -34,10 +34,42 @@ L_MINUS_TOL = 1e-10
 REALITY_TOL = 1e-8
 
 
-class FactorizationResult:
-    """Reduced frame, frame, and the solution extracted from them."""
+def _reuse(trajectory: dict | None, key, compute,
+           cap: int | None = None) -> Series:
+    """``compute(base)`` where ``base`` is the base component of ``key``
+    recorded in ``trajectory``: None without a trajectory, and None the
+    first time, when the base component of the value computed is recorded.
 
-    def __init__(self, spec, seq, ctx, f, M, Minv, E, V, vfinv, u, v):
+    A value capped at jet order ``cap`` is recorded by its rows below
+    ``ctx.upto[cap]`` alone (the rest are certified zero), and each read
+    builds it in fresh arrays, so no spectrum outlives the run that
+    computed it."""
+    rec = None if trajectory is None else trajectory.get(key)
+    if rec is not None:
+        rows = slice(0, rec.slabs[0].data.shape[0])
+        return compute(Series.from_rows(rec.ctx, rows, rec, rows,
+                                        vorder=rec.vorder))
+    out = compute(None)
+    if trajectory is not None:
+        ctx, s = out.ctx, out.slabs[0]
+        rows = ctx.T if cap is None else int(ctx.upto[cap])
+        trajectory[key] = Series(ctx, (_Slab(*(
+            a[:rows].copy() for a in (s.data, s.tlo, s.slo, s.shi, s.thi))),),
+            out.vorder)
+    return out
+
+
+class FactorizationResult:
+    """Reduced frame, frame, and the solution extracted from them.
+
+    The result of an eps refactorization keeps its eps-free ``base`` result
+    when it was computed along that result's trajectory; its values then
+    share their component 0 with ``base`` (as do the values it builds later:
+    conjugates and xi)."""
+
+    def __init__(self, spec, seq, ctx, f, M, Minv, E, V, vfinv, u, v,
+                 var_choice: str = "first",
+                 base: "FactorizationResult | None" = None):
         self.spec = spec
         self.seq = seq
         self.ctx = ctx
@@ -49,6 +81,9 @@ class FactorizationResult:
         self.vfinv = vfinv
         self.u = u
         self.v = v
+        self.var_choice = var_choice
+        self.base = base
+        self.trajectory: dict | None = None  # see factorize_jet
         self._cache: dict = {}
 
     def cached(self, key, build):
@@ -64,12 +99,34 @@ class FactorizationResult:
     @property
     def xi(self) -> Series:
         """xi = M^-1 d_lam M (degrees <= -2)."""
-        return self.cached("xi", lambda: self.Minv * self.M.dlambda())
+        return self.cached("xi", lambda: self.Minv.matmul(
+            self.M.dlambda(),
+            base=None if self.base is None else self.base.xi))
+
+    @property
+    def primal(self) -> "FactorizationResult":
+        """The eps-free result of the base value: this result if it has no
+        tangent data, ``base`` if it was computed along that trajectory,
+        else one built once from its base parts."""
+        if self.base is not None or self.f.E == 1:
+            return self.base or self
+        return self.cached("primal", lambda: FactorizationResult(
+            self.spec, self.seq, self.ctx,
+            *(x.base_part() for x in (self.f, self.M, self.Minv, self.E,
+                                      self.V, self.vfinv, self.u)),
+            None if self.v is None else self.v.base_part(),
+            var_choice=self.var_choice))
 
     def conjugated_base(self, key: str) -> Series:
         """M J_base M^-1, cached per base element."""
-        return self.cached(("conj", key), lambda: (
-            self.M * self.seq.base_series(self.ctx, key) * self.Minv))
+        def build() -> Series:
+            trail = None if self.base is None else self.base.trajectory
+            mj = _reuse(trail, ("MJ", key), lambda b: self.M.matmul(
+                self.seq.base_series(self.ctx, key), base=b))
+            return mj.matmul(self.Minv, base=None if self.base is None
+                             else self.base.conjugated_base(key))
+
+        return self.cached(("conj", key), build)
 
     def conjugated_generator(self, var: str) -> Series:
         base, shift = self.seq.gens[var]
@@ -119,39 +176,97 @@ def _check_f(spec: SplittingSpec, f: Series) -> None:
                          f"reality condition (defect {bad:.3e})")
 
 
+def _same_base_value(x: Series, y: Series) -> bool:
+    """Whether the base values of x and y agree bit for bit (data and
+    degree bounds)."""
+    a, b = x.slabs[0], y.slabs[0]
+    return all(np.array_equal(p, q) for p, q in zip(
+        (a.data, a.tlo, a.slo, a.shi, a.thi),
+        (b.data, b.tlo, b.slo, b.shi, b.thi)))
+
+
+def _require_base(base: FactorizationResult, seq: VacuumSequence,
+                  ctx: JetContext, f: Series, V: Series,
+                  var_choice: str) -> None:
+    """Refuse a base result whose trajectory is not the base of this run."""
+    why = None
+    if f.E == 1 or base.f.E != 1:
+        why = "f must carry tangent data and the base result none"
+    elif not (base.ctx.compatible(ctx) and base.seq is seq):
+        why = "the context or vacuum sequence differs"
+    elif base.var_choice != var_choice:
+        why = f"var_choice {var_choice!r} differs from {base.var_choice!r}"
+    elif not _same_base_value(f, base.f):
+        why = "the base value of f differs"
+    elif V.E != 1 or not _same_base_value(V, base.V):
+        why = "the vacuum frame differs"
+    if why is not None:
+        raise ShapeError(f"factorize_jet: cannot reuse the base trajectory: "
+                         f"{why}")
+
+
 def factorize_jet(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
                   f: Series, var_choice: str = "first",
-                  V: Series | None = None) -> FactorizationResult:
+                  V: Series | None = None,
+                  base: FactorizationResult | None = None
+                  ) -> FactorizationResult:
     """Factor V(t) f^-1 = M^-1 E to jet order ctx.order.
 
     ``var_choice`` picks which admissible variable integrates each
     multi-index ("first" is the production tie-break; "last" exists so the
     tests can confirm the choice does not matter).  A precomputed vacuum
     frame may be passed in when many data share one scenario.
+
+    ``base``, the result for the base value of an eps datum f, makes this
+    an eps refactorization along its trajectory (the forward-mode split of
+    a tangent sweep over a recorded primal trace): component 0 of every
+    value comes from ``base``, which the first such run records it onto,
+    and only the tangent components are computed.  The base must match f,
+    V, ``var_choice`` and the context, or ShapeError is raised.
     """
     _window_budget_check(seq, ctx)
     f = f.embed(ctx)
     _check_f(spec, f)
 
     if V is None:
-        V = vacuum_frame(seq, ctx)
-    vfinv = V * f.inv()
+        V = vacuum_frame(seq, ctx) if base is None else base.V
+    trail = None
+    if base is not None:
+        _require_base(base, seq, ctx, f, V, var_choice)
+        if base.trajectory is None:
+            base.trajectory = {}
+        trail = base.trajectory
+    vfinv = V.matmul(f.inv(), base=None if base is None else base.vfinv)
 
-    M = Series.zeros(ctx).with_rows([0], f, [0])  # M(0) = f, not an alias
+    M = Series.from_rows(ctx, [0], f, [0])  # M(0) = f, not an alias
     for ell, by_var in sorted(ctx.integration_steps(var_choice).items()):
         cap = ell - 1  # everything this order reads lives at order ell-1
-        Minv = M.inv(cap)
-        conj = {key: M.matmul(seq.base_series(ctx, key), cap).matmul(Minv, cap)
+        Minv = _reuse(trail, (ell, "Minv"),
+                      lambda b: M.inv(cap, base=b), cap)
+
+        # the operands M J and -(conj)_- die with these calls, and with
+        # them their cached spectra
+        def conjugate(key: str, b: Series | None) -> Series:
+            mj = _reuse(trail, (ell, "MJ", key), lambda c: M.matmul(
+                seq.base_series(ctx, key), cap, base=c), cap)
+            return mj.matmul(Minv, cap, base=b)
+
+        def integrand(gen: str, shift: int, b: Series | None) -> Series:
+            return (-(conj[gen].shift(shift).minus())).matmul(M, cap, base=b)
+
+        conj = {key: _reuse(trail, (ell, "conj", key),
+                            lambda b: conjugate(key, b), cap)
                 for key in seq.bases}
         nxt = M
         for v, (rows, src, exps) in by_var.items():
-            base, shift = seq.gens[ctx.variables[v]]
-            g = (-(conj[base].shift(shift).minus())).matmul(M, cap)
+            gen, shift = seq.gens[ctx.variables[v]]
+            g = _reuse(trail, (ell, "g", v),
+                       lambda b: integrand(gen, shift, b), cap)
             nxt = nxt.with_rows(rows, g, src, divisor=exps)
         M = nxt
 
-    Minv = M.inv()
-    E = M * vfinv
+    Minv = M.inv(base=None if base is None else base.Minv)
+    E = _reuse(trail, "E", lambda b: M.matmul(vfinv, base=b))
     # E lives in the positive subgroup; assert it and certify the support
     # floor (which also restores full trust below degree zero)
     spill = E.minus().max_abs()
@@ -160,7 +275,8 @@ def factorize_jet(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
                          f"({spill:.3e}); factorization failed")
     E = E.plus()
     result = FactorizationResult(spec, seq, ctx, f, M, Minv, E, V, vfinv,
-                                 u=None, v=None)
+                                 u=None, v=None, var_choice=var_choice,
+                                 base=base)
     j1 = seq.j1(ctx)
     w1 = result.q_series()
     u_full = w1.plus() - j1
@@ -238,13 +354,11 @@ def m_ode_defect(result: FactorizationResult) -> float:
 
 def frame_variation_defect(result_eps: FactorizationResult) -> float:
     """Variation law of the reduced frame: for the tangent perturbation df
-    of a factorization of f + eps df, (delta M) M^-1 = (E (df) f^-1 E^-1)_-."""
-    res = result_eps
-    m0 = res.M.base_part()
-    dm = res.M.eps_part()
-    lhs = dm * m0.inv()
-    e0 = res.E.base_part()
-    rhs = (e0 * res.f.eps_part() * res.f.base_part().inv() * e0.inv()).minus()
+    of a factorization of f + eps df, (delta M) M^-1 = (E (df) f^-1 E^-1)_-;
+    M^-1, E and E^-1 are the base result's."""
+    res, base = result_eps, result_eps.primal
+    lhs = res.M.eps_part() * base.Minv
+    rhs = (base.E * res.f.eps_part() * base.f.inv() * base.Einv).minus()
     return (lhs - rhs).max_abs()
 
 

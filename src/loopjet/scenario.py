@@ -559,7 +559,7 @@ class _Runner:
             for ell in ells:
                 eps = eps_perturbed_result(res, virasoro_field(f, ell, gamma))
                 fv = induced_frame_variation(res, ell, gamma)
-                fv_eps = eps.M.eps_part() * eps.M.base_part().inv()
+                fv_eps = eps.M.eps_part() * res.Minv
                 worst_frame = max(worst_frame, (fv - fv_eps).max_abs())
                 lt = induced_lntau_variation(res, ell, gamma)
                 lt_eps = ln_tau_jet(eps).X.eps_part()
@@ -581,7 +581,7 @@ class _Runner:
         for ell in ells:
             if ell <= 1:
                 worst_c = max(worst_c, abs(c_ell(f, ell)))
-        self.add("c_ell_const", max(c_ell_const_defect(res, max(ells)), worst_c),
+        self.add("c_ell_const", max(c_ell_const_defect(res, ells), worst_c),
                  note="c_l = 0 for l <= 1 included")
         if s.spec.variant in ("sigma_twisted", "tau_sigma"):
             worst_t = max(eta_tangency_defect(s.spec, f, j) for j in (0, 1, 2))

@@ -46,6 +46,10 @@ mode).  Any pipeline stage is differentiated exactly along K directions at
 once by running it on ``f.with_eps(df_0, ..., df_{K-1})`` and reading
 ``.eps_part(i)`` of the result; each tangent component is computed by the
 same operations as a single-direction run, so it is bit-identical to one.
+A product, inverse or pairing may be handed its base component, computed
+earlier (``base=``), and then computes the tangent components alone: the
+eps route of the factorization reuses the base trajectory this way, which
+the first eps refactorization of a result records lazily onto it.
 """
 
 from __future__ import annotations
@@ -241,12 +245,13 @@ def _slab_add(a: _Slab, b: _Slab, sign: float) -> _Slab:
 
 
 def _row_copy(dst: tuple, rows, src: tuple, src_rows, factor=None,
-              divisor=None) -> tuple:
-    """Copies of the per-row arrays ``dst`` (data first, then any degree
-    bounds) whose ``rows`` hold the ``src_rows`` of ``src``, the data
-    multiplied by ``factor`` or divided by ``divisor`` row by row: the one
-    way jet rows are written."""
-    out = tuple(a.copy() for a in dst)
+              divisor=None, copy: bool = True) -> tuple:
+    """The per-row arrays ``dst`` (data first, then any degree bounds) with
+    their ``rows`` holding the ``src_rows`` of ``src``, the data multiplied
+    by ``factor`` or divided by ``divisor`` row by row: the one way jet rows
+    are written.  ``dst`` is copied first unless ``copy`` is false (fresh
+    arrays nothing else holds are written in place)."""
+    out = tuple(a.copy() for a in dst) if copy else dst
     data = src[0][src_rows]
     per_row = (-1,) + (1,) * (data.ndim - 1)
     if factor is not None:
@@ -259,11 +264,12 @@ def _row_copy(dst: tuple, rows, src: tuple, src_rows, factor=None,
     return out
 
 
-def _leibniz(a: tuple, b: tuple, mul, add) -> tuple:
+def _leibniz(a: tuple, b: tuple, mul, add, base=None) -> tuple:
     """Components of a bilinear product of values with tangent parts
     (``eps_i eps_j = 0``): ``a_0 b_0``, then ``a_0 b_i + a_i b_0`` for each
-    tangent i, a component that one factor lacks counting as zero."""
-    out = [mul(a[0], b[0])]
+    tangent i, a component that one factor lacks counting as zero.  A known
+    ``base`` (``a_0 b_0`` computed earlier) stands in for that product."""
+    out = [mul(a[0], b[0]) if base is None else base]
     for i in range(1, max(len(a), len(b))):
         left = mul(a[0], b[i]) if i < len(b) else None
         right = mul(a[i], b[0]) if i < len(a) else None
@@ -391,15 +397,19 @@ class Series:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def matmul(self, other: "Series", cap: int | None = None) -> "Series":
+    def matmul(self, other: "Series", cap: int | None = None,
+               base: "Series | None" = None) -> "Series":
         """Product; ``cap`` truncates the result to jet orders <= cap (the
-        trusted order drops accordingly)."""
+        trusted order drops accordingly).  ``base``, the product of the two
+        base values computed earlier, is taken as the base component, so
+        only the tangent components are computed."""
         self.ctx.require_compatible(other.ctx)
         if self.ctx.n != other.ctx.n:
             raise DimensionMismatch("matrix dimension mismatch")
         slabs = _leibniz(self.slabs, other.slabs,
                          lambda a, b: _slab_mul(self.ctx, a, b, cap),
-                         lambda x, y: _slab_add(x, y, 1.0))
+                         lambda x, y: _slab_add(x, y, 1.0),
+                         None if base is None else base.slabs[0])
         vorder = min(self.vorder, other.vorder)
         if cap is not None:
             vorder = min(vorder, cap)
@@ -544,9 +554,12 @@ class Series:
 
     # -- inverses and exponentials -----------------------------------------
 
-    def inv(self, cap: int | None = None) -> "Series":
+    def inv(self, cap: int | None = None,
+            base: "Series | None" = None) -> "Series":
+        """Inverse; ``cap`` as in :meth:`matmul`.  ``base``, the inverse of
+        the base value computed earlier, is taken as the base component."""
         if self.E > 1:
-            b = self.base_part().inv(cap)
+            b = self.base_part().inv(cap) if base is None else base
             return b.with_eps(*[-b.matmul(self.eps_part(i), cap).matmul(b, cap)
                                 for i in range(self.E - 1)])
         ctx = self.ctx
@@ -570,28 +583,39 @@ class Series:
         dimension."""
         slabs = []
         for e in range(max(self.E, src.E)):
-            dst = self.slabs[e] if e < self.E else _zero_slab(self.ctx)
+            own = e < self.E
+            dst = self.slabs[e] if own else _zero_slab(self.ctx)
             s = src.slabs[e] if e < src.E else _zero_slab(src.ctx)
             slabs.append(_Slab(*_row_copy(
                 (dst.data, dst.tlo, dst.slo, dst.shi, dst.thi), rows,
                 (s.data, s.tlo, s.slo, s.shi, s.thi), src_rows, factor,
-                divisor)))
+                divisor, copy=own)))
         return Series(self.ctx, tuple(slabs),
                       self.vorder if vorder is None else vorder)
+
+    @classmethod
+    def from_rows(cls, ctx: JetContext, rows, src: "Series", src_rows,
+                  factor=None, divisor=None,
+                  vorder: int | None = None) -> "Series":
+        """``Series.zeros(ctx).with_rows(...)``, written straight into
+        freshly allocated arrays (with as many tangent components as
+        ``src``)."""
+        return cls(ctx, (), ctx.order).with_rows(rows, src, src_rows, factor,
+                                                 divisor, vorder)
 
     def partial(self, var: str) -> "Series":
         """Partial derivative in one flow variable; trusted jet order drops."""
         ctx = self.ctx
         src, dst, fac = ctx.partial_maps[ctx.var_index(var)]
-        return Series.zeros(ctx).with_rows(
-            dst, self, src, factor=fac, vorder=min(self.vorder - 1, ctx.order))
+        return Series.from_rows(ctx, dst, self, src, factor=fac,
+                                vorder=min(self.vorder - 1, ctx.order))
 
     def times_var(self, var: str) -> "Series":
         """Multiply by the monomial t_var (exact at every stored order)."""
         ctx = self.ctx
         src, dst = ctx.monomial_maps[ctx.var_index(var)]
-        return Series.zeros(ctx).with_rows(
-            dst, self, src, vorder=min(self.vorder + 1, ctx.order))
+        return Series.from_rows(ctx, dst, self, src,
+                                vorder=min(self.vorder + 1, ctx.order))
 
     # -- reads ---------------------------------------------------------------
 
@@ -619,12 +643,6 @@ class Series:
         if ctx.lo <= k <= ctx.hi:
             return slab.data[row, ctx.pos(k)].copy()
         return np.zeros((ctx.n, ctx.n), dtype=np.complex128)
-
-    @property
-    def trusted_lo(self) -> int:
-        """Trusted floor of the base coefficient (jet index zero)."""
-        t = int(self.slabs[0].tlo[0])
-        return self.ctx.lo if t == NEG else t
 
     def require_trusted(self, k: int, what: str = "read") -> None:
         """Assert that degree ``k`` of every live coefficient is trusted."""
@@ -700,12 +718,14 @@ class Series:
             np.add.at(out, pc, np.einsum("pwab,pwba->p", Ag, Bg))
         return out
 
-    def pairing(self, other: "Series", k: int) -> "ScalarJet":
-        """<X, Y>_k: the lambda**k coefficient of tr(X(lambda) Y(lambda))."""
+    def pairing(self, other: "Series", k: int,
+                base: "ScalarJet | None" = None) -> "ScalarJet":
+        """<X, Y>_k: the lambda**k coefficient of tr(X(lambda) Y(lambda));
+        ``base`` as in :meth:`matmul`."""
         self.ctx.require_compatible(other.ctx)
         vals = _leibniz(self.slabs, other.slabs,
                         lambda a, b: self._slab_pairing(other, a, b, k),
-                        np.add)
+                        np.add, None if base is None else base.vals[0])
         return ScalarJet(self.ctx, vals, min(self.vorder, other.vorder))
 
     def trace_coeff(self, k: int) -> "ScalarJet":
@@ -748,14 +768,14 @@ class Series:
             return self
         if (self.ctx.n, self.ctx.lo, self.ctx.hi) != (ctx.n, ctx.lo, ctx.hi):
             raise DimensionMismatch("window or dimension mismatch in embed")
-        return Series.zeros(ctx).with_rows([0], self, [0])
+        return Series.from_rows(ctx, [0], self, [0])
 
     def at_zero(self, fctx: JetContext | None = None) -> "Series":
         """Evaluate at t = 0 (restrict to the zero jet index)."""
         ctx = self.ctx
         if fctx is None:
             fctx = JetContext((), 0, ctx.n, ctx.lo, ctx.hi)
-        return Series.zeros(fctx).with_rows([0], self, [0], vorder=0)
+        return Series.from_rows(fctx, [0], self, [0], vorder=0)
 
 
 class ScalarJet:
@@ -841,23 +861,33 @@ class ScalarJet:
         """The scalar counterpart of :meth:`Series.with_rows`."""
         vals = []
         for e in range(max(self.E, src.E)):
-            dst = self.vals[e] if e < self.E else np.zeros(self.ctx.T, complex)
+            own = e < self.E
+            dst = self.vals[e] if own else np.zeros(self.ctx.T, complex)
             s = src.vals[e] if e < src.E else np.zeros(src.ctx.T, complex)
-            vals.extend(_row_copy((dst,), rows, (s,), src_rows, factor, divisor))
+            vals.extend(_row_copy((dst,), rows, (s,), src_rows, factor,
+                                  divisor, copy=own))
         return ScalarJet(self.ctx, tuple(vals),
                          self.vorder if vorder is None else vorder)
+
+    @classmethod
+    def from_rows(cls, ctx: JetContext, rows, src: "ScalarJet", src_rows,
+                  factor=None, divisor=None,
+                  vorder: int | None = None) -> "ScalarJet":
+        """The scalar counterpart of :meth:`Series.from_rows`."""
+        return cls(ctx, (), ctx.order).with_rows(rows, src, src_rows, factor,
+                                                 divisor, vorder)
 
     def partial(self, var: str) -> "ScalarJet":
         ctx = self.ctx
         src, dst, fac = ctx.partial_maps[ctx.var_index(var)]
-        return ScalarJet.zeros(ctx).with_rows(
-            dst, self, src, factor=fac, vorder=min(self.vorder - 1, ctx.order))
+        return ScalarJet.from_rows(ctx, dst, self, src, factor=fac,
+                                   vorder=min(self.vorder - 1, ctx.order))
 
     def times_var(self, var: str) -> "ScalarJet":
         ctx = self.ctx
         src, dst = ctx.monomial_maps[ctx.var_index(var)]
-        return ScalarJet.zeros(ctx).with_rows(
-            dst, self, src, vorder=min(self.vorder + 1, ctx.order))
+        return ScalarJet.from_rows(ctx, dst, self, src,
+                                   vorder=min(self.vorder + 1, ctx.order))
 
     def coeff(self, alpha, eps: int = 0) -> complex:
         ctx = self.ctx

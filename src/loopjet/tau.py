@@ -25,7 +25,7 @@ from .series import ScalarJet, Series
 __all__ = ["LnTauJet", "ln_tau_jet", "first_partial_pairing",
            "second_partial_formula", "second_partial_via_j1",
            "tau_route_defects", "identity_suite", "vector_akns_recovery",
-           "xi_helpers", "kdv_restriction_formula_check"]
+           "xi_helpers"]
 
 
 @dataclass
@@ -56,11 +56,14 @@ def first_partial_pairing(result: FactorizationResult, base_key: str,
                           shift: int) -> ScalarJet:
     """(ln tau)_{t_v} for the generator (base) lam**shift, evaluated through
     the reduced frame; well defined even for flow times outside the active
-    variable set.  Computed once per result: the value is shared, so
+    variable set.  Computed once per result (a result computed along a base
+    trajectory takes component 0 from its base): the value is shared, so
     callers must not modify it."""
     def build() -> ScalarJet:
         j_v = result.seq.base_series(result.ctx, base_key).shift(shift)
-        return j_v.pairing(result.xi, -1)
+        return j_v.pairing(result.xi, -1, base=None if result.base is None
+                           else first_partial_pairing(result.base, base_key,
+                                                      shift))
 
     return result.cached(("first_partial", base_key, shift), build)
 
@@ -372,31 +375,3 @@ def _complement_diag(n: int, nv: int) -> np.ndarray:
     for i in range(nv, n):
         m[i, i] = 1.0
     return m
-
-
-# ---------------------------------------------------------------------------
-# the AKNS-restriction construction of the KdV tau identity
-
-def kdv_restriction_formula_check(order: int = 3, seed: int = 5) -> float:
-    """With q frozen to 1 in the 2x2 recursion, Q_-1 must reduce to
-    (i/2)[[r, 0], [r_x, -r]] and tr(a Q_-1) to -r, on random r-jets."""
-    from .hierarchy import akns_sequence, q_recursion_vector_akns
-    from .splitting import SplitMix64
-
-    seq = akns_sequence(2, 1)
-    ctx = seq.context(order)
-    gen = SplitMix64(seed)
-    vals = np.array([gen.complex_entry(0.5) for _ in range(ctx.T)])
-    r = ScalarJet(ctx, (vals,), ctx.order)
-    u = _from_entries(ctx, {(0, 1): ScalarJet.const(ctx, 1.0),
-                            (1, 0): r})
-    _, P, T = q_recursion_vector_akns(seq, u, 2)
-    q_m1 = P[1] + T[1]
-    rx = seq.partial_x(r)
-    expect = _from_entries(ctx, {(0, 0): r * 0.5j, (1, 0): rx * 0.5j,
-                                 (1, 1): r * (-0.5j)})
-    worst = (q_m1 - expect).max_abs()
-    a_s = Series.monomial(ctx, seq.a)
-    tr = (a_s * q_m1).trace_coeff(0)
-    worst = max(worst, (tr + r).max_abs())
-    return worst

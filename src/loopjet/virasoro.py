@@ -141,21 +141,37 @@ def script_j(result: FactorizationResult) -> Series:
     return out
 
 
+def _m_log(result: FactorizationResult) -> Series:
+    """M_lam M^-1, built once per result."""
+    return result.cached("M_log", lambda: result.M.dlambda() * result.Minv)
+
+
+def _zeta_operand(result: FactorizationResult, ell: int) -> Series:
+    """lam**(l+1) M_lam M^-1 + lam**l M J M^-1 (J = script_j); its two
+    products do not depend on l and are built once per result."""
+    m_j = result.cached("M_script_j", lambda: (
+        result.M * script_j(result) * result.Minv))
+    return _m_log(result).shift(ell + 1) + m_j.shift(ell)
+
+
 def gl_frame_variation(result: FactorizationResult, ell: int) -> Series:
     """zeta_l(M) M^-1 = -(lam**(l+1) M_lam M^-1 + lam**l M J M^-1)_- in the
     diagonal gl coordinates (Gamma = 0)."""
-    sj = script_j(result)
-    x = ((result.M.dlambda() * result.Minv).shift(ell + 1)
-         + (result.M * sj * result.Minv).shift(ell))
-    return -(x.minus())
+    return -(_zeta_operand(result, ell).minus())
 
 
 def eps_perturbed_result(result: FactorizationResult, df: Series
                          ) -> FactorizationResult:
-    """Refactorize f + eps df (the exact variation route)."""
+    """Refactorize f + eps df (the exact variation route) along the
+    trajectory of ``result``: component 0 of every value is read from
+    ``result`` and only the tangent is computed.  The first call records
+    the trajectory onto ``result``; a result nothing refactorizes records
+    nothing."""
     f0 = result.f.base_part()
     return factorize_jet(result.spec, result.seq, result.ctx,
-                         f0.with_eps(df.embed(result.ctx)), V=result.V)
+                         f0.with_eps(df.embed(result.ctx)),
+                         var_choice=result.var_choice, V=result.V,
+                         base=result)
 
 
 def induced_lntau_variation(result: FactorizationResult, ell: int,
@@ -179,12 +195,11 @@ def induced_lntau_variation(result: FactorizationResult, ell: int,
 
 
 def thm56_defect(result_eps: FactorizationResult) -> float:
-    """General variation law: d/d eps ln tau = -<M_eps M^-1, E_lam E^-1>_{-1}."""
+    """General variation law: d/d eps ln tau = -<M_eps M^-1, E_lam E^-1>_{-1};
+    M^-1 and E_lam E^-1 are the base result's."""
     lhs = ln_tau_jet(result_eps).X.eps_part()
-    m0 = result_eps.M.base_part()
-    e0 = result_eps.E.base_part()
-    rhs = -(result_eps.M.eps_part() * m0.inv()).pairing(
-        e0.dlambda() * e0.inv(), -1)
+    base = result_eps.primal
+    rhs = -(result_eps.M.eps_part() * base.Minv).pairing(_e_log(base), -1)
     return (lhs - rhs).max_abs()
 
 
@@ -199,14 +214,15 @@ def c_ell(f: Series, ell: int) -> complex:
     return (x * x).trace_coeff(-(ell + 2)).coeff(0)
 
 
-def c_ell_const_defect(result: FactorizationResult, ell: int) -> float:
-    """<lam**l (E lam f_lam f^-1 E^-1)^2>_0 must be the t-independent c_l(f)."""
-    f0 = result.f.base_part()
+def c_ell_const_defect(result: FactorizationResult, ells) -> float:
+    """max over l in ``ells`` of the t-dependence of
+    <lam**l (E lam f_lam f^-1 E^-1)^2>_0, which must be the constant c_l(f)."""
+    ctx = result.ctx
+    f0 = result.f.base_part().at_zero(JetContext((), 0, ctx.n, ctx.lo, ctx.hi))
     g = _conjugated_operand(result, None)
-    jet = (g * g).trace_coeff(-ell)
-    return (jet - ScalarJet.const(result.ctx, c_ell(f0.at_zero(
-        JetContext((), 0, result.ctx.n, result.ctx.lo, result.ctx.hi)), ell))
-    ).max_abs()
+    gg = g * g
+    return max((gg.trace_coeff(-ell) - ScalarJet.const(ctx, c_ell(f0, ell))
+                ).max_abs() for ell in ells)
 
 
 _T76_COEFFS = {"proof": (0.5, 0.5), "printed": (1.0, 0.5)}
@@ -320,7 +336,7 @@ def proof_identities_check(result: FactorizationResult, tau: LnTauJet,
     b_i = np.eye(n) - 2 * e
     B = result.M * Series.from_degree_matrices(ctx, {1: b_i}) * result.Minv
     Q = result.conjugated_base(f"e{i}")
-    P = (result.M.dlambda() * result.Minv).shift(1)
+    P = _m_log(result).shift(1)
     out = {}
     lam2 = Series.from_degree_matrices(ctx, {2: np.eye(n)})
     lam1 = Series.from_degree_matrices(ctx, {1: np.eye(n)})
@@ -355,11 +371,9 @@ def proof_identities_check(result: FactorizationResult, tau: LnTauJet,
 
 def zeta_v_formula(result: FactorizationResult, ell: int) -> Series:
     """zeta_l(v_f) = -pi_1(Res_lam(lam**(l+1) M_lam M^-1 + lam**l M J M^-1))."""
-    sj = script_j(result)
-    x = ((result.M.dlambda() * result.Minv).shift(ell + 1)
-         + (result.M * sj * result.Minv).shift(ell))
     offdiag = 1.0 - np.eye(result.ctx.n)
-    return (-1.0) * x.degree_slice(-1).hadamard(offdiag)
+    return (-1.0) * _zeta_operand(result, ell).degree_slice(-1).hadamard(
+        offdiag)
 
 
 # ---------------------------------------------------------------------------

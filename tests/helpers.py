@@ -1,7 +1,10 @@
-"""Shared oracles and generators for the test suite.
+"""Shared oracles, generators and comparisons for the test suite.
 
 The oracles here are deliberately naive (dict-based double sums) and never
-call the vectorized kernels they are used to check.
+call the vectorized kernels they are used to check.  The helpers at the end
+(bit-for-bit comparisons, the trusted floor read, the dump parser and the
+KdV restriction check) serve only the tests, so they live here rather than
+in the package.
 """
 
 from __future__ import annotations
@@ -9,6 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from loopjet import JetContext, ScalarJet, Series
+from loopjet.context import NEG
+from loopjet.hierarchy import akns_sequence, q_recursion_vector_akns
+from loopjet.splitting import SplitMix64
+from loopjet.tau import _from_entries
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -73,3 +80,65 @@ def jet_dict(series: Series, degrees) -> dict:
         for k in degrees:
             out[(alpha, k)] = series.coeff(alpha, k)
     return out
+
+
+def same_slab(x, y) -> bool:
+    """Bit-for-bit equality of two slabs: data and degree bounds."""
+    return (np.array_equal(x.data, y.data)
+            and all(np.array_equal(getattr(x, b), getattr(y, b))
+                    for b in ("tlo", "slo", "shi", "thi")))
+
+
+def same_value(x, y) -> bool:
+    """Bit-for-bit equality of two series or scalar jets, every tangent
+    component and the trusted order included."""
+    if isinstance(x, Series):
+        parts = list(zip(x.slabs, y.slabs))
+        same = all(same_slab(a, b) for a, b in parts)
+    else:
+        parts = list(zip(x.vals, y.vals))
+        same = all(np.array_equal(a, b) for a, b in parts)
+    return x.E == y.E and x.vorder == y.vorder and same
+
+
+def trusted_lo(series: Series) -> int:
+    """Trusted floor of the base coefficient (jet index zero)."""
+    t = int(series.slabs[0].tlo[0])
+    return series.ctx.lo if t == NEG else t
+
+
+def csv_to_explicit_coeffs(text: str) -> list:
+    """Explicit-f coefficient table from an M dump (its zero multi-index
+    block is exactly f); used for report round-trips."""
+    out = []
+    for line in text.splitlines()[1:]:
+        if not line.strip():
+            continue
+        midx, deg, row, col, re, im = line.split(",")
+        if any(int(x) != 0 for x in midx.split(";")):
+            continue
+        out.append([int(deg), int(row), int(col), float(re), float(im)])
+    return out
+
+
+def kdv_restriction_formula_check(order: int = 3, seed: int = 5) -> float:
+    """The AKNS-restriction construction of the KdV tau identity: with q
+    frozen to 1 in the 2x2 recursion, Q_-1 must reduce to
+    (i/2)[[r, 0], [r_x, -r]] and tr(a Q_-1) to -r, on random r-jets."""
+    seq = akns_sequence(2, 1)
+    ctx = seq.context(order)
+    gen = SplitMix64(seed)
+    vals = np.array([gen.complex_entry(0.5) for _ in range(ctx.T)])
+    r = ScalarJet(ctx, (vals,), ctx.order)
+    u = _from_entries(ctx, {(0, 1): ScalarJet.const(ctx, 1.0),
+                            (1, 0): r})
+    _, P, T = q_recursion_vector_akns(seq, u, 2)
+    q_m1 = P[1] + T[1]
+    rx = seq.partial_x(r)
+    expect = _from_entries(ctx, {(0, 0): r * 0.5j, (1, 0): rx * 0.5j,
+                                 (1, 1): r * (-0.5j)})
+    worst = (q_m1 - expect).max_abs()
+    a_s = Series.monomial(ctx, seq.a)
+    tr = (a_s * q_m1).trace_coeff(0)
+    worst = max(worst, (tr + r).max_abs())
+    return worst

@@ -8,8 +8,10 @@ import time
 
 import pytest
 
-from loopjet.cli import csv_to_explicit_coeffs, main
+from loopjet.cli import main
 from loopjet.scenario import ScenarioConfig
+
+from helpers import csv_to_explicit_coeffs
 
 MINIMAL = {
     "schema": "loopjet-scenario/1",

@@ -2,17 +2,28 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
+import loopjet.series as series
 from loopjet import JetContext, Series, ShapeError, WindowExhausted
 from loopjet.hierarchy import akns_sequence, gl_sequence, kdv_sequence
 from loopjet.scattering import (e_ode_defect, factorize_jet, factorize_oracle,
                                 frame_variation_defect, lax_residual,
                                 m_ode_defect, reality_propagation_check,
                                 stabilizer_h_check, stabilizer_k_check)
+from loopjet.scenario import Scenario, ScenarioConfig
 from loopjet.series import exp_series
 from loopjet.splitting import SplittingSpec, sample_negative_element
+from loopjet.tau import ln_tau_jet, tau_route_defects
+from loopjet.virasoro import eps_perturbed_result, gamma_xi0, virasoro_field
+
+from helpers import same_value
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -248,3 +259,126 @@ def test_pipeline_stable_under_window_deepening():
     worst = max(worst, max(abs(x1.coeff(i) - x2.coeff(i))
                            for i in range(ctx.T)))
     assert worst < 1e-12
+
+
+# -- eps refactorization along the recorded base trajectory -------------------
+
+def _scenario(name: str, order: int | None = None) -> Scenario:
+    cfg = ScenarioConfig.from_dict(
+        json.loads((CONFIGS / f"{name}.json").read_text()))
+    if order is not None:
+        cfg.order = order
+    return Scenario(cfg)
+
+
+@pytest.fixture(scope="module", params=[("akns_standard", None),
+                                        ("gl3_full", 2)],
+                ids=["akns_standard", "gl3_order2"])
+def scen(request):
+    return _scenario(*request.param)
+
+
+def test_eps_runs_along_the_trajectory_equal_runs_from_scratch(scen):
+    s = scen
+    res = factorize_jet(s.spec, s.seq, s.ctx, s.f)
+    assert res.trajectory is None
+    # the first run records the trajectory, the second reads it
+    for ell, gamma in ((1, None), (2, gamma_xi0(s.ctx.n))):
+        df = virasoro_field(s.f, ell, gamma)
+        along = eps_perturbed_result(res, df)
+        scratch = factorize_jet(s.spec, s.seq, s.ctx,
+                                res.f.base_part().with_eps(df.embed(s.ctx)),
+                                V=res.V)
+        assert along.base is res and scratch.base is None
+        assert res.trajectory is not None
+        for name in ("M", "Minv", "E", "u", "v", "vfinv"):
+            if getattr(scratch, name) is not None:
+                assert same_value(getattr(along, name),
+                                  getattr(scratch, name)), (ell, name)
+        assert same_value(along.q_series(), scratch.q_series())
+        assert same_value(along.xi, scratch.xi)
+        assert same_value(ln_tau_jet(along).X.eps_part(),
+                          ln_tau_jet(scratch).X.eps_part())
+    # values the base result holds are shared; capped records keep only the
+    # rows up to their cap and no spectrum
+    assert along.Minv.slabs[0] is res.Minv.slabs[0]
+    assert along.vfinv.slabs[0] is res.vfinv.slabs[0]
+    for key, rec in res.trajectory.items():
+        rows = s.ctx.upto[key[0] - 1] if isinstance(key[0], int) else s.ctx.T
+        assert rec.slabs[0].data.shape[0] == rows, key
+        assert rec.slabs[0]._hat is None, key
+
+
+def test_second_eps_run_makes_no_base_product(monkeypatch):
+    s = _scenario("akns_standard")
+    res = factorize_jet(s.spec, s.seq, s.ctx, s.f)
+    slab_mul = series._slab_mul
+    calls = {"both_live": 0, "all": 0}
+
+    def counted(ctx, a, b, cap=None):
+        calls["all"] += 1
+        calls["both_live"] += not (a.is_zero() or b.is_zero())
+        return slab_mul(ctx, a, b, cap)
+
+    monkeypatch.setattr(series, "_slab_mul", counted)
+
+    def run(df):
+        calls.update(both_live=0, all=0)
+        eps = eps_perturbed_result(res, df)
+        ln_tau_jet(eps)
+        return dict(calls)
+
+    # along a zero direction every tangent is certified zero, so a product
+    # of two live operands is a product of base values
+    zero = Series.zeros(s.fctx)
+    first, second = run(zero), run(zero)
+    assert first["both_live"] > 0
+    assert second["both_live"] == 0
+    assert run(virasoro_field(s.f, 1, None))["both_live"] > 0
+
+
+def test_mismatched_base_is_refused(scen):
+    s = scen
+    res = factorize_jet(s.spec, s.seq, s.ctx, s.f)
+    df = virasoro_field(s.f, 0, None)
+    f0 = res.f.base_part()
+    other = sample_negative_element(s.spec, s.fctx, seed=s.cfg.f_seed + 1,
+                                    depth=3, amplitude=0.3)
+    low = JetContext(s.ctx.variables, s.ctx.order - 1, s.ctx.n, s.ctx.lo,
+                     s.ctx.hi)
+    attempts = {
+        "f": lambda: factorize_jet(s.spec, s.seq, s.ctx, other.with_eps(df),
+                                   V=res.V, base=res),
+        "V": lambda: factorize_jet(s.spec, s.seq, s.ctx, f0.with_eps(
+            df.embed(s.ctx)), V=res.V.scale(2.0), base=res),
+        "var_choice": lambda: factorize_jet(
+            s.spec, s.seq, s.ctx, f0.with_eps(df.embed(s.ctx)),
+            var_choice="last", V=res.V, base=res),
+        "context": lambda: factorize_jet(s.spec, s.seq, low,
+                                         s.f.with_eps(df), base=res),
+        "no tangent": lambda: factorize_jet(s.spec, s.seq, s.ctx, f0,
+                                            V=res.V, base=res),
+    }
+    for what, attempt in attempts.items():
+        with pytest.raises(ShapeError, match="base trajectory"):
+            attempt()
+        assert res.trajectory is None, what
+    eps = eps_perturbed_result(res, df)
+    with pytest.raises(ShapeError, match="base trajectory"):
+        eps_perturbed_result(eps, df)
+
+
+def test_factorizations_nothing_refactorizes_record_nothing():
+    s = _scenario("akns_standard")
+    res = factorize_jet(s.spec, s.seq, s.ctx, s.f)
+    alt = factorize_jet(s.spec, s.seq, s.ctx, s.f, var_choice="last", V=res.V)
+    tau_route_defects(res, ln_tau_jet(res))
+    h = Series.identity(s.fctx) + Series.monomial(
+        s.fctx, np.diag([0.2, -0.2]).astype(complex), -1)
+    chk = stabilizer_h_check(res, h)
+    assert res.trajectory is alt.trajectory is None
+    assert chk["result_h"].trajectory is None
+    eps = eps_perturbed_result(res, virasoro_field(s.f, 0, None))
+    assert res.trajectory is not None
+    assert eps.trajectory is None and alt.trajectory is None
+    assert chk["result_h"].trajectory is None

@@ -14,7 +14,8 @@ from loopjet.context import NEG, POS
 from loopjet.series import _cap_top, _finalize_tlo
 
 from helpers import (conv_oracle, jet_conv_oracle, random_jet_series,
-                     random_laurent_dict, random_matrix, rng, series_from_dict)
+                     random_laurent_dict, random_matrix, rng, same_slab,
+                     same_value, series_from_dict, trusted_lo)
 
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -48,7 +49,7 @@ def test_mul_matches_bruteforce_and_trusted_lo():
     B = series_from_dict(ctx, db, exact=False)
     C = A * B
     C.require_window()
-    assert C.trusted_lo == -6
+    assert trusted_lo(C) == -6
     oracle = conv_oracle(da, db)
     for k in range(-6, 3):
         assert np.abs(C.coeff(0, k) - oracle[k]).max() < 1e-12
@@ -68,7 +69,7 @@ def test_mul_trusted_window_sound_under_deepening():
           * series_from_dict(deep, db, exact=False))
     cs.require_window()
     cd.require_window()
-    for k in range(cs.trusted_lo, 3):
+    for k in range(trusted_lo(cs), 3):
         assert np.abs(cs.coeff(0, k) - cd.coeff(0, k)).max() < 1e-12
 
 
@@ -105,7 +106,7 @@ def test_inv_nilpotent():
     expect = Series.identity(ctx) - Series.monomial(ctx, E21, -1)
     assert (finv - expect).max_abs() < 1e-14
     # nilpotent termination keeps the inverse exact everywhere
-    assert finv.trusted_lo == ctx.lo
+    assert trusted_lo(finv) == ctx.lo
     assert np.abs(finv.coeff(0, ctx.lo)).max() == 0.0
 
 
@@ -188,6 +189,29 @@ def test_jet_partial_and_monomials():
     assert d.vorder == 2
     y = x.times_var("t2")
     assert np.abs(y.coeff((2, 1), 0) - a).max() < 1e-15
+
+
+def test_from_rows_writes_fresh_arrays_with_the_same_bits():
+    ctx = JetContext(("t1", "t2"), 2, 2, -6, 3)
+    gen = rng(37)
+    x = random_jet_series(ctx, gen, -3, 1).with_eps(
+        random_jet_series(ctx, gen, -2, 0))
+    src, dst, fac = ctx.partial_maps[0]
+    kw = dict(factor=fac, vorder=x.vorder - 1)
+    fresh = Series.from_rows(ctx, dst, x, src, **kw)
+    copied = Series.zeros(ctx).with_rows(dst, x, src, **kw)
+    assert same_value(fresh, copied)
+    assert same_value(fresh, x.partial("t1"))
+    # with_rows leaves its own value alone
+    before = [s.data.copy() for s in copied.slabs]
+    copied.with_rows(dst, x, src)
+    assert all(np.array_equal(s.data, d) for s, d in zip(copied.slabs, before))
+    j = ScalarJet(ctx, (gen.standard_normal(ctx.T) + 0j,), ctx.order)
+    assert same_value(ScalarJet.from_rows(ctx, dst, j, src, factor=fac,
+                                          vorder=ctx.order - 1),
+                      j.partial("t1"))
+    assert same_value(ScalarJet.from_rows(ctx, dst, j, src, factor=fac),
+                      ScalarJet.zeros(ctx).with_rows(dst, j, src, factor=fac))
 
 
 def test_jet_mul_matches_bruteforce():
@@ -544,12 +568,6 @@ def test_slab_mul_const_keeps_dead_rows_dead(b_const):
 
 # -- tangent components and the inverse memo ----------------------------------
 
-def _same_slab(x, y):
-    return (np.array_equal(x.data, y.data)
-            and all(np.array_equal(getattr(x, b), getattr(y, b))
-                    for b in ("tlo", "slo", "shi", "thi")))
-
-
 @pytest.mark.parametrize("K", [0, 1, 3])
 def test_tangent_components_equal_single_direction_runs(K):
     ctx = JetContext(("t1", "t2"), 2, 2, -14, 4)
@@ -562,12 +580,12 @@ def test_tangent_components_equal_single_direction_runs(K):
     a, b = A.with_eps(*da), B.with_eps(*db)
     assert a.E == b.E == K + 1
     ops = {
-        "matmul": (lambda x, y: x.matmul(y), lambda r: r.slabs, _same_slab),
+        "matmul": (lambda x, y: x.matmul(y), lambda r: r.slabs, same_slab),
         "matmul_cap": (lambda x, y: x.matmul(y, 1), lambda r: r.slabs,
-                       _same_slab),
+                       same_slab),
         "matmul_plain_right": (lambda x, y: x.matmul(y.base_part()),
-                               lambda r: r.slabs, _same_slab),
-        "inv": (lambda x, y: x.inv(), lambda r: r.slabs, _same_slab),
+                               lambda r: r.slabs, same_slab),
+        "inv": (lambda x, y: x.inv(), lambda r: r.slabs, same_slab),
         "pairing": (lambda x, y: x.pairing(y, -1), lambda r: r.vals,
                     np.array_equal),
     }
@@ -605,11 +623,11 @@ def test_laurent_inv_memo_matches_uncached_call():
     for s in (neg, pos, cut):
         slab = s.slabs[0]
         first = _laurent_inv(ctx, slab)
-        assert _same_slab(first, _neumann_inv(ctx, slab))
+        assert same_slab(first, _neumann_inv(ctx, slab))
         first.data[0] += 1.0
         first.tlo[0], first.shi[0] = 3, -7
         again = _laurent_inv(ctx, slab)
         assert again is not first
-        assert _same_slab(again, _neumann_inv(ctx, slab))
+        assert same_slab(again, _neumann_inv(ctx, slab))
     # one entry per distinct (row-0 data, trusted floor)
     assert len(ctx.inv_memo) == 3

@@ -11,10 +11,11 @@ from loopjet.scattering import factorize_jet, stabilizer_h_check, stabilizer_k_c
 from loopjet.series import exp_series
 from loopjet.splitting import SplittingSpec, sample_negative_element
 from loopjet.tau import (conjugation_invariance_check, first_partial_pairing,
-                         identity_suite, kdv_restriction_formula_check,
-                         ln_tau_jet, second_partial_formula,
+                         identity_suite, ln_tau_jet, second_partial_formula,
                          shift_constancy_check, tau_route_defects,
                          vector_akns_recovery, xi_helpers)
+
+from helpers import kdv_restriction_formula_check
 
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 
