@@ -22,7 +22,7 @@ import numpy as np
 from .context import JetContext
 from .errors import ShapeError, WindowExhausted
 from .hierarchy import VacuumSequence, lax_bracket, vacuum_frame
-from .series import Series, _Slab, commutator
+from .series import Series, commutator
 from .splitting import SplittingSpec, reality_check
 
 __all__ = ["FactorizationResult", "factorize_jet", "factorize_oracle",
@@ -40,22 +40,18 @@ def _reuse(trajectory: dict | None, key, compute,
     recorded in ``trajectory``: None without a trajectory, and None the
     first time, when the base component of the value computed is recorded.
 
-    A value capped at jet order ``cap`` is recorded by its rows below
-    ``ctx.upto[cap]`` alone (the rest are certified zero), and each read
-    builds it in fresh arrays, so no spectrum outlives the run that
-    computed it."""
+    A value capped at jet order ``cap`` is recorded as plain arrays of its
+    rows below ``ctx.upto[cap]`` alone (the rest are certified zero), and
+    each read builds it in fresh arrays, so no spectrum outlives the run
+    that computed it."""
     rec = None if trajectory is None else trajectory.get(key)
     if rec is not None:
-        rows = slice(0, rec.slabs[0].data.shape[0])
-        return compute(Series.from_rows(rec.ctx, rows, rec, rows,
-                                        vorder=rec.vorder))
+        return compute(Series.from_base_rows(*rec))
     out = compute(None)
     if trajectory is not None:
-        ctx, s = out.ctx, out.slabs[0]
-        rows = ctx.T if cap is None else int(ctx.upto[cap])
-        trajectory[key] = Series(ctx, (_Slab(*(
-            a[:rows].copy() for a in (s.data, s.tlo, s.slo, s.shi, s.thi))),),
-            out.vorder)
+        ctx = out.ctx
+        trajectory[key] = (ctx, out.base_rows(
+            ctx.T if cap is None else int(ctx.upto[cap])))
     return out
 
 
@@ -102,20 +98,6 @@ class FactorizationResult:
         return self.cached("xi", lambda: self.Minv.matmul(
             self.M.dlambda(),
             base=None if self.base is None else self.base.xi))
-
-    @property
-    def primal(self) -> "FactorizationResult":
-        """The eps-free result of the base value: this result if it has no
-        tangent data, ``base`` if it was computed along that trajectory,
-        else one built once from its base parts."""
-        if self.base is not None or self.f.E == 1:
-            return self.base or self
-        return self.cached("primal", lambda: FactorizationResult(
-            self.spec, self.seq, self.ctx,
-            *(x.base_part() for x in (self.f, self.M, self.Minv, self.E,
-                                      self.V, self.vfinv, self.u)),
-            None if self.v is None else self.v.base_part(),
-            var_choice=self.var_choice))
 
     def conjugated_base(self, key: str) -> Series:
         """M J_base M^-1, cached per base element."""
@@ -355,10 +337,12 @@ def m_ode_defect(result: FactorizationResult) -> float:
 def frame_variation_defect(result_eps: FactorizationResult) -> float:
     """Variation law of the reduced frame: for the tangent perturbation df
     of a factorization of f + eps df, (delta M) M^-1 = (E (df) f^-1 E^-1)_-;
-    M^-1, E and E^-1 are the base result's."""
-    res, base = result_eps, result_eps.primal
-    lhs = res.M.eps_part() * base.Minv
-    rhs = (base.E * res.f.eps_part() * base.f.inv() * base.Einv).minus()
+    M^-1, E and E^-1 are the base result's when it was computed along one."""
+    res = result_eps
+    base = res.base or res  # from scratch: its own base parts
+    minv, e, einv = (x.base_part() for x in (base.Minv, base.E, base.Einv))
+    lhs = res.M.eps_part() * minv
+    rhs = (e * res.f.eps_part() * res.f.base_part().inv() * einv).minus()
     return (lhs - rhs).max_abs()
 
 

@@ -603,6 +603,25 @@ class Series:
         return cls(ctx, (), ctx.order).with_rows(rows, src, src_rows, factor,
                                                  divisor, vorder)
 
+    def base_rows(self, stop: int) -> tuple:
+        """The base value's jet rows below ``stop`` as a plain tuple
+        ``(vorder, data, tlo, slo, shi, thi)`` of copies, no spectrum: a
+        compact record of a value whose later rows are certified zero."""
+        s = self.slabs[0]
+        return (self.vorder,) + tuple(
+            a[:stop].copy() for a in (s.data, s.tlo, s.slo, s.shi, s.thi))
+
+    @classmethod
+    def from_base_rows(cls, ctx: JetContext, record: tuple) -> "Series":
+        """The value a :meth:`base_rows` record stands for, in fresh arrays;
+        its rows past the record are certified zero."""
+        vorder, *arrays = record
+        z = _zero_slab(ctx)
+        rows = slice(0, arrays[0].shape[0])
+        return cls(ctx, (_Slab(*_row_copy(
+            (z.data, z.tlo, z.slo, z.shi, z.thi), rows, tuple(arrays), rows,
+            copy=False)),), vorder)
+
     def partial(self, var: str) -> "Series":
         """Partial derivative in one flow variable; trusted jet order drops."""
         ctx = self.ctx

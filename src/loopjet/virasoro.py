@@ -141,23 +141,13 @@ def script_j(result: FactorizationResult) -> Series:
     return out
 
 
-def _m_log(result: FactorizationResult) -> Series:
-    """M_lam M^-1, built once per result."""
-    return result.cached("M_log", lambda: result.M.dlambda() * result.Minv)
-
-
-def _zeta_operand(result: FactorizationResult, ell: int) -> Series:
-    """lam**(l+1) M_lam M^-1 + lam**l M J M^-1 (J = script_j); its two
-    products do not depend on l and are built once per result."""
-    m_j = result.cached("M_script_j", lambda: (
-        result.M * script_j(result) * result.Minv))
-    return _m_log(result).shift(ell + 1) + m_j.shift(ell)
-
-
 def gl_frame_variation(result: FactorizationResult, ell: int) -> Series:
     """zeta_l(M) M^-1 = -(lam**(l+1) M_lam M^-1 + lam**l M J M^-1)_- in the
     diagonal gl coordinates (Gamma = 0)."""
-    return -(_zeta_operand(result, ell).minus())
+    sj = script_j(result)
+    x = ((result.M.dlambda() * result.Minv).shift(ell + 1)
+         + (result.M * sj * result.Minv).shift(ell))
+    return -(x.minus())
 
 
 def eps_perturbed_result(result: FactorizationResult, df: Series
@@ -196,10 +186,12 @@ def induced_lntau_variation(result: FactorizationResult, ell: int,
 
 def thm56_defect(result_eps: FactorizationResult) -> float:
     """General variation law: d/d eps ln tau = -<M_eps M^-1, E_lam E^-1>_{-1};
-    M^-1 and E_lam E^-1 are the base result's."""
+    M^-1 and E_lam E^-1 are the base result's when it was computed along
+    one."""
     lhs = ln_tau_jet(result_eps).X.eps_part()
-    base = result_eps.primal
-    rhs = -(result_eps.M.eps_part() * base.Minv).pairing(_e_log(base), -1)
+    base = result_eps.base or result_eps  # from scratch: its own base parts
+    rhs = -(result_eps.M.eps_part() * base.Minv.base_part()).pairing(
+        _e_log(base).base_part(), -1)
     return (lhs - rhs).max_abs()
 
 
@@ -336,7 +328,7 @@ def proof_identities_check(result: FactorizationResult, tau: LnTauJet,
     b_i = np.eye(n) - 2 * e
     B = result.M * Series.from_degree_matrices(ctx, {1: b_i}) * result.Minv
     Q = result.conjugated_base(f"e{i}")
-    P = _m_log(result).shift(1)
+    P = (result.M.dlambda() * result.Minv).shift(1)
     out = {}
     lam2 = Series.from_degree_matrices(ctx, {2: np.eye(n)})
     lam1 = Series.from_degree_matrices(ctx, {1: np.eye(n)})
@@ -371,9 +363,11 @@ def proof_identities_check(result: FactorizationResult, tau: LnTauJet,
 
 def zeta_v_formula(result: FactorizationResult, ell: int) -> Series:
     """zeta_l(v_f) = -pi_1(Res_lam(lam**(l+1) M_lam M^-1 + lam**l M J M^-1))."""
+    sj = script_j(result)
+    x = ((result.M.dlambda() * result.Minv).shift(ell + 1)
+         + (result.M * sj * result.Minv).shift(ell))
     offdiag = 1.0 - np.eye(result.ctx.n)
-    return (-1.0) * _zeta_operand(result, ell).degree_slice(-1).hadamard(
-        offdiag)
+    return (-1.0) * x.degree_slice(-1).hadamard(offdiag)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Record a before/after benchmark comparison into a BENCH_<name>.json file.
 
 Given two source checkouts (a parent and a change), this runs
-``perfbench/run.py --trace 0`` in each for every workload, in alternating
-pairs at one pinned seed: pair 0 runs the parent first, pair 1 the change
-first, and so on, with the workloads interleaved inside each pair so that a
-drift in host speed hits both sides alike.  It keeps the final JSON line of
-every run, the seed, the pair order and the host line (``env ...``) that
-``run.py`` prints, plus a per-workload summary: the median of each metric
-on each side, the quartiles of the parent's runs and the number of pairs
-the change won.  The file is rewritten after every run, so an interrupted
-recording keeps what it measured.
+``perfbench/run.py --trace 0`` in each for every workload, at ``run.py``'s
+own run length, in ten alternating pairs at one pinned seed: pair 0 runs
+the parent first, pair 1 the change first, and so on, with the workloads
+interleaved inside each pair so that a drift in host speed hits both sides
+alike.  It keeps the final JSON line of every run, the seed, the pair
+order and the host line (``env ...``) that ``run.py`` prints, plus a
+per-workload summary: the median of each metric on each side, the
+quartiles of the parent's runs and the number of pairs the change won.  The
+file is rewritten after every run, so an interrupted recording keeps what
+it measured.
 
     python3 tools/bench_record.py --parent ../parent --change . \\
-        --seed 23 --pairs 10 --seconds 30 --out BENCH_6.json
+        --seed 23 --out BENCH_6.json
 
 ``perfbench/`` is only read; its bounds and expectations are not touched.
 """
@@ -29,14 +30,15 @@ import time
 
 WORKLOADS = ("gl3_verify", "akns_sweep", "gl3_deep")
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: str, workload: str, seed: int) -> dict:
     """One ``run.py`` run; its final JSON line, host line and exit code."""
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     host = next((ln[4:] for ln in lines if ln.startswith("env ")), None)
@@ -87,10 +89,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--parent", required=True, help="parent checkout")
     ap.add_argument("--change", required=True, help="changed checkout")
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS),
-                    choices=WORKLOADS)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
     here = os.path.dirname(os.path.abspath(__file__))
@@ -100,15 +98,14 @@ def main(argv: list[str] | None = None) -> int:
     checkouts = {"parent": os.path.abspath(args.parent),
                  "change": os.path.abspath(args.change)}
     record = {"command": "perfbench/run.py --trace 0", "seed": args.seed,
-              "seconds": args.seconds, "pairs": args.pairs,
-              "workloads": args.workloads, "pair_order": [],
+              "pairs": PAIRS, "workloads": list(WORKLOADS), "pair_order": [],
               "host": None, "runs": [], "summary": {}}
-    for pair in range(args.pairs):
+    for pair in range(PAIRS):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         record["pair_order"].append(list(order))
-        for wl in args.workloads:
+        for wl in WORKLOADS:
             for side in order:
-                run = run_once(checkouts[side], wl, args.seed, args.seconds)
+                run = run_once(checkouts[side], wl, args.seed)
                 record["host"] = record["host"] or run.pop("host")
                 run.pop("host", None)
                 record["runs"].append({"workload": wl, "pair": pair,
