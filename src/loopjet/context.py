@@ -19,9 +19,16 @@ together with index maps for partial derivatives and monomial shifts:
   with no gather of ``b`` rows; pairings, scalar-jet products and degree
   bounds scatter their per-pair values into the ``pair_c`` rows.
 
-Laurent-degree convolutions are done by FFT along the degree axis; ``nfft``
-is the next power of two at or above ``2W - 1``, so circular wrap-around
-never reaches the extracted window.
+Laurent-degree convolutions are done by FFT along the degree axis, and a
+product keeps only the degrees ``[lo, hi]`` of its ``2W - 1``-term linear
+convolution (a middle product).  ``nfft`` is the least power of two at or
+above ``W + max(hi, -lo)``, which is exactly enough: the ``W - 1`` discarded
+degrees form two runs next to the kept window, ``-lo`` degrees below it and
+``hi`` above it.  A length-``N`` circular convolution folds position ``s``
+onto ``s mod N``, so the ``W`` kept positions are untouched exactly when each
+run fits into the ``N - W`` residues outside them, that is when
+``N >= W + max(hi, -lo)``; at one less, the longer run and the window
+share a residue.
 
 A context also holds the memo of base Laurent inverses (``inv_memo``):
 the Neumann inverse of a jet's row-0 coefficient depends only on that
@@ -92,7 +99,9 @@ class JetContext:
         self.lo = int(lo)
         self.hi = int(hi)
         self.W = self.hi - self.lo + 1
-        self.nfft = _next_pow2(2 * self.W - 1)
+        # alias-free middle product: both discarded runs (-lo degrees below
+        # the window, hi above) fit into the nfft - W residues outside it
+        self.nfft = _next_pow2(self.W + max(self.hi, -self.lo))
 
         if self.variables:
             self.midx = np.array(_graded_multi_indices(len(self.variables), order),

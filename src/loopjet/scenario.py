@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -87,10 +88,13 @@ class ScenarioConfig:
         a_diag = None
         if raw.get("a_diag") is not None:
             try:
-                a_diag = [complex(re, im) for re, im in raw["a_diag"]]
+                pairs = [(re, im) for re, im in raw["a_diag"]]
             except (TypeError, ValueError):
                 raise ConfigError("a_diag must be a list of [re, im] "
                                   "pairs") from None
+            a_diag = [complex(_convert(float, re, "a_diag"),
+                              _convert(float, im, "a_diag"))
+                      for re, im in pairs]
         window = None
         if raw.get("window") is not None:
             w = raw["window"]
@@ -169,9 +173,33 @@ class ScenarioConfig:
                               "entries (a regular a)")
         if self.order < 1:
             raise ConfigError("order must be >= 1")
+        for suite in self.suites:
+            low = self._min_order(suite)
+            if self.order < low:
+                raise ConfigError(f"field 'order': suite {suite!r} needs "
+                                  f"order >= {low} for this {self.family} "
+                                  f"config, got {self.order}")
         for cid in self.tolerances:
             if cid not in CATALOG:
                 raise ConfigError(f"field 'tolerances.{cid}': unknown check id")
+
+    def _min_order(self, suite: str) -> int:
+        """Least jet order at which ``suite`` can read every jet it checks
+        (found by running each shipped family at orders 1 to 3)."""
+        akns = (self.family == "vector_akns" or (
+            self.family == "akns_sl2"
+            and self.variant not in ("sigma_twisted", "tau_sigma")))
+        if suite == "flows" and akns:
+            return 2  # the q-recursion leading-term law reads Q_{-3} at t = 0
+        # the Theorem 7.6 checks run when the gl flow exponents are
+        # consecutive: every one on the standard variant, only exponent 1
+        # on the twisted ones, which keep the odd exponents
+        if suite == "virasoro" and self.family == "gl_n" and (
+                self.variant == "standard" or self.num_flows == 1):
+            return 2
+        if suite == "recovery" and self.family == "vector_akns":
+            return self.n  # the jet order _recovery_pieces requires
+        return 1
 
     def echo(self) -> dict:
         out = {
@@ -197,13 +225,17 @@ class ScenarioConfig:
 
 
 def _convert(kind, value, name: str):
-    """``kind(value)`` for a config field; a malformed value is a
-    :class:`ConfigError` naming the field."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"field {name!r} must be {kind.__name__}, "
-                          f"got {value!r}") from None
+    """A config field of type ``kind``: an ``int`` field takes a JSON
+    integer, a ``float`` field any finite JSON number; strings, booleans,
+    fractions and non-finite values are a :class:`ConfigError` naming the
+    field, never silently coerced."""
+    ok = (isinstance(value, int) if kind is int else
+          isinstance(value, (int, float))
+          and abs(value) <= sys.float_info.max)  # False for inf and NaN
+    if not ok or isinstance(value, bool):
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"field {name!r} must be {what}, got {value!r}")
+    return kind(value)
 
 
 def _list_of(value, name: str) -> list:

@@ -642,11 +642,11 @@ class Series:
         if slab.tlo[row] != NEG and k < slab.tlo[row]:
             raise TrustError(
                 f"{what}: degree {k} below trusted floor {int(slab.tlo[row])} "
-                f"at jet index {tuple(self.ctx.midx[row])}")
+                f"at jet index {tuple(self.ctx.midx[row].tolist())}")
         if slab.thi[row] != POS and k > slab.thi[row]:
             raise TrustError(
                 f"{what}: degree {k} above trusted top {int(slab.thi[row])} "
-                f"at jet index {tuple(self.ctx.midx[row])}")
+                f"at jet index {tuple(self.ctx.midx[row].tolist())}")
 
     def coeff(self, alpha, k: int, eps: int = 0) -> np.ndarray:
         """Trusted read of one matrix coefficient."""
@@ -723,7 +723,7 @@ class Series:
             i = int(np.flatnonzero(bad)[0])
             raise TrustError(
                 f"pairing at degree {k} not trusted for jet index "
-                f"{tuple(ctx.midx[pc[i]])}")
+                f"{tuple(ctx.midx[pc[i]].tolist())}")
         # sum_j tr(A_j B_{k-j}); align a reversed copy of B so position w
         # (degree lo+w) of A meets degree k-lo-w of B.
         off = ctx.W - 1 - (k - 2 * ctx.lo)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import time
 
@@ -191,7 +192,11 @@ def test_exit_code_numerical_failure(tmp_path):
     (("f_source",), {"kind": "explicit", "coeffs": [[-500, 1, 1, 0.1, 0.0]]}),
     (("f_source",), {"kind": "explicit",
                      "coeffs": [[0, 1, 1, 2.0, 0.0], [0, 2, 2, 1.0, 0.0]]}),
-    (("tolerances", "cocycle_jacobi"), 1e-9)])
+    (("tolerances", "cocycle_jacobi"), 1e-9),
+    (("n",), 2.5), (("order",), True), (("window",), {"lo": -26.5, "hi": 11}),
+    (("virasoro", "ells"), [0.5]), (("tolerances", "fact_oracle"), math.nan),
+    (("f_source", "amplitude"), math.nan),
+    (("a_diag",), [[1, 0], [math.inf, 0]])])
 def test_exit_code_malformed_field(tmp_path, capsys, path, value):
     _assert_field_rejected(tmp_path, capsys, SEEDED, path, value)
 
@@ -213,6 +218,24 @@ def _assert_field_rejected(tmp_path, capsys, base, path, value):
                "--out", str(tmp_path / "r.json")])
     assert rc == 2
     assert ".".join(path) in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("name,suite,low", [
+    ("akns_standard", "flows", 2), ("nls_unitary", "flows", 2),
+    ("vector_akns", "flows", 2), ("gl2_operator", "virasoro", 2),
+    ("vector_akns", "recovery", 3)])
+def test_exit_code_order_too_low_for_suite(tmp_path, capsys, name, suite, low):
+    raw = json.loads((SHIPPED / f"{name}.json").read_text())
+    raw["suites"] = [suite]
+    raw["order"] = low
+    ScenarioConfig.from_dict(raw)  # the minimum itself is accepted
+    raw["order"] = low - 1
+    rc = main(["run", "--config", _write(tmp_path, "c.json", raw),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'order'" in err and repr(suite) in err
     assert not (tmp_path / "r.json").exists()
 
 

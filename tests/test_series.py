@@ -274,6 +274,16 @@ def test_projections_split_exactly():
     assert x.plus().minus().max_abs() == 0.0
 
 
+def test_trust_errors_name_the_jet_index_in_plain_ints():
+    ctx = JetContext(("t1", "t2"), 1, 2, -6, 3)
+    x = random_jet_series(ctx, rng(43), -4, 0, exact=False)
+    eroded = x * Series.monomial(ctx, np.eye(2), 3)  # trusted from lo+3 up
+    with pytest.raises(TrustError, match=r"at jet index \(1, 0\)$"):
+        eroded.coeff((1, 0), ctx.lo)
+    with pytest.raises(TrustError, match=r"for jet index \(0, 0\)$"):
+        eroded.pairing(x, 2 * ctx.lo)
+
+
 def test_plus_projection_restores_trust():
     gen = rng(41)
     ctx = fctx()
@@ -475,6 +485,87 @@ def test_slab_mul_matches_oracle(n, cap):
     ref = _pair_table_bounds(ctx, A.slabs[0], B.slabs[0], top)
     for got, expect in zip((out.tlo, out.slo, out.shi, out.thi), ref):
         assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("lo,hi", [(-13, 3), (-3, 13), (-26, 11), (-24, 10),
+                                   (-7, 7)])
+def test_nfft_is_the_alias_free_bound(lo, hi):
+    ctx = JetContext((), 0, 1, lo, hi)
+    W, bound = ctx.W, ctx.W + max(hi, -lo)
+    assert ctx.nfft >= bound > ctx.nfft // 2
+    assert ctx.nfft & (ctx.nfft - 1) == 0
+    # plain numpy: a length-N circular convolution of full-support window
+    # data keeps the window of the linear convolution at N = bound, not at
+    # N = bound - 1 (position s of the convolution lands on s mod N)
+    gen = rng(W)
+    x, y = (gen.standard_normal((W, 2)) @ np.array([1, 1j]) for _ in range(2))
+    want = np.convolve(x, y)[-lo:-lo + W]
+    for N, same in ((bound, True), (bound - 1, False)):
+        circ = np.fft.ifft(np.fft.fft(x, N) * np.fft.fft(y, N))
+        got = circ[np.arange(-lo, -lo + W) % N]
+        err = np.abs(got - want).max() / np.abs(want).max()
+        assert (err < 1e-12) if same else (err > 1e-3)
+
+
+def _full_window_operand(ctx, gen, lo, hi, scale):
+    """Series with content at every degree of [lo, hi] on every jet row,
+    and the oracle dict of its rows."""
+    out, coeffs = Series.zeros(ctx), {}
+    for row in range(ctx.T):
+        c = random_laurent_dict(gen, ctx.n, lo, hi, scale)
+        out = out + Series.from_degree_matrices(ctx, c, alpha=row)
+        coeffs[tuple(ctx.midx[row])] = _Laurent(c)
+    return out, coeffs
+
+
+def _relative_error(ctx, slab, oracle):
+    """Largest stored-coefficient error of ``slab`` against the oracle,
+    relative to the oracle's largest window coefficient."""
+    want = np.zeros_like(slab.data)
+    for row in range(ctx.T):
+        got = oracle.get(tuple(ctx.midx[row]), _Laurent({})).coeffs
+        for p, k in enumerate(ctx.degrees):
+            if int(k) in got:
+                want[row, p] = got[int(k)]
+    return np.abs(slab.data - want).max() / np.abs(want).max()
+
+
+_HALVED = [(-13, 3), (-3, 13)]  # nfft 32 here; 2W - 1 = 33 would need 64
+
+
+@pytest.mark.parametrize("cap", [None, 1])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("lo,hi", _HALVED)
+def test_matmul_at_the_alias_free_bound(lo, hi, n, cap):
+    ctx = JetContext(("t1", "t2"), 3, n, lo, hi)
+    assert ctx.nfft == 32
+    gen = rng(10 * n - lo)
+    A, da = _full_window_operand(ctx, gen, lo, hi, 0.5)
+    B, db = _full_window_operand(ctx, gen, lo, hi, 0.5)
+    top = ctx.order if cap is None else cap
+    oracle = jet_conv_oracle(da, db, top)
+    assert _relative_error(ctx, A.matmul(B, cap).slabs[0], oracle) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("lo,hi", _HALVED)
+def test_inv_at_the_alias_free_bound(lo, hi, n):
+    # A = I + N with N on degrees [lo, -1] of every jet row: its inverse is
+    # the Neumann sum of (-N)^k, exact on the window once cut below lo
+    ctx = JetContext(("t1", "t2"), 3, n, lo, hi)
+    assert ctx.nfft == 32
+    N, dn = _full_window_operand(ctx, rng(20 * n - lo), lo, -1, 0.2)
+    minus_n = {a: _Laurent({k: -m for k, m in v.coeffs.items()})
+               for a, v in dn.items()}
+    term = {(0, 0): _Laurent({0: np.eye(n)})}
+    oracle = dict(term)
+    for _ in range(-lo):
+        term = {a: _Laurent({k: m for k, m in v.coeffs.items() if k >= lo})
+                for a, v in jet_conv_oracle(term, minus_n, ctx.order).items()}
+        for a, v in term.items():
+            oracle[a] = oracle.get(a, 0) + v
+    A = Series.identity(ctx) + N
+    assert _relative_error(ctx, A.inv().slabs[0], oracle) < 1e-12
 
 
 @pytest.mark.parametrize("b_const", [True, False])

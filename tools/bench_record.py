@@ -8,9 +8,21 @@ interleaved inside each pair so that a drift in host speed hits both sides
 alike.  It keeps the final JSON line of every run, the seed, the pair
 order and the host line (``env ...``) that ``run.py`` prints, plus a
 per-workload summary: the median of each metric on each side, the
-quartiles of the parent's runs and the number of pairs the change won.  The
-file is rewritten after every run, so an interrupted recording keeps what
-it measured.
+quartiles of the parent's runs and the number of pairs the change won.
+
+After the pairs it runs, once per side and alternating which side goes
+first, each of the 10 shipped configs through the CLI, the two larger
+workloads ``gl3_full`` at jet order 4 (full suite) and ``akns_standard`` at
+order 8, and the Tier-1 suite.  Each of these ``extras`` records its wall
+time, exit code, the report's ``timing_s`` and, for the two larger
+workloads, a gate: exit 0, every check passed, and the check ids and
+conventions of the shipped order-3 report pinned in
+``tests/data/shipped_reports.json``.  Every child process, ``run.py``
+included, records its ``ru_maxrss`` and ``ru_minflt`` from ``os.wait4``
+(they cover the processes it waited for, so a ``run.py`` run counts its
+workload processes).  BLAS/OpenMP threads are pinned to 1, as ``run.py``
+does.  The file is rewritten after every run, so an interrupted recording
+keeps what it measured.
 
     python3 tools/bench_record.py --parent ../parent --change . \\
         --seed 23 --out BENCH_6.json
@@ -26,30 +38,91 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 WORKLOADS = ("gl3_verify", "akns_sweep", "gl3_deep")
 SIDES = ("parent", "change")
 PAIRS = 10
+# name -> (shipped config, jet order): the gated larger workloads
+LARGE = {"gl3_full_order4": ("gl3_full", 4),
+         "akns_standard_order8": ("akns_standard", 8)}
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def spawn(args: list[str], cwd: str) -> dict:
+    """Run ``python args`` in ``cwd`` with its ``src`` on ``PYTHONPATH``;
+    exit code, wall time, output and the child's resource usage."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(cwd, "src"),
+               **{v: "1" for v in THREAD_VARS})
+    with tempfile.TemporaryFile("w+") as out, \
+            tempfile.TemporaryFile("w+") as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, *args], cwd=cwd, env=env,
+                                stdout=out, stderr=err, text=True)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        # reaped by wait4, so Popen must not wait for it again
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return {"exit": proc.returncode, "wall_s": round(wall, 3),
+                "maxrss_mb": round(usage.ru_maxrss / 1024.0, 1),
+                "minflt": usage.ru_minflt,
+                "stdout": out.read(), "stderr": err.read()}
 
 
 def run_once(checkout: str, workload: str, seed: int) -> dict:
     """One ``run.py`` run; its final JSON line, host line and exit code."""
-    t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
+    proc = spawn(["perfbench/run.py", "--workload", workload,
+                  "--seed", str(seed), "--trace", "0"], checkout)
+    lines = proc["stdout"].strip().splitlines()
     host = next((ln[4:] for ln in lines if ln.startswith("env ")), None)
     try:
         result = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         result = None
-    return {"exit": proc.returncode, "result": result,
+    return {"exit": proc["exit"], "result": result,
             "host": json.loads(host) if host else None,
-            "elapsed_s": round(time.perf_counter() - t0, 2),
-            "stderr_tail": proc.stderr.strip().splitlines()[-3:]}
+            "elapsed_s": round(proc["wall_s"], 2),
+            "maxrss_mb": proc["maxrss_mb"], "minflt": proc["minflt"],
+            "stderr_tail": proc["stderr"].strip().splitlines()[-3:]}
+
+
+def run_cli(checkout: str, config: str, order: int | None,
+            pinned: dict | None) -> dict:
+    """One ``loopjet run`` of a shipped config (at ``order`` if given); with
+    ``pinned``, the gate against that shipped order-3 report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "report.json")
+        args = ["-m", "loopjet.cli", "run", "--config",
+                os.path.join("configs", f"{config}.json"), "--out", report]
+        if order is not None:
+            args += ["--order", str(order)]
+        proc = spawn(args, checkout)
+        doc = None
+        if os.path.exists(report):
+            with open(report, encoding="utf-8") as fh:
+                doc = json.load(fh)
+    out = {k: proc[k] for k in ("exit", "wall_s", "maxrss_mb", "minflt")}
+    out["timing_s"] = doc["timing_s"] if doc else None
+    out["stderr_tail"] = proc["stderr"].strip().splitlines()[-3:]
+    if pinned is not None:
+        out["gate"] = bool(
+            doc and proc["exit"] == 0 and doc["passed"]
+            and all(c["passed"] for c in doc["checks"])
+            and sorted([c["id"], c["passed"]] for c in doc["checks"])
+            == pinned["checks"]
+            and doc["conventions"] == pinned["conventions"])
+    return out
+
+
+def run_tier1(checkout: str) -> dict:
+    proc = spawn(TIER1, checkout)
+    lines = proc["stdout"].strip().splitlines()
+    return {**{k: proc[k] for k in ("exit", "wall_s", "maxrss_mb", "minflt")},
+            "summary": lines[-1] if lines else ""}
 
 
 def _quartiles(xs: list[float]) -> list[float]:
@@ -95,11 +168,20 @@ def main(argv: list[str] | None = None) -> int:
     with open(os.path.join(here, "..", "BENCHMARK.json"),
               encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    with open(os.path.join(here, "..", "tests", "data", "shipped_reports.json"),
+              encoding="utf-8") as fh:
+        pinned = json.load(fh)  # shipped config name -> its pinned report
     checkouts = {"parent": os.path.abspath(args.parent),
                  "change": os.path.abspath(args.change)}
     record = {"command": "perfbench/run.py --trace 0", "seed": args.seed,
               "pairs": PAIRS, "workloads": list(WORKLOADS), "pair_order": [],
-              "host": None, "runs": [], "summary": {}}
+              "host": None, "runs": [], "summary": {}, "extras": []}
+
+    def save() -> None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=1)
+            fh.write("\n")
+
     for pair in range(PAIRS):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         record["pair_order"].append(list(order))
@@ -111,11 +193,23 @@ def main(argv: list[str] | None = None) -> int:
                 record["runs"].append({"workload": wl, "pair": pair,
                                        "side": side, **run})
                 record["summary"] = summarize(record["runs"], better)
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    json.dump(record, fh, indent=1)
-                    fh.write("\n")
+                save()
                 print(f"pair {pair} {wl:10s} {side:6s} exit {run['exit']} "
                       f"{run['elapsed_s']:7.1f} s", flush=True)
+
+    # (item, shipped config or None for Tier-1, jet order or None)
+    extras = ([(f"cli/{name}", name, None) for name in sorted(pinned)]
+              + [(item, cfg, d) for item, (cfg, d) in LARGE.items()]
+              + [("tier1", None, None)])
+    for i, (item, cfg, d) in enumerate(extras):
+        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+            c = checkouts[side]
+            run = (run_tier1(c) if cfg is None else
+                   run_cli(c, cfg, d, None if d is None else pinned[cfg]))
+            record["extras"].append({"item": item, "side": side, **run})
+            save()
+            print(f"{item:28s} {side:6s} exit {run['exit']} "
+                  f"{run['wall_s']:7.1f} s", flush=True)
     return 0
 
 
