@@ -34,7 +34,8 @@ from .series import ScalarJet, Series, commutator, exp_series
 
 __all__ = ["VacuumSequence", "akns_sequence", "odd_akns_sequence",
            "gl_sequence", "kdv_sequence", "vacuum_frame", "flow_rhs",
-           "q_recursion_vector_akns", "named_flow_residual", "FlowCheck"]
+           "LaxFlows", "q_recursion_vector_akns", "named_flow_residual",
+           "FlowCheck"]
 
 LAX_TOL = 1e-8
 
@@ -221,38 +222,56 @@ def lax_bracket(seq: VacuumSequence, u: Series, q: Series, sign: int = -1) -> Se
 def flow_rhs(seq: VacuumSequence, u: Series, q: Series, var: str) -> Series:
     """[d/dx - (J_1 + u), (phi_v(Q) lambda**s)_+] restricted to its
     degree-zero part (the higher degrees cancel when Q satisfies the Lax
-    condition, which is validated first).
+    condition, which is validated first: a Q that fails it raises
+    :class:`ShapeError`).  For several variables of one (u, Q), as in the
+    flows suite, :class:`LaxFlows` checks the Lax condition once.
 
     phi_v is realized per family: a lambda shift of Q for the rank-one
     families, and for the diagonal gl coordinates the Lagrange polynomial
     L_k with L_k(c_i) = delta_ik applied to Q monomial by monomial,
     e_kk lam**j = sum_m beta_m (a lam)**m lam**(j-m)."""
-    ctx = u.ctx
-    res = lax_bracket(seq, u, q).max_abs()
-    if res > LAX_TOL * max(1.0, q.max_abs()):
-        raise ShapeError(f"flow_rhs: Q fails the Lax condition (residual {res:.3e})")
-    base, shift = seq.gens[var]
-    if seq.family in ("gl", "gl_power"):
-        b = _gl_generator_of_q(seq, q, base, shift).plus()
-    else:
-        b = q.shift(shift).plus()
-    out = seq.partial_x(b) - commutator(seq.j1(ctx) + u, b)
-    spill = (out - out.degree_slice(0)).max_abs()
-    if spill > LAX_TOL * max(1.0, out.max_abs()):
-        raise ShapeError(f"flow_rhs: nonzero lambda degrees in the flow "
-                         f"({spill:.3e})")
-    out = out.degree_slice(0)
-    mask = seq.y_shape_mask()
-    off = (out - out.hadamard(mask.astype(float))).max_abs()
-    if off > LAX_TOL * max(1.0, out.max_abs()):
-        raise ShapeError(f"flow_rhs: result leaves the phase-space shape "
-                         f"({off:.3e})")
-    return out
+    return LaxFlows(seq, u, q).rhs(var)
 
 
-def _gl_generator_of_q(seq: VacuumSequence, q: Series, base: str,
-                       shift: int) -> Series:
-    """M (base) lam**(shift+1) M^-1 rebuilt from Q = M a lam M^-1 alone."""
+class LaxFlows:
+    """The flows at one (u, Q): the Lax condition is checked once, on
+    construction, and the powers of Q that the gl generators are rebuilt
+    from are built once for every variable."""
+
+    def __init__(self, seq: VacuumSequence, u: Series, q: Series):
+        res = lax_bracket(seq, u, q).max_abs()
+        if res > LAX_TOL * max(1.0, q.max_abs()):
+            raise ShapeError(f"flow_rhs: Q fails the Lax condition "
+                             f"(residual {res:.3e})")
+        self.seq, self.u, self.q = seq, u, q
+        self.powers = [Series.identity(q.ctx)]  # Q**m, extended on demand
+
+    def rhs(self, var: str) -> Series:
+        """The flow of ``var``, as :func:`flow_rhs` gives it."""
+        seq, u, q = self.seq, self.u, self.q
+        base, shift = seq.gens[var]
+        if seq.family in ("gl", "gl_power"):
+            b = _gl_generator_of_q(seq, q, self.powers, base, shift).plus()
+        else:
+            b = q.shift(shift).plus()
+        out = seq.partial_x(b) - commutator(seq.j1(u.ctx) + u, b)
+        spill = (out - out.degree_slice(0)).max_abs()
+        if spill > LAX_TOL * max(1.0, out.max_abs()):
+            raise ShapeError(f"flow_rhs: nonzero lambda degrees in the flow "
+                             f"({spill:.3e})")
+        out = out.degree_slice(0)
+        mask = seq.y_shape_mask()
+        off = (out - out.hadamard(mask.astype(float))).max_abs()
+        if off > LAX_TOL * max(1.0, out.max_abs()):
+            raise ShapeError(f"flow_rhs: result leaves the phase-space shape "
+                             f"({off:.3e})")
+        return out
+
+
+def _gl_generator_of_q(seq: VacuumSequence, q: Series, powers: list,
+                       base: str, shift: int) -> Series:
+    """M (base) lam**(shift+1) M^-1 rebuilt from Q = M a lam M^-1 alone;
+    ``powers`` holds Q**0, Q**1, ... and is extended here as needed."""
     mat = seq.bases[base][1]
     if base.startswith("e"):
         k = int(base[1:])
@@ -264,14 +283,12 @@ def _gl_generator_of_q(seq: VacuumSequence, q: Series, base: str,
         beta = np.zeros(i + 1, dtype=complex)
         beta[0] = 1.0
     deg = len(beta) - 1
+    while len(powers) <= deg:
+        powers.append(powers[-1] * q)
     out = None
-    power = Series.identity(q.ctx)
     for m in range(deg + 1):
-        coeff = beta[deg - m]
-        term = (power * coeff).shift(shift + 1 - m)
+        term = (powers[m] * beta[deg - m]).shift(shift + 1 - m)
         out = term if out is None else out + term
-        if m < deg:
-            power = power * q
     return out
 
 def q_recursion_vector_akns(seq: VacuumSequence, u: Series, depth: int):

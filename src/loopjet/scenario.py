@@ -22,9 +22,9 @@ import numpy as np
 from .checks import CATALOG, CheckRecord, record
 from .context import JetContext, default_window
 from .errors import ConfigError, LoopjetError
-from .hierarchy import (VacuumSequence, akns_sequence, gl_sequence,
-                        kdv_sequence, named_flow_residual, odd_akns_sequence,
-                        flow_rhs, q_recursion_vector_akns)
+from .hierarchy import (LaxFlows, VacuumSequence, akns_sequence,
+                        gl_sequence, kdv_sequence, named_flow_residual,
+                        odd_akns_sequence, q_recursion_vector_akns)
 from .scattering import (FactorizationResult, e_ode_defect, factorize_jet,
                          factorize_oracle, frame_variation_defect,
                          l_minus_stray, lax_residual, m_ode_defect,
@@ -35,13 +35,13 @@ from .splitting import SplittingSpec, reality_check, sample_negative_element
 from .tau import (conjugation_invariance_check, identity_suite, ln_tau_jet,
                   shift_constancy_check, tau_route_defects,
                   vector_akns_recovery, xi_helpers)
-from .virasoro import (bracket_defect, c_ell, c_ell_const_defect,
+from .virasoro import (bracket_defect, c_ell_const_defect, datum_fields,
                        eps_perturbed_result, eta_bracket_defect,
                        eta_tangency_defect, gamma_xi0, gl_frame_variation,
                        induced_frame_variation, induced_lntau_variation,
                        masked_scalar_defect, proof_identities_check,
                        tangency_defect, theorem76_operator, thm56_defect,
-                       virasoro_field, zeta_v_formula)
+                       zeta_v_formula)
 
 __all__ = ["ScenarioConfig", "Scenario", "Report", "run_scenario",
            "SCHEMA", "REPORT_SCHEMA", "ALL_SUITES"]
@@ -174,6 +174,11 @@ class ScenarioConfig:
         if self.order < 1:
             raise ConfigError("order must be >= 1")
         for suite in self.suites:
+            need = self._family_for(suite)
+            if need is not None:
+                raise ConfigError(f"field 'suites': suite {suite!r} needs "
+                                  f"{need}, got {self.family} with n = "
+                                  f"{self.n}")
             low = self._min_order(suite)
             if self.order < low:
                 raise ConfigError(f"field 'order': suite {suite!r} needs "
@@ -182,6 +187,17 @@ class ScenarioConfig:
         for cid in self.tolerances:
             if cid not in CATALOG:
                 raise ConfigError(f"field 'tolerances.{cid}': unknown check id")
+
+    def _family_for(self, suite: str) -> str | None:
+        """What ``suite`` needs of the family, or None when this config
+        has it: proof_identities reads the diagonal gl coordinates and
+        recovery the vector AKNS blocks."""
+        if suite == "proof_identities" and self.family != "gl_n":
+            return "the gl_n family"
+        if suite == "recovery" and (self.family != "vector_akns"
+                                    or self.n < 3):
+            return "the vector_akns family with n >= 3"
+        return None
 
     def _min_order(self, suite: str) -> int:
         """Least jet order at which ``suite`` can read every jet it checks
@@ -495,11 +511,10 @@ class _Runner:
 
     def _suite_flows(self) -> None:
         s, res = self.scen, self.result
-        q = res.q_series()
+        flows = LaxFlows(s.seq, res.u, res.q_series())
         worst = 0.0
         for var in s.seq.variables:
-            rhs = flow_rhs(s.seq, res.u, q, var)
-            worst = max(worst, (res.u.partial(var) - rhs).max_abs())
+            worst = max(worst, (res.u.partial(var) - flows.rhs(var)).max_abs())
         self.add("flow_rhs_match", worst)
         for name in _named_flows_for(s):
             checks = named_flow_residual(s.seq, res.u, name)
@@ -573,23 +588,24 @@ class _Runner:
 
     def _suite_virasoro(self) -> None:
         s, res = self.scen, self.result
-        gammas = []
-        for g in self.cfg.virasoro_gammas:
-            gammas.append((g, None if g == "zero" else gamma_xi0(s.ctx.n)))
+        # one family of fields at f: each product that depends on neither l
+        # nor Gamma, and each Z_l(f), is built once for every check below
+        fields = datum_fields(res)
+        gammas = [None if g == "zero" else gamma_xi0(s.ctx.n)
+                  for g in self.cfg.virasoro_gammas]
         ells = list(self.cfg.virasoro_ells)
-        f = s.f
         worst_tan, worst_br = 0.0, 0.0
-        for tag, gamma in gammas:
+        for gamma in gammas:
             for j in ells:
-                worst_tan = max(worst_tan, tangency_defect(f, j, gamma))
-            worst_br = max(worst_br, bracket_defect(f, ells, gamma))
+                worst_tan = max(worst_tan, tangency_defect(fields, j, gamma))
+            worst_br = max(worst_br, bracket_defect(fields, ells, gamma))
         self.add("virasoro_tangent", worst_tan)
         self.add("virasoro_bracket", worst_br)
         self._variation_laws()
         worst_frame, worst_lk, worst_gl = 0.0, 0.0, 0.0
-        for tag, gamma in gammas:
+        for gamma in gammas:
             for ell in ells:
-                eps = eps_perturbed_result(res, virasoro_field(f, ell, gamma))
+                eps = eps_perturbed_result(res, fields(ell, gamma))
                 fv = induced_frame_variation(res, ell, gamma)
                 fv_eps = eps.M.eps_part() * res.Minv
                 worst_frame = max(worst_frame, (fv - fv_eps).max_abs())
@@ -612,12 +628,13 @@ class _Runner:
         worst_c = 0.0
         for ell in ells:
             if ell <= 1:
-                worst_c = max(worst_c, abs(c_ell(f, ell)))
+                worst_c = max(worst_c, abs(fields.c_ell(ell)))
         self.add("c_ell_const", max(c_ell_const_defect(res, ells), worst_c),
                  note="c_l = 0 for l <= 1 included")
         if s.spec.variant in ("sigma_twisted", "tau_sigma"):
-            worst_t = max(eta_tangency_defect(s.spec, f, j) for j in (0, 1, 2))
-            worst_b = eta_bracket_defect(f, (0, 1))
+            worst_t = max(eta_tangency_defect(s.spec, fields, j)
+                          for j in (0, 1, 2))
+            worst_b = eta_bracket_defect(fields, (0, 1))
             self.add("eta_tangency", worst_t)
             self.add("eta_bracket", worst_b)
 
@@ -649,8 +666,6 @@ class _Runner:
 
     def _suite_proof_identities(self) -> None:
         s, res = self.scen, self.result
-        if s.seq.family != "gl":
-            raise ConfigError("proof_identities suite needs the gl_n family")
         tau = self._ensure_tau()
         agg: dict[str, float] = {}
         for i in range(1, s.ctx.n + 1):
@@ -664,9 +679,7 @@ class _Runner:
         self.add("proof_q_quadratic", agg["q_quadratic"])
 
     def _suite_recovery(self) -> None:
-        s, res = self.scen, self.result
-        if s.seq.family != "akns" or s.ctx.n < 3:
-            raise ConfigError("recovery suite needs the vector_akns family")
+        res = self.result
         k_chk = self._ensure_stabilizers().get("k", {})
         out = vector_akns_recovery(res, k_chk.get("result_k"))
         if out.get("degenerate"):

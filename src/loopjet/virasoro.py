@@ -24,12 +24,12 @@ from .splitting import SplittingSpec, reality_check
 from .tau import LnTauJet, first_partial_pairing, ln_tau_jet, \
     second_partial_formula
 
-__all__ = ["gamma_xi0", "virasoro_field", "tangency_defect", "bracket_defect",
-           "induced_frame_variation", "gl_frame_variation", "script_j",
-           "induced_lntau_variation", "eps_perturbed_result", "c_ell",
+__all__ = ["gamma_xi0", "VirasoroFields", "datum_fields", "tangency_defect",
+           "bracket_defect", "induced_frame_variation", "gl_frame_variation",
+           "script_j", "induced_lntau_variation", "eps_perturbed_result",
            "c_ell_const_defect", "theorem76_operator", "masked_scalar_defect",
-           "proof_identities_check", "zeta_v_formula", "eta_field",
-           "eta_tangency_defect", "eta_bracket_defect", "thm56_defect"]
+           "proof_identities_check", "zeta_v_formula", "eta_tangency_defect",
+           "eta_bracket_defect", "thm56_defect"]
 
 
 def gamma_xi0(n: int) -> np.ndarray:
@@ -37,36 +37,86 @@ def gamma_xi0(n: int) -> np.ndarray:
     return np.diag(np.arange(n) / n).astype(complex)
 
 
-def virasoro_field(f: Series, ell: int, gamma: np.ndarray | None) -> Series:
-    """Z_l(f), tangent to the negative subgroup at f."""
-    if ell < -1:
-        raise ShapeError("virasoro_field needs l >= -1")
-    finv = f.inv()
-    x = (f.dlambda() * finv).shift(ell + 1)
-    if gamma is not None:
-        g = Series.monomial(f.ctx, np.asarray(gamma, dtype=complex))
-        x = x + (f * g * finv).shift(ell)
-    return -(x.minus()) * f
+class VirasoroFields:
+    """The fields Z_l at one point f, for every l >= -1 and Gamma.
+
+    f^-1 and f_lam f^-1 depend on neither l nor Gamma, and f Gamma f^-1
+    not on l: each is built once, as is each Z_l(f) and the square
+    (f_lam f^-1)^2 that gives the constants c_l(f).  Values are shared, so
+    callers must not modify them."""
+
+    def __init__(self, f: Series):
+        self.f = f
+        self.finv = f.inv()
+        self.log = f.dlambda() * self.finv  # f_lam f^-1
+        self._cache: dict = {}
+
+    def _cached(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def __call__(self, ell: int, gamma: np.ndarray | None = None) -> Series:
+        """Z_l(f), tangent to the negative subgroup at f."""
+        if ell < -1:
+            raise ShapeError("Z_l needs l >= -1")
+
+        def build() -> Series:
+            x = self.log.shift(ell + 1)
+            if gamma is not None:
+                x = x + self._conj(gamma).shift(ell)
+            return -(x.minus()) * self.f
+
+        return self._cached(("Z", ell, _gamma_key(gamma)), build)
+
+    def _conj(self, gamma: np.ndarray) -> Series:
+        """f Gamma f^-1."""
+        def build() -> Series:
+            g = Series.monomial(self.f.ctx, np.asarray(gamma, dtype=complex))
+            return self.f * g * self.finv
+
+        return self._cached(("conj", _gamma_key(gamma)), build)
+
+    def eta(self, j: int) -> Series:
+        """eta_j(f) = (1/2) Z_{2j}(f) with Gamma = 0, tangent to the
+        sigma-twisted subgroup."""
+        if j < 0:
+            raise ShapeError("eta_j needs j >= 0")
+        return self(2 * j).scale(0.5)
+
+    def c_ell(self, ell: int) -> complex:
+        """c_l(f) = <lam**(l+2) (f_lam f^-1)^2>_0 (vanishes for l <= 1)."""
+        if ell < -1:
+            raise ShapeError("c_l needs l >= -1")
+        log2 = self._cached("log2", lambda: self.log * self.log)
+        return log2.trace_coeff(-(ell + 2)).coeff(0)
 
 
-def tangency_defect(f: Series, ell: int, gamma: np.ndarray | None) -> float:
-    z = virasoro_field(f, ell, gamma)
-    return (z * f.inv()).plus().max_abs()
+def datum_fields(result: FactorizationResult) -> VirasoroFields:
+    """The fields at the datum f = M(0) of ``result``, built once per
+    result."""
+    ctx = result.ctx
+
+    def build() -> VirasoroFields:
+        fctx = JetContext((), 0, ctx.n, ctx.lo, ctx.hi)
+        return VirasoroFields(result.f.base_part().at_zero(fctx))
+
+    return result.cached("datum_fields", build)
 
 
-def _bracket_worst(field, f: Series, ells) -> float:
+def tangency_defect(fields: VirasoroFields, ell: int,
+                    gamma: np.ndarray | None) -> float:
+    """|| (Z_l(f) f^-1)_+ ||, zero when Z_l is tangent at f."""
+    return (fields(ell, gamma) * fields.finv).plus().max_abs()
+
+
+def _bracket_worst(fields: VirasoroFields, ells, field) -> float:
     """max over j, k in ``ells`` of || [Z_j, Z_k](f) - (k - j) Z_{j+k}(f) ||
-    for the field family ``Z_l = field(., l)``, the vector-field bracket
-    computed exactly through directional derivatives: one pass over f with
-    a tangent component per Z_j gives D Z_k(f)[Z_j] for every j."""
-    z: dict[int, Series] = {}
-
-    def field_at_f(ell: int) -> Series:
-        if ell not in z:
-            z[ell] = field(f, ell)
-        return z[ell]
-
-    ext = f.with_eps(*(field_at_f(j) for j in ells))
+    for the field family ``Z_l(g) = field(VirasoroFields(g), l)`` at
+    ``fields.f``, the vector-field bracket computed exactly through
+    directional derivatives: one pass over f with a tangent component per
+    Z_j gives D Z_k(f)[Z_j] for every j."""
+    ext = VirasoroFields(fields.f.with_eps(*(field(fields, j) for j in ells)))
     dz = {}
     for k in ells:
         out = field(ext, k)
@@ -79,14 +129,15 @@ def _bracket_worst(field, f: Series, ells) -> float:
             if k == j:
                 worst = max(worst, lhs.max_abs())
             else:
-                rhs = field_at_f(j + k) * float(k - j)
+                rhs = field(fields, j + k) * float(k - j)
                 worst = max(worst, (lhs - rhs).max_abs())
     return worst
 
 
-def bracket_defect(f: Series, ells, gamma: np.ndarray | None) -> float:
+def bracket_defect(fields: VirasoroFields, ells,
+                   gamma: np.ndarray | None) -> float:
     """max over j, k in ``ells`` of || [Z_j, Z_k](f) - (k - j) Z_{j+k}(f) ||."""
-    return _bracket_worst(lambda g, ell: virasoro_field(g, ell, gamma), f, ells)
+    return _bracket_worst(fields, ells, lambda g, ell: g(ell, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +192,23 @@ def script_j(result: FactorizationResult) -> Series:
     return out
 
 
+def _m_log(result: FactorizationResult) -> Series:
+    """M_lam M^-1, built once per result."""
+    return result.cached("M_log", lambda: result.M.dlambda() * result.Minv)
+
+
+def _gl_operand(result: FactorizationResult, ell: int) -> Series:
+    """lam**(l+1) M_lam M^-1 + lam**l M J M^-1 for the diagonal gl
+    coordinates; M J M^-1 is built once per result."""
+    mjm = result.cached("M_script_j", lambda: result.M * script_j(result)
+                        * result.Minv)
+    return _m_log(result).shift(ell + 1) + mjm.shift(ell)
+
+
 def gl_frame_variation(result: FactorizationResult, ell: int) -> Series:
     """zeta_l(M) M^-1 = -(lam**(l+1) M_lam M^-1 + lam**l M J M^-1)_- in the
     diagonal gl coordinates (Gamma = 0)."""
-    sj = script_j(result)
-    x = ((result.M.dlambda() * result.Minv).shift(ell + 1)
-         + (result.M * sj * result.Minv).shift(ell))
-    return -(x.minus())
+    return -(_gl_operand(result, ell).minus())
 
 
 def eps_perturbed_result(result: FactorizationResult, df: Series
@@ -198,22 +259,14 @@ def thm56_defect(result_eps: FactorizationResult) -> float:
 # ---------------------------------------------------------------------------
 # constants and the differential-operator form
 
-def c_ell(f: Series, ell: int) -> complex:
-    """c_l(f) = <lam**(l+2) (f_lam f^-1)^2>_0 (vanishes for l <= 1)."""
-    if ell < -1:
-        raise ShapeError("c_ell needs l >= -1")
-    x = f.dlambda() * f.inv()
-    return (x * x).trace_coeff(-(ell + 2)).coeff(0)
-
-
 def c_ell_const_defect(result: FactorizationResult, ells) -> float:
     """max over l in ``ells`` of the t-dependence of
     <lam**l (E lam f_lam f^-1 E^-1)^2>_0, which must be the constant c_l(f)."""
     ctx = result.ctx
-    f0 = result.f.base_part().at_zero(JetContext((), 0, ctx.n, ctx.lo, ctx.hi))
+    fields = datum_fields(result)
     g = _conjugated_operand(result, None)
     gg = g * g
-    return max((gg.trace_coeff(-ell) - ScalarJet.const(ctx, c_ell(f0, ell))
+    return max((gg.trace_coeff(-ell) - ScalarJet.const(ctx, fields.c_ell(ell))
                 ).max_abs() for ell in ells)
 
 
@@ -291,9 +344,7 @@ def theorem76_operator(result: FactorizationResult, tau: LnTauJet, ell: int,
                     b = tau.X.partial(f"t{i}_{ell - j}")
                     sec = tau.X.partial(f"t{i}_{j}").partial(f"t{i}_{ell - j}")
                 op = op + a * b * ca + sec * cb
-    f0 = result.f.base_part().at_zero(
-        JetContext((), 0, ctx.n, ctx.lo, ctx.hi))
-    op = op - ScalarJet.const(ctx, 0.5 * c_ell(f0, ell))
+    op = op - ScalarJet.const(ctx, 0.5 * datum_fields(result).c_ell(ell))
     return op, masked
 
 
@@ -328,7 +379,7 @@ def proof_identities_check(result: FactorizationResult, tau: LnTauJet,
     b_i = np.eye(n) - 2 * e
     B = result.M * Series.from_degree_matrices(ctx, {1: b_i}) * result.Minv
     Q = result.conjugated_base(f"e{i}")
-    P = (result.M.dlambda() * result.Minv).shift(1)
+    P = _m_log(result).shift(1)
     out = {}
     lam2 = Series.from_degree_matrices(ctx, {2: np.eye(n)})
     lam1 = Series.from_degree_matrices(ctx, {1: np.eye(n)})
@@ -336,12 +387,13 @@ def proof_identities_check(result: FactorizationResult, tau: LnTauJet,
     out["b_linear"] = (B - (lam1 - Q * 2.0)).max_abs()
     dB = B.dlambda()
     out["b_deriv"] = (dB.shift(1) - (P * B - B * P + B)).max_abs()
-    trace = (B * dB).trace_coeff(1) - ScalarJet.const(ctx, float(n))
+    b_db = B * dB
+    trace = b_db.trace_coeff(1) - ScalarJet.const(ctx, float(n))
     worst_tr = trace.max_abs()
     for k in range(-2 * ctx.order - 2, 3):
         if k == 1:
             continue
-        worst_tr = max(worst_tr, (B * dB).trace_coeff(k).max_abs())
+        worst_tr = max(worst_tr, b_db.trace_coeff(k).max_abs())
     out["b_trace"] = worst_tr
     xi = result.xi
     out["xi_support"] = max(xi.plus().max_abs(), xi.degree_slice(-1).max_abs())
@@ -363,29 +415,20 @@ def proof_identities_check(result: FactorizationResult, tau: LnTauJet,
 
 def zeta_v_formula(result: FactorizationResult, ell: int) -> Series:
     """zeta_l(v_f) = -pi_1(Res_lam(lam**(l+1) M_lam M^-1 + lam**l M J M^-1))."""
-    sj = script_j(result)
-    x = ((result.M.dlambda() * result.Minv).shift(ell + 1)
-         + (result.M * sj * result.Minv).shift(ell))
     offdiag = 1.0 - np.eye(result.ctx.n)
-    return (-1.0) * x.degree_slice(-1).hadamard(offdiag)
+    return (-1.0) * _gl_operand(result, ell).degree_slice(-1).hadamard(offdiag)
 
 
 # ---------------------------------------------------------------------------
 # the sigma-restricted half action
 
-def eta_field(f: Series, j: int) -> Series:
-    """eta_j(f) = (1/2) zeta_{2j}(f), tangent to the sigma-twisted subgroup."""
-    if j < 0:
-        raise ShapeError("eta_field needs j >= 0")
-    return virasoro_field(f, 2 * j, None).scale(0.5)
-
-
-def eta_tangency_defect(spec: SplittingSpec, f: Series, j: int) -> float:
+def eta_tangency_defect(spec: SplittingSpec, fields: VirasoroFields,
+                        j: int) -> float:
     """First-order invariance of the sigma reality condition along eta_j."""
-    ext = f.with_eps(eta_field(f, j))
+    ext = fields.f.with_eps(fields.eta(j))
     return reality_check(spec, ext, level="group")
 
 
-def eta_bracket_defect(f: Series, js) -> float:
+def eta_bracket_defect(fields: VirasoroFields, js) -> float:
     """max over j, k in ``js`` of || [eta_j, eta_k](f) - (k - j) eta_{j+k}(f) ||."""
-    return _bracket_worst(eta_field, f, js)
+    return _bracket_worst(fields, js, VirasoroFields.eta)

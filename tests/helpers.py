@@ -2,16 +2,20 @@
 
 The oracles here are deliberately naive (dict-based double sums) and never
 call the vectorized kernels they are used to check.  The helpers at the end
-(bit-for-bit comparisons, the trusted floor read, the dump parser and the
-KdV restriction check) serve only the tests, so they live here rather than
-in the package.
+(bit-for-bit comparisons, the trusted floor read, the repeated-product
+count, the dump parser and the KdV restriction check) serve only the tests,
+so they live here rather than in the package.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+
 import numpy as np
 
 from loopjet import JetContext, ScalarJet, Series
+from loopjet import series as kernel
 from loopjet.context import NEG
 from loopjet.hierarchy import akns_sequence, q_recursion_vector_akns
 from loopjet.splitting import SplitMix64
@@ -105,6 +109,35 @@ def trusted_lo(series: Series) -> int:
     """Trusted floor of the base coefficient (jet index zero)."""
     t = int(series.slabs[0].tlo[0])
     return series.ctx.lo if t == NEG else t
+
+
+@contextlib.contextmanager
+def repeated_products():
+    """Count the slab products made while the block runs, and those whose
+    operands (data and the four degree-bound arrays of both) and cap repeat
+    an earlier product of the block bit for bit.  Yields a dict with keys
+    ``products`` and ``repeats``, updated as products are made."""
+    count = {"products": 0, "repeats": 0}
+    seen = set()
+    slab_mul = kernel._slab_mul
+
+    def counted(ctx, a, b, cap=None):
+        h = hashlib.blake2b(repr(cap).encode())
+        for slab in (a, b):
+            for arr in (slab.data, slab.tlo, slab.slo, slab.shi, slab.thi):
+                h.update(repr(arr.shape).encode())
+                h.update(arr.tobytes())
+        key = h.digest()
+        count["products"] += 1
+        count["repeats"] += key in seen
+        seen.add(key)
+        return slab_mul(ctx, a, b, cap)
+
+    kernel._slab_mul = counted
+    try:
+        yield count
+    finally:
+        kernel._slab_mul = slab_mul
 
 
 def csv_to_explicit_coeffs(text: str) -> list:

@@ -23,12 +23,13 @@ from loopjet.splitting import SplittingSpec, sample_negative_element
 from loopjet.tau import (conjugation_invariance_check, identity_suite,
                          ln_tau_jet, shift_constancy_check, tau_route_defects,
                          vector_akns_recovery)
-from loopjet.virasoro import (bracket_defect, eps_perturbed_result,
-                              eta_bracket_defect, eta_tangency_defect,
+from loopjet.virasoro import (VirasoroFields, bracket_defect,
+                              eps_perturbed_result, eta_bracket_defect,
+                              eta_tangency_defect,
                               gamma_xi0, gl_frame_variation,
                               induced_frame_variation,
                               induced_lntau_variation, proof_identities_check,
-                              theorem76_operator, thm56_defect, virasoro_field)
+                              theorem76_operator, thm56_defect)
 
 from helpers import (kdv_restriction_formula_check, random_laurent_dict, rng,
                      series_from_dict, trusted_lo)
@@ -237,7 +238,8 @@ def test_criterion_7_virasoro_brackets_and_variations(akns, gl2):
                                 seed=11, depth=3, amplitude=AMP)
     worst_br = 0.0
     for gamma in (None, gamma_xi0(2)):
-        worst_br = max(worst_br, bracket_defect(f, (-1, 0, 1, 2, 3), gamma))
+        worst_br = max(worst_br, bracket_defect(VirasoroFields(f),
+                                                (-1, 0, 1, 2, 3), gamma))
     verdict("7a virasoro-brackets", worst_br, 1e-8)
 
     worst_eps = 0.0
@@ -252,8 +254,10 @@ def test_criterion_7_virasoro_brackets_and_variations(akns, gl2):
     sspec = SplittingSpec("sigma_twisted", 3, sigma_mode="transpose_inv")
     sctx = JetContext((), 0, 3, -26, 11)
     sf = sample_negative_element(sspec, sctx, seed=71, depth=3, amplitude=AMP)
-    worst_eta = max(max(eta_tangency_defect(sspec, sf, j) for j in (0, 1, 2)),
-                    eta_bracket_defect(sf, (0, 1)))
+    sfields = VirasoroFields(sf)
+    worst_eta = max(max(eta_tangency_defect(sspec, sfields, j)
+                        for j in (0, 1, 2)),
+                    eta_bracket_defect(sfields, (0, 1)))
     verdict("7c eta-half-action", worst_eta, 1e-8)
 
 
@@ -267,7 +271,7 @@ def test_criterion_8_operator_form(gl2, gl3):
         tau = ln_tau_jet(res)
         for ell in (-1, 0, 1, 2, 3):
             lt = induced_lntau_variation(res, ell, None)
-            eps = eps_perturbed_result(res, virasoro_field(f, ell, None))
+            eps = eps_perturbed_result(res, VirasoroFields(f)(ell))
             lt_eps = ln_tau_jet(eps).X.eps_part()
             op, masked = theorem76_operator(res, tau, ell)
             assert not masked

@@ -239,6 +239,37 @@ def test_exit_code_order_too_low_for_suite(tmp_path, capsys, name, suite, low):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("name,suite,override", [
+    ("gl3_full", "recovery", {}), ("akns_standard", "recovery", {}),
+    ("vector_akns", "recovery", {"n": 2}),
+    ("vector_akns", "proof_identities", {}),
+    ("nls_unitary", "proof_identities", {})],
+    ids=["gl3_full-recovery", "akns_standard-recovery",
+         "vector_akns_n2-recovery", "vector_akns-proof_identities",
+         "nls_unitary-proof_identities"])
+def test_exit_code_suite_outside_its_family(tmp_path, capsys, monkeypatch,
+                                            name, suite, override):
+    # a config rule: the run stops before the prerequisite factorization
+    from loopjet import scenario
+    calls = []
+    factorize = scenario.factorize_jet
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return factorize(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "factorize_jet", counted)
+    raw = json.loads((SHIPPED / f"{name}.json").read_text())
+    raw.update(override, suites=[suite])
+    rc = main(["run", "--config", _write(tmp_path, "c.json", raw),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert repr(suite) in err and raw["family"] in err
+    assert not calls
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_exit_code_non_finite_defect(tmp_path, capsys):
     # amplitude 50 overflows the truncated series: the run stops at the
     # stage that overflowed, before any check or report sees a non-finite value

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,11 @@ from loopjet.hierarchy import (akns_sequence, flow_rhs, gl_sequence,
                                q_recursion_vector_akns, vacuum_frame)
 from loopjet.splitting import SplitMix64, SplittingSpec, sample_negative_element
 from loopjet.scattering import factorize_jet
+from loopjet.scenario import Scenario, ScenarioConfig, _Runner
 
-from helpers import rng
+from helpers import repeated_products, rng
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_vacuum_frame_single_generator():
@@ -180,3 +186,16 @@ def test_partial_x_commutes_with_entry_reads_exactly():
             assert a.vorder == b.vorder
             assert np.array_equal(a.vals[0], b.vals[0])
     assert ux.max_abs() > 0.0
+
+
+def test_flows_suite_makes_no_repeat_product():
+    # the Lax condition is checked once per (u, Q) and the powers of Q are
+    # shared by the variables
+    raw = json.loads((CONFIGS / "gl3_full.json").read_text())
+    cfg = ScenarioConfig.from_dict(dict(raw, order=2, suites=["flows"]))
+    runner = _Runner(Scenario(cfg))
+    runner._ensure_factorized()
+    with repeated_products() as count:
+        runner._suite_flows()
+    assert count["products"] > 0
+    assert count["repeats"] == 0

@@ -19,7 +19,7 @@ from loopjet.scenario import Scenario, ScenarioConfig
 from loopjet.series import exp_series
 from loopjet.splitting import SplittingSpec, sample_negative_element
 from loopjet.tau import ln_tau_jet, tau_route_defects
-from loopjet.virasoro import eps_perturbed_result, gamma_xi0, virasoro_field
+from loopjet.virasoro import VirasoroFields, eps_perturbed_result, gamma_xi0
 
 from helpers import same_value
 
@@ -284,7 +284,7 @@ def test_eps_runs_along_the_trajectory_equal_runs_from_scratch(scen):
     assert res.trajectory is None
     # the first run records the trajectory, the second reads it
     for ell, gamma in ((1, None), (2, gamma_xi0(s.ctx.n))):
-        df = virasoro_field(s.f, ell, gamma)
+        df = VirasoroFields(s.f)(ell, gamma)
         along = eps_perturbed_result(res, df)
         scratch = factorize_jet(s.spec, s.seq, s.ctx,
                                 res.f.base_part().with_eps(df.embed(s.ctx)),
@@ -335,13 +335,13 @@ def test_second_eps_run_makes_no_base_product(monkeypatch):
     first, second = run(zero), run(zero)
     assert first["both_live"] > 0
     assert second["both_live"] == 0
-    assert run(virasoro_field(s.f, 1, None))["both_live"] > 0
+    assert run(VirasoroFields(s.f)(1))["both_live"] > 0
 
 
 def test_mismatched_base_is_refused(scen):
     s = scen
     res = factorize_jet(s.spec, s.seq, s.ctx, s.f)
-    df = virasoro_field(s.f, 0, None)
+    df = VirasoroFields(s.f)(0)
     f0 = res.f.base_part()
     other = sample_negative_element(s.spec, s.fctx, seed=s.cfg.f_seed + 1,
                                     depth=3, amplitude=0.3)
@@ -379,7 +379,7 @@ def test_factorizations_nothing_refactorizes_record_nothing():
     chk = stabilizer_h_check(res, h)
     assert res.trajectory is alt.trajectory is None
     assert chk["result_h"].trajectory is None
-    eps = eps_perturbed_result(res, virasoro_field(s.f, 0, None))
+    eps = eps_perturbed_result(res, VirasoroFields(s.f)(0))
     assert res.trajectory is not None
     assert eps.trajectory is None and alt.trajectory is None
     assert chk["result_h"].trajectory is None

@@ -2,22 +2,31 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 from loopjet import JetContext, Series
 from loopjet.hierarchy import akns_sequence, gl_sequence
 from loopjet.scattering import factorize_jet
+from loopjet.scenario import Scenario, ScenarioConfig
 from loopjet.splitting import SplittingSpec, sample_negative_element
 from loopjet.tau import ln_tau_jet
-from loopjet.virasoro import (bracket_defect, c_ell, c_ell_const_defect,
+from loopjet.virasoro import (VirasoroFields, bracket_defect,
+                              c_ell_const_defect, datum_fields,
                               eps_perturbed_result, eta_bracket_defect,
-                              eta_field, eta_tangency_defect, gamma_xi0,
+                              eta_tangency_defect, gamma_xi0,
                               gl_frame_variation, induced_frame_variation,
                               induced_lntau_variation, masked_scalar_defect,
                               proof_identities_check, script_j, tangency_defect,
-                              theorem76_operator, thm56_defect, virasoro_field,
+                              theorem76_operator, thm56_defect,
                               zeta_v_formula)
+
+from helpers import repeated_products
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -48,23 +57,24 @@ def test_field_trivial_and_fixture_values():
     ctx = fctx()
     ident = Series.identity(ctx)
     for ell in (-1, 0, 2):
-        assert virasoro_field(ident, ell, None).max_abs() == 0.0
+        assert VirasoroFields(ident)(ell).max_abs() == 0.0
     f = ident + Series.monomial(ctx, E21, -1)
-    z_m1 = virasoro_field(f, -1, None)
+    z_m1 = VirasoroFields(f)(-1)
     assert (z_m1 - Series.monomial(ctx, E21, -2)).max_abs() < 1e-13
-    z_0 = virasoro_field(f, 0, None)
+    z_0 = VirasoroFields(f)(0)
     assert (z_0 - Series.monomial(ctx, E21, -1)).max_abs() < 1e-13
 
 
 def test_tangency(f2):
     for gamma in (None, gamma_xi0(2)):
         for ell in (-1, 0, 1, 2, 3):
-            assert tangency_defect(f2, ell, gamma) < 1e-13
+            assert tangency_defect(VirasoroFields(f2), ell, gamma) < 1e-13
 
 
 def test_bracket_relations(f2):
     for gamma in (None, gamma_xi0(2)):
-        assert bracket_defect(f2, (-1, 0, 1, 2, 3), gamma) < 1e-8
+        assert bracket_defect(VirasoroFields(f2), (-1, 0, 1, 2, 3),
+                              gamma) < 1e-8
 
 
 def _pairwise_bracket(field, f, j, k):
@@ -81,32 +91,33 @@ def _pairwise_bracket(field, f, j, k):
 def test_stacked_bracket_equals_pairwise_reference(f2):
     ells = (-1, 0, 1, 2, 3)
     for gamma in (None, gamma_xi0(2)):
-        field = lambda g, ell: virasoro_field(g, ell, gamma)  # noqa: E731
+        field = lambda g, ell: VirasoroFields(g)(ell, gamma)  # noqa: E731
         ref = max(_pairwise_bracket(field, f2, j, k)
                   for j in ells for k in ells)
-        assert bracket_defect(f2, ells, gamma) == ref
+        assert bracket_defect(VirasoroFields(f2), ells, gamma) == ref
     spec = SplittingSpec("sigma_twisted", 3, sigma_mode="transpose_inv")
     f3 = sample_negative_element(spec, fctx(n=3), seed=71, depth=3,
                                  amplitude=0.3)
-    ref = max(_pairwise_bracket(eta_field, f3, j, k)
+    eta = lambda g, j: VirasoroFields(g).eta(j)  # noqa: E731
+    ref = max(_pairwise_bracket(eta, f3, j, k)
               for j in (0, 1) for k in (0, 1))
-    assert eta_bracket_defect(f3, (0, 1)) == ref
+    assert eta_bracket_defect(VirasoroFields(f3), (0, 1)) == ref
 
 
 def test_bracket_diagonal_trivial(f2):
-    assert bracket_defect(f2, [-1], None) < 1e-14
-    assert bracket_defect(f2, [2], gamma_xi0(2)) < 1e-14
+    assert bracket_defect(VirasoroFields(f2), [-1], None) < 1e-14
+    assert bracket_defect(VirasoroFields(f2), [2], gamma_xi0(2)) < 1e-14
 
 
 def test_c_ell_values(f2):
     ctx = fctx()
     ident = Series.identity(ctx)
     for ell in (-1, 0, 1, 2, 3):
-        assert abs(c_ell(ident, ell)) == 0.0
+        assert abs(VirasoroFields(ident).c_ell(ell)) == 0.0
         if ell <= 1:
-            assert abs(c_ell(f2, ell)) < 1e-13
+            assert abs(VirasoroFields(f2).c_ell(ell)) < 1e-13
     nil = ident + Series.monomial(ctx, E21, -1)
-    assert abs(c_ell(nil, 3)) < 1e-15
+    assert abs(VirasoroFields(nil).c_ell(3)) < 1e-15
     # brute-force coefficient oracle
     x = f2.dlambda() * f2.inv()
     coeffs = {k: x.coeff(0, k) for k in range(ctx.lo + 8, 0)}
@@ -116,18 +127,19 @@ def test_c_ell_values(f2):
             for kb, mb in coeffs.items():
                 if ka + kb == -(ell + 2):
                     want += np.trace(ma @ mb)
-        assert abs(c_ell(f2, ell) - want) < 1e-12
+        assert abs(VirasoroFields(f2).c_ell(ell) - want) < 1e-12
 
 
 def test_eta_tangency_and_bracket():
     spec = SplittingSpec("sigma_twisted", 3, sigma_mode="transpose_inv")
     ctx = fctx(n=3)
     f = sample_negative_element(spec, ctx, seed=71, depth=3, amplitude=0.3)
+    fields = VirasoroFields(f)
     for j in (0, 1, 2):
-        assert eta_tangency_defect(spec, f, j) < 1e-9
-    assert eta_bracket_defect(f, (0, 1)) < 1e-8
+        assert eta_tangency_defect(spec, fields, j) < 1e-9
+    assert eta_bracket_defect(fields, (0, 1)) < 1e-8
     # eta = zeta_{2j}/2 by definition
-    assert (eta_field(f, 1) - virasoro_field(f, 2, None).scale(0.5)).max_abs() == 0.0
+    assert (fields.eta(1) - fields(2).scale(0.5)).max_abs() == 0.0
 
 
 def test_script_j_is_log_derivative_of_vacuum(gl2_setup):
@@ -141,7 +153,7 @@ def test_frame_and_lntau_variations_both_gammas(gl2_setup):
     _, _, _, f, res, _ = gl2_setup
     for gamma in (None, gamma_xi0(2)):
         for ell in (-1, 1, 3):
-            eps = eps_perturbed_result(res, virasoro_field(f, ell, gamma))
+            eps = eps_perturbed_result(res, VirasoroFields(f)(ell, gamma))
             fv = induced_frame_variation(res, ell, gamma)
             fv_eps = eps.M.eps_part() * eps.M.base_part().inv()
             assert (fv - fv_eps).max_abs() < 1e-8
@@ -160,7 +172,7 @@ def test_variations_at_base_point(gl2_setup):
     _, _, ctx, f, res, _ = gl2_setup
     for ell in (-1, 0, 2):
         fv = induced_frame_variation(res, ell, None)
-        z = virasoro_field(f, ell, None) * f.inv()
+        z = VirasoroFields(f)(ell) * f.inv()
         zero = (0,) * len(ctx.variables)
         for k in range(-4, 0):
             assert np.abs(fv.coeff(zero, k) - z.coeff(0, k)).max() < 1e-12
@@ -229,11 +241,47 @@ def test_lntau_variation_e21_fixture_at_zero():
 def test_eps_route_matches_finite_differences_on_field(f2):
     # the nilpotent route equals central differences for the vector field map
     from loopjet import directional_derivative
-    df = virasoro_field(f2, 1, None)
-    exact = directional_derivative(lambda g: virasoro_field(g, 2, None), f2, df)
+    df = VirasoroFields(f2)(1)
+    exact = directional_derivative(lambda g: VirasoroFields(g)(2), f2, df)
     h = 1e-5
-    plus = virasoro_field(f2 + df.scale(h), 2, None)
-    minus = virasoro_field(f2 - df.scale(h), 2, None)
+    plus = VirasoroFields(f2 + df.scale(h))(2)
+    minus = VirasoroFields(f2 - df.scale(h))(2)
     fd = (plus - minus).scale(1.0 / (2 * h))
     scale = max(exact.max_abs(), 1.0)
     assert (exact - fd).max_abs() / scale < 1e-6
+
+
+@pytest.fixture(scope="module")
+def gl3_order2():
+    raw = json.loads((CONFIGS / "gl3_full.json").read_text())
+    scen = Scenario(ScenarioConfig.from_dict(dict(raw, order=2)))
+    res = factorize_jet(scen.spec, scen.seq, scen.ctx, scen.f)
+    return scen, res, ln_tau_jet(res)
+
+
+def test_proof_identities_make_no_repeat_product(gl3_order2):
+    scen, res, tau = gl3_order2
+    with repeated_products() as count:
+        for i in range(1, scen.ctx.n + 1):
+            proof_identities_check(res, tau, i)
+    assert count["products"] > 0
+    assert count["repeats"] == 0
+
+
+def test_virasoro_l_loop_makes_no_repeat_product(gl3_order2):
+    # what the Virasoro suite builds for each l: the fields and their
+    # tangency at f, the gl frame-variation forms and the constants c_l
+    scen, res, _ = gl3_order2
+    with repeated_products() as count:
+        fields = datum_fields(res)
+        for gamma in (None, gamma_xi0(scen.ctx.n)):
+            for ell in scen.cfg.virasoro_ells:
+                fields(ell, gamma)
+                tangency_defect(fields, ell, gamma)
+                if gamma is None:
+                    gl_frame_variation(res, ell)
+                    zeta_v_formula(res, ell)
+                    fields.c_ell(ell)
+        c_ell_const_defect(res, scen.cfg.virasoro_ells)
+    assert count["products"] > 0
+    assert count["repeats"] == 0

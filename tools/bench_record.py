@@ -17,7 +17,11 @@ order 8, and the Tier-1 suite.  Each of these ``extras`` records its wall
 time, exit code, the report's ``timing_s`` and, for the two larger
 workloads, a gate: exit 0, every check passed, and the check ids and
 conventions of the shipped order-3 report pinned in
-``tests/data/shipped_reports.json``.  Every child process, ``run.py``
+``tests/data/shipped_reports.json``.  For each config run, ``identity``
+records whether the change's report equals the parent's apart from
+``timing_s``; when it does not, it names the first differing check (or
+report field) and the largest change of a check's ``max_defect``.  Every
+child process, ``run.py``
 included, records its ``ru_maxrss`` and ``ru_minflt`` from ``os.wait4``
 (they cover the processes it waited for, so a ``run.py`` run counts its
 workload processes).  BLAS/OpenMP threads are pinned to 1, as ``run.py``
@@ -91,9 +95,10 @@ def run_once(checkout: str, workload: str, seed: int) -> dict:
 
 
 def run_cli(checkout: str, config: str, order: int | None,
-            pinned: dict | None) -> dict:
+            pinned: dict | None) -> tuple[dict, dict | None]:
     """One ``loopjet run`` of a shipped config (at ``order`` if given); with
-    ``pinned``, the gate against that shipped order-3 report."""
+    ``pinned``, the gate against that shipped order-3 report.  Returns the
+    record and the report (None if none was written)."""
     with tempfile.TemporaryDirectory() as tmp:
         report = os.path.join(tmp, "report.json")
         args = ["-m", "loopjet.cli", "run", "--config",
@@ -115,7 +120,37 @@ def run_cli(checkout: str, config: str, order: int | None,
             and sorted([c["id"], c["passed"]] for c in doc["checks"])
             == pinned["checks"]
             and doc["conventions"] == pinned["conventions"])
-    return out
+    return out, doc
+
+
+def compare_reports(parent: dict | None, change: dict | None) -> dict:
+    """Whether two reports are equal apart from ``timing_s``; if not, the
+    first differing check id (or top-level field) and the largest absolute
+    change of ``max_defect`` over the checks both reports hold, pairing
+    them by position among checks of the same id."""
+    if parent is None or change is None:
+        return {"identical": False, "first_diff": "missing report",
+                "max_defect_change": None}
+    a = {k: v for k, v in parent.items() if k != "timing_s"}
+    b = {k: v for k, v in change.items() if k != "timing_s"}
+    if a == b:
+        return {"identical": True}
+    first = next((x.get("id") for x, y in zip(a["checks"], b["checks"])
+                  if x != y), None)
+    if first is None and len(a["checks"]) != len(b["checks"]):
+        first = "checks (count)"
+    if first is None:
+        first = next(k for k in sorted(a.keys() | b.keys())
+                     if a.get(k) != b.get(k))
+    by_id: dict = {}
+    for c in a["checks"]:
+        by_id.setdefault(c["id"], []).append(c["max_defect"])
+    deltas = [(abs(c["max_defect"] - by_id[c["id"]].pop(0)), c["id"])
+              for c in b["checks"] if by_id.get(c["id"])]
+    change_max, worst_id = max(deltas, default=(None, None))
+    return {"identical": False, "first_diff": first,
+            "max_defect_change": change_max,
+            "max_defect_change_id": worst_id if change_max else None}
 
 
 def run_tier1(checkout: str) -> dict:
@@ -175,7 +210,8 @@ def main(argv: list[str] | None = None) -> int:
                  "change": os.path.abspath(args.change)}
     record = {"command": "perfbench/run.py --trace 0", "seed": args.seed,
               "pairs": PAIRS, "workloads": list(WORKLOADS), "pair_order": [],
-              "host": None, "runs": [], "summary": {}, "extras": []}
+              "host": None, "runs": [], "summary": {}, "extras": [],
+              "identity": {}}
 
     def save() -> None:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -202,14 +238,24 @@ def main(argv: list[str] | None = None) -> int:
               + [(item, cfg, d) for item, (cfg, d) in LARGE.items()]
               + [("tier1", None, None)])
     for i, (item, cfg, d) in enumerate(extras):
+        docs = {}
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
             c = checkouts[side]
-            run = (run_tier1(c) if cfg is None else
-                   run_cli(c, cfg, d, None if d is None else pinned[cfg]))
+            if cfg is None:
+                run = run_tier1(c)
+            else:
+                run, docs[side] = run_cli(c, cfg, d,
+                                          None if d is None else pinned[cfg])
             record["extras"].append({"item": item, "side": side, **run})
             save()
             print(f"{item:28s} {side:6s} exit {run['exit']} "
                   f"{run['wall_s']:7.1f} s", flush=True)
+        if cfg is not None:
+            record["identity"][item] = compare_reports(docs["parent"],
+                                                       docs["change"])
+            save()
+            print(f"{item:28s} identical "
+                  f"{record['identity'][item]['identical']}", flush=True)
     return 0
 
 
