@@ -14,8 +14,11 @@ flow-variable names.  Families provided here:
 * ``kdv``        -- J_j = J**(2j-1) with J = a lambda + e_12, a = diag(1,-1),
                     for the twisted splitting of the KdV hierarchy.
 
-The flow generated by J_v is u_t = [d/dx - (J_1 + u), (Q lambda**shift)_+]
-evaluated on jets with d/dx acting as the x-combination of jet partials.
+The x-combination ``x_comb`` = ((v, c_v), ...) gives both d/dx =
+sum_v c_v d/dt_v and J_1 = sum_v c_v J_v (t_1 alone for the rank-one
+families, sum_k c_k t_{k,1} for gl), hence Q = M J_1 M^-1 as the same
+combination of the conjugated generators.  The flow generated by J_v is
+u_t = [d/dx - (J_1 + u), (Q lambda**shift)_+] evaluated on jets.
 The closed-form equations of the named flows are kept here as fixtures; the
 printed orientation of a few of them disagrees between their own sources,
 so each closed form is checked in both orientations and the matching sign
@@ -33,8 +36,8 @@ from .errors import DimensionMismatch, ShapeError
 from .series import ScalarJet, Series, commutator, exp_series
 
 __all__ = ["VacuumSequence", "akns_sequence", "odd_akns_sequence",
-           "gl_sequence", "kdv_sequence", "vacuum_frame", "flow_rhs",
-           "LaxFlows", "q_recursion_vector_akns", "named_flow_residual",
+           "gl_sequence", "kdv_sequence", "vacuum_frame", "LaxFlows",
+           "q_recursion_vector_akns", "named_flows", "named_flow_residual",
            "FlowCheck"]
 
 LAX_TOL = 1e-8
@@ -71,21 +74,23 @@ class VacuumSequence:
         base, shift = self.gens[var]
         return self.base_series(ctx, key=base).shift(shift)
 
-    def j1(self, ctx: JetContext) -> Series:
-        """The x-generator: a*lambda for the diagonal families, J for KdV."""
-        if self.family == "kdv":
-            return self.base_series(ctx, "J")
-        return Series.from_degree_matrices(ctx, {1: self.a})
-
-    def partial_x(self, value):
-        """d/dx on a :class:`Series` or :class:`ScalarJet`: d/dt_1 for the
-        rank-one families, sum c_k d/dt_{k,1} for the diagonal coordinates
-        of the gl family."""
+    def x_sum(self, term):
+        """sum_v c_v term(v) over the x-combination; a coefficient of
+        exactly 1 takes term(v) as is, so a cached value stays uncopied."""
         out = None
         for var, coeff in self.x_comb:
-            term = value.partial(var) * coeff
-            out = term if out is None else out + term
+            t = term(var) if coeff == 1 else term(var) * coeff
+            out = t if out is None else out + t
         return out
+
+    def j1(self, ctx: JetContext) -> Series:
+        """J_1 = sum_v c_v J_v, the x-combination of the generators."""
+        return self.x_sum(lambda var: self.generator(ctx, var))
+
+    def partial_x(self, value):
+        """d/dx = sum_v c_v d/dt_v on a :class:`Series` or
+        :class:`ScalarJet`."""
+        return self.x_sum(value.partial)
 
     def commutation_defect(self, ctx: JetContext) -> float:
         worst = 0.0
@@ -98,7 +103,7 @@ class VacuumSequence:
     def y_shape_mask(self) -> np.ndarray:
         """Entry mask of the phase space Y = [J_1, L_-]_+ for the family."""
         n = self.n
-        if self.family in ("gl", "gl_power"):
+        if self.family == "gl":
             return (np.ones((n, n)) - np.eye(n)).astype(bool)
         if self.family == "kdv":
             m = np.zeros((2, 2), dtype=bool)
@@ -162,28 +167,6 @@ def gl_sequence(c, num_flows: int, parity: str = "all") -> VacuumSequence:
                           bases=bases, gens=gens, x_comb=x_comb, c=c)
 
 
-def gl_power_sequence(c, num_flows: int) -> VacuumSequence:
-    """The same gl hierarchy in the power-sum coordinates s_{i,j} with
-    generators a**i lambda**j; related to :func:`gl_sequence` by the linear
-    change t_{k,j} = sum_i s_{i,j} c_k**i."""
-    c = tuple(complex(x) for x in c)
-    n = len(c)
-    a = np.diag(c)
-    variables = tuple(f"s{i}_{j}" for i in range(1, n + 1)
-                      for j in range(1, num_flows + 1))
-    bases = {}
-    gens = {}
-    power = np.eye(n, dtype=complex)
-    for i in range(1, n + 1):
-        power = power @ a
-        bases[f"a{i}"] = {1: power.copy()}
-        for j in range(1, num_flows + 1):
-            gens[f"s{i}_{j}"] = (f"a{i}", j - 1)
-    return VacuumSequence(family="gl_power", n=n, a=a, variables=variables,
-                          bases=bases, gens=gens, x_comb=(("s1_1", 1.0),),
-                          c=c)
-
-
 def kdv_sequence(num_flows: int) -> VacuumSequence:
     """J_j = J**(2j-1), J = a lambda + e_12 with a = diag(1,-1); since
     J**2 = lambda**2 I this is lambda**(2j-2) J."""
@@ -219,69 +202,57 @@ def lax_bracket(seq: VacuumSequence, u: Series, q: Series, sign: int = -1) -> Se
     return seq.partial_x(q) + float(sign) * commutator(j1 + u, q)
 
 
-def flow_rhs(seq: VacuumSequence, u: Series, q: Series, var: str) -> Series:
-    """[d/dx - (J_1 + u), (phi_v(Q) lambda**s)_+] restricted to its
-    degree-zero part (the higher degrees cancel when Q satisfies the Lax
-    condition, which is validated first: a Q that fails it raises
-    :class:`ShapeError`).  For several variables of one (u, Q), as in the
-    flows suite, :class:`LaxFlows` checks the Lax condition once.
-
-    phi_v is realized per family: a lambda shift of Q for the rank-one
-    families, and for the diagonal gl coordinates the Lagrange polynomial
-    L_k with L_k(c_i) = delta_ik applied to Q monomial by monomial,
-    e_kk lam**j = sum_m beta_m (a lam)**m lam**(j-m)."""
-    return LaxFlows(seq, u, q).rhs(var)
-
-
 class LaxFlows:
     """The flows at one (u, Q): the Lax condition is checked once, on
-    construction, and the powers of Q that the gl generators are rebuilt
-    from are built once for every variable."""
+    construction (a Q that fails it raises :class:`ShapeError`), and the
+    powers of Q that the gl generators are rebuilt from are built once for
+    every variable."""
 
     def __init__(self, seq: VacuumSequence, u: Series, q: Series):
         res = lax_bracket(seq, u, q).max_abs()
         if res > LAX_TOL * max(1.0, q.max_abs()):
-            raise ShapeError(f"flow_rhs: Q fails the Lax condition "
+            raise ShapeError(f"LaxFlows: Q fails the Lax condition "
                              f"(residual {res:.3e})")
         self.seq, self.u, self.q = seq, u, q
         self.powers = [Series.identity(q.ctx)]  # Q**m, extended on demand
 
     def rhs(self, var: str) -> Series:
-        """The flow of ``var``, as :func:`flow_rhs` gives it."""
+        """[d/dx - (J_1 + u), (phi_v(Q) lambda**s)_+] restricted to its
+        degree-zero part (the higher degrees cancel when Q satisfies the Lax
+        condition).
+
+        phi_v is realized per family: a lambda shift of Q for the rank-one
+        families, and for the diagonal gl coordinates the Lagrange
+        polynomial L_k with L_k(c_i) = delta_ik applied to Q monomial by
+        monomial, e_kk lam**j = sum_m beta_m (a lam)**m lam**(j-m)."""
         seq, u, q = self.seq, self.u, self.q
         base, shift = seq.gens[var]
-        if seq.family in ("gl", "gl_power"):
+        if seq.family == "gl":
             b = _gl_generator_of_q(seq, q, self.powers, base, shift).plus()
         else:
             b = q.shift(shift).plus()
         out = seq.partial_x(b) - commutator(seq.j1(u.ctx) + u, b)
         spill = (out - out.degree_slice(0)).max_abs()
         if spill > LAX_TOL * max(1.0, out.max_abs()):
-            raise ShapeError(f"flow_rhs: nonzero lambda degrees in the flow "
+            raise ShapeError(f"LaxFlows: nonzero lambda degrees in the flow "
                              f"({spill:.3e})")
         out = out.degree_slice(0)
         mask = seq.y_shape_mask()
         off = (out - out.hadamard(mask.astype(float))).max_abs()
         if off > LAX_TOL * max(1.0, out.max_abs()):
-            raise ShapeError(f"flow_rhs: result leaves the phase-space shape "
+            raise ShapeError(f"LaxFlows: result leaves the phase-space shape "
                              f"({off:.3e})")
         return out
 
 
 def _gl_generator_of_q(seq: VacuumSequence, q: Series, powers: list,
                        base: str, shift: int) -> Series:
-    """M (base) lam**(shift+1) M^-1 rebuilt from Q = M a lam M^-1 alone;
+    """M e_kk lam**(shift+1) M^-1 rebuilt from Q = M a lam M^-1 alone;
     ``powers`` holds Q**0, Q**1, ... and is extended here as needed."""
-    mat = seq.bases[base][1]
-    if base.startswith("e"):
-        k = int(base[1:])
-        c = np.array(seq.c)
-        roots = np.delete(c, k - 1)
-        beta = np.poly(roots) / np.prod(c[k - 1] - roots)  # highest power first
-    else:  # gl_power basis a**i
-        i = int(base[1:])
-        beta = np.zeros(i + 1, dtype=complex)
-        beta[0] = 1.0
+    k = int(base[1:])
+    c = np.array(seq.c)
+    roots = np.delete(c, k - 1)
+    beta = np.poly(roots) / np.prod(c[k - 1] - roots)  # highest power first
     deg = len(beta) - 1
     while len(powers) <= deg:
         powers.append(powers[-1] * q)
@@ -359,19 +330,49 @@ def _scalar_records(name, seq, u, var, comps) -> list[FlowCheck]:
     return out
 
 
-def named_flow_residual(seq: VacuumSequence, u: Series, name: str) -> list[FlowCheck]:
-    """Residuals of the printed closed-form equation for a named flow.
+def named_flows(seq: VacuumSequence, variant: str) -> list[str]:
+    """The named closed-form flows that hold on ``seq`` under the splitting
+    ``variant``, in report order: each assumes its family, its a
+    (diag(i, ..., i, -i), or diag(1, -1) for complex mKdV), its reality
+    condition and its time variable.  The one applicability rule: a
+    scenario checks exactly these, and :func:`named_flow_residual` refuses
+    any other."""
+    n, has_t2 = seq.n, "t2" in seq.variables
+    akns_a = np.allclose(seq.a, np.diag([1j] * (n - 1) + [-1j]))
+    if seq.family == "akns" and akns_a:
+        prefix = "akns" if n == 2 else "vector_akns"
+        out = [f"{prefix}_{v}" for v in ("t2", "t3") if v in seq.variables]
+        if variant == "u_real" and has_t2:
+            out.append("nls" if n == 2 else "vector_nls")
+        return out
+    if seq.family == "odd_akns" and has_t2:
+        if variant == "tau_sigma" and akns_a:
+            return ["mkdv" if n == 2 else "vector_mkdv"]
+        if variant == "sigma_twisted" and n == 2 and np.allclose(
+                seq.a, np.diag([1.0, -1.0])):
+            return ["cmkdv"]
+        return []
+    if seq.family == "kdv" and has_t2:
+        return ["kdv"]
+    return ["n_wave"] if seq.family == "gl" else []
+
+
+def named_flow_residual(seq: VacuumSequence, u: Series, name: str,
+                        variant: str) -> list[FlowCheck]:
+    """Residuals of the printed closed-form equation for a named flow on
+    the splitting ``variant``; a flow outside :func:`named_flows` raises
+    :class:`ShapeError`.
 
     Both orientations of the right-hand side are evaluated and the matching
     one reported; the comparison happens on jets of order d - (equation
     order) automatically through the trusted-order bookkeeping.
     """
+    if name not in named_flows(seq, variant):
+        raise ShapeError(f"{name} does not hold on the {seq.family} sequence "
+                         f"with a = diag({np.diag(seq.a).tolist()}) under the "
+                         f"{variant} splitting")
     dx = seq.partial_x
     if name in ("akns_t2", "akns_t3", "nls"):
-        if seq.family != "akns" or seq.n != 2:
-            raise ShapeError(f"{name} needs the 2x2 AKNS family")
-        if not np.allclose(seq.a, np.diag([1j, -1j])):
-            raise ShapeError(f"{name} closed forms assume a = diag(i,-i)")
         q, r = _entry(u, 0, 1), _entry(u, 1, 0)
         if name == "akns_t2":
             comps = [
@@ -391,33 +392,24 @@ def named_flow_residual(seq: VacuumSequence, u: Series, name: str) -> list[FlowC
         return _scalar_records(name, seq, u, "t2", comps)
 
     if name == "mkdv":
-        if seq.family != "odd_akns" or not np.allclose(seq.a, np.diag([1j, -1j])):
-            raise ShapeError("mkdv needs the odd sl2 sequence with a = diag(i,-i)")
         r = _entry(u, 1, 0)
         comps = [("r", (1, 0),
                   lambda y: (dx(dx(dx(r))) + 6.0 * r * r * dx(r)).scale(0.25))]
         return _scalar_records(name, seq, u, "t2", comps)
 
     if name == "cmkdv":
-        if seq.family != "odd_akns" or not np.allclose(seq.a, np.diag([1.0, -1.0])):
-            raise ShapeError("cmkdv needs the odd sl2 sequence with a = diag(1,-1)")
         q = _entry(u, 0, 1)
         comps = [("q", (0, 1),
                   lambda y: (dx(dx(dx(q))) - 6.0 * q * q * dx(q)).scale(0.25))]
         return _scalar_records(name, seq, u, "t2", comps)
 
     if name == "kdv":
-        if seq.family != "kdv":
-            raise ShapeError("kdv needs the twisted splitting family")
         r = _entry(u, 1, 0)
         comps = [("r", (1, 0),
                   lambda y: (dx(dx(dx(r))) - 6.0 * r * dx(r)).scale(0.25))]
         return _scalar_records(name, seq, u, "t2", comps)
 
     if name in ("vector_akns_t2", "vector_akns_t3", "vector_nls", "vector_mkdv"):
-        want = "odd_akns" if name == "vector_mkdv" else "akns"
-        if seq.family != want:
-            raise ShapeError(f"{name} needs the {want} vacuum sequence")
         nv = seq.n - 1
         uq = u.block_mask(range(nv), [nv])
         ur = u.block_mask([nv], range(nv))
@@ -454,23 +446,19 @@ def named_flow_residual(seq: VacuumSequence, u: Series, name: str) -> list[FlowC
             out.append(FlowCheck(name, comp, sign, res, other))
         return out
 
-    if name == "n_wave":
-        if seq.family != "gl":
-            raise ShapeError("n_wave needs the gl family")
-        c = np.array(seq.c)
-        denom = c[:, None] - c[None, :]
-        np.fill_diagonal(denom, 1.0)
-        ad_inv = (1.0 / denom) * (1.0 - np.eye(seq.n))
-        out = []
-        for k in range(1, seq.n + 1):
-            e = np.zeros((seq.n, seq.n), dtype=complex)
-            e[k - 1, k - 1] = 1.0
-            es = Series.monomial(u.ctx, e)
-            w = commutator(es, u.hadamard(ad_inv))
-            rhs = dx(w) - commutator(u, w)
-            sign, res, other = _best_sign(u.partial(f"t{k}_1"), rhs)
-            out.append(FlowCheck(name, f"t{k}_1", sign, res, other))
-        return out
-
-    raise ShapeError(f"unknown named flow {name!r}")
+    # n_wave
+    c = np.array(seq.c)
+    denom = c[:, None] - c[None, :]
+    np.fill_diagonal(denom, 1.0)
+    ad_inv = (1.0 / denom) * (1.0 - np.eye(seq.n))
+    out = []
+    for k in range(1, seq.n + 1):
+        e = np.zeros((seq.n, seq.n), dtype=complex)
+        e[k - 1, k - 1] = 1.0
+        es = Series.monomial(u.ctx, e)
+        w = commutator(es, u.hadamard(ad_inv))
+        rhs = dx(w) - commutator(u, w)
+        sign, res, other = _best_sign(u.partial(f"t{k}_1"), rhs)
+        out.append(FlowCheck(name, f"t{k}_1", sign, res, other))
+    return out
 

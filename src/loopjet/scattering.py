@@ -115,18 +115,9 @@ class FactorizationResult:
         return self.conjugated_base(base).shift(shift)
 
     def q_series(self) -> Series:
-        """Q(u_f) = M J_1 M^-1."""
-        if self.seq.family == "kdv":
-            return self.conjugated_base("J")
-        if self.seq.family == "gl":
-            out = None
-            for k, ck in enumerate(self.seq.c, start=1):
-                term = self.conjugated_base(f"e{k}") * ck
-                out = term if out is None else out + term
-            return out
-        if self.seq.family == "gl_power":
-            return self.conjugated_base("a1")
-        return self.conjugated_base("J1")
+        """Q(u_f) = M J_1 M^-1, the x-combination of the conjugated
+        generators."""
+        return self.seq.x_sum(self.conjugated_generator)
 
 
 def _window_budget_check(seq: VacuumSequence, ctx: JetContext) -> None:
@@ -152,7 +143,7 @@ def _check_f(spec: SplittingSpec, f: Series) -> None:
     if stray is not None:
         raise ShapeError(f"factorize_jet: f has non-negative degrees "
                          f"({stray:.3e}); not in the negative subgroup")
-    bad = reality_check(spec, f.base_part(), level="group")
+    bad = reality_check(spec, f.base_part())
     if bad > REALITY_TOL * max(1.0, f.max_abs()):
         raise ShapeError(f"factorize_jet: f violates the {spec.variant} "
                          f"reality condition (defect {bad:.3e})")
@@ -267,7 +258,7 @@ def factorize_jet(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
         raise ShapeError(f"factorize_jet: u_f has nonzero lambda degrees "
                          f"({spill:.3e})")
     result.u = u_full.degree_slice(0)
-    if seq.family in ("gl", "gl_power"):
+    if seq.family == "gl":
         offdiag = 1.0 - np.eye(ctx.n)
         result.v = M.degree_slice(-1).hadamard(offdiag)
     return result

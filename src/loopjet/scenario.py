@@ -20,11 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checks import CATALOG, CheckRecord, record
-from .context import JetContext, default_window
+from .context import JetContext
 from .errors import ConfigError, LoopjetError
 from .hierarchy import (LaxFlows, VacuumSequence, akns_sequence,
                         gl_sequence, kdv_sequence, named_flow_residual,
-                        odd_akns_sequence, q_recursion_vector_akns)
+                        named_flows, odd_akns_sequence,
+                        q_recursion_vector_akns)
 from .scattering import (FactorizationResult, e_ode_defect, factorize_jet,
                          factorize_oracle, frame_variation_defect,
                          l_minus_stray, lax_residual, m_ode_defect,
@@ -165,6 +166,10 @@ class ScenarioConfig:
                 raise ConfigError("kdv_twisted family uses its own splitting")
         if self.family == "akns_sl2" and self.n != 2:
             raise ConfigError("akns_sl2 requires n = 2")
+        if self.family in ("vector_akns", "kdv_twisted") and \
+                self.a_diag is not None:
+            raise ConfigError(f"field 'a_diag': the {self.family} family "
+                              f"fixes its own a; leave a_diag null")
         if self.family == "gl_n" and self.a_diag is None:
             raise ConfigError("gl_n needs an a_diag of length n")
         if self.a_diag is not None and (len(self.a_diag) != self.n or
@@ -300,10 +305,8 @@ class Scenario:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.spec, self.seq = _build_family(cfg)
-        lo, hi = (cfg.window if cfg.window is not None
-                  else default_window(cfg.order, self.seq.j_max))
-        self.ctx = JetContext(self.seq.variables, cfg.order, self.seq.n, lo, hi)
-        self.fctx = JetContext((), 0, self.seq.n, lo, hi)
+        self.ctx = self.seq.context(cfg.order, cfg.window)
+        self.fctx = JetContext((), 0, self.seq.n, self.ctx.lo, self.ctx.hi)
         with _stage("scattering datum"):
             self.f = self._make_f()
 
@@ -328,7 +331,7 @@ class Scenario:
             if stray is not None:
                 raise ConfigError(f"field 'f_source.coeffs': the degree-0 "
                                   f"entries must sum to I (off by {stray:.3e})")
-            bad = reality_check(self.spec, f, level="group")
+            bad = reality_check(self.spec, f)
             if bad > 1e-8 * max(1.0, f.max_abs()):
                 raise ConfigError(f"explicit f violates the {self.spec.variant} "
                                   f"reality condition (defect {bad:.3e})")
@@ -463,7 +466,7 @@ class _Runner:
 
     def _suite_factorization(self) -> None:
         s, res = self.scen, self.result
-        self.add("reality_of_f", reality_check(s.spec, s.f, level="group"))
+        self.add("reality_of_f", reality_check(s.spec, s.f))
         self.add("vacuum_commuting", s.seq.commutation_defect(s.ctx))
         v = res.V
         worst = float(np.abs(v.coeff(0, 0) - np.eye(s.ctx.n)).max())
@@ -516,8 +519,8 @@ class _Runner:
         for var in s.seq.variables:
             worst = max(worst, (res.u.partial(var) - flows.rhs(var)).max_abs())
         self.add("flow_rhs_match", worst)
-        for name in _named_flows_for(s):
-            checks = named_flow_residual(s.seq, res.u, name)
+        for name in named_flows(s.seq, s.spec.variant):
+            checks = named_flow_residual(s.seq, res.u, name, s.spec.variant)
             val = max(c.residual for c in checks)
             signs = {c.component: c.sign for c in checks}
             self.add(f"flow_{name}", val,
@@ -710,36 +713,6 @@ def _stage(name: str):
 def _full_grid(seq) -> bool:
     flows = sorted({shift + 1 for _, shift in seq.gens.values()})
     return flows == list(range(1, max(flows) + 1))
-
-
-def _named_flows_for(scen: Scenario) -> list[str]:
-    seq, spec = scen.seq, scen.spec
-    if seq.family == "akns" and seq.n == 2:
-        out = []
-        if np.allclose(seq.a, np.diag([1j, -1j])):
-            out = [n for n in ("akns_t2", "akns_t3")
-                   if f"t{n[-1]}" in seq.variables]
-            if spec.variant == "u_real" and "t2" in seq.variables:
-                out.append("nls")
-        return out
-    if seq.family == "akns":
-        out = [n for n in (("vector_akns_t2", "t2"), ("vector_akns_t3", "t3"))
-               if n[1] in seq.variables]
-        out = [n[0] for n in out]
-        if spec.variant == "u_real" and "t2" in seq.variables:
-            out.append("vector_nls")
-        return out
-    if seq.family == "odd_akns" and "t2" in seq.variables:
-        if spec.variant == "tau_sigma":
-            return ["mkdv"]
-        if spec.variant == "sigma_twisted":
-            return ["cmkdv"]
-        return []
-    if seq.family == "kdv" and "t2" in seq.variables:
-        return ["kdv"]
-    if seq.family == "gl":
-        return ["n_wave"]
-    return []
 
 
 def _commuting_h(scen: Scenario) -> Series | None:

@@ -81,12 +81,14 @@ class _Slab:
         self._hat = None
 
     def fft(self, ctx: JetContext):
-        """Entry-major spectrum ``(n, n, T, nfft)``; certified-zero rows
-        (``shi == NEG``) are exact zeros whatever their stored data."""
+        """Entry-major spectrum ``(n, n, R, nfft)`` of the rows up to the
+        last live one (R rows; every reader indexes below it); certified-zero
+        rows (``shi == NEG``) are exact zeros whatever their stored data."""
         if self._hat is None:
-            T, _, n, _ = self.data.shape
+            n = self.data.shape[2]
             live = np.flatnonzero(self.shi != NEG)
-            self._hat = np.zeros((n, n, T, ctx.nfft), dtype=np.complex128)
+            rows = live[-1] + 1 if live.size else 0
+            self._hat = np.zeros((n, n, rows, ctx.nfft), dtype=np.complex128)
             self._hat[:, :, live] = _spectrum(ctx, self.data[live])
         return self._hat
 
@@ -278,7 +280,43 @@ def _leibniz(a: tuple, b: tuple, mul, add, base=None) -> tuple:
     return tuple(out)
 
 
-class Series:
+class _Jet:
+    """What :class:`Series` and :class:`ScalarJet` share: jet rows are
+    written through the subclass's ``with_rows``, and scalar multiples
+    through its ``scale``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_rows(cls, ctx: JetContext, rows, src, src_rows, factor=None,
+                  divisor=None, vorder: int | None = None):
+        """``cls.zeros(ctx).with_rows(...)``, written straight into freshly
+        allocated arrays (with as many tangent components as ``src``)."""
+        return cls(ctx, (), ctx.order).with_rows(rows, src, src_rows, factor,
+                                                 divisor, vorder)
+
+    def partial(self, var: str):
+        """Partial derivative in one flow variable; trusted jet order drops."""
+        ctx = self.ctx
+        src, dst, fac = ctx.partial_maps[ctx.var_index(var)]
+        return self.from_rows(ctx, dst, self, src, factor=fac,
+                              vorder=min(self.vorder - 1, ctx.order))
+
+    def times_var(self, var: str):
+        """Multiply by the monomial t_var (exact at every stored order)."""
+        ctx = self.ctx
+        src, dst = ctx.monomial_maps[ctx.var_index(var)]
+        return self.from_rows(ctx, dst, self, src,
+                              vorder=min(self.vorder + 1, ctx.order))
+
+    def __neg__(self):
+        return self.scale(-1.0)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+
+class Series(_Jet):
     """Jet of matrix Laurent series with K >= 0 tangent components:
     ``slabs[0]`` is the base value, ``slabs[1 + i]`` tangent component i,
     and ``E = 1 + K``."""
@@ -381,9 +419,6 @@ class Series:
         return Series(self.ctx, tuple(_slab_add(a, b, -1.0) for a, b in zip(za, zb)),
                       min(self.vorder, other.vorder))
 
-    def __neg__(self) -> "Series":
-        return self.scale(-1.0)
-
     def scale(self, c: complex) -> "Series":
         return Series(self.ctx, tuple(
             _Slab(s.data * c, s.tlo.copy(), s.slo.copy(), s.shi.copy(),
@@ -392,9 +427,6 @@ class Series:
     def __mul__(self, other):
         if isinstance(other, Series):
             return self.matmul(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
         return self.scale(other)
 
     def matmul(self, other: "Series", cap: int | None = None,
@@ -593,16 +625,6 @@ class Series:
         return Series(self.ctx, tuple(slabs),
                       self.vorder if vorder is None else vorder)
 
-    @classmethod
-    def from_rows(cls, ctx: JetContext, rows, src: "Series", src_rows,
-                  factor=None, divisor=None,
-                  vorder: int | None = None) -> "Series":
-        """``Series.zeros(ctx).with_rows(...)``, written straight into
-        freshly allocated arrays (with as many tangent components as
-        ``src``)."""
-        return cls(ctx, (), ctx.order).with_rows(rows, src, src_rows, factor,
-                                                 divisor, vorder)
-
     def base_rows(self, stop: int) -> tuple:
         """The base value's jet rows below ``stop`` as a plain tuple
         ``(vorder, data, tlo, slo, shi, thi)`` of copies, no spectrum: a
@@ -621,20 +643,6 @@ class Series:
         return cls(ctx, (_Slab(*_row_copy(
             (z.data, z.tlo, z.slo, z.shi, z.thi), rows, tuple(arrays), rows,
             copy=False)),), vorder)
-
-    def partial(self, var: str) -> "Series":
-        """Partial derivative in one flow variable; trusted jet order drops."""
-        ctx = self.ctx
-        src, dst, fac = ctx.partial_maps[ctx.var_index(var)]
-        return Series.from_rows(ctx, dst, self, src, factor=fac,
-                                vorder=min(self.vorder - 1, ctx.order))
-
-    def times_var(self, var: str) -> "Series":
-        """Multiply by the monomial t_var (exact at every stored order)."""
-        ctx = self.ctx
-        src, dst = ctx.monomial_maps[ctx.var_index(var)]
-        return Series.from_rows(ctx, dst, self, src,
-                                vorder=min(self.vorder + 1, ctx.order))
 
     # -- reads ---------------------------------------------------------------
 
@@ -672,16 +680,6 @@ class Series:
             if np.any(bad & live):
                 row = int(np.flatnonzero(bad & live)[0])
                 self._check_read(s, row, k, what)
-
-    def require_window(self, what: str = "result") -> None:
-        """Assert that every coefficient with content keeps a non-empty
-        trusted window (its trusted floor at or below its trusted top)."""
-        s = self.slabs[0]
-        lo = np.where(s.tlo == NEG, self.ctx.lo, s.tlo)
-        hi = np.where(s.thi == POS, self.ctx.hi, s.thi)
-        if np.any((s.shi >= s.slo) & (lo > hi)):
-            raise WindowExhausted(f"{what}: empty trusted window "
-                                  "(insufficient depth)")
 
     def degree_slice(self, k: int) -> "Series":
         """The lambda**k coefficient as a jet of constant matrices (placed at
@@ -797,7 +795,7 @@ class Series:
         return Series.from_rows(fctx, [0], self, [0], vorder=0)
 
 
-class ScalarJet:
+class ScalarJet(_Jet):
     """Scalar-valued jet (pairings, ln tau, q/r entries); exact once created.
     ``vals[0]`` is the base value, ``vals[1 + i]`` tangent component i."""
 
@@ -849,9 +847,6 @@ class ScalarJet:
         return ScalarJet(self.ctx, tuple(a - b for a, b in zip(va, vb)),
                          min(self.vorder, other.vorder))
 
-    def __neg__(self) -> "ScalarJet":
-        return self.scale(-1.0)
-
     def scale(self, c: complex) -> "ScalarJet":
         return ScalarJet(self.ctx, tuple(v * c for v in self.vals), self.vorder)
 
@@ -867,9 +862,6 @@ class ScalarJet:
         self.ctx.require_compatible(other.ctx)
         out = _leibniz(self.vals, other.vals, self._mul_vals, np.add)
         return ScalarJet(self.ctx, out, min(self.vorder, other.vorder))
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def conj(self) -> "ScalarJet":
         return ScalarJet(self.ctx, tuple(np.conj(v) for v in self.vals),
@@ -887,26 +879,6 @@ class ScalarJet:
                                   divisor, copy=own))
         return ScalarJet(self.ctx, tuple(vals),
                          self.vorder if vorder is None else vorder)
-
-    @classmethod
-    def from_rows(cls, ctx: JetContext, rows, src: "ScalarJet", src_rows,
-                  factor=None, divisor=None,
-                  vorder: int | None = None) -> "ScalarJet":
-        """The scalar counterpart of :meth:`Series.from_rows`."""
-        return cls(ctx, (), ctx.order).with_rows(rows, src, src_rows, factor,
-                                                 divisor, vorder)
-
-    def partial(self, var: str) -> "ScalarJet":
-        ctx = self.ctx
-        src, dst, fac = ctx.partial_maps[ctx.var_index(var)]
-        return ScalarJet.from_rows(ctx, dst, self, src, factor=fac,
-                                   vorder=min(self.vorder - 1, ctx.order))
-
-    def times_var(self, var: str) -> "ScalarJet":
-        ctx = self.ctx
-        src, dst = ctx.monomial_maps[ctx.var_index(var)]
-        return ScalarJet.from_rows(ctx, dst, self, src,
-                                   vorder=min(self.vorder + 1, ctx.order))
 
     def coeff(self, alpha, eps: int = 0) -> complex:
         ctx = self.ctx

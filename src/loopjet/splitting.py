@@ -13,8 +13,7 @@ a reality condition:
                      lambda, with phi = [[1,0],[lambda,1]].
 
 Because the twisted subalgebras sit inside the standard halves, the standard
-projections are also the twisted ones; ``project`` only adds a membership
-check.  Conjugation in lambda acts coefficientwise (all degrees are integers)
+projections are also the twisted ones.  Conjugation in lambda acts coefficientwise (all degrees are integers)
 and lambda -> -lambda flips odd coefficients, so every condition is evaluated
 exactly at truncation, never on the circle.
 """
@@ -29,11 +28,10 @@ from .context import JetContext
 from .errors import DimensionMismatch, ShapeError
 from .series import Series, exp_series
 
-__all__ = ["SplittingSpec", "project", "reality_check",
+__all__ = ["SplittingSpec", "reality_check",
            "sample_negative_element", "SplitMix64", "kdv_twist"]
 
 VARIANTS = ("standard", "u_real", "sigma_twisted", "tau_sigma", "kdv_twisted")
-MEMBERSHIP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -80,34 +78,11 @@ def kdv_twist(x: Series) -> Series:
     return _phi_inv(ctx) * h.flip_lambda() * _phi(ctx)
 
 
-def _sigma_alg(spec: SplittingSpec, x: Series) -> Series:
-    if spec.sigma_mode == "conj":
-        c = spec.sigma_conjugator
-        if c is None:
-            raise ShapeError("sigma_twisted with mode 'conj' needs a conjugator")
-        return x.conjugate_by(np.asarray(c, dtype=complex))
-    return -x.transpose()
-
-
-def _tau_alg(spec: SplittingSpec, x: Series) -> Series:
-    if spec.tau_mode == "hermitian":
-        return -x.conj_coeffs().transpose()
-    return x.conj_coeffs()
-
-
-def _alg_defect(spec: SplittingSpec, x: Series) -> float:
-    """Max defect of the variant's defining algebra condition."""
-    worst = 0.0
-    if spec.variant in ("u_real", "tau_sigma"):
-        worst = max(worst, (x - _tau_alg(spec, x)).max_abs())
-    if spec.variant in ("sigma_twisted", "tau_sigma"):
-        worst = max(worst, (x - _sigma_alg(spec, x.flip_lambda())).max_abs())
-    if spec.variant == "kdv_twisted":
-        worst = max(worst, (x - kdv_twist(x)).max_abs())
-    return worst
-
-
-def _group_defect(spec: SplittingSpec, g: Series) -> float:
+def reality_check(spec: SplittingSpec, g: Series) -> float:
+    """Max violation of the variant's defining group identity (0 for
+    standard)."""
+    if spec.variant == "standard":
+        return 0.0
     worst = 0.0
     ident = Series.identity(g.ctx)
     if spec.variant in ("u_real", "tau_sigma"):
@@ -126,37 +101,6 @@ def _group_defect(spec: SplittingSpec, g: Series) -> float:
         h = _phi(g.ctx) * g * _phi_inv(g.ctx)
         worst = max(worst, (h - h.flip_lambda()).max_abs())
     return worst
-
-
-def reality_check(spec: SplittingSpec, g: Series, level: str = "group") -> float:
-    """Max violation of the variant's defining identity (0 for standard)."""
-    if spec.variant == "standard":
-        return 0.0
-    if level == "group":
-        return _group_defect(spec, g)
-    if level == "algebra":
-        return _alg_defect(spec, g)
-    raise DimensionMismatch(f"unknown reality level {level!r}")
-
-
-def project(spec: SplittingSpec, x: Series, sign: str) -> Series:
-    """Standard +/- projection, after checking twisted membership.
-
-    Uniqueness of the standard splitting forces the halves of a twisted
-    element back into the twisted subalgebras, so no separate projector is
-    needed for the variants.
-    """
-    if spec.twisted:
-        bad = _alg_defect(spec, x)
-        if bad > MEMBERSHIP_TOL * max(1.0, x.max_abs()):
-            raise ShapeError(
-                f"project: operand violates the {spec.variant} condition "
-                f"(defect {bad:.3e})")
-    if sign == "+":
-        return x.plus()
-    if sign == "-":
-        return x.minus()
-    raise DimensionMismatch("sign must be '+' or '-'")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .context import JetContext
 from .errors import ShapeError
 from .scattering import FactorizationResult, factorize_jet
 from .series import ScalarJet, Series
@@ -64,12 +63,12 @@ class VirasoroFields:
         def build() -> Series:
             x = self.log.shift(ell + 1)
             if gamma is not None:
-                x = x + self._conj(gamma).shift(ell)
+                x = x + self.conj(gamma).shift(ell)
             return -(x.minus()) * self.f
 
         return self._cached(("Z", ell, _gamma_key(gamma)), build)
 
-    def _conj(self, gamma: np.ndarray) -> Series:
+    def conj(self, gamma: np.ndarray) -> Series:
         """f Gamma f^-1."""
         def build() -> Series:
             g = Series.monomial(self.f.ctx, np.asarray(gamma, dtype=complex))
@@ -95,13 +94,8 @@ class VirasoroFields:
 def datum_fields(result: FactorizationResult) -> VirasoroFields:
     """The fields at the datum f = M(0) of ``result``, built once per
     result."""
-    ctx = result.ctx
-
-    def build() -> VirasoroFields:
-        fctx = JetContext((), 0, ctx.n, ctx.lo, ctx.hi)
-        return VirasoroFields(result.f.base_part().at_zero(fctx))
-
-    return result.cached("datum_fields", build)
+    return result.cached("datum_fields", lambda: VirasoroFields(
+        result.f.base_part().at_zero()))
 
 
 def tangency_defect(fields: VirasoroFields, ell: int,
@@ -150,16 +144,15 @@ def _gamma_key(gamma: np.ndarray | None):
 def _conjugated_operand(result: FactorizationResult,
                         gamma: np.ndarray | None) -> Series:
     """E (lam f_lam f^-1 + f Gamma f^-1) E^-1, built once per result and
-    Gamma (it does not depend on l)."""
+    Gamma (it does not depend on l); the jet-constant inner operand embeds
+    the products the fields at the datum hold."""
 
     def build() -> Series:
-        f = result.f.base_part()
-        finv = f.inv()
-        x = (f.dlambda() * finv).shift(1)
+        fields = datum_fields(result)
+        x = fields.log.shift(1)
         if gamma is not None:
-            g = Series.monomial(result.ctx, np.asarray(gamma, dtype=complex))
-            x = x + f * g * finv
-        return result.E * x * result.Einv
+            x = x + fields.conj(gamma)
+        return result.E * x.embed(result.ctx) * result.Einv
 
     return result.cached(("operand", _gamma_key(gamma)), build)
 
@@ -426,7 +419,7 @@ def eta_tangency_defect(spec: SplittingSpec, fields: VirasoroFields,
                         j: int) -> float:
     """First-order invariance of the sigma reality condition along eta_j."""
     ext = fields.f.with_eps(fields.eta(j))
-    return reality_check(spec, ext, level="group")
+    return reality_check(spec, ext)
 
 
 def eta_bracket_defect(fields: VirasoroFields, js) -> float:

@@ -2,9 +2,11 @@
 
 The oracles here are deliberately naive (dict-based double sums) and never
 call the vectorized kernels they are used to check.  The helpers at the end
-(bit-for-bit comparisons, the trusted floor read, the repeated-product
-count, the dump parser and the KdV restriction check) serve only the tests,
-so they live here rather than in the package.
+(bit-for-bit comparisons, the trusted floor and window reads, the
+repeated-product count, the dump parser, the KdV restriction check, the
+algebra-level reality conditions with the checked projection, and the gl
+hierarchy in power-sum coordinates) serve only the tests, so they live here
+rather than in the package.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ import hashlib
 
 import numpy as np
 
-from loopjet import JetContext, ScalarJet, Series
+from loopjet import (DimensionMismatch, JetContext, ScalarJet, Series,
+                     ShapeError, WindowExhausted)
 from loopjet import series as kernel
-from loopjet.context import NEG
-from loopjet.hierarchy import akns_sequence, q_recursion_vector_akns
-from loopjet.splitting import SplitMix64
+from loopjet.context import NEG, POS
+from loopjet.hierarchy import (VacuumSequence, akns_sequence,
+                               q_recursion_vector_akns)
+from loopjet.splitting import SplitMix64, SplittingSpec, kdv_twist
 from loopjet.tau import _from_entries
 
 
@@ -111,6 +115,17 @@ def trusted_lo(series: Series) -> int:
     return series.ctx.lo if t == NEG else t
 
 
+def require_window(x: Series, what: str = "result") -> None:
+    """Assert that every coefficient of x with content keeps a non-empty
+    trusted window (its trusted floor at or below its trusted top)."""
+    s = x.slabs[0]
+    lo = np.where(s.tlo == NEG, x.ctx.lo, s.tlo)
+    hi = np.where(s.thi == POS, x.ctx.hi, s.thi)
+    if np.any((s.shi >= s.slo) & (lo > hi)):
+        raise WindowExhausted(f"{what}: empty trusted window "
+                              "(insufficient depth)")
+
+
 @contextlib.contextmanager
 def repeated_products():
     """Count the slab products made while the block runs, and those whose
@@ -175,3 +190,73 @@ def kdv_restriction_formula_check(order: int = 3, seed: int = 5) -> float:
     tr = (a_s * q_m1).trace_coeff(0)
     worst = max(worst, (tr + r).max_abs())
     return worst
+
+
+def _sigma_alg(spec: SplittingSpec, x: Series) -> Series:
+    if spec.sigma_mode == "conj":
+        c = spec.sigma_conjugator
+        if c is None:
+            raise ShapeError("sigma_twisted with mode 'conj' needs a conjugator")
+        return x.conjugate_by(np.asarray(c, dtype=complex))
+    return -x.transpose()
+
+
+def _tau_alg(spec: SplittingSpec, x: Series) -> Series:
+    if spec.tau_mode == "hermitian":
+        return -x.conj_coeffs().transpose()
+    return x.conj_coeffs()
+
+
+def alg_defect(spec: SplittingSpec, x: Series) -> float:
+    """Max defect of the variant's defining algebra condition (0 for
+    standard)."""
+    worst = 0.0
+    if spec.variant in ("u_real", "tau_sigma"):
+        worst = max(worst, (x - _tau_alg(spec, x)).max_abs())
+    if spec.variant in ("sigma_twisted", "tau_sigma"):
+        worst = max(worst, (x - _sigma_alg(spec, x.flip_lambda())).max_abs())
+    if spec.variant == "kdv_twisted":
+        worst = max(worst, (x - kdv_twist(x)).max_abs())
+    return worst
+
+
+def project(spec: SplittingSpec, x: Series, sign: str) -> Series:
+    """Standard +/- projection, after checking twisted membership.
+
+    Uniqueness of the standard splitting forces the halves of a twisted
+    element back into the twisted subalgebras, so no separate projector is
+    needed for the variants.
+    """
+    if spec.twisted:
+        bad = alg_defect(spec, x)
+        if bad > 1e-9 * max(1.0, x.max_abs()):
+            raise ShapeError(
+                f"project: operand violates the {spec.variant} condition "
+                f"(defect {bad:.3e})")
+    if sign == "+":
+        return x.plus()
+    if sign == "-":
+        return x.minus()
+    raise DimensionMismatch("sign must be '+' or '-'")
+
+
+def gl_power_sequence(c, num_flows: int) -> VacuumSequence:
+    """The gl hierarchy in the power-sum coordinates s_{i,j} with
+    generators a**i lambda**j, a = diag(c), and x = s_{1,1}; related to
+    ``gl_sequence`` by the linear change t_{k,j} = sum_i s_{i,j} c_k**i."""
+    c = tuple(complex(x) for x in c)
+    n = len(c)
+    a = np.diag(c)
+    variables = tuple(f"s{i}_{j}" for i in range(1, n + 1)
+                      for j in range(1, num_flows + 1))
+    bases = {}
+    gens = {}
+    power = np.eye(n, dtype=complex)
+    for i in range(1, n + 1):
+        power = power @ a
+        bases[f"a{i}"] = {1: power.copy()}
+        for j in range(1, num_flows + 1):
+            gens[f"s{i}_{j}"] = (f"a{i}", j - 1)
+    return VacuumSequence(family="gl_power", n=n, a=a, variables=variables,
+                          bases=bases, gens=gens, x_comb=(("s1_1", 1.0),),
+                          c=c)

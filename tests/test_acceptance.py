@@ -31,8 +31,8 @@ from loopjet.virasoro import (VirasoroFields, bracket_defect,
                               induced_lntau_variation, proof_identities_check,
                               theorem76_operator, thm56_defect)
 
-from helpers import (kdv_restriction_formula_check, random_laurent_dict, rng,
-                     series_from_dict, trusted_lo)
+from helpers import (kdv_restriction_formula_check, random_laurent_dict,
+                     require_window, rng, series_from_dict, trusted_lo)
 
 AMP = 0.3
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -130,7 +130,7 @@ def test_criterion_2_flow_fixtures(akns, nls, mkdv, cmkdv, kdv):
     for name, fix in (("akns_t2", akns), ("akns_t3", akns), ("nls", nls),
                       ("mkdv", mkdv), ("cmkdv", cmkdv), ("kdv", kdv)):
         spec, seq, ctx, f, res, _ = fix
-        for chk in named_flow_residual(seq, res.u, name):
+        for chk in named_flow_residual(seq, res.u, name, spec.variant):
             worst = max(worst, chk.residual)
             if chk.sign != 1:
                 notes.append(f"{name}/{chk.component} orientation flipped")
@@ -339,8 +339,8 @@ def test_criterion_10_kernel_properties():
           * series_from_dict(shallow, db, exact=False))
     cd = (series_from_dict(deep, da, exact=False)
           * series_from_dict(deep, db, exact=False))
-    cs.require_window()
-    cd.require_window()
+    require_window(cs)
+    require_window(cd)
     worst_win = max(np.abs(cs.coeff(0, k) - cd.coeff(0, k)).max()
                     for k in range(trusted_lo(cs), 3))
     verdict("10 kernel-properties",

@@ -208,6 +208,30 @@ def test_exit_code_trivial_dimension(tmp_path, capsys, family, a_diag):
     _assert_field_rejected(tmp_path, capsys, base, ("n",), 1)
 
 
+@pytest.mark.parametrize("family,n,a_diag", [
+    ("vector_akns", 3, [[1, 0], [2, 0], [3, 0]]),
+    ("kdv_twisted", 2, [[1, 0], [-1, 0]])])
+def test_exit_code_a_diag_of_a_family_that_fixes_a(tmp_path, capsys, family,
+                                                   n, a_diag):
+    base = dict(SEEDED, family=family, n=n)
+    _assert_field_rejected(tmp_path, capsys, base, ("a_diag",), a_diag)
+
+
+@pytest.mark.parametrize("variant,a_diag", [
+    ("sigma_twisted", None), ("tau_sigma", [[1.0, 0.0], [-1.0, 0.0]])])
+def test_odd_sl2_flows_check_only_the_closed_forms_that_hold(tmp_path, variant,
+                                                             a_diag):
+    # complex mKdV needs a = diag(1, -1) and mKdV a = diag(i, -i): neither
+    # closed form holds here, so the flows suite checks the flows alone
+    cfg = dict(SEEDED, variant=variant, a_diag=a_diag, flows=2,
+               suites=["flows"])
+    rc = main(["run", "--config", _write(tmp_path, "c.json", cfg),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 0
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert [c["id"] for c in doc["checks"]] == ["flow_rhs_match"]
+
+
 def _assert_field_rejected(tmp_path, capsys, base, path, value):
     bad = json.loads(json.dumps(base))
     holder = bad
@@ -374,6 +398,7 @@ def test_catalog_is_exactly_the_emittable_ids():
     import itertools
     from loopjet import checks, scenario
     from loopjet.errors import ConfigError
+    from loopjet.hierarchy import named_flows
     emitted = set()
     for path in pathlib.Path(checks.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -385,17 +410,21 @@ def test_catalog_is_exactly_the_emittable_ids():
                 emitted.add(node.args[0].value)
     variants = ("standard", "u_real", "sigma_twisted", "tau_sigma",
                 "kdv_twisted")
-    for family, variant, n in itertools.product(scenario.FAMILIES, variants,
-                                                (2, 3)):
+    grid = [(family, variant, n, None) for family, variant, n in
+            itertools.product(scenario.FAMILIES, variants, (2, 3))]
+    # complex mKdV holds only with a = diag(1, -1)
+    grid.append(("akns_sl2", "sigma_twisted", 2, [[1.0, 0.0], [-1.0, 0.0]]))
+    for family, variant, n, a_diag in grid:
         raw = {"schema": "loopjet-scenario/1", "family": family, "n": n,
-               "variant": variant, "flows": 3}
+               "variant": variant, "flows": 3, "a_diag": a_diag}
         if family == "gl_n":
             raw["a_diag"] = [[1.0, 0.0], [-0.4, 0.8], [0.2, -1.1]][:n]
         try:
             scen = scenario.Scenario(scenario.ScenarioConfig.from_dict(raw))
         except ConfigError:
             continue
-        emitted.update(f"flow_{name}" for name in scenario._named_flows_for(scen))
+        emitted.update(f"flow_{name}" for name in
+                       named_flows(scen.seq, scen.spec.variant))
     assert set(checks.CATALOG) == emitted
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from loopjet import JetContext, Series, ShapeError
-from loopjet.hierarchy import (akns_sequence, flow_rhs, gl_sequence,
+from loopjet.hierarchy import (LaxFlows, akns_sequence, gl_sequence,
                                kdv_sequence, lax_bracket, odd_akns_sequence,
                                q_recursion_vector_akns, vacuum_frame)
 from loopjet.splitting import SplitMix64, SplittingSpec, sample_negative_element
@@ -114,13 +114,13 @@ def test_flow_rhs_first_flow_is_translation_and_vacuum_stationary():
     f = sample_negative_element(spec, ctx, seed=3, depth=2, amplitude=0.3)
     res = factorize_jet(spec, seq, ctx, f)
     q = res.q_series()
-    r1 = flow_rhs(seq, res.u, q, "t1")
+    r1 = LaxFlows(seq, res.u, q).rhs("t1")
     assert (r1 - seq.partial_x(res.u)).max_abs() < 1e-12
     # vacuum data: u = 0, Q = J_1, all flows stationary
     zero_u = Series.zeros(ctx)
     j1 = seq.j1(ctx)
     for var in seq.variables:
-        assert flow_rhs(seq, zero_u, j1, var).max_abs() < 1e-14
+        assert LaxFlows(seq, zero_u, j1).rhs(var).max_abs() < 1e-14
 
 
 def test_flow_rhs_validates_lax_precondition():
@@ -129,7 +129,7 @@ def test_flow_rhs_validates_lax_precondition():
     bad_q = Series.from_degree_matrices(ctx, {1: seq.a, 0: np.eye(2)})
     u = _random_u(seq, ctx, seed=9)
     with pytest.raises(ShapeError):
-        flow_rhs(seq, u, bad_q, "t2")
+        LaxFlows(seq, u, bad_q).rhs("t2")
 
 
 def test_mixed_partials_commute_exactly():
@@ -152,7 +152,7 @@ def test_vector_nls_and_vector_mkdv_restrictions():
     f = sample_negative_element(spec, ctx, seed=81, depth=3, amplitude=0.3)
     res = factorize_jet(spec, seq, ctx, f)
     assert reality_propagation_check(res)["r_equals_minus_q_conj_t"] < 1e-9
-    for chk in named_flow_residual(seq, res.u, "vector_nls"):
+    for chk in named_flow_residual(seq, res.u, "vector_nls", "u_real"):
         assert chk.residual < 1e-8
 
     seqm = odd_akns_sequence(np.diag([1j, 1j, -1j]), 2)
@@ -165,7 +165,7 @@ def test_vector_nls_and_vector_mkdv_restrictions():
     ur = u.block_mask([2], range(2))
     assert (uq + ur.transpose()).max_abs() < 1e-9   # q = -r^t
     assert (u - u.conj_coeffs()).max_abs() < 1e-9   # real entries
-    for chk in named_flow_residual(seqm, resm.u, "vector_mkdv"):
+    for chk in named_flow_residual(seqm, resm.u, "vector_mkdv", "tau_sigma"):
         assert chk.residual < 1e-8
         assert chk.sign == 1  # the derived orientation is built in here
 

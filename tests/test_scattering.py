@@ -21,7 +21,7 @@ from loopjet.splitting import SplittingSpec, sample_negative_element
 from loopjet.tau import ln_tau_jet, tau_route_defects
 from loopjet.virasoro import VirasoroFields, eps_perturbed_result, gamma_xi0
 
-from helpers import same_value
+from helpers import gl_power_sequence, same_value
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -172,7 +172,6 @@ def test_reality_propagation(variant, mkseq):
 
 
 def test_gl_coordinate_change():
-    from loopjet.hierarchy import gl_power_sequence
     c = [1.0, -0.4 + 0.8j, 0.2 - 1.1j]
     seq_t = gl_sequence(c, 2)
     seq_s = gl_power_sequence(c, 2)
@@ -209,6 +208,35 @@ def test_gl_coordinate_change():
                 worst = max(worst, float(np.abs(d2s.coeff(zero_s, 0)
                                                 - d2t.coeff(zero_t, 0)).max()))
     assert worst < 1e-9
+
+
+def test_j1_and_q_are_the_x_combination_bit_for_bit():
+    # J_1 and Q = M J_1 M^-1 are the x-combination of the generators and of
+    # the conjugated generators; they equal the per-family values bit for
+    # bit, and a coefficient of 1 keeps the cached conjugate itself
+    c = [1.0, -0.4 + 0.8j, 0.2 - 1.1j]
+    cases = [(SplittingSpec("standard", 2), akns_sequence(2, 2)),
+             (SplittingSpec("kdv_twisted", 2), kdv_sequence(2)),
+             (SplittingSpec("standard", 3), gl_sequence(c, 2))]
+    for spec, seq in cases:
+        ctx = seq.context(2)
+        f = sample_negative_element(spec, ctx, seed=5, depth=2, amplitude=0.3)
+        res = factorize_jet(spec, seq, ctx, f)
+        if seq.family == "akns":
+            q = res.conjugated_base("J1")
+            j1 = Series.from_degree_matrices(ctx, {1: seq.a})
+            assert res.q_series() is q
+        elif seq.family == "kdv":
+            q = res.conjugated_base("J")
+            j1 = seq.base_series(ctx, "J")
+        else:
+            q = None
+            for k, ck in enumerate(seq.c, start=1):
+                term = res.conjugated_base(f"e{k}") * ck
+                q = term if q is None else q + term
+            j1 = Series.from_degree_matrices(ctx, {1: np.diag(seq.c)})
+        assert same_value(res.q_series(), q), seq.family
+        assert same_value(seq.j1(ctx), j1), seq.family
 
 
 def test_trivial_stabilizers_have_zero_defect():

@@ -14,8 +14,8 @@ from loopjet.context import NEG, POS
 from loopjet.series import _cap_top, _finalize_tlo
 
 from helpers import (conv_oracle, jet_conv_oracle, random_jet_series,
-                     random_laurent_dict, random_matrix, rng, same_slab,
-                     same_value, series_from_dict, trusted_lo)
+                     random_laurent_dict, random_matrix, require_window, rng,
+                     same_slab, same_value, series_from_dict, trusted_lo)
 
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -48,7 +48,7 @@ def test_mul_matches_bruteforce_and_trusted_lo():
     A = series_from_dict(ctx, da, exact=False)
     B = series_from_dict(ctx, db, exact=False)
     C = A * B
-    C.require_window()
+    require_window(C)
     assert trusted_lo(C) == -6
     oracle = conv_oracle(da, db)
     for k in range(-6, 3):
@@ -67,8 +67,8 @@ def test_mul_trusted_window_sound_under_deepening():
           * series_from_dict(shallow, db, exact=False))
     cd = (series_from_dict(deep, da, exact=False)
           * series_from_dict(deep, db, exact=False))
-    cs.require_window()
-    cd.require_window()
+    require_window(cs)
+    require_window(cd)
     for k in range(trusted_lo(cs), 3):
         assert np.abs(cs.coeff(0, k) - cd.coeff(0, k)).max() < 1e-12
 
@@ -387,7 +387,7 @@ def test_series_mul_empty_trusted_window_raises():
     a = series_from_dict(ctx, random_laurent_dict(gen, 2, -4, 4), exact=False)
     b = a * a          # trusted floor rises, trusted top caps at the window
     with pytest.raises(WindowExhausted):
-        (b * b).require_window()
+        require_window(b * b)
 
 
 def test_require_window_rejects_floor_above_top():
@@ -397,7 +397,7 @@ def test_require_window_rejects_floor_above_top():
                                     {-2: np.eye(2)}, exact=False).shift(3)
     prod = c * Series.from_degree_matrices(c.ctx, {4: np.eye(2)})
     with pytest.raises(WindowExhausted):
-        prod.require_window()
+        require_window(prod)
 
 
 # -- product kernel vs brute-force oracles --------------------------------------

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from loopjet import JetContext, Series, ShapeError, cocycle, commutator
-from loopjet.splitting import (SplitMix64, SplittingSpec, kdv_twist, project,
+from loopjet.splitting import (SplitMix64, SplittingSpec, kdv_twist,
                                reality_check, sample_negative_element)
 
-from helpers import random_laurent_dict, rng, series_from_dict
+from helpers import (alg_defect, project, random_laurent_dict, rng,
+                     series_from_dict)
 
 E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -45,10 +46,10 @@ def test_project_kdv_membership_and_closure():
     x = random_series(3, ctx, -3, -1)
     sym = (x + kdv_twist(x)).scale(0.5)
     spec = SplittingSpec("kdv_twisted", 2)
-    assert reality_check(spec, sym, level="algebra") < 1e-13
+    assert alg_defect(spec, sym) < 1e-13
     for sign in "+-":
         part = project(spec, sym, sign)
-        assert reality_check(spec, part, level="algebra") < 1e-13
+        assert alg_defect(spec, part) < 1e-13
     with pytest.raises(ShapeError):
         project(spec, x, "-")  # generic element violates the condition
 
@@ -127,7 +128,7 @@ def test_kdv_condition_on_vacuum_generator():
     ctx = fctx()
     J = Series.from_degree_matrices(ctx, {1: np.diag([1.0, -1.0]), 0: E12})
     spec = SplittingSpec("kdv_twisted", 2)
-    assert reality_check(spec, J, level="algebra") < 1e-14
+    assert alg_defect(spec, J) < 1e-14
     phi = Series.from_degree_matrices(ctx, {0: np.eye(2), 1: E21})
     phi_inv = Series.from_degree_matrices(ctx, {0: np.eye(2), 1: -E21})
     h = phi * J * phi_inv
@@ -182,5 +183,5 @@ def test_sample_deterministic():
 def test_sampled_f_passes_group_condition(spec, n):
     ctx = fctx(n=n)
     f = sample_negative_element(spec, ctx, seed=41, depth=3, amplitude=0.3)
-    assert reality_check(spec, f, level="group") < 1e-9
+    assert reality_check(spec, f) < 1e-9
     assert (f - Series.identity(ctx)).plus().max_abs() < 1e-14

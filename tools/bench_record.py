@@ -25,8 +25,9 @@ child process, ``run.py``
 included, records its ``ru_maxrss`` and ``ru_minflt`` from ``os.wait4``
 (they cover the processes it waited for, so a ``run.py`` run counts its
 workload processes).  BLAS/OpenMP threads are pinned to 1, as ``run.py``
-does.  The file is rewritten after every run, so an interrupted recording
-keeps what it measured.
+does.  ``src_lines`` records the line count of ``src/loopjet/*.py`` on
+each side.  The file is rewritten after every run, so an interrupted
+recording keeps what it measured.
 
     python3 tools/bench_record.py --parent ../parent --change . \\
         --seed 23 --out BENCH_6.json
@@ -160,6 +161,17 @@ def run_tier1(checkout: str) -> dict:
             "summary": lines[-1] if lines else ""}
 
 
+def src_lines(checkout: str) -> int:
+    """Lines of ``src/loopjet/*.py`` in ``checkout``: the package size."""
+    pkg = os.path.join(checkout, "src", "loopjet")
+    total = 0
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                total += sum(1 for _ in fh)
+    return total
+
+
 def _quartiles(xs: list[float]) -> list[float]:
     return statistics.quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
 
@@ -211,7 +223,8 @@ def main(argv: list[str] | None = None) -> int:
     record = {"command": "perfbench/run.py --trace 0", "seed": args.seed,
               "pairs": PAIRS, "workloads": list(WORKLOADS), "pair_order": [],
               "host": None, "runs": [], "summary": {}, "extras": [],
-              "identity": {}}
+              "identity": {},
+              "src_lines": {s: src_lines(checkouts[s]) for s in SIDES}}
 
     def save() -> None:
         with open(args.out, "w", encoding="utf-8") as fh:
