@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import LoopjetError
 
-__all__ = ["CheckRecord", "CATALOG", "record", "catalog_entries"]
+__all__ = ["CheckRecord", "CATALOG", "record", "detect", "catalog_entries"]
 
 
 @dataclass
@@ -118,6 +118,16 @@ def record(check_id: str, value: float, note: str = "",
     tol = default_tol if tolerance is None else tolerance
     return CheckRecord(check_id, anchor, float(value), tol,
                        bool(value <= tol), note)
+
+
+def detect(residuals: dict) -> tuple:
+    """The detected convention among ``residuals`` (candidate label ->
+    residual, in candidate order): ``(label, residual, runner-up
+    residual)`` for the smallest residual; an exact tie goes to the first
+    candidate."""
+    (label, best), (_, other) = sorted(residuals.items(),
+                                       key=lambda kv: kv[1])[:2]  # stable
+    return label, best, other
 
 
 def catalog_entries() -> list[tuple[str, str, float]]:

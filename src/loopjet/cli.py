@@ -38,14 +38,23 @@ def _load_config(path: str, seed: int | None, order: int | None
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read configuration: {e}") from None
-    if seed is not None:
-        raw.setdefault("f_source", {"kind": "seeded"})
-        if raw["f_source"].get("kind") != "seeded":
-            raise ConfigError("--seed conflicts with an explicit f_source")
-        raw["f_source"]["seed"] = seed
-    if order is not None:
-        raw["order"] = order
+    if isinstance(raw, dict):  # from_dict rejects anything else
+        src = raw.setdefault("f_source", {"kind": "seeded"})
+        if seed is not None and isinstance(src, dict):
+            if src.get("kind") != "seeded":
+                raise ConfigError("--seed conflicts with an explicit f_source")
+            src["seed"] = seed
+        if order is not None:
+            raw["order"] = order
     return ScenarioConfig.from_dict(raw)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write --out {path}: {e}") from None
 
 
 def _snap(x: float) -> float:
@@ -104,7 +113,7 @@ def dump_series(cfg: ScenarioConfig, target: str) -> str:
             raise ConfigError("target 'v' needs the gl_n family")
         body = _dump_rows_series(res.v)
     elif target == "lntau":
-        body = _dump_rows_scalar(ln_tau_jet(res).X)
+        body = _dump_rows_scalar(ln_tau_jet(res))
     else:
         raise ConfigError(f"unknown dump target {target!r}")
     return "\n".join([header] + body) + "\n"
@@ -144,13 +153,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "dump":
-            text = dump_series(cfg, args.target)
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write(args.out, dump_series(cfg, args.target))
             return 0
-        report = None
         from .scenario import run_scenario
         report = run_scenario(cfg)
+        _write(args.out, report.to_json() + "\n")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -158,9 +165,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
     for rec in report.checks:
         status = "pass" if rec.passed else "FAIL"
         print(f"[{status}] {rec.check_id:26s} defect {rec.max_defect:.3e} "

@@ -165,6 +165,12 @@ class JetContext:
         except ValueError:
             raise DimensionMismatch(f"unknown flow variable {name!r}") from None
 
+    def unit_index(self, var: str, power: int = 1) -> tuple[int, ...]:
+        """The multi-index ``power`` e_var."""
+        alpha = [0] * len(self.variables)
+        alpha[self.var_index(var)] = power
+        return tuple(alpha)
+
     def compatible(self, other: "JetContext") -> bool:
         return (self.variables == other.variables and self.order == other.order
                 and self.n == other.n and self.lo == other.lo and self.hi == other.hi)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checks import detect
 from .context import JetContext
 from .errors import ShapeError, WindowExhausted
 from .hierarchy import VacuumSequence, lax_bracket, vacuum_frame
@@ -294,14 +295,13 @@ def lax_residual(result: FactorizationResult) -> dict:
     to vanish, and the report records which one did."""
     q = result.q_series()
     scale = max(1.0, q.max_abs())
-    minus_sign = lax_bracket(result.seq, result.u, q, sign=-1).max_abs() / scale
-    plus_sign = lax_bracket(result.seq, result.u, q, sign=+1).max_abs() / scale
-    return {
-        "defining": minus_sign,
-        "alternate": plus_sign,
-        "convention": "[d/dx - (J1+u), Q] = 0" if minus_sign <= plus_sign
-        else "[d/dx + J1 + u, Q] = 0",
-    }
+    qx, c = lax_bracket(result.seq, result.u, q)
+    minus_sign = (qx - c).max_abs() / scale
+    plus_sign = (qx + c).max_abs() / scale
+    convention, _, _ = detect({"[d/dx - (J1+u), Q] = 0": minus_sign,
+                               "[d/dx + J1 + u, Q] = 0": plus_sign})
+    return {"defining": minus_sign, "alternate": plus_sign,
+            "convention": convention}
 
 
 def e_ode_defect(result: FactorizationResult) -> float:
@@ -342,9 +342,7 @@ def reality_propagation_check(result: FactorizationResult) -> dict:
     spec, seq, u = result.spec, result.seq, result.u
     out = {}
     if spec.variant == "u_real":
-        nv = seq.n - 1
-        q = u.block_mask(range(nv), [nv])
-        r = u.block_mask([nv], range(nv))
+        q, r = seq.qr_blocks(u)
         out["r_equals_minus_q_conj_t"] = (r + q.conj_coeffs().transpose()).max_abs()
     elif spec.variant == "tau_sigma":
         if seq.family == "gl":

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import CATALOG, CheckRecord, record
+from .checks import CATALOG, CheckRecord, detect, record
 from .context import JetContext
 from .errors import ConfigError, LoopjetError
 from .hierarchy import (LaxFlows, VacuumSequence, akns_sequence,
@@ -179,6 +179,9 @@ class ScenarioConfig:
         if self.order < 1:
             raise ConfigError("order must be >= 1")
         for suite in self.suites:
+            if self.suites.count(suite) > 1:
+                raise ConfigError(f"field 'suites' lists {suite!r} more "
+                                  f"than once")
             need = self._family_for(suite)
             if need is not None:
                 raise ConfigError(f"field 'suites': suite {suite!r} needs "
@@ -420,7 +423,6 @@ class _Runner:
         self.conventions: dict = {}
         self.timing: dict = {}
         self.result: FactorizationResult | None = None
-        self.tau = None
         self.stabilizers: dict | None = None
 
     def add(self, cid: str, value: float, note: str = "") -> None:
@@ -443,11 +445,6 @@ class _Runner:
             s = self.scen
             with _stage("prerequisite factorization"):
                 self.result = factorize_jet(s.spec, s.seq, s.ctx, s.f)
-
-    def _ensure_tau(self):
-        if self.tau is None:
-            self.tau = ln_tau_jet(self.result)
-        return self.tau
 
     def _ensure_stabilizers(self) -> dict:
         """The stabilizer checks of the variant's samples, run once: "h"
@@ -556,15 +553,14 @@ class _Runner:
 
     def _suite_tau(self) -> None:
         s, res = self.scen, self.result
-        tau = self._ensure_tau()
-        d = tau_route_defects(res, tau)
+        d = tau_route_defects(res)
         self.add("tau_defining", d["defining"])
         self.add("tau_closedness", d["closedness"])
         self.add("tau_second_routes", d["routes"])
         self.add("tau_symmetry", d["symmetry"])
         if s.seq.family != "gl":
             self.add("tau_t1tj_route", d["t1tj"])
-        for rec in identity_suite(res, tau):
+        for rec in identity_suite(res):
             if self.cfg.tolerances.get(rec.check_id) is not None:
                 rec = record(rec.check_id, rec.max_defect, rec.note,
                              self.cfg.tolerances[rec.check_id])
@@ -613,7 +609,7 @@ class _Runner:
                 fv_eps = eps.M.eps_part() * res.Minv
                 worst_frame = max(worst_frame, (fv - fv_eps).max_abs())
                 lt = induced_lntau_variation(res, ell, gamma)
-                lt_eps = ln_tau_jet(eps).X.eps_part()
+                lt_eps = ln_tau_jet(eps).eps_part()
                 worst_lk = max(worst_lk, (lt - lt_eps).max_abs())
                 if s.seq.family == "gl" and gamma is None and \
                         _full_grid(s.seq):
@@ -649,30 +645,28 @@ class _Runner:
         self.add("lntau_variation", thm56_defect(eps))
 
     def _t76_checks(self, ells) -> None:
-        s, res = self.scen, self.result
-        tau = self._ensure_tau()
+        res = self.result
         worst = {"proof": 0.0, "printed": 0.0}
         worst_jet = 0.0
         for ell in ells:
             lt = induced_lntau_variation(res, ell, None)
             for which in ("proof", "printed"):
-                op, _ = theorem76_operator(res, tau, ell, coefficients=which)
+                op, _ = theorem76_operator(res, ell, coefficients=which)
                 worst[which] = max(worst[which], (op - lt).max_abs())
-            op_j, masked = theorem76_operator(res, tau, ell, partials="jet")
+            op_j, masked = theorem76_operator(res, ell, partials="jet")
             worst_jet = max(worst_jet, masked_scalar_defect(op_j, lt, masked))
-        best = min(worst, key=worst.get)
-        self.add("t76_operator", worst[best],
+        best, residual, other = detect(worst)
+        self.add("t76_operator", residual,
                  note=f"quadratic coefficients: {best} version "
-                      f"(other {worst[max(worst, key=worst.get)]:.3e})")
+                      f"(other {other:.3e})")
         self.conventions["t76_coeffs"] = best
         self.add("t76_jet_route", worst_jet)
 
     def _suite_proof_identities(self) -> None:
         s, res = self.scen, self.result
-        tau = self._ensure_tau()
         agg: dict[str, float] = {}
         for i in range(1, s.ctx.n + 1):
-            for key, val in proof_identities_check(res, tau, i).items():
+            for key, val in proof_identities_check(res, i).items():
                 agg[key] = max(agg.get(key, 0.0), val)
         self.add("proof_b_square", agg["b_square"])
         self.add("proof_b_linear", agg["b_linear"])
@@ -793,16 +787,13 @@ def _leading_term_defect(scen: Scenario) -> float:
     worst = 0.0
     import math as _math
     for j in range(1, min(3, ctx.order) + 1):
-        alpha = [0] * len(ctx.variables)
-        alpha[ctx.var_index("t1")] = j
-        u = Series.monomial(ctx, gen / _math.factorial(j), alpha=tuple(alpha))
+        u = Series.monomial(ctx, gen / _math.factorial(j),
+                            alpha=ctx.unit_index("t1", j))
         _, P, T = q_recursion_vector_akns(seq, u, j)
         expect = np.linalg.matrix_power(-seq.a / 2.0, j) @ gen
         worst = max(worst, float(np.abs(P[j].coeff(0, 0) - expect).max()))
     if ctx.order >= 1:
-        alpha = [0] * len(ctx.variables)
-        alpha[ctx.var_index("t1")] = 1
-        u = Series.monomial(ctx, gen, alpha=tuple(alpha))
+        u = Series.monomial(ctx, gen, alpha=ctx.unit_index("t1"))
         _, P, T = q_recursion_vector_akns(seq, u, 3)
         expect = -np.linalg.matrix_power(seq.a / 2.0, 3) @ gen @ gen
         worst = max(worst, float(np.abs(T[3].coeff(0, 0) - expect).max()))

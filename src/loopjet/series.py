@@ -538,7 +538,8 @@ class Series(_Jet):
 
     def restrict_degrees(self, klo: int, khi: int) -> "Series":
         """Restriction to degrees in [klo, khi] (content outside is dropped
-        and certified zero); used for depth-limited comparisons."""
+        and certified zero): the projections ( )_+ and ( )_- and the
+        depth-limited comparisons."""
         ctx = self.ctx
         out = []
         for s in self.slabs:
@@ -556,33 +557,12 @@ class Series(_Jet):
         return Series(ctx, tuple(out), self.vorder)
 
     def plus(self) -> "Series":
-        """Projection onto degrees >= 0; restores full trust below zero
-        because the result is zero there by definition."""
-        ctx = self.ctx
-        cut = ctx.pos(0)
-        out = []
-        for s in self.slabs:
-            data = s.data.copy()
-            data[:, :cut] = 0.0
-            slo = np.maximum(s.slo, 0)
-            tlo = np.where(s.tlo <= 0, NEG, s.tlo)
-            out.append(_Slab(data, tlo.astype(np.int64), slo.astype(np.int64),
-                             s.shi.copy(), s.thi.copy()))
-        return Series(ctx, tuple(out), self.vorder)
+        """( )_+: projection onto degrees >= 0, certified zero below."""
+        return self.restrict_degrees(0, POS)
 
     def minus(self) -> "Series":
-        """Projection onto degrees < 0; degrees >= 0 become certified zero."""
-        ctx = self.ctx
-        cut = ctx.pos(0)
-        out = []
-        for s in self.slabs:
-            data = s.data.copy()
-            data[:, cut:] = 0.0
-            shi = np.minimum(s.shi, -1)
-            thi = np.where(s.thi >= -1, POS, s.thi)
-            out.append(_Slab(data, s.tlo.copy(), s.slo.copy(),
-                             shi.astype(np.int64), thi.astype(np.int64)))
-        return Series(ctx, tuple(out), self.vorder)
+        """( )_-: projection onto degrees < 0, certified zero above."""
+        return self.restrict_degrees(NEG, -1)
 
     # -- inverses and exponentials -----------------------------------------
 

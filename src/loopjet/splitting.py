@@ -55,10 +55,6 @@ class SplittingSpec:
             if not np.allclose(sq, sq[0, 0] * np.eye(self.n)):
                 raise ShapeError("sigma conjugator squared must be scalar")
 
-    @property
-    def twisted(self) -> bool:
-        return self.variant != "standard"
-
 
 def _phi(ctx: JetContext) -> Series:
     return Series.from_degree_matrices(

@@ -12,44 +12,40 @@ values disagree with their own derivations and recording the winner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .checks import CheckRecord, record
+from .checks import CheckRecord, detect, record
 from .context import JetContext
 from .errors import ShapeError
 from .scattering import FactorizationResult
 from .series import ScalarJet, Series
 
-__all__ = ["LnTauJet", "ln_tau_jet", "first_partial_pairing",
+__all__ = ["ln_tau_jet", "first_partial_pairing",
            "second_partial_formula", "second_partial_via_j1",
            "tau_route_defects", "identity_suite", "vector_akns_recovery",
            "xi_helpers"]
 
 
-@dataclass
-class LnTauJet:
-    """Scalar jet of ln tau_f with its provenance."""
-    X: ScalarJet
-    result: FactorizationResult
-
-
-def ln_tau_jet(result: FactorizationResult, var_choice: str = "first") -> LnTauJet:
+def ln_tau_jet(result: FactorizationResult,
+               var_choice: str = "first") -> ScalarJet:
     """Integrate (ln tau)_{t_v} = <J_v, M^-1 M_lam>_{-1} from ln tau(0) = 0.
 
     ``var_choice`` selects the integration path per multi-index; closedness
     of the defining one-form makes the choice irrelevant, which the
-    closedness check verifies by comparing "first" against "last".
+    closedness check verifies by comparing "first" against "last".  One
+    value per result and ``var_choice``, shared: callers must not modify it.
     """
-    ctx = result.ctx
-    integrands = [first_partial_pairing(result, *result.seq.gens[var])
-                  for var in ctx.variables]
-    X = ScalarJet.zeros(ctx)
-    for by_var in ctx.integration_steps(var_choice).values():
-        for v, (rows, src, exps) in by_var.items():
-            X = X.with_rows(rows, integrands[v], src, divisor=exps)
-    return LnTauJet(X, result)
+    def build() -> ScalarJet:
+        ctx = result.ctx
+        integrands = [first_partial_pairing(result, *result.seq.gens[var])
+                      for var in ctx.variables]
+        X = ScalarJet.zeros(ctx)
+        for by_var in ctx.integration_steps(var_choice).values():
+            for v, (rows, src, exps) in by_var.items():
+                X = X.with_rows(rows, integrands[v], src, divisor=exps)
+        return X
+
+    return result.cached(("ln_tau", var_choice), build)
 
 
 def first_partial_pairing(result: FactorizationResult, base_key: str,
@@ -90,24 +86,24 @@ def second_partial_via_j1(result: FactorizationResult,
     return wj.pairing(result.seq.j1(result.ctx).dlambda(), -1)
 
 
-def tau_route_defects(result: FactorizationResult, tau: LnTauJet) -> dict:
+def tau_route_defects(result: FactorizationResult) -> dict:
     """Cross-checks between the defining relation, jet differentiation, the
     second-partial pairing, its (t_1, t_j) specialization and symmetry."""
     seq = result.seq
     gens = seq.gens
+    X = ln_tau_jet(result)
     defining = 0.0
     for var in seq.variables:
         iv = first_partial_pairing(result, *gens[var])
-        defining = max(defining, (tau.X.partial(var) - iv).max_abs())
-    alt = ln_tau_jet(result, var_choice="last")
-    closed = (tau.X - alt.X).max_abs()
+        defining = max(defining, (X.partial(var) - iv).max_abs())
+    closed = (X - ln_tau_jet(result, var_choice="last")).max_abs()
 
     routes = 0.0
     symmetry = 0.0
     for vj in seq.variables:
         for vk in seq.variables:
             form = second_partial_formula(result, gens[vj], gens[vk])
-            jet = tau.X.partial(vj).partial(vk)
+            jet = X.partial(vj).partial(vk)
             routes = max(routes, (jet - form).max_abs())
             if vj < vk:
                 other = second_partial_formula(result, gens[vk], gens[vj])
@@ -128,30 +124,25 @@ def tau_route_defects(result: FactorizationResult, tau: LnTauJet) -> dict:
 _KAPPAS = (0.5 + 0j, -0.5 + 0j, 0.5j, -0.5j)
 
 
-def _akns_qr(result: FactorizationResult):
-    u = result.u
-    return u.entry_jet(0, 1, 0), u.entry_jet(1, 0, 0)
-
-
-def identity_suite(result: FactorizationResult, tau: LnTauJet) -> list[CheckRecord]:
+def identity_suite(result: FactorizationResult) -> list[CheckRecord]:
     """Closed-form identities between ln tau and u_f for the active family."""
     seq = result.seq
     out: list[CheckRecord] = []
     if seq.family == "akns" and seq.n == 2:
-        out.extend(_akns_identities(result, tau))
+        out.extend(_akns_identities(result))
     if seq.family == "kdv":
         r = result.u.entry_jet(1, 0, 0)
         y11 = second_partial_formula(result, seq.gens["t1"], seq.gens["t1"])
         out.append(record("kdv_tau_t1t1", (y11 + r).max_abs()))
     if seq.family == "gl":
-        out.extend(_gl_identities(result, tau))
+        out.extend(_gl_identities(result))
     return out
 
 
-def _akns_identities(result: FactorizationResult, tau: LnTauJet) -> list[CheckRecord]:
+def _akns_identities(result: FactorizationResult) -> list[CheckRecord]:
     seq = result.seq
     out = []
-    q, r = _akns_qr(result)
+    q, r = result.u.entry_jet(0, 1, 0), result.u.entry_jet(1, 0, 0)
     y1 = second_partial_formula(result, seq.gens["t1"], seq.gens["t1"])
     out.append(record("akns_tau_qr", (y1 + q * r).max_abs()))
     if "t2" not in seq.variables:
@@ -160,17 +151,12 @@ def _akns_identities(result: FactorizationResult, tau: LnTauJet) -> list[CheckRe
     qx = seq.partial_x(q)
     rx = seq.partial_x(r)
     bracket = qx * r - rx * q
-    best_kappa, best = None, np.inf
-    for kappa in _KAPPAS:
-        d = (y2 - bracket * kappa).max_abs()
-        if d < best:
-            best_kappa, best = kappa, d
-    out.append(record("akns_tau_t1t2", best,
-                      note=f"kappa = {best_kappa}"))
+    k, best, _ = detect({kappa: (y2 - bracket * kappa).max_abs()
+                         for kappa in _KAPPAS})
+    out.append(record("akns_tau_t1t2", best, note=f"kappa = {k}"))
     # first-order ODE system relating u_f to y_1, y_2 (denominator-cleared);
     # substituting the detected constant into the printed system fixes the
     # signs of its (y_1)_{t_1} terms.
-    k = best_kappa
     y1x = seq.partial_x(y1)
     res_q = y1 * qx + y2 * q * (1.0 / (2.0 * k)) - y1x * q * 0.5
     res_r = y1 * rx - y2 * r * (1.0 / (2.0 * k)) - y1x * r * 0.5
@@ -181,7 +167,7 @@ def _akns_identities(result: FactorizationResult, tau: LnTauJet) -> list[CheckRe
     return out
 
 
-def _gl_identities(result: FactorizationResult, tau: LnTauJet) -> list[CheckRecord]:
+def _gl_identities(result: FactorizationResult) -> list[CheckRecord]:
     seq = result.seq
     out = []
     n = seq.n
@@ -205,12 +191,10 @@ def _gl_identities(result: FactorizationResult, tau: LnTauJet) -> list[CheckReco
             worst_u_div = max(worst_u_div, (y - uik * uki * (1.0 / scale)).max_abs())
             worst_u_mul = max(worst_u_mul, (y - uik * uki * scale).max_abs())
     out.append(record("thm7.1_tau_uu", worst_vv))
-    if worst_u_div <= worst_u_mul:
-        out.append(record("tau_uu_u_form", worst_u_div,
-                          note="scaling = divide by (c_i - c_k)^2"))
-    else:
-        out.append(record("tau_uu_u_form", worst_u_mul,
-                          note="scaling = multiply by (c_i - c_k)^2"))
+    scaling, worst_u, _ = detect({"divide": worst_u_div,
+                                  "multiply": worst_u_mul})
+    out.append(record("tau_uu_u_form", worst_u,
+                      note=f"scaling = {scaling} by (c_i - c_k)^2"))
     if result.spec.variant in ("sigma_twisted", "tau_sigma"):
         worst = 0.0
         for i in range(n):
@@ -260,39 +244,25 @@ def conjugation_invariance_check(result: FactorizationResult,
 # vector AKNS: xi helpers and the constructive recovery of u_f
 
 def xi_helpers(result: FactorizationResult) -> dict:
-    """xi_j = tr(u a^j u^(j)) for j = 0..2n-1, plus the exact trace identity
-    tr(u^(i) u^(j)) = q^(i).r^(j) + q^(j).r^(i)."""
+    """The exact trace identity tr(u^(i) u^(j)) = q^(i).r^(j) + q^(j).r^(i)
+    that the helpers xi_j = tr(u a^j u^(j)) rest on, for every i, j up to
+    2(n - 1) - 1 or the jet order, whichever is lower."""
     seq = result.seq
     if seq.family != "akns":
         raise ShapeError("xi helpers need the vector AKNS family")
-    ctx = result.ctx
-    nv = seq.n - 1
-    u = result.u
-    top = min(2 * nv - 1, ctx.order)
-    a_pow = np.eye(seq.n, dtype=complex)
-    values = []
-    derivs = [u]
-    for _ in range(top):
-        derivs.append(seq.partial_x(derivs[-1]))
-    for j in range(top + 1):
-        aj = Series.monomial(ctx, a_pow)
-        values.append((u * aj * derivs[j]).trace_coeff(0))
-        a_pow = a_pow @ seq.a
+    top = min(2 * (seq.n - 1) - 1, result.ctx.order)
+    derivs = seq.x_derivatives(result.u, top)
+    uq, ur = seq.qr_blocks(result.u)
+    qs = seq.x_derivatives(uq, top)
+    rs = seq.x_derivatives(ur, top)
     worst = 0.0
-    uq = u.block_mask(range(nv), [nv])
-    ur = u.block_mask([nv], range(nv))
-    qs = [uq]
-    rs = [ur]
-    for _ in range(top):
-        qs.append(seq.partial_x(qs[-1]))
-        rs.append(seq.partial_x(rs[-1]))
     for i in range(len(qs)):
         for j in range(len(qs)):
             lhs = (derivs[i] * derivs[j]).trace_coeff(0)
             rhs = ((qs[i] * rs[j]).trace_coeff(0)
                    + (qs[j] * rs[i]).trace_coeff(0))
             worst = max(worst, (lhs - rhs).max_abs())
-    return {"xi": values, "trace_identity": worst}
+    return {"trace_identity": worst}
 
 
 def _recovery_pieces(result: FactorizationResult):
@@ -303,14 +273,9 @@ def _recovery_pieces(result: FactorizationResult):
     nv = seq.n - 1
     if ctx.order < nv + 1:
         raise ShapeError("recovery needs jet order >= n + 1 in t_1")
-    u = result.u
-    uq = u.block_mask(range(nv), [nv])
-    ur = u.block_mask([nv], range(nv))
-    qs = [uq]
-    rs = [ur]
-    for _ in range(nv):
-        qs.append(seq.partial_x(qs[-1]))
-        rs.append(seq.partial_x(rs[-1]))
+    uq, ur = seq.qr_blocks(result.u)
+    qs = seq.x_derivatives(uq, nv)
+    rs = seq.x_derivatives(ur, nv)
     entries_s = {}
     entries_r = {}
     for i in range(nv):

@@ -20,8 +20,7 @@ from .errors import ShapeError
 from .scattering import FactorizationResult, factorize_jet
 from .series import ScalarJet, Series
 from .splitting import SplittingSpec, reality_check
-from .tau import LnTauJet, first_partial_pairing, ln_tau_jet, \
-    second_partial_formula
+from .tau import first_partial_pairing, ln_tau_jet, second_partial_formula
 
 __all__ = ["gamma_xi0", "VirasoroFields", "datum_fields", "tangency_defect",
            "bracket_defect", "induced_frame_variation", "gl_frame_variation",
@@ -179,9 +178,8 @@ def script_j(result: FactorizationResult) -> Series:
         base, shift = seq.gens[var]
         j = shift + 1
         e = seq.bases[base][1]
-        alpha = [0] * len(ctx.variables)
-        alpha[ctx.var_index(var)] = 1
-        out = out + Series.monomial(ctx, j * e, degree=j, alpha=tuple(alpha))
+        out = out + Series.monomial(ctx, j * e, degree=j,
+                                    alpha=ctx.unit_index(var))
     return out
 
 
@@ -242,7 +240,7 @@ def thm56_defect(result_eps: FactorizationResult) -> float:
     """General variation law: d/d eps ln tau = -<M_eps M^-1, E_lam E^-1>_{-1};
     M^-1 and E_lam E^-1 are the base result's when it was computed along
     one."""
-    lhs = ln_tau_jet(result_eps).X.eps_part()
+    lhs = ln_tau_jet(result_eps).eps_part()
     base = result_eps.base or result_eps  # from scratch: its own base parts
     rhs = -(result_eps.M.eps_part() * base.Minv.base_part()).pairing(
         _e_log(base).base_part(), -1)
@@ -266,7 +264,7 @@ def c_ell_const_defect(result: FactorizationResult, ells) -> float:
 _T76_COEFFS = {"proof": (0.5, 0.5), "printed": (1.0, 0.5)}
 
 
-def theorem76_operator(result: FactorizationResult, tau: LnTauJet, ell: int,
+def theorem76_operator(result: FactorizationResult, ell: int,
                        partials: str = "formula",
                        coefficients: str = "proof"
                        ) -> tuple[ScalarJet, list[str]]:
@@ -291,6 +289,7 @@ def theorem76_operator(result: FactorizationResult, tau: LnTauJet, ell: int,
     if seq.family != "gl":
         raise ShapeError("theorem76_operator is for the gl family")
     ca, cb = _T76_COEFFS[coefficients]
+    X = ln_tau_jet(result)
     op = ScalarJet.zeros(ctx)
     masked: list[str] = []
     flows = sorted({shift + 1 for _, shift in seq.gens.values()})
@@ -306,7 +305,7 @@ def theorem76_operator(result: FactorizationResult, tau: LnTauJet, ell: int,
             return first_partial_pairing(result, f"e{i}", k - 1)
         var = f"t{i}_{k}"
         if var in seq.gens:
-            return tau.X.partial(var)
+            return X.partial(var)
         return "out-of-range"
 
     for var in seq.variables:
@@ -333,9 +332,9 @@ def theorem76_operator(result: FactorizationResult, tau: LnTauJet, ell: int,
                         raise ShapeError(
                             "theorem76_operator: quadratic term needs "
                             f"t_{{i,{j}}} and t_{{i,{ell - j}}} active")
-                    a = tau.X.partial(f"t{i}_{j}")
-                    b = tau.X.partial(f"t{i}_{ell - j}")
-                    sec = tau.X.partial(f"t{i}_{j}").partial(f"t{i}_{ell - j}")
+                    a = X.partial(f"t{i}_{j}")
+                    b = X.partial(f"t{i}_{ell - j}")
+                    sec = X.partial(f"t{i}_{j}").partial(f"t{i}_{ell - j}")
                 op = op + a * b * ca + sec * cb
     op = op - ScalarJet.const(ctx, 0.5 * datum_fields(result).c_ell(ell))
     return op, masked
@@ -357,8 +356,7 @@ def masked_scalar_defect(a: ScalarJet, b: ScalarJet,
 # ---------------------------------------------------------------------------
 # auxiliary identities from the operator-form derivation
 
-def proof_identities_check(result: FactorizationResult, tau: LnTauJet,
-                           i: int) -> dict:
+def proof_identities_check(result: FactorizationResult, i: int) -> dict:
     """B_i = M(I - 2 e_ii) lam M^-1 satisfies B_i = lam I - 2 Q_i,
     B_i^2 = lam^2 I, lam dB/dlam = [P, B] + B, tr(B dB/dlam) = n lam;
     xi = M^-1 M_lam has only degrees <= -2 with X_{t_{i,j}} = xi_{ii,-(j+1)};
@@ -396,7 +394,7 @@ def proof_identities_check(result: FactorizationResult, tau: LnTauJet,
         if base != f"e{i}":
             continue
         j = shift + 1
-        worst = max(worst, (tau.X.partial(var)
+        worst = max(worst, (ln_tau_jet(result).partial(var)
                             - xi.entry_jet(i - 1, i - 1, -(j + 1))).max_abs())
     out["xi_entry"] = worst
     q0 = Q.degree_slice(0)

@@ -227,7 +227,7 @@ def project(spec: SplittingSpec, x: Series, sign: str) -> Series:
     element back into the twisted subalgebras, so no separate projector is
     needed for the variants.
     """
-    if spec.twisted:
+    if spec.variant != "standard":
         bad = alg_defect(spec, x)
         if bad > 1e-9 * max(1.0, x.max_abs()):
             raise ShapeError(

@@ -172,7 +172,7 @@ def test_criterion_4_tau_calculus(akns, gl3):
     worst = 0.0
     for fix in (akns, gl3):
         spec, seq, ctx, f, res, _ = fix
-        d = tau_route_defects(res, ln_tau_jet(res))
+        d = tau_route_defects(res)
         worst = max(worst, d["closedness"], d["routes"], d["symmetry"],
                     d["defining"])
     verdict("4 tau-calculus", worst, 1e-9)
@@ -182,7 +182,7 @@ def test_criterion_5_tau_identities(akns, gl3):
     worst = 0.0
     notes = []
     spec, seq, ctx, f, res, _ = akns
-    recs = {r.check_id: r for r in identity_suite(res, ln_tau_jet(res))}
+    recs = {r.check_id: r for r in identity_suite(res)}
     worst = max(worst, recs["akns_tau_qr"].max_defect,
                 recs["akns_tau_t1t2"].max_defect)
     notes.append(recs["akns_tau_t1t2"].note)
@@ -193,11 +193,11 @@ def test_criterion_5_tau_identities(akns, gl3):
     kspec = SplittingSpec("kdv_twisted", 2)
     kf = sample_negative_element(kspec, kctx, seed=31, depth=3, amplitude=AMP)
     kres = factorize_jet(kspec, kseq, kctx, kf)
-    krecs = {r.check_id: r for r in identity_suite(kres, ln_tau_jet(kres))}
+    krecs = {r.check_id: r for r in identity_suite(kres)}
     worst = max(worst, krecs["kdv_tau_t1t1"].max_defect)
     # gl_3, all off-diagonal pairs
     spec, seq, ctx, f, res, _ = gl3
-    grecs = {r.check_id: r for r in identity_suite(res, ln_tau_jet(res))}
+    grecs = {r.check_id: r for r in identity_suite(res)}
     worst = max(worst, grecs["thm7.1_tau_uu"].max_defect)
     # symmetric restriction
     sseq = gl_sequence([1.0, -0.4, 0.2], 2, parity="odd")
@@ -206,7 +206,7 @@ def test_criterion_5_tau_identities(akns, gl3):
     sf = sample_negative_element(sspec, JetContext((), 0, 3, sctx.lo, sctx.hi),
                                  seed=71, depth=3, amplitude=AMP)
     sres = factorize_jet(sspec, sseq, sctx, sf)
-    srecs = {r.check_id: r for r in identity_suite(sres, ln_tau_jet(sres))}
+    srecs = {r.check_id: r for r in identity_suite(sres)}
     worst = max(worst, srecs["sigma_tau_vv"].max_defect)
     verdict("5 tau-identities", worst, 1e-8, extra="; ".join(notes))
 
@@ -268,12 +268,11 @@ def test_criterion_8_operator_form(gl2, gl3):
     note = ""
     for fix in (gl2, gl3):
         spec, seq, ctx, f, res, _ = fix
-        tau = ln_tau_jet(res)
         for ell in (-1, 0, 1, 2, 3):
             lt = induced_lntau_variation(res, ell, None)
             eps = eps_perturbed_result(res, VirasoroFields(f)(ell))
-            lt_eps = ln_tau_jet(eps).X.eps_part()
-            op, masked = theorem76_operator(res, tau, ell)
+            lt_eps = ln_tau_jet(eps).eps_part()
+            op, masked = theorem76_operator(res, ell)
             assert not masked
             worst_triple = max(worst_triple, (lt - lt_eps).max_abs(),
                                (op - lt).max_abs())
@@ -282,7 +281,7 @@ def test_criterion_8_operator_form(gl2, gl3):
             worst_frame = max(worst_frame, (fv - fv_eps).max_abs(),
                               (fv - gl_frame_variation(res, ell)).max_abs())
         for i in range(1, ctx.n + 1):
-            for key, val in proof_identities_check(res, tau, i).items():
+            for key, val in proof_identities_check(res, i).items():
                 worst_proof = max(worst_proof, val)
     verdict("8a operator-triple-agreement", worst_triple, 1e-7,
             extra="quadratic coefficients: derived (1/2, 1/2)")

@@ -196,9 +196,37 @@ def test_exit_code_numerical_failure(tmp_path):
     (("n",), 2.5), (("order",), True), (("window",), {"lo": -26.5, "hi": 11}),
     (("virasoro", "ells"), [0.5]), (("tolerances", "fact_oracle"), math.nan),
     (("f_source", "amplitude"), math.nan),
-    (("a_diag",), [[1, 0], [math.inf, 0]])])
+    (("a_diag",), [[1, 0], [math.inf, 0]]),
+    (("suites",), ["factorization", "factorization"])])
 def test_exit_code_malformed_field(tmp_path, capsys, path, value):
     _assert_field_rejected(tmp_path, capsys, SEEDED, path, value)
+
+
+@pytest.mark.parametrize("raw,override,field", [
+    ([], ["--seed", "3"], "JSON object"),
+    ([], ["--order", "3"], "JSON object"),
+    (dict(SEEDED, f_source=5), ["--seed", "3"], "f_source")])
+def test_exit_code_override_of_a_malformed_config(tmp_path, capsys, raw,
+                                                  override, field):
+    # --seed and --order apply to a config object only; the config's own
+    # rejection stands, never a traceback
+    rc = main(["run", "--config", _write(tmp_path, "c.json", raw),
+               "--out", str(tmp_path / "r.json"), *override])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "dump"])
+def test_exit_code_unwritable_out(tmp_path, capsys, command):
+    cfg = _write(tmp_path, "c.json",
+                 dict(E21_FIXTURE, suites=["factorization"]))
+    args = [command, "--config", cfg, "--out",
+            str(tmp_path / "missing" / "r.json")]
+    if command == "dump":
+        args += ["--target", "u"]
+    assert main(args) == 2
+    assert "--out" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("family,a_diag", [("vector_akns", None),

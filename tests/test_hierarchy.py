@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from loopjet import JetContext, Series, ShapeError
+from loopjet.checks import detect
 from loopjet.hierarchy import (LaxFlows, akns_sequence, gl_sequence,
                                kdv_sequence, lax_bracket, odd_akns_sequence,
                                q_recursion_vector_akns, vacuum_frame)
@@ -77,7 +78,8 @@ def test_q_recursion_closed_forms():
         qq = (q * q + lam2).restrict_degrees(-1, ctx.hi)
         assert qq.max_abs() < 1e-12
         # the Lax bracket annihilates to the available depth
-        lb = lax_bracket(seq, u, q).restrict_degrees(-1, ctx.hi)
+        qx, c = lax_bracket(seq, u, q)
+        lb = (qx - c).restrict_degrees(-1, ctx.hi)
         assert lb.max_abs() < 1e-12
 
 
@@ -199,3 +201,11 @@ def test_flows_suite_makes_no_repeat_product():
         runner._suite_flows()
     assert count["products"] > 0
     assert count["repeats"] == 0
+
+
+def test_detect_takes_the_first_candidate_on_an_exact_tie():
+    # every detected convention (flow signs, bracket orientation, kappa,
+    # the gl scaling, the Theorem 7.6 coefficients) comes from this rule
+    assert detect({1: 0.5, -1: 0.5}) == (1, 0.5, 0.5)
+    assert detect({"a": 2.0, "b": 1.0, "c": 1.0}) == ("b", 1.0, 1.0)
+    assert detect({"a": 3.0, "b": 1.0, "c": 2.0}) == ("b", 1.0, 2.0)

@@ -282,8 +282,8 @@ def test_pipeline_stable_under_window_deepening():
                                             - res_deep.M.coeff(alpha, k)).max()))
         worst = max(worst, float(np.abs(res.u.coeff(alpha, 0)
                                         - res_deep.u.coeff(alpha, 0)).max()))
-    x1 = ln_tau_jet(res).X
-    x2 = ln_tau_jet(res_deep).X
+    x1 = ln_tau_jet(res)
+    x2 = ln_tau_jet(res_deep)
     worst = max(worst, max(abs(x1.coeff(i) - x2.coeff(i))
                            for i in range(ctx.T)))
     assert worst < 1e-12
@@ -325,8 +325,8 @@ def test_eps_runs_along_the_trajectory_equal_runs_from_scratch(scen):
                                   getattr(scratch, name)), (ell, name)
         assert same_value(along.q_series(), scratch.q_series())
         assert same_value(along.xi, scratch.xi)
-        assert same_value(ln_tau_jet(along).X.eps_part(),
-                          ln_tau_jet(scratch).X.eps_part())
+        assert same_value(ln_tau_jet(along).eps_part(),
+                          ln_tau_jet(scratch).eps_part())
     # values the base result holds are shared; capped records keep only the
     # rows up to their cap, as plain arrays (no spectrum)
     assert along.Minv.slabs[0] is res.Minv.slabs[0]
@@ -401,7 +401,7 @@ def test_factorizations_nothing_refactorizes_record_nothing():
     s = _scenario("akns_standard")
     res = factorize_jet(s.spec, s.seq, s.ctx, s.f)
     alt = factorize_jet(s.spec, s.seq, s.ctx, s.f, var_choice="last", V=res.V)
-    tau_route_defects(res, ln_tau_jet(res))
+    tau_route_defects(res)
     h = Series.identity(s.fctx) + Series.monomial(
         s.fctx, np.diag([0.2, -0.2]).astype(complex), -1)
     chk = stabilizer_h_check(res, h)

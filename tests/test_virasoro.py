@@ -158,7 +158,7 @@ def test_frame_and_lntau_variations_both_gammas(gl2_setup):
             fv_eps = eps.M.eps_part() * eps.M.base_part().inv()
             assert (fv - fv_eps).max_abs() < 1e-8
             lt = induced_lntau_variation(res, ell, gamma)
-            lt_eps = ln_tau_jet(eps).X.eps_part()
+            lt_eps = ln_tau_jet(eps).eps_part()
             assert (lt - lt_eps).max_abs() < 1e-8
             if gamma is None:
                 assert (fv - gl_frame_variation(res, ell)).max_abs() < 1e-8
@@ -188,17 +188,17 @@ def test_thm56_general_variation(gl2_setup):
 
 
 def test_theorem76_operator_routes(gl2_setup):
-    _, _, _, f, res, tau = gl2_setup
+    _, _, _, f, res, _ = gl2_setup
     for ell in (-1, 0, 1, 2, 3):
         lt = induced_lntau_variation(res, ell, None)
-        op, masked = theorem76_operator(res, tau, ell)
+        op, masked = theorem76_operator(res, ell)
         assert not masked
         assert (op - lt).max_abs() < 1e-7
-        op_jet, masked = theorem76_operator(res, tau, ell, partials="jet")
+        op_jet, masked = theorem76_operator(res, ell, partials="jet")
         assert masked_scalar_defect(op_jet, lt, masked) < 1e-7
     # the stated quadratic coefficient (1 instead of 1/2) fails for l >= 2
     lt = induced_lntau_variation(res, 3, None)
-    op_bad, _ = theorem76_operator(res, tau, 3, coefficients="printed")
+    op_bad, _ = theorem76_operator(res, 3, coefficients="printed")
     assert (op_bad - lt).max_abs() > 1e-3
 
 
@@ -207,9 +207,8 @@ def test_trivial_data_gives_zero_operator():
     ctx = seq.context(2)
     spec = SplittingSpec("standard", 2)
     res = factorize_jet(spec, seq, ctx, Series.identity(ctx))
-    tau = ln_tau_jet(res)
     for ell in (-1, 0, 2):
-        op, _ = theorem76_operator(res, tau, ell)
+        op, _ = theorem76_operator(res, ell)
         assert op.max_abs() < 1e-13
         assert induced_lntau_variation(res, ell, None).max_abs() < 1e-13
 
@@ -220,9 +219,9 @@ def test_c_ell_t_independence(gl2_setup):
 
 
 def test_proof_identities(gl2_setup):
-    _, _, _, _, res, tau = gl2_setup
+    _, _, _, _, res, _ = gl2_setup
     for i in (1, 2):
-        out = proof_identities_check(res, tau, i)
+        out = proof_identities_check(res, i)
         for key, val in out.items():
             assert val < 1e-9, key
 
@@ -260,10 +259,10 @@ def gl3_order2():
 
 
 def test_proof_identities_make_no_repeat_product(gl3_order2):
-    scen, res, tau = gl3_order2
+    scen, res, _ = gl3_order2
     with repeated_products() as count:
         for i in range(1, scen.ctx.n + 1):
-            proof_identities_check(res, tau, i)
+            proof_identities_check(res, i)
     assert count["products"] > 0
     assert count["repeats"] == 0
 

@@ -26,8 +26,13 @@ included, records its ``ru_maxrss`` and ``ru_minflt`` from ``os.wait4``
 (they cover the processes it waited for, so a ``run.py`` run counts its
 workload processes).  BLAS/OpenMP threads are pinned to 1, as ``run.py``
 does.  ``src_lines`` records the line count of ``src/loopjet/*.py`` on
-each side.  The file is rewritten after every run, so an interrupted
-recording keeps what it measured.
+each side.  Before the first pair it compiles ``src`` in both checkouts
+(``python -m compileall -q src``) and records that in the host line
+(``bytecode``): a child that may not write bytecode
+(``PYTHONDONTWRITEBYTECODE``) recompiles a stale ``__pycache__`` in every
+process, which moves its peak RSS by about 2 MB, so both sides must start
+from valid caches.  The file is rewritten after every run, so an
+interrupted recording keeps what it measured.
 
     python3 tools/bench_record.py --parent ../parent --change . \\
         --seed 23 --out BENCH_6.json
@@ -231,14 +236,18 @@ def main(argv: list[str] | None = None) -> int:
             json.dump(record, fh, indent=1)
             fh.write("\n")
 
+    bytecode = {"command": "python -m compileall -q src",
+                "exit": {s: spawn(["-m", "compileall", "-q", "src"],
+                                  checkouts[s])["exit"] for s in SIDES}}
     for pair in range(PAIRS):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         record["pair_order"].append(list(order))
         for wl in WORKLOADS:
             for side in order:
                 run = run_once(checkouts[side], wl, args.seed)
-                record["host"] = record["host"] or run.pop("host")
-                run.pop("host", None)
+                host = run.pop("host")
+                if record["host"] is None and host is not None:
+                    record["host"] = dict(host, bytecode=bytecode)
                 record["runs"].append({"workload": wl, "pair": pair,
                                        "side": side, **run})
                 record["summary"] = summarize(record["runs"], better)
