@@ -41,7 +41,7 @@ def _load_config(path: str, seed: int | None, order: int | None
     if isinstance(raw, dict):  # from_dict rejects anything else
         src = raw.setdefault("f_source", {"kind": "seeded"})
         if seed is not None and isinstance(src, dict):
-            if src.get("kind") != "seeded":
+            if src.get("kind") == "explicit":  # from_dict rejects a bogus kind
                 raise ConfigError("--seed conflicts with an explicit f_source")
             src["seed"] = seed
         if order is not None:

@@ -28,13 +28,18 @@ there by definition.  ``vorder`` tracks the trusted jet order (a time
 derivative lowers it by one) and comparisons mask orders beyond it.
 
 Coefficients are stored as ``(T, W, n, n)``: jet row, lambda position,
-matrix entry.  Products convolve in lambda by FFT and cache each operand's
-spectrum entry-major, as ``(n, n, T, nfft)``, with certified-zero rows
+matrix entry.  Products convolve in lambda by FFT of the window copied into
+a zero-padded buffer, and cache each operand's spectrum row-major, as
+``(R, n, n, nfft)`` up to its last live row, with certified-zero rows
 (``shi == NEG``) held at exact zero.  The jet product runs over the live
 rows ``a`` of the left factor: the admissible right rows are the prefix
-``[0, upto[top - |a|])`` of the context's pair table, their outputs
-``row_out[a]`` are distinct, and the n x n product of spectra is summed
-entry by entry (``_entry_mul``), the one way spectra are multiplied here.
+``[0, upto[top - |a|])`` of the context's pair table and their outputs
+``row_out[a]`` are distinct, so each contribution is added into whole
+output rows, in ascending a; the n x n product of spectra is summed entry
+by entry in ascending k (``_entry_mul``), the one way spectra are
+multiplied here.  This fixed order of operations keeps reports
+bit-identical.  The inverse transform is read back as a view, so a
+product's rows are copied once, into its data.
 The per-pair degree bounds of a product, the terms of a pairing and of a
 scalar-jet product are scattered into the ``pair_c`` rows (``np.*.at``).
 A jet-order ``cap`` leaves every row past it certified zero, on the
@@ -81,15 +86,14 @@ class _Slab:
         self._hat = None
 
     def fft(self, ctx: JetContext):
-        """Entry-major spectrum ``(n, n, R, nfft)`` of the rows up to the
-        last live one (R rows; every reader indexes below it); certified-zero
+        """Row-major spectrum ``(R, n, n, nfft)`` of the rows up to the last
+        live one (R rows; every reader indexes below it); certified-zero
         rows (``shi == NEG``) are exact zeros whatever their stored data."""
         if self._hat is None:
-            n = self.data.shape[2]
-            live = np.flatnonzero(self.shi != NEG)
-            rows = live[-1] + 1 if live.size else 0
-            self._hat = np.zeros((n, n, rows, ctx.nfft), dtype=np.complex128)
-            self._hat[:, :, live] = _spectrum(ctx, self.data[live])
+            live = self.shi != NEG
+            rows = np.flatnonzero(live)[-1] + 1 if live.any() else 0
+            self._hat = _spectrum(ctx, self.data[:rows])
+            self._hat[~live[:rows]] = 0.0
         return self._hat
 
     def is_zero(self) -> bool:
@@ -133,23 +137,28 @@ def _cap_top(ctx: JetContext, shi, thi):
 
 
 def _spectrum(ctx: JetContext, x: np.ndarray) -> np.ndarray:
-    """Entry-major spectrum ``(n, n, ..., nfft)`` of window coefficients
-    ``(..., W, n, n)``."""
-    return np.fft.fft(np.moveaxis(x, (-2, -1), (0, 1)), n=ctx.nfft, axis=-1)
+    """Row-major spectrum ``(..., n, n, nfft)`` of window coefficients
+    ``(..., W, n, n)``: they are copied into a zero-padded contiguous
+    buffer, and transforming that is bit-identical to ``fft(..., n=nfft)``
+    of the strided view, and faster."""
+    buf = np.zeros(x.shape[:-3] + x.shape[-2:] + (ctx.nfft,), complex)
+    buf[..., :ctx.W] = np.moveaxis(x, -3, -1)
+    return np.fft.fft(buf, axis=-1)
 
 
 def _coefficients(ctx: JetContext, hat: np.ndarray) -> np.ndarray:
-    """Window coefficients ``(..., W, n, n)`` of an entry-major spectrum."""
-    data = np.fft.ifft(hat, axis=-1)[..., ctx.extract]
-    return np.ascontiguousarray(np.moveaxis(data, (0, 1), (-2, -1)))
+    """Window coefficients ``(..., W, n, n)`` of a row-major spectrum, as a
+    view of its inverse transform: the caller's write is the one copy."""
+    return np.moveaxis(np.fft.ifft(hat, axis=-1)[..., ctx.extract], -1, -3)
 
 
 def _entry_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """n x n product over the two leading (entry) axes of entry-major
-    spectra, broadcasting the trailing axes."""
-    acc = x[:, 0:1] * y[0:1]
-    for k in range(1, x.shape[1]):
-        acc += x[:, k:k + 1] * y[k:k + 1]
+    """n x n product over the entry axes ``(-3, -2)`` of row-major spectra,
+    broadcasting the leading axes; each entry adds its terms in ascending
+    k."""
+    acc = x[..., :, 0:1, :] * y[..., 0:1, :, :]
+    for k in range(1, x.shape[-2]):
+        acc += x[..., :, k:k + 1, :] * y[..., k:k + 1, :, :]
     return acc
 
 
@@ -204,14 +213,13 @@ def _slab_mul(ctx: JetContext, a: _Slab, b: _Slab,
     # dead rows are zero in the cached spectra and contribute nothing
     A, B = a.fft(ctx), b.fft(ctx)
     b_end = np.flatnonzero(b_live)[-1] + 1
-    C = np.zeros((ctx.n, ctx.n, ctx.upto[top], ctx.nfft), dtype=np.complex128)
+    C = np.zeros((ctx.upto[top], ctx.n, ctx.n, ctx.nfft), dtype=np.complex128)
     for ia in np.flatnonzero(a_live):
         rest = top - ctx.totals[ia]
         if rest < 0:
             break  # graded order: every later row is past the cap too
         nb = min(ctx.upto[rest], b_end)
-        C[:, :, ctx.row_out[ia][:nb]] += _entry_mul(A[:, :, ia, None],
-                                                    B[:, :, :nb])
+        C[ctx.row_out[ia][:nb]] += _entry_mul(A[ia], B[:nb])
     data = np.zeros((ctx.T, ctx.W, ctx.n, ctx.n), dtype=np.complex128)
     data[:ctx.upto[top]] = _coefficients(ctx, C)
     return _product_slab(ctx, data, tlo, slo, shi, thi)
@@ -233,9 +241,9 @@ def _slab_mul_const(ctx: JetContext, a: _Slab, b: _Slab, top: int,
             out[rows] = c
         m = rows[-1] + 1
         if b_const:
-            G = _entry_mul(a.fft(ctx)[:, :, :m], b.fft(ctx)[:, :, 0:1])
+            G = _entry_mul(a.fft(ctx)[:m], b.fft(ctx)[0])
         else:
-            G = _entry_mul(a.fft(ctx)[:, :, 0:1], b.fft(ctx)[:, :, :m])
+            G = _entry_mul(a.fft(ctx)[0], b.fft(ctx)[:m])
         data[:m] = _coefficients(ctx, G)
     return _product_slab(ctx, data, *bounds)
 
@@ -520,11 +528,12 @@ class Series(_Jet):
         for sl in self.slabs:
             shi = np.where(sl.shi == NEG, NEG, sl.shi + s)
             slo = np.where(sl.slo == POS, POS, sl.slo + s)
-            data = np.zeros_like(sl.data)
+            # only the overlap of the two windows moves; none once |s| >= W
+            w, data = max(ctx.W - abs(s), 0), np.zeros_like(sl.data)
             if s > 0:
-                data[:, s:] = sl.data[:, :ctx.W - s]
+                data[:, ctx.W - w:] = sl.data[:, :w]
             else:
-                data[:, :ctx.W + s] = sl.data[:, -s:]
+                data[:, :w] = sl.data[:, ctx.W - w:]
             exact = sl.tlo == NEG
             keeps = np.where(sl.slo == POS, POS, slo) >= ctx.lo
             tlo = np.where(exact & keeps, NEG,
@@ -885,7 +894,7 @@ def _pad_const(ctx: JetContext, m: np.ndarray) -> np.ndarray:
 
 def _conv_row(ctx: JetContext, fx: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Laurent product X Y of window coefficients ``y`` by the series whose
-    entry-major spectrum is ``fx``."""
+    spectrum is ``fx`` ``(n, n, nfft)``."""
     return _coefficients(ctx, _entry_mul(fx, _spectrum(ctx, y)))
 
 

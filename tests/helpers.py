@@ -1,8 +1,9 @@
 """Shared oracles, generators and comparisons for the test suite.
 
-The oracles here are deliberately naive (dict-based double sums) and never
-call the vectorized kernels they are used to check.  The helpers at the end
-(bit-for-bit comparisons, the trusted floor and window reads, the
+The oracles here are deliberately naive (dict-based double sums, and a
+pair-by-pair product that fixes the kernel's floating-point operations) and
+never call the vectorized kernels they are used to check.  The helpers at
+the end (bit-for-bit comparisons, the trusted floor and window reads, the
 repeated-product count, the dump parser, the KdV restriction check, the
 algebra-level reality conditions with the checked projection, and the gl
 hierarchy in power-sum coordinates) serve only the tests, so they live here
@@ -62,6 +63,41 @@ def jet_conv_oracle(a: dict, b: dict, order: int) -> dict:
                 continue
             out[c] = out.get(c, 0) + va * vb if np.isscalar(va) else out.get(c, 0) + va @ vb
     return out
+
+
+def reference_slab_product(ctx: JetContext, a, b, cap=None) -> np.ndarray:
+    """Data ``(T, W, n, n)`` of the jet product of slabs ``a`` and ``b``
+    before its support mask, one pair of the context's pair table at a time
+    and with the kernel's floating-point operations: the spectrum of a row
+    is the FFT of its window coefficients zero-padded to ``nfft``, the
+    n x n product of two spectra adds its terms in ascending k, and the
+    contributions to each output row are added in ascending a.  Pairs with
+    a certified-zero row or an output order past ``cap`` are left out."""
+    top = ctx.order if cap is None else min(cap, ctx.order)
+    n, W = ctx.n, ctx.W
+
+    def spectrum(slab, row):
+        buf = np.zeros((n, n, ctx.nfft), dtype=np.complex128)
+        buf[:, :, :W] = np.moveaxis(slab.data[row], 0, -1)
+        return np.fft.fft(buf, axis=-1)
+
+    sums: dict = {}
+    for ia, ib, ic in zip(ctx.pair_a, ctx.pair_b, ctx.pair_c):
+        if a.shi[ia] == NEG or b.shi[ib] == NEG or ctx.totals[ic] > top:
+            continue
+        x, y = spectrum(a, ia), spectrum(b, ib)
+        term = np.empty_like(x)
+        for i in range(n):
+            for j in range(n):
+                term[i, j] = x[i, 0] * y[0, j]
+                for k in range(1, n):
+                    term[i, j] = term[i, j] + x[i, k] * y[k, j]
+        sums[ic] = term if ic not in sums else sums[ic] + term
+    data = np.zeros((ctx.T, W, n, n), dtype=np.complex128)
+    for ic, spec in sums.items():
+        coeffs = np.fft.ifft(spec, axis=-1)[:, :, ctx.extract]
+        data[ic] = np.moveaxis(coeffs, -1, 0)
+    return data
 
 
 def random_jet_series(ctx: JetContext, gen, lo: int, hi: int,

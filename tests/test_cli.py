@@ -178,6 +178,20 @@ def test_exit_code_numerical_failure(tmp_path):
     assert rc == 3
 
 
+def test_exit_code_shift_past_the_window(tmp_path, capsys):
+    # l = 23 multiplies by lambda**24, a shift past the whole window (W = 23
+    # here): the shifted value keeps no data and its read is untrusted
+    cfg = dict(SEEDED, order=2, flows=2,
+               suites=["factorization", "flows", "tau", "virasoro"],
+               virasoro={"ells": [-1, 0, 23], "gammas": ["zero", "xi0"]})
+    rc = main(["run", "--config", _write(tmp_path, "c.json", cfg),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "TrustError" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("path,value", [
     (("order",), "three"), (("flows",), "two"), (("n",), "2x"),
     (("f_source", "depth"), "deep"), (("f_source", "seed"), [7]),
@@ -205,7 +219,9 @@ def test_exit_code_malformed_field(tmp_path, capsys, path, value):
 @pytest.mark.parametrize("raw,override,field", [
     ([], ["--seed", "3"], "JSON object"),
     ([], ["--order", "3"], "JSON object"),
-    (dict(SEEDED, f_source=5), ["--seed", "3"], "f_source")])
+    (dict(SEEDED, f_source=5), ["--seed", "3"], "f_source"),
+    (dict(SEEDED, f_source={"kind": "bogus"}), ["--seed", "3"],
+     "f_source.kind")])
 def test_exit_code_override_of_a_malformed_config(tmp_path, capsys, raw,
                                                   override, field):
     # --seed and --order apply to a config object only; the config's own

@@ -11,11 +11,12 @@ from loopjet import (JetContext, ScalarJet, Series, ShapeError, TrustError,
                      WindowExhausted, cocycle, directional_derivative,
                      exp_series)
 from loopjet.context import NEG, POS
-from loopjet.series import _cap_top, _finalize_tlo
+from loopjet.series import _cap_top, _finalize_tlo, _slab_mul
 
 from helpers import (conv_oracle, jet_conv_oracle, random_jet_series,
-                     random_laurent_dict, random_matrix, require_window, rng,
-                     same_slab, same_value, series_from_dict, trusted_lo)
+                     random_laurent_dict, random_matrix,
+                     reference_slab_product, require_window, rng, same_slab,
+                     same_value, series_from_dict, trusted_lo)
 
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -320,6 +321,28 @@ def test_pairing_shift_identity():
     assert abs(lhs - rhs) < 1e-12
 
 
+@pytest.mark.parametrize("extra", [0, 5])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_shift_past_the_window(sign, extra):
+    # a shift by |s| >= W keeps nothing of the window: the data is zero and
+    # the support moves by s as for any shift; an untrusted floor shifted
+    # past the top leaves no trusted degree, so a read raises
+    ctx = fctx()
+    s = sign * (ctx.W + extra)
+    coeffs = random_laurent_dict(rng(60 + extra), 2, -3, 2)
+    for exact in (True, False):
+        x = series_from_dict(ctx, coeffs, exact=exact)
+        y = x.shift(s)
+        assert not np.any(y.slabs[0].data)
+        assert y.slabs[0].shi[0] == x.slabs[0].shi[0] + s
+        if s > 0 and not exact:
+            with pytest.raises(TrustError):
+                y.coeff(0, ctx.hi)
+            continue
+        for k in range(ctx.lo, ctx.hi + 1):
+            assert not np.any(y.coeff(0, k))
+
+
 def test_cocycle_values():
     ctx = fctx()
     e11 = np.diag([1.0, 0.0]).astype(complex)
@@ -485,6 +508,28 @@ def test_slab_mul_matches_oracle(n, cap):
     ref = _pair_table_bounds(ctx, A.slabs[0], B.slabs[0], top)
     for got, expect in zip((out.tlo, out.slo, out.shi, out.thi), ref):
         assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("cap", [None, 1])
+@pytest.mark.parametrize("case", ["general", "b_const", "a_const"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_slab_mul_is_the_pair_by_pair_reference_bit_for_bit(n, case, cap):
+    # reports stay byte-identical only while every product makes the same
+    # floating-point operations in the same order: pin them exactly, on the
+    # general path and both jet-constant paths, with stale dead rows
+    ctx = JetContext(("t1", "t2"), 3, n, -9, 5)
+    gen = rng(10 * n + (cap or 0))
+    full, _ = _mixed_jet_operand(ctx, gen, dead_rows=(2, 7))
+    other, _ = _mixed_jet_operand(ctx, gen, dead_rows=(1, 5, 9))
+    cst, _ = _mixed_jet_operand(ctx, gen, dead_rows=range(1, ctx.T))
+    a, b = {"general": (full, other), "b_const": (full, cst),
+            "a_const": (cst, other)}[case]
+    out = _slab_mul(ctx, a.slabs[0], b.slabs[0], cap)
+    ref = reference_slab_product(ctx, a.slabs[0], b.slabs[0], cap)
+    deg = ctx.degrees[None, :]
+    keep = (deg >= out.slo[:, None]) & (deg <= out.shi[:, None])
+    assert np.any(keep)
+    assert np.array_equal(out.data, ref * keep[..., None, None])
 
 
 @pytest.mark.parametrize("lo,hi", [(-13, 3), (-3, 13), (-26, 11), (-24, 10),
