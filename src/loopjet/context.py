@@ -13,11 +13,12 @@ together with index maps for partial derivatives and monomial shifts:
   multi-index pair (a, b) with its output index c, the index of a + b.
   Multi-indices are stored in graded order, so for a row ``a`` the rows
   ``b`` with ``|a| + |b| <= k`` are the prefix ``[0, upto[k - |a|])``; the
-  table is a-major, and ``row_out[a]`` is the view of ``pair_c`` holding
-  the outputs of row ``a``.  The outputs of one row are distinct, so a
-  product adds each ``a``-row contribution straight into its output rows,
-  with no gather of ``b`` rows; pairings, scalar-jet products and degree
-  bounds scatter their per-pair values into the ``pair_c`` rows.
+  table is a-major, so the rows of one grade g share that prefix, and
+  ``grade_out[g]`` is the ``(rows of grade g, upto[d - g])`` view of
+  ``pair_c`` holding their outputs.  The outputs along one row, and along
+  one column, of a grade's grid are distinct, so a product adds a batch of
+  either straight into its output rows; pairings, scalar-jet products and
+  degree bounds scatter their per-pair values into the ``pair_c`` rows.
 
 Laurent-degree convolutions are done by FFT along the degree axis, and a
 product keeps only the degrees ``[lo, hi]`` of its ``2W - 1``-term linear
@@ -133,8 +134,9 @@ class JetContext:
         self.pair_c = np.array(
             [self.index_of[tuple(self.midx[a] + self.midx[b])]
              for a, b in zip(self.pair_a, self.pair_b)], dtype=np.int64)
-        ends = np.cumsum(sizes)
-        self.row_out = [self.pair_c[e - k:e] for e, k in zip(ends, sizes)]
+        ends = np.r_[0, np.cumsum(sizes)][np.r_[0, self.upto]]
+        self.grade_out = [self.pair_c[s:e].reshape(-1, self.upto[d - g])
+                          for g, (s, e) in enumerate(zip(ends, ends[1:]))]
 
     def _build_var_maps(self) -> None:
         nv = len(self.variables)

@@ -31,15 +31,19 @@ Coefficients are stored as ``(T, W, n, n)``: jet row, lambda position,
 matrix entry.  Products convolve in lambda by FFT of the window copied into
 a zero-padded buffer, and cache each operand's spectrum row-major, as
 ``(R, n, n, nfft)`` up to its last live row, with certified-zero rows
-(``shi == NEG``) held at exact zero.  The jet product runs over the live
-rows ``a`` of the left factor: the admissible right rows are the prefix
-``[0, upto[top - |a|])`` of the context's pair table and their outputs
-``row_out[a]`` are distinct, so each contribution is added into whole
-output rows, in ascending a; the n x n product of spectra is summed entry
-by entry in ascending k (``_entry_mul``), the one way spectra are
-multiplied here.  This fixed order of operations keeps reports
-bit-identical.  The inverse transform is read back as a view, so a
-product's rows are copied once, into its data.
+(``shi == NEG``) held at exact zero.  The jet product runs over the grades
+g of the left factor: its live rows of grade g and the admissible right
+rows, the prefix ``[0, upto[top - g])``, span a grid whose outputs
+``grade_out[g]`` are distinct along each row and each column.  A grade is
+batched along the longer side of its grid, by a-row in ascending order or
+by b-column in descending order, in blocks of at most ``_BLOCK_BYTES`` of
+spectrum, which stay in L2.  The terms of an output c from grade g have
+right rows of one grade, where descending b is ascending a = c - b, so
+every output adds its terms in ascending a; the n x n product of spectra
+is summed entry by entry in ascending k (``_entry_mul``), the one way
+spectra are multiplied here.  This fixed order of operations keeps
+reports bit-identical.  Only the rows up to the last live output are
+transformed back, as a view, so they are copied once, into the data.
 The per-pair degree bounds of a product, the terms of a pairing and of a
 scalar-jet product are scattered into the ``pair_c`` rows (``np.*.at``).
 A jet-order ``cap`` leaves every row past it certified zero, on the
@@ -70,6 +74,7 @@ __all__ = ["Series", "ScalarJet", "exp_series", "cocycle", "commutator",
            "directional_derivative"]
 
 _SINGULAR_COND = 1e12
+_BLOCK_BYTES = 1 << 17  # spectrum bytes per kernel call: a block fits in L2
 
 
 class _Slab:
@@ -90,10 +95,9 @@ class _Slab:
         live one (R rows; every reader indexes below it); certified-zero
         rows (``shi == NEG``) are exact zeros whatever their stored data."""
         if self._hat is None:
-            live = self.shi != NEG
-            rows = np.flatnonzero(live)[-1] + 1 if live.any() else 0
+            rows = np.flatnonzero(self.shi != NEG).max(initial=-1) + 1
             self._hat = _spectrum(ctx, self.data[:rows])
-            self._hat[~live[:rows]] = 0.0
+            self._hat[self.shi[:rows] == NEG] = 0.0
         return self._hat
 
     def is_zero(self) -> bool:
@@ -103,6 +107,13 @@ class _Slab:
         return self.data.shape[0] == 1 or bool(np.all(self.shi[1:] == NEG))
 
 
+def _blocks(ctx: JetContext, count: int) -> list[slice]:
+    """Slices of ``range(count)`` of at most ``_BLOCK_BYTES`` of spectrum
+    rows each (at least one row)."""
+    step = max(1, _BLOCK_BYTES // (16 * ctx.n * ctx.n * ctx.nfft))
+    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
+
+
 def _zero_slab(ctx: JetContext) -> _Slab:
     T = ctx.T
     return _Slab(np.zeros((T, ctx.W, ctx.n, ctx.n), dtype=np.complex128),
@@ -110,12 +121,12 @@ def _zero_slab(ctx: JetContext) -> _Slab:
                  np.full(T, NEG, dtype=np.int64), np.full(T, POS, dtype=np.int64))
 
 
-def _apply_support_mask(ctx: JetContext, slab: _Slab) -> _Slab:
-    """Zero stored entries outside the certified support; this keeps
-    structural zeros exact (no FFT dust beyond the support)."""
+def _apply_support_mask(ctx: JetContext, slab: _Slab, stop=None) -> _Slab:
+    """Zero stored entries outside the certified support of the rows below
+    ``stop``; this keeps structural zeros exact (no FFT dust)."""
     deg = ctx.degrees[None, :]
-    mask = (deg >= slab.slo[:, None]) & (deg <= slab.shi[:, None])
-    slab.data *= mask[:, :, None, None]
+    mask = (deg >= slab.slo[:stop, None]) & (deg <= slab.shi[:stop, None])
+    slab.data[:stop] *= mask[:, :, None, None]
     return slab
 
 
@@ -176,10 +187,16 @@ def _pair_bounds(a: _Slab, ia, b: _Slab, ib):
     return tlo, aslo + bslo, ashi + bshi, thi
 
 
-def _product_slab(ctx: JetContext, data, tlo, slo, shi, thi) -> _Slab:
+def _product_slab(ctx: JetContext, C, tlo, slo, shi, thi) -> _Slab:
+    """The product with output spectra ``C``; rows past the last live one
+    stay exact zeros, with no inverse transform and no mask."""
+    stop = np.flatnonzero(shi != NEG).max(initial=-1) + 1
+    data = np.zeros((ctx.T, ctx.W, ctx.n, ctx.n), dtype=np.complex128)
+    if stop:
+        data[:stop] = _coefficients(ctx, C[:stop])
     slab = _Slab(data, _finalize_tlo(ctx, tlo, slo), slo, shi,
                  _cap_top(ctx, shi, thi))
-    return _apply_support_mask(ctx, slab)
+    return _apply_support_mask(ctx, slab, stop)
 
 
 def _slab_mul(ctx: JetContext, a: _Slab, b: _Slab,
@@ -208,21 +225,26 @@ def _slab_mul(ctx: JetContext, a: _Slab, b: _Slab,
     np.maximum.at(shi, pc, cand[2])
     np.minimum.at(thi, pc, cand[3])
 
-    # a-row by a-row: the admissible b rows are a prefix whose outputs are
-    # distinct, so each contribution adds straight into its output rows;
-    # dead rows are zero in the cached spectra and contribute nothing
+    # grade by grade, batched along the longer side of the grid of live
+    # a-rows and admissible b-rows, in blocks; descending b is ascending a
+    # (see the module docstring).  Dead rows are zero in the cached spectra.
     A, B = a.fft(ctx), b.fft(ctx)
-    b_end = np.flatnonzero(b_live)[-1] + 1
     C = np.zeros((ctx.upto[top], ctx.n, ctx.n, ctx.nfft), dtype=np.complex128)
-    for ia in np.flatnonzero(a_live):
-        rest = top - ctx.totals[ia]
-        if rest < 0:
-            break  # graded order: every later row is past the cap too
-        nb = min(ctx.upto[rest], b_end)
-        C[ctx.row_out[ia][:nb]] += _entry_mul(A[ia], B[:nb])
-    data = np.zeros((ctx.T, ctx.W, ctx.n, ctx.n), dtype=np.complex128)
-    data[:ctx.upto[top]] = _coefficients(ctx, C)
-    return _product_slab(ctx, data, tlo, slo, shi, thi)
+    for g, grid in enumerate(ctx.grade_out[:top + 1]):
+        first = ctx.upto[g] - grid.shape[0]
+        rows = np.flatnonzero(a_live[first:ctx.upto[g]])
+        nb = min(ctx.upto[top - g], len(B))
+        out, blocks = grid[rows, :nb], _blocks(ctx, max(rows.size, nb))
+        if rows.size <= nb:
+            for ia, row_out in zip(rows + first, out):
+                for s in blocks:
+                    C[row_out[s]] += _entry_mul(A[ia], B[s])
+        else:
+            Ag = A[rows + first]
+            for j in range(nb - 1, -1, -1):
+                for s in blocks:
+                    C[out[s, j]] += _entry_mul(Ag[s], B[j])
+    return _product_slab(ctx, C, tlo, slo, shi, thi)
 
 
 def _slab_mul_const(ctx: JetContext, a: _Slab, b: _Slab, top: int,
@@ -233,19 +255,15 @@ def _slab_mul_const(ctx: JetContext, a: _Slab, b: _Slab, top: int,
     full = a if b_const else b
     rows = np.flatnonzero((full.shi != NEG) & (ctx.totals <= top))
     bounds = [np.full(ctx.T, v, dtype=np.int64) for v in (NEG, POS, NEG, POS)]
-    data = np.zeros_like(full.data)
-    if rows.size:
-        cand = (_pair_bounds(a, rows, b, 0) if b_const
-                else _pair_bounds(a, 0, b, rows))
-        for out, c in zip(bounds, cand):
-            out[rows] = c
-        m = rows[-1] + 1
-        if b_const:
-            G = _entry_mul(a.fft(ctx)[:m], b.fft(ctx)[0])
-        else:
-            G = _entry_mul(a.fft(ctx)[0], b.fft(ctx)[:m])
-        data[:m] = _coefficients(ctx, G)
-    return _product_slab(ctx, data, *bounds)
+    cand = (_pair_bounds(a, rows, b, 0) if b_const
+            else _pair_bounds(a, 0, b, rows))
+    for out, c in zip(bounds, cand):
+        out[rows] = c
+    A, B = a.fft(ctx), b.fft(ctx)
+    G = np.empty((rows.max(initial=-1) + 1,) + A.shape[1:], complex)
+    for s in _blocks(ctx, len(G)):
+        G[s] = _entry_mul(A[s], B[0]) if b_const else _entry_mul(A[0], B[s])
+    return _product_slab(ctx, G, *bounds)
 
 
 def _slab_add(a: _Slab, b: _Slab, sign: float) -> _Slab:

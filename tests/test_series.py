@@ -11,6 +11,7 @@ from loopjet import (JetContext, ScalarJet, Series, ShapeError, TrustError,
                      WindowExhausted, cocycle, directional_derivative,
                      exp_series)
 from loopjet.context import NEG, POS
+from loopjet import series
 from loopjet.series import _cap_top, _finalize_tlo, _slab_mul
 
 from helpers import (conv_oracle, jet_conv_oracle, random_jet_series,
@@ -532,6 +533,32 @@ def test_slab_mul_is_the_pair_by_pair_reference_bit_for_bit(n, case, cap):
     assert np.array_equal(out.data, ref * keep[..., None, None])
 
 
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+@pytest.mark.parametrize("cap", [None, 2])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("num_vars", [3, 6])
+def test_grade_blocked_product_is_the_pair_by_pair_reference(
+        num_vars, n, cap, one_row_blocks, monkeypatch):
+    # a grade with more live a-rows than admissible b-rows is batched along
+    # its a side, b-column by b-column; each output must still add its
+    # terms in ascending a, whether a batch fits one block or spans many
+    # (6 variables at order 3 is the gl3_full shape)
+    if one_row_blocks:
+        monkeypatch.setattr(series, "_BLOCK_BYTES", 1)
+    ctx = JetContext(tuple(f"t{i}" for i in range(num_vars)), 3, n, -9, 5)
+    gen = rng(1000 * num_vars + 10 * n + (cap or 0))
+    full, _ = _mixed_jet_operand(ctx, gen, dead_rows=(2, ctx.T // 3))
+    other, _ = _mixed_jet_operand(ctx, gen, dead_rows=(1, 5, ctx.T // 2))
+    cst, _ = _mixed_jet_operand(ctx, gen, dead_rows=range(1, ctx.T))
+    deg = ctx.degrees[None, :]
+    for a, b in ((full, other), (full, cst), (cst, other)):
+        out = _slab_mul(ctx, a.slabs[0], b.slabs[0], cap)
+        ref = reference_slab_product(ctx, a.slabs[0], b.slabs[0], cap)
+        keep = (deg >= out.slo[:, None]) & (deg <= out.shi[:, None])
+        assert np.any(keep)
+        assert np.array_equal(out.data, ref * keep[..., None, None])
+
+
 @pytest.mark.parametrize("lo,hi", [(-13, 3), (-3, 13), (-26, 11), (-24, 10),
                                    (-7, 7)])
 def test_nfft_is_the_alias_free_bound(lo, hi):
@@ -630,8 +657,11 @@ def test_slab_mul_const_ignores_stale_rows(b_const):
 def test_row_prefix_table_matches_pair_table(variables, order):
     ctx = JetContext(variables, order, 2, -4, 2)
     from_rows = set()
-    for a in range(ctx.T):
-        outs = ctx.row_out[a]
+    rows = [(a, outs) for g, grid in enumerate(ctx.grade_out)
+            for a, outs in zip(range(ctx.upto[g] - len(grid), ctx.upto[g]),
+                               grid)]
+    assert [a for a, _ in rows] == list(range(ctx.T))
+    for a, outs in rows:
         assert outs.size == ctx.upto[order - ctx.totals[a]]
         assert len(set(outs.tolist())) == outs.size
         for b, c in enumerate(outs):
@@ -640,11 +670,12 @@ def test_row_prefix_table_matches_pair_table(variables, order):
     pairs = set(zip(ctx.pair_a.tolist(), ctx.pair_b.tolist(),
                     ctx.pair_c.tolist()))
     assert from_rows == pairs and len(pairs) == ctx.pair_a.size
-    # one table: a-major, and each row's outputs are a view into pair_c
+    # one table: a-major, and each grade's outputs are a view into pair_c
     assert np.all(np.diff(ctx.pair_a) >= 0)
-    for a in range(ctx.T):
-        assert np.shares_memory(ctx.row_out[a], ctx.pair_c)
-        assert np.array_equal(ctx.row_out[a], ctx.pair_c[ctx.pair_a == a])
+    for grid in ctx.grade_out:
+        assert np.shares_memory(grid, ctx.pair_c)
+    for a, outs in rows:
+        assert np.array_equal(outs, ctx.pair_c[ctx.pair_a == a])
 
 
 @pytest.mark.parametrize("b_const", [True, False])
