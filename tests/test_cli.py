@@ -211,7 +211,10 @@ def test_exit_code_shift_past_the_window(tmp_path, capsys):
     (("virasoro", "ells"), [0.5]), (("tolerances", "fact_oracle"), math.nan),
     (("f_source", "amplitude"), math.nan),
     (("a_diag",), [[1, 0], [math.inf, 0]]),
-    (("suites",), ["factorization", "factorization"])])
+    (("suites",), ["factorization", "factorization"]),
+    (("suites",), ["bogus"]), (("virasoro", "gammas"), ["bogus"]),
+    (("suite",), ["tau"]), (("virasoro", "ell"), [0]),
+    (("f_source", "amplitud"), 0.3), (("f_source", "depth"), 27)])
 def test_exit_code_malformed_field(tmp_path, capsys, path, value):
     _assert_field_rejected(tmp_path, capsys, SEEDED, path, value)
 
@@ -452,10 +455,8 @@ def test_catalog_is_exactly_the_emittable_ids():
                     and (getattr(node.func, "id", None) == "record"
                          or getattr(node.func, "attr", None) == "add")):
                 emitted.add(node.args[0].value)
-    variants = ("standard", "u_real", "sigma_twisted", "tau_sigma",
-                "kdv_twisted")
-    grid = [(family, variant, n, None) for family, variant, n in
-            itertools.product(scenario.FAMILIES, variants, (2, 3))]
+    grid = [(family, variant, n, None) for (family, variant), n in
+            itertools.product(scenario.PAIRS, (2, 3))]
     # complex mKdV holds only with a = diag(1, -1)
     grid.append(("akns_sl2", "sigma_twisted", 2, [[1.0, 0.0], [-1.0, 0.0]]))
     for family, variant, n, a_diag in grid:
@@ -470,6 +471,28 @@ def test_catalog_is_exactly_the_emittable_ids():
         emitted.update(f"flow_{name}" for name in
                        named_flows(scen.seq, scen.spec.variant))
     assert set(checks.CATALOG) == emitted
+
+
+@pytest.mark.parametrize("family", ["akns_sl2", "vector_akns", "gl_n",
+                                    "kdv_twisted"])
+def test_family_variant_pairs_are_the_table(family):
+    # a pair outside the table is a config error naming 'variant' already
+    # in from_dict; a pair in it builds a scenario
+    from loopjet import scenario
+    from loopjet.errors import ConfigError
+    from loopjet.splitting import VARIANTS
+    for variant in VARIANTS:
+        raw = {"schema": "loopjet-scenario/1", "family": family,
+               "n": 3 if family in ("vector_akns", "gl_n") else 2,
+               "variant": variant, "flows": 1, "order": 1}
+        if family == "gl_n":
+            raw["a_diag"] = [[1.0, 0.0], [-0.4, 0.8], [0.2, -1.1]]
+        if (family, variant) not in scenario.PAIRS:
+            with pytest.raises(ConfigError, match="'variant'"):
+                ScenarioConfig.from_dict(raw)
+            continue
+        scen = scenario.Scenario(ScenarioConfig.from_dict(raw))
+        assert scen.seq.n == raw["n"]
 
 
 def test_config_validation_direct():

@@ -10,17 +10,19 @@ order and the host line (``env ...``) that ``run.py`` prints, plus a
 per-workload summary: the median of each metric on each side, the
 quartiles of the parent's runs and the number of pairs the change won.
 
-After the pairs it runs, once per side and alternating which side goes
-first, each of the 10 shipped configs through the CLI, the two larger
-workloads ``gl3_full`` at jet order 4 (full suite) and ``akns_standard`` at
-order 8, and the Tier-1 suite.  Each of these ``extras`` records its wall
-time, exit code, the report's ``timing_s`` and, for the two larger
-workloads, a gate: exit 0, every check passed, and the check ids and
-conventions of the shipped order-3 report pinned in
-``tests/data/shipped_reports.json``.  For each config run, ``identity``
-records whether the change's report equals the parent's apart from
-``timing_s``; when it does not, it names the first differing check (or
-report field) and the largest change of a check's ``max_defect``.  Every
+After the pairs it runs, in 3 rounds, each of the 10 shipped configs
+through the CLI, the two larger workloads ``gl3_full`` at jet order 4
+(full suite) and ``akns_standard`` at order 8, and the Tier-1 suite, once
+per side, alternating which side goes first from item to item and from
+round to round.  Each of these ``extras`` records its round, wall time,
+exit code, the report's ``timing_s`` and, for the two larger workloads, a
+gate: exit 0, every check passed, and the check ids and conventions of the
+shipped order-3 report pinned in ``tests/data/shipped_reports.json``;
+``extras_wall_s`` holds each item's median wall time on each side.  For
+each config run of the first round, ``identity`` records whether the
+change's report equals the parent's apart from ``timing_s``; when it does
+not, it names the first differing check (or report field) and the largest
+change of a check's ``max_defect``.  Every
 child process, ``run.py``
 included, records its ``ru_maxrss`` and ``ru_minflt`` from ``os.wait4``
 (they cover the processes it waited for, so a ``run.py`` run counts its
@@ -54,6 +56,7 @@ import time
 WORKLOADS = ("gl3_verify", "akns_sweep", "gl3_deep")
 SIDES = ("parent", "change")
 PAIRS = 10
+ROUNDS = 3  # runs per side of each extra
 # name -> (shipped config, jet order): the gated larger workloads
 LARGE = {"gl3_full_order4": ("gl3_full", 4),
          "akns_standard_order8": ("akns_standard", 8)}
@@ -228,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     record = {"command": "perfbench/run.py --trace 0", "seed": args.seed,
               "pairs": PAIRS, "workloads": list(WORKLOADS), "pair_order": [],
               "host": None, "runs": [], "summary": {}, "extras": [],
-              "identity": {},
+              "extras_wall_s": {}, "identity": {},
               "src_lines": {s: src_lines(checkouts[s]) for s in SIDES}}
 
     def save() -> None:
@@ -259,25 +262,31 @@ def main(argv: list[str] | None = None) -> int:
     extras = ([(f"cli/{name}", name, None) for name in sorted(pinned)]
               + [(item, cfg, d) for item, (cfg, d) in LARGE.items()]
               + [("tier1", None, None)])
-    for i, (item, cfg, d) in enumerate(extras):
-        docs = {}
-        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            c = checkouts[side]
-            if cfg is None:
-                run = run_tier1(c)
-            else:
-                run, docs[side] = run_cli(c, cfg, d,
-                                          None if d is None else pinned[cfg])
-            record["extras"].append({"item": item, "side": side, **run})
-            save()
-            print(f"{item:28s} {side:6s} exit {run['exit']} "
-                  f"{run['wall_s']:7.1f} s", flush=True)
-        if cfg is not None:
-            record["identity"][item] = compare_reports(docs["parent"],
-                                                       docs["change"])
-            save()
-            print(f"{item:28s} identical "
-                  f"{record['identity'][item]['identical']}", flush=True)
+    for rnd in range(ROUNDS):
+        for i, (item, cfg, d) in enumerate(extras):
+            docs = {}
+            for side in (SIDES if (i + rnd) % 2 == 0 else SIDES[::-1]):
+                c = checkouts[side]
+                if cfg is None:
+                    run = run_tier1(c)
+                else:
+                    run, docs[side] = run_cli(
+                        c, cfg, d, None if d is None else pinned[cfg])
+                record["extras"].append({"item": item, "round": rnd,
+                                         "side": side, **run})
+                walls = [e["wall_s"] for e in record["extras"]
+                         if e["item"] == item and e["side"] == side]
+                record["extras_wall_s"].setdefault(item, {})[side] = (
+                    statistics.median(walls))
+                save()
+                print(f"{item:28s} {side:6s} exit {run['exit']} "
+                      f"{run['wall_s']:7.1f} s", flush=True)
+            if cfg is not None and rnd == 0:
+                record["identity"][item] = compare_reports(docs["parent"],
+                                                           docs["change"])
+                save()
+                print(f"{item:28s} identical "
+                      f"{record['identity'][item]['identical']}", flush=True)
     return 0
 
 
