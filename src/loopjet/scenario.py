@@ -155,11 +155,11 @@ class ScenarioConfig:
         return cfg
 
     def validate(self) -> None:
-        fixed_n, a_rule, _ = FAMILIES[self.family]
         if (self.family, self.variant) not in PAIRS:
             takes = [v for f, v in PAIRS if f == self.family]
             raise ConfigError(f"field 'variant': the {self.family} family "
                               f"takes {takes}, got {self.variant!r}")
+        fixed_n, a_rule, _ = FAMILIES[self.family]
         if fixed_n not in (None, self.n):
             raise ConfigError(f"field 'n': the {self.family} family requires "
                               f"n = {fixed_n}, got {self.n}")
@@ -322,6 +322,7 @@ class Scenario:
     """A configured scenario: splitting, sequence, context and datum."""
 
     def __init__(self, cfg: ScenarioConfig):
+        cfg.validate()  # a config built by hand, too
         self.cfg = cfg
         self.spec = SplittingSpec(**{"variant": cfg.variant, "n": cfg.n,
                                      **PAIRS[cfg.family, cfg.variant]})
@@ -332,38 +333,37 @@ class Scenario:
             self.f = self._make_f()
 
     def _make_f(self) -> Series:
-        cfg, lo = self.cfg, self.fctx.lo
-        if cfg.f_explicit is None:
-            if cfg.f_depth > -lo:  # checked before any draw
-                raise ConfigError(f"field 'f_source.depth': degree "
-                                  f"-{cfg.f_depth} is below the window floor "
-                                  f"{lo}")
-            return sample_negative_element(self.spec, self.fctx, cfg.f_seed,
-                                           cfg.f_depth, cfg.f_amplitude)
-        coeffs: dict[int, np.ndarray] = {}
-        for i, (deg, row, col, re, im) in enumerate(cfg.f_explicit):
-            if not lo <= int(deg) <= 0:
-                raise ConfigError(
-                    f"field 'f_source.coeffs[{i}]': degree {deg} is outside "
-                    f"{lo}..0 (the window floor and L-)")
-            m = coeffs.setdefault(int(deg),
-                                  np.zeros((self.seq.n, self.seq.n),
-                                           dtype=complex))
-            m[int(row) - 1, int(col) - 1] += float(re) + 1j * float(im)
-        # explicit tables are treated as window-truncated data (same
-        # trust floor a seeded datum carries), so dump/reload round
-        # trips reproduce reports bit for bit
-        f = Series.from_degree_matrices(self.fctx, coeffs, exact=False)
-        stray = l_minus_stray(f)
-        if stray is not None:
-            raise ConfigError(f"field 'f_source.coeffs': the degree-0 "
-                              f"entries must sum to I (off by {stray:.3e})")
-        bad = reality_check(self.spec, f)
-        if bad > 1e-8 * max(1.0, f.max_abs()):
-            raise ConfigError(f"field 'f_source.coeffs': f violates the "
-                              f"{self.spec.variant} reality condition "
-                              f"(defect {bad:.3e})")
-        return f
+        cfg = self.cfg
+        if cfg.f_explicit is not None:
+            coeffs: dict[int, np.ndarray] = {}
+            for i, (deg, row, col, re, im) in enumerate(cfg.f_explicit):
+                if not self.fctx.lo <= int(deg) <= 0:
+                    raise ConfigError(
+                        f"field 'f_source.coeffs[{i}]': degree {deg} is outside "
+                        f"{self.fctx.lo}..0 (the window floor and L-)")
+                m = coeffs.setdefault(int(deg),
+                                      np.zeros((self.seq.n, self.seq.n),
+                                               dtype=complex))
+                m[int(row) - 1, int(col) - 1] += float(re) + 1j * float(im)
+            # explicit tables are treated as window-truncated data (same
+            # trust floor a seeded datum carries), so dump/reload round
+            # trips reproduce reports bit for bit
+            f = Series.from_degree_matrices(self.fctx, coeffs, exact=False)
+            stray = l_minus_stray(f)
+            if stray is not None:
+                raise ConfigError(f"field 'f_source.coeffs': the degree-0 "
+                                  f"entries must sum to I (off by {stray:.3e})")
+            bad = reality_check(self.spec, f)
+            if bad > 1e-8 * max(1.0, f.max_abs()):
+                raise ConfigError(f"field 'f_source.coeffs': f violates the "
+                                  f"{self.spec.variant} reality condition "
+                                  f"(defect {bad:.3e})")
+            return f
+        if cfg.f_depth > -self.fctx.lo:  # checked before any draw
+            raise ConfigError(f"field 'f_source.depth': degree -{cfg.f_depth} "
+                              f"is below the window floor {self.fctx.lo}")
+        return sample_negative_element(self.spec, self.fctx, cfg.f_seed,
+                                       cfg.f_depth, cfg.f_amplitude)
 
 
 @dataclass

@@ -477,7 +477,8 @@ def test_catalog_is_exactly_the_emittable_ids():
                                     "kdv_twisted"])
 def test_family_variant_pairs_are_the_table(family):
     # a pair outside the table is a config error naming 'variant' already
-    # in from_dict; a pair in it builds a scenario
+    # in from_dict, and in Scenario for a config built by hand; a pair in
+    # it builds a scenario
     from loopjet import scenario
     from loopjet.errors import ConfigError
     from loopjet.splitting import VARIANTS
@@ -490,6 +491,8 @@ def test_family_variant_pairs_are_the_table(family):
         if (family, variant) not in scenario.PAIRS:
             with pytest.raises(ConfigError, match="'variant'"):
                 ScenarioConfig.from_dict(raw)
+            with pytest.raises(ConfigError, match="'variant'"):  # by hand
+                scenario.Scenario(ScenarioConfig(family, raw["n"], variant))
             continue
         scen = scenario.Scenario(ScenarioConfig.from_dict(raw))
         assert scen.seq.n == raw["n"]
