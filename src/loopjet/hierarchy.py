@@ -56,6 +56,8 @@ class VacuumSequence:
     gens: dict = field(repr=False)           # var -> (base key, shift)
     x_comb: tuple = ()                       # ((var, coeff), ...) giving d/dx
     c: tuple = ()                            # gl: diagonal of a
+    _j1: dict = field(default_factory=dict, init=False, repr=False,
+                      compare=False)         # context -> J_1, see j1
 
     @property
     def j_max(self) -> int:
@@ -85,8 +87,12 @@ class VacuumSequence:
         return out
 
     def j1(self, ctx: JetContext) -> Series:
-        """J_1 = sum_v c_v J_v, the x-combination of the generators."""
-        return self.x_sum(lambda var: self.generator(ctx, var))
+        """J_1 = sum_v c_v J_v, the x-combination of the generators, built
+        once per context: the value is shared, so callers must not modify
+        it."""
+        if ctx not in self._j1:
+            self._j1[ctx] = self.x_sum(lambda var: self.generator(ctx, var))
+        return self._j1[ctx]
 
     def partial_x(self, value):
         """d/dx = sum_v c_v d/dt_v on a :class:`Series` or

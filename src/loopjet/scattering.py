@@ -59,12 +59,20 @@ def _reuse(trajectory: dict | None, key, compute,
 class FactorizationResult:
     """Reduced frame, frame, and the solution extracted from them.
 
+    M and M^-1 are built by :func:`factorize_jet`.  V f^-1, the frame E, the
+    solution u_f and (gl) v_f are built the first time something reads
+    them, E and u_f each with its spill check: a factorization from scratch
+    reads all of them before it returns, so its checks fail inside the same
+    call, while an eps refactorization along a base trajectory builds none
+    of them, since the variation checks read only its M, M^-1 and ln tau.
+
     The result of an eps refactorization keeps its eps-free ``base`` result
     when it was computed along that result's trajectory; its values then
     share their component 0 with ``base`` (as do the values it builds later:
-    conjugates and xi)."""
+    conjugates, xi and V f^-1; E takes its component 0 from the base's
+    E)."""
 
-    def __init__(self, spec, seq, ctx, f, M, Minv, E, V, vfinv, u, v,
+    def __init__(self, spec, seq, ctx, f, M, Minv, V,
                  var_choice: str = "first",
                  base: "FactorizationResult | None" = None):
         self.spec = spec
@@ -73,11 +81,7 @@ class FactorizationResult:
         self.f = f
         self.M = M
         self.Minv = Minv
-        self.E = E
         self.V = V
-        self.vfinv = vfinv
-        self.u = u
-        self.v = v
         self.var_choice = var_choice
         self.base = base
         self.trajectory: dict | None = None  # see factorize_jet
@@ -89,6 +93,53 @@ class FactorizationResult:
             self._cache[key] = build()
         return self._cache[key]
 
+    def _base_value(self, name: str) -> Series | None:
+        return None if self.base is None else getattr(self.base, name)
+
+    @property
+    def vfinv(self) -> Series:
+        """V f^-1."""
+        return self.cached("vfinv", lambda: self.V.matmul(
+            self.f.inv(), base=self._base_value("vfinv")))
+
+    @property
+    def E(self) -> Series:
+        """E = M V f^-1, which lives in the positive subgroup: asserted, and
+        its support floor certified (which also restores full trust below
+        degree zero)."""
+        def build() -> Series:
+            E = self.M.matmul(self.vfinv, base=self._base_value("E"))
+            spill = E.minus().max_abs()
+            if spill > 1e-9 * max(1.0, E.max_abs()):
+                raise ShapeError(f"factorize_jet: frame E has negative "
+                                 f"degrees ({spill:.3e}); factorization "
+                                 f"failed")
+            return E.plus()
+
+        return self.cached("E", build)
+
+    @property
+    def u(self) -> Series:
+        """u_f = (M J_1 M^-1)_+ - J_1, asserted to be of degree zero."""
+        def build() -> Series:
+            u_full = self.q_series().plus() - self.seq.j1(self.ctx)
+            spill = (u_full - u_full.degree_slice(0)).max_abs()
+            if spill > 1e-9 * max(1.0, u_full.max_abs()):
+                raise ShapeError(f"factorize_jet: u_f has nonzero lambda "
+                                 f"degrees ({spill:.3e})")
+            return u_full.degree_slice(0)
+
+        return self.cached("u", build)
+
+    @property
+    def v(self) -> Series | None:
+        """The off-diagonal part of M's degree -1 coefficient (gl family
+        only, else None)."""
+        if self.seq.family != "gl":
+            return None
+        return self.cached("v", lambda: self.M.degree_slice(-1).hadamard(
+            1.0 - np.eye(self.ctx.n)))
+
     @property
     def Einv(self) -> Series:
         return self.cached("Einv", self.E.inv)
@@ -97,8 +148,7 @@ class FactorizationResult:
     def xi(self) -> Series:
         """xi = M^-1 d_lam M (degrees <= -2)."""
         return self.cached("xi", lambda: self.Minv.matmul(
-            self.M.dlambda(),
-            base=None if self.base is None else self.base.xi))
+            self.M.dlambda(), base=self._base_value("xi")))
 
     def conjugated_base(self, key: str) -> Series:
         """M J_base M^-1, cached per base element."""
@@ -197,6 +247,12 @@ def factorize_jet(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
     value comes from ``base``, which the first such run records it onto,
     and only the tangent components are computed.  The base must match f,
     V, ``var_choice`` and the context, or ShapeError is raised.
+
+    Either way the run builds M and M^-1.  A run from scratch also reads E,
+    u_f and v_f before it returns, so their spill checks fail here; an eps
+    refactorization leaves them to be built on first read (see
+    :class:`FactorizationResult`), because the variation checks read only
+    its M, M^-1 and ln tau.
     """
     _window_budget_check(seq, ctx)
     f = f.embed(ctx)
@@ -210,7 +266,6 @@ def factorize_jet(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
         if base.trajectory is None:
             base.trajectory = {}
         trail = base.trajectory
-    vfinv = V.matmul(f.inv(), base=None if base is None else base.vfinv)
 
     M = Series.from_rows(ctx, [0], f, [0])  # M(0) = f, not an alias
     for ell, by_var in sorted(ctx.integration_steps(var_choice).items()):
@@ -239,29 +294,11 @@ def factorize_jet(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
             nxt = nxt.with_rows(rows, g, src, divisor=exps)
         M = nxt
 
-    Minv = M.inv(base=None if base is None else base.Minv)
-    E = _reuse(trail, "E", lambda b: M.matmul(vfinv, base=b))
-    # E lives in the positive subgroup; assert it and certify the support
-    # floor (which also restores full trust below degree zero)
-    spill = E.minus().max_abs()
-    if spill > 1e-9 * max(1.0, E.max_abs()):
-        raise ShapeError(f"factorize_jet: frame E has negative degrees "
-                         f"({spill:.3e}); factorization failed")
-    E = E.plus()
-    result = FactorizationResult(spec, seq, ctx, f, M, Minv, E, V, vfinv,
-                                 u=None, v=None, var_choice=var_choice,
-                                 base=base)
-    j1 = seq.j1(ctx)
-    w1 = result.q_series()
-    u_full = w1.plus() - j1
-    spill = (u_full - u_full.degree_slice(0)).max_abs()
-    if spill > 1e-9 * max(1.0, u_full.max_abs()):
-        raise ShapeError(f"factorize_jet: u_f has nonzero lambda degrees "
-                         f"({spill:.3e})")
-    result.u = u_full.degree_slice(0)
-    if seq.family == "gl":
-        offdiag = 1.0 - np.eye(ctx.n)
-        result.v = M.degree_slice(-1).hadamard(offdiag)
+    result = FactorizationResult(
+        spec, seq, ctx, f, M, M.inv(base=None if base is None else base.Minv),
+        V, var_choice=var_choice, base=base)
+    if base is None:  # E and u_f run their spill checks in this call
+        result.E, result.u, result.v  # noqa: B018
     return result
 
 

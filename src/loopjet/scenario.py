@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .checks import CATALOG, CheckRecord, detect, record
-from .context import JetContext
+from .context import JetContext, default_window
 from .errors import ConfigError, LoopjetError
 from .hierarchy import (LaxFlows, VacuumSequence, akns_sequence,
                         gl_sequence, kdv_sequence, named_flow_residual,
@@ -54,6 +55,10 @@ ALL_SUITES = ("factorization", "flows", "tau", "virasoro",
 # the variants whose sigma twist flips lambda -> -lambda: their vacuum
 # sequences keep only the odd exponents
 ODD_VARIANTS = ("sigma_twisted", "tau_sigma")
+# the largest jet value (T x W x n^2 complex128 entries) a config may ask
+# for: a run holds a few hundred values at its peak (order-5 gl3_full: 2.7 MB
+# values, 541 MB), so a 64 MiB value already means tens of GB
+VALUE_BUDGET_BYTES = 64 << 20
 
 
 def _sl2_sequence(cfg: "ScenarioConfig") -> VacuumSequence:
@@ -190,6 +195,34 @@ class ScenarioConfig:
         for cid in self.tolerances:
             if cid not in CATALOG:
                 raise ConfigError(f"field 'tolerances.{cid}': unknown check id")
+        self._check_size()
+
+    def jet_shape(self) -> tuple[int, int]:
+        """(T, W) of the context this config builds, from the config alone:
+        T = C(vars + order, order) jet rows and the window width W, with
+        neither a context nor a vacuum sequence built."""
+        nvars = self.num_flows * (self.n if self.family == "gl_n" else 1)
+        # kdv and the odd variants keep the exponents 1, 3, ..., 2 flows - 1
+        odd = self.family == "kdv_twisted" or self.variant in ODD_VARIANTS
+        lo, hi = self.window or default_window(
+            self.order, 2 * self.num_flows - 1 if odd else self.num_flows)
+        return math.comb(nvars + self.order, self.order), hi - lo + 1
+
+    def _check_size(self) -> None:
+        """Refuse a config one of whose jet values would exceed
+        VALUE_BUDGET_BYTES, naming the first of n, window, flows and order
+        that breaks it with the later ones at their least."""
+        for name, least in (("n", dict(num_flows=1, order=1, window=None)),
+                            ("window", dict(num_flows=1, order=1)),
+                            ("flows", dict(order=1)), ("order", {})):
+            rows, width = replace(self, **least).jet_shape()
+            size = rows * width * self.n ** 2 * 16
+            if size > VALUE_BUDGET_BYTES:
+                raise ConfigError(
+                    f"field {name!r}: one jet value would take {size:.3g} "
+                    f"bytes ({rows} jet rows x {width} degrees of "
+                    f"{self.n}x{self.n} matrices), over the budget of "
+                    f"{VALUE_BUDGET_BYTES} bytes")
 
     def _family_for(self, suite: str) -> str | None:
         """What ``suite`` needs of the family, or None when this config

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from loopjet.cli import main
-from loopjet.scenario import ScenarioConfig
+from loopjet.scenario import VALUE_BUDGET_BYTES, Scenario, ScenarioConfig
 
 from helpers import csv_to_explicit_coeffs
 
@@ -214,7 +214,8 @@ def test_exit_code_shift_past_the_window(tmp_path, capsys):
     (("suites",), ["factorization", "factorization"]),
     (("suites",), ["bogus"]), (("virasoro", "gammas"), ["bogus"]),
     (("suite",), ["tau"]), (("virasoro", "ell"), [0]),
-    (("f_source", "amplitud"), 0.3), (("f_source", "depth"), 27)])
+    (("f_source", "amplitud"), 0.3), (("f_source", "depth"), 27),
+    (("flows",), 10 ** 6), (("order",), 10 ** 6)])
 def test_exit_code_malformed_field(tmp_path, capsys, path, value):
     _assert_field_rejected(tmp_path, capsys, SEEDED, path, value)
 
@@ -418,6 +419,35 @@ def test_suite_order_does_not_change_the_checks(tmp_path, config, suite,
 SHIPPED = pathlib.Path(__file__).resolve().parent.parent / "configs"
 PINNED = json.loads((pathlib.Path(__file__).resolve().parent / "data"
                      / "shipped_reports.json").read_text())
+
+
+@pytest.mark.parametrize("name,order", [
+    *((p.stem, None) for p in sorted(SHIPPED.glob("*.json"))),
+    ("gl3_full", 4), ("gl3_full", 5), ("akns_standard", 8)])
+def test_jet_shape_is_the_contexts(name, order):
+    # T and W from the config alone, before any context is built; every
+    # shipped config and the larger workloads fit the value budget
+    raw = json.loads((SHIPPED / f"{name}.json").read_text())
+    cfg = ScenarioConfig.from_dict(raw if order is None else
+                                   dict(raw, order=order))
+    ctx = Scenario(cfg).ctx
+    assert cfg.jet_shape() == (ctx.T, ctx.W)
+    assert ctx.T * ctx.W * ctx.n ** 2 * 16 <= VALUE_BUDGET_BYTES
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", 400), ("window", {"lo": -10 ** 7, "hi": 0}), ("flows", 500),
+    ("order", 40)], ids=["n", "window", "flows", "order"])
+def test_exit_code_value_over_budget_names_its_field(tmp_path, capsys, field,
+                                                     value):
+    # vector_akns takes any n: each size field alone can break the budget,
+    # and the refusal names that field
+    cfg = dict(SEEDED, family="vector_akns", n=3)
+    cfg[field] = value
+    rc = main(["run", "--config", _write(tmp_path, "c.json", cfg),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert f"field {field!r}: one jet value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SHIPPED.glob("*.json")))

@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from loopjet import JetContext, Series
+from loopjet import JetContext, Series, ShapeError
 from loopjet.hierarchy import akns_sequence, gl_sequence
 from loopjet.scattering import factorize_jet
 from loopjet.scenario import Scenario, ScenarioConfig
@@ -24,7 +24,7 @@ from loopjet.virasoro import (VirasoroFields, bracket_defect,
                               theorem76_operator, thm56_defect,
                               zeta_v_formula)
 
-from helpers import repeated_products
+from helpers import repeated_products, same_value
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -284,3 +284,41 @@ def test_virasoro_l_loop_makes_no_repeat_product(gl3_order2):
         c_ell_const_defect(res, scen.cfg.virasoro_ells)
     assert count["products"] > 0
     assert count["repeats"] == 0
+
+
+def _akns_standard() -> Scenario:
+    raw = json.loads((CONFIGS / "akns_standard.json").read_text())
+    return Scenario(ScenarioConfig.from_dict(raw))
+
+
+@pytest.mark.parametrize("name", ["gl3_order2", "akns_standard"])
+def test_eps_refactorization_defers_frame_and_solution(request, name):
+    scen = (request.getfixturevalue(name)[0] if name == "gl3_order2"
+            else _akns_standard())
+    res = factorize_jet(scen.spec, scen.seq, scen.ctx, scen.f)
+    fields = VirasoroFields(scen.f)
+    eps_perturbed_result(res, fields(0))  # records the trajectory
+    df = fields(1)
+    eps = eps_perturbed_result(res, df)
+    # the second run reads the trajectory and builds only M and M^-1
+    deferred = ("vfinv", "E", "u", "v")
+    assert not set(deferred) & (set(eps._cache) | set(vars(eps)))
+    assert "E" not in res.trajectory
+    # read later, each equals its value in a run from scratch bit for bit
+    scratch = factorize_jet(scen.spec, scen.seq, scen.ctx,
+                            res.f.base_part().with_eps(df.embed(scen.ctx)),
+                            V=res.V)
+    for field in deferred:
+        want, got = getattr(scratch, field), getattr(eps, field)
+        assert got is None if want is None else same_value(got, want), field
+    assert (eps.v is None) == (scen.seq.family != "gl")
+    # and the read runs the spill checks: a reduced frame off by a constant
+    # in its tangent gives E negative degrees and u_f a degree-one term
+    bad = eps_perturbed_result(res, df)
+    bump = np.arange(1, scen.ctx.n ** 2 + 1).reshape(scen.ctx.n, -1) * 0.1
+    bad.M = bad.M + Series.zeros(scen.ctx).with_eps(
+        Series.monomial(scen.ctx, bump.astype(complex)))
+    with pytest.raises(ShapeError, match="frame E has negative degrees"):
+        bad.E
+    with pytest.raises(ShapeError, match="u_f has nonzero lambda degrees"):
+        bad.u

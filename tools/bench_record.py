@@ -18,7 +18,10 @@ round to round.  Each of these ``extras`` records its round, wall time,
 exit code, the report's ``timing_s`` and, for the two larger workloads, a
 gate: exit 0, every check passed, and the check ids and conventions of the
 shipped order-3 report pinned in ``tests/data/shipped_reports.json``;
-``extras_wall_s`` holds each item's median wall time on each side.  For
+``extras_wall_s`` holds each item's median wall time on each side, and
+``extras_suite_s`` the median of each suite's ``timing_s`` on each side (so
+a per-suite ratio, such as the Virasoro suite's at jet orders 3 and 4, can
+be read from the record).  For
 each config run of the first round, ``identity`` records whether the
 change's report equals the parent's apart from ``timing_s``; when it does
 not, it names the first differing check (or report field) and the largest
@@ -180,6 +183,16 @@ def src_lines(checkout: str) -> int:
     return total
 
 
+def suite_medians(runs: list[dict]) -> dict:
+    """The median over ``runs`` of each suite's ``timing_s`` (runs that
+    wrote no report are left out)."""
+    times: dict = {}
+    for run in runs:
+        for suite, sec in (run["timing_s"] or {}).items():
+            times.setdefault(suite, []).append(sec)
+    return {suite: statistics.median(v) for suite, v in times.items()}
+
+
 def _quartiles(xs: list[float]) -> list[float]:
     return statistics.quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
 
@@ -231,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     record = {"command": "perfbench/run.py --trace 0", "seed": args.seed,
               "pairs": PAIRS, "workloads": list(WORKLOADS), "pair_order": [],
               "host": None, "runs": [], "summary": {}, "extras": [],
-              "extras_wall_s": {}, "identity": {},
+              "extras_wall_s": {}, "extras_suite_s": {}, "identity": {},
               "src_lines": {s: src_lines(checkouts[s]) for s in SIDES}}
 
     def save() -> None:
@@ -274,10 +287,13 @@ def main(argv: list[str] | None = None) -> int:
                         c, cfg, d, None if d is None else pinned[cfg])
                 record["extras"].append({"item": item, "round": rnd,
                                          "side": side, **run})
-                walls = [e["wall_s"] for e in record["extras"]
-                         if e["item"] == item and e["side"] == side]
+                mine = [e for e in record["extras"]
+                        if e["item"] == item and e["side"] == side]
                 record["extras_wall_s"].setdefault(item, {})[side] = (
-                    statistics.median(walls))
+                    statistics.median(e["wall_s"] for e in mine))
+                if cfg is not None:
+                    record["extras_suite_s"].setdefault(item, {})[side] = (
+                        suite_medians(mine))
                 save()
                 print(f"{item:28s} {side:6s} exit {run['exit']} "
                       f"{run['wall_s']:7.1f} s", flush=True)
