@@ -35,12 +35,16 @@ A context also holds the memo of base Laurent inverses (``inv_memo``):
 the Neumann inverse of a jet's row-0 coefficient depends only on that
 coefficient and its trusted floor, and one scenario inverts the same few
 coefficients many times.  It also keeps the integration steps that the
-factorization and ln tau share.  Apart from these memos contexts are
-immutable and cheap to share; every series value carries a reference to
-the context it lives in.
+factorization and ln tau share, and the ledger of the spectra its values
+hold (``spectra``), which :mod:`loopjet.series` keeps under a budget.
+Apart from these contexts are immutable and cheap to share; every series
+value carries a reference to the context it lives in.
 """
 
 from __future__ import annotations
+
+import weakref
+from collections import OrderedDict
 
 import numpy as np
 
@@ -58,9 +62,11 @@ def default_window(order: int, j_max: int) -> tuple[int, int]:
     return -depth, order * j_max + 2
 
 
-def _next_pow2(m: int) -> int:
-    k = 1
-    while k < m:
+def fft_length(lo: int, hi: int) -> int:
+    """The alias-free FFT length of the window ``[lo, hi]``: the least power
+    of two at or above ``W + max(hi, -lo)`` (see the module docstring)."""
+    need, k = (hi - lo + 1) + max(hi, -lo), 1
+    while k < need:
         k *= 2
     return k
 
@@ -84,9 +90,42 @@ def _graded_multi_indices(num_vars: int, order: int) -> list[tuple[int, ...]]:
     return out
 
 
+class Ledger:
+    """The values that hold a cached buffer, least recently used first, and
+    the bytes they hold in total.  Holders are referenced weakly: one that
+    dies stops counting."""
+
+    def __init__(self):
+        self._held: OrderedDict[int, tuple] = OrderedDict()
+        self.bytes = 0
+
+    def use(self, holder, nbytes: int, budget: int) -> list:
+        """Note a use of ``holder``'s buffer of ``nbytes`` and return the
+        holders whose buffers must go, least recently used first, so that
+        what stays holds at most ``budget`` bytes."""
+        key = id(holder)
+        if key in self._held:
+            self._held.move_to_end(key)
+        else:
+            self._held[key] = (weakref.ref(holder,
+                                           lambda _, k=key: self._forget(k)),
+                               nbytes)
+            self.bytes += nbytes
+        out = []
+        while self.bytes > budget:
+            _, (ref, size) = self._held.popitem(last=False)
+            self.bytes -= size
+            out.append(ref())
+        return out
+
+    def _forget(self, key: int) -> None:
+        _, size = self._held.pop(key, (None, 0))
+        self.bytes -= size
+
+
 class JetContext:
-    """Truncation context with precomputed product tables and the memo of
-    base Laurent inverses."""
+    """Truncation context with precomputed product tables, the memo of
+    base Laurent inverses and the ledger of the spectra its values hold."""
 
     def __init__(self, variables: tuple[str, ...] | list[str], order: int,
                  n: int, lo: int, hi: int):
@@ -100,9 +139,7 @@ class JetContext:
         self.lo = int(lo)
         self.hi = int(hi)
         self.W = self.hi - self.lo + 1
-        # alias-free middle product: both discarded runs (-lo degrees below
-        # the window, hi above) fit into the nfft - W residues outside it
-        self.nfft = _next_pow2(self.W + max(self.hi, -self.lo))
+        self.nfft = fft_length(self.lo, self.hi)
 
         if self.variables:
             self.midx = np.array(_graded_multi_indices(len(self.variables), order),
@@ -122,6 +159,9 @@ class JetContext:
         # (row-0 coefficient bytes, trusted floor) -> row 0 of the inverse
         self.inv_memo: dict[tuple[bytes, int], tuple] = {}
         self._steps: dict[str, dict] = {}  # see integration_steps
+        # bytes of a spectrum of every jet row: the unit of the budget
+        self.spectrum_bytes = self.T * self.n * self.n * self.nfft * 16
+        self.spectra = Ledger()
 
     def _build_pair_table(self) -> None:
         d = self.order

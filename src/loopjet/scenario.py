@@ -17,11 +17,12 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .checks import CATALOG, CheckRecord, detect, record
-from .context import JetContext, default_window
+from .context import JetContext, default_window, fft_length
 from .errors import ConfigError, LoopjetError
 from .hierarchy import (LaxFlows, VacuumSequence, akns_sequence,
                         gl_sequence, kdv_sequence, named_flow_residual,
@@ -52,6 +53,8 @@ SCHEMA = "loopjet-scenario/1"
 REPORT_SCHEMA = "loopjet-report/1"
 ALL_SUITES = ("factorization", "flows", "tau", "virasoro",
               "proof_identities", "recovery")
+# the suites that read the stabilizer factorizations
+STABILIZER_SUITES = ("factorization", "tau", "recovery")
 # the variants whose sigma twist flips lambda -> -lambda: their vacuum
 # sequences keep only the odd exponents
 ODD_VARIANTS = ("sigma_twisted", "tau_sigma")
@@ -95,6 +98,19 @@ PAIRS = {
     ("kdv_twisted", "standard"): {"variant": "kdv_twisted"},
     ("kdv_twisted", "kdv_twisted"): {"variant": "kdv_twisted"},
 }
+
+
+class JetShape(NamedTuple):
+    """The sizes of a context: T jet rows, C(vars + order, order); the
+    window width W; the FFT length; the (a, b) pairs of the product table,
+    C(2 vars + order, order); and the bytes of one jet value and of one
+    spectrum of every jet row, the unit of the series spectrum budget."""
+    T: int
+    W: int
+    nfft: int
+    pairs: int
+    value_bytes: int
+    spectrum_bytes: int
 
 
 @dataclass
@@ -197,16 +213,20 @@ class ScenarioConfig:
                 raise ConfigError(f"field 'tolerances.{cid}': unknown check id")
         self._check_size()
 
-    def jet_shape(self) -> tuple[int, int]:
-        """(T, W) of the context this config builds, from the config alone:
-        T = C(vars + order, order) jet rows and the window width W, with
-        neither a context nor a vacuum sequence built."""
+    def jet_shape(self) -> "JetShape":
+        """The sizes of the context this config builds, from the config
+        alone, with neither a context nor a vacuum sequence built."""
         nvars = self.num_flows * (self.n if self.family == "gl_n" else 1)
         # kdv and the odd variants keep the exponents 1, 3, ..., 2 flows - 1
         odd = self.family == "kdv_twisted" or self.variant in ODD_VARIANTS
         lo, hi = self.window or default_window(
             self.order, 2 * self.num_flows - 1 if odd else self.num_flows)
-        return math.comb(nvars + self.order, self.order), hi - lo + 1
+        T, W, nfft = (math.comb(nvars + self.order, self.order),
+                      hi - lo + 1, fft_length(lo, hi))
+        entry = self.n ** 2 * 16  # bytes of one complex n x n matrix
+        return JetShape(T, W, nfft,
+                        math.comb(2 * nvars + self.order, self.order),
+                        T * W * entry, T * nfft * entry)
 
     def _check_size(self) -> None:
         """Refuse a config one of whose jet values would exceed
@@ -215,14 +235,13 @@ class ScenarioConfig:
         for name, least in (("n", dict(num_flows=1, order=1, window=None)),
                             ("window", dict(num_flows=1, order=1)),
                             ("flows", dict(order=1)), ("order", {})):
-            rows, width = replace(self, **least).jet_shape()
-            size = rows * width * self.n ** 2 * 16
-            if size > VALUE_BUDGET_BYTES:
+            shape = replace(self, **least).jet_shape()
+            if shape.value_bytes > VALUE_BUDGET_BYTES:
                 raise ConfigError(
-                    f"field {name!r}: one jet value would take {size:.3g} "
-                    f"bytes ({rows} jet rows x {width} degrees of "
-                    f"{self.n}x{self.n} matrices), over the budget of "
-                    f"{VALUE_BUDGET_BYTES} bytes")
+                    f"field {name!r}: one jet value would take "
+                    f"{shape.value_bytes:.3g} bytes ({shape.T} jet rows x "
+                    f"{shape.W} degrees of {self.n}x{self.n} matrices), over "
+                    f"the budget of {VALUE_BUDGET_BYTES} bytes")
 
     def _family_for(self, suite: str) -> str | None:
         """What ``suite`` needs of the family, or None when this config
@@ -441,12 +460,17 @@ class _Runner:
 
     def run(self) -> Report:
         order = list(self.cfg.suites)
+        # the stabilizer results go once the last suite that reads them ran
+        last_stab = max((i for i, suite in enumerate(order)
+                         if suite in STABILIZER_SUITES), default=-1)
         self._ensure_factorized()  # prerequisite of every suite
-        for suite in order:
+        for i, suite in enumerate(order):
             t0 = time.perf_counter()
             with _stage(f"suite {suite}"):
                 getattr(self, f"_suite_{suite}")()
             self.timing[suite] = round(time.perf_counter() - t0, 3)
+            if i == last_stab:
+                self.stabilizers = None
         return Report(self.cfg.echo(), self.records, self.conventions,
                       self.timing)
 
@@ -492,6 +516,7 @@ class _Runner:
         alt = factorize_jet(s.spec, s.seq, s.ctx, s.f, var_choice="last",
                             V=res.V)
         self.add("fact_tie_break", (res.M - alt.M).max_abs())
+        del alt  # read by no other check: it dies before the stabilizers
         self.add("e_ode", e_ode_defect(res))
         lax = lax_residual(res)
         self.add("lax_defining", lax["defining"],
@@ -611,21 +636,10 @@ class _Runner:
         worst_frame, worst_lk, worst_gl = 0.0, 0.0, 0.0
         for gamma in gammas:
             for ell in ells:
-                eps = eps_perturbed_result(res, fields(ell, gamma))
-                fv = induced_frame_variation(res, ell, gamma)
-                fv_eps = eps.M.eps_part() * res.Minv
-                worst_frame = max(worst_frame, (fv - fv_eps).max_abs())
-                lt = induced_lntau_variation(res, ell, gamma)
-                lt_eps = ln_tau_jet(eps).eps_part()
-                worst_lk = max(worst_lk, (lt - lt_eps).max_abs())
-                if s.seq.family == "gl" and gamma is None and \
-                        _full_grid(s.seq):
-                    worst_gl = max(worst_gl,
-                                   (fv - gl_frame_variation(res, ell)).max_abs())
-                    vf = zeta_v_formula(res, ell)
-                    off = 1.0 - np.eye(s.ctx.n)
-                    v_eps = eps.M.eps_part().degree_slice(-1).hadamard(off)
-                    worst_gl = max(worst_gl, (vf - v_eps).max_abs())
+                frame, lk, gl = self._eps_defects(fields, ell, gamma)
+                worst_frame = max(worst_frame, frame)
+                worst_lk = max(worst_lk, lk)
+                worst_gl = max(worst_gl, gl)
         self.add("induced_frame_eps", worst_frame)
         self.add("induced_lntau_eps", worst_lk)
         if s.seq.family == "gl" and _full_grid(s.seq):
@@ -643,6 +657,24 @@ class _Runner:
             worst_b = eta_bracket_defect(fields, (0, 1))
             self.add("eta_tangency", worst_t)
             self.add("eta_bracket", worst_b)
+
+    def _eps_defects(self, fields, ell: int, gamma) -> tuple:
+        """The frame, ln tau and (gl, Gamma = 0, full grid; else 0) v_f
+        defects of the induced variations against one eps refactorization,
+        which dies on return, before the next is built."""
+        s, res = self.scen, self.result
+        eps = eps_perturbed_result(res, fields(ell, gamma))
+        fv = induced_frame_variation(res, ell, gamma)
+        frame = (fv - eps.M.eps_part() * res.Minv).max_abs()
+        lk = (induced_lntau_variation(res, ell, gamma)
+              - ln_tau_jet(eps).eps_part()).max_abs()
+        gl = 0.0
+        if s.seq.family == "gl" and gamma is None and _full_grid(s.seq):
+            gl = (fv - gl_frame_variation(res, ell)).max_abs()
+            v_eps = eps.M.eps_part().degree_slice(-1).hadamard(
+                1.0 - np.eye(s.ctx.n))
+            gl = max(gl, (zeta_v_formula(res, ell) - v_eps).max_abs())
+        return frame, lk, gl
 
     def _variation_laws(self) -> None:
         """Both general variation laws, read off one refactorization of

@@ -29,9 +29,12 @@ derivative lowers it by one) and comparisons mask orders beyond it.
 
 Coefficients are stored as ``(T, W, n, n)``: jet row, lambda position,
 matrix entry.  Products convolve in lambda by FFT of the window copied into
-a zero-padded buffer, and cache each operand's spectrum row-major, as
-``(R, n, n, nfft)`` up to its last live row, with certified-zero rows
-(``shi == NEG``) held at exact zero.  The jet product runs over the grades
+a zero-padded buffer.  An operand's spectrum is row-major, ``(R, n, n,
+nfft)`` up to its last live row, with certified-zero rows (``shi == NEG``)
+held at exact zero, and it is held on the operand under a budget per
+context, ``_SPECTRUM_BUDGET`` spectra of every jet row: past it the least
+recently used spectra are dropped and transformed again on their next use,
+which gives the same bits.  The jet product runs over the grades
 g of the left factor: its live rows of grade g and the admissible right
 rows, the prefix ``[0, upto[top - g])``, span a grid whose outputs
 ``grade_out[g]`` are distinct along each row and each column.  A grade is
@@ -75,12 +78,13 @@ __all__ = ["Series", "ScalarJet", "exp_series", "cocycle", "commutator",
 
 _SINGULAR_COND = 1e12
 _BLOCK_BYTES = 1 << 17  # spectrum bytes per kernel call: a block fits in L2
+_SPECTRUM_BUDGET = 6  # spectra of every jet row a context holds, at most
 
 
 class _Slab:
     """One epsilon component: dense data plus per-coefficient degree bounds."""
 
-    __slots__ = ("data", "tlo", "slo", "shi", "thi", "_hat")
+    __slots__ = ("data", "tlo", "slo", "shi", "thi", "_hat", "__weakref__")
 
     def __init__(self, data, tlo, slo, shi, thi):
         self.data = data
@@ -93,12 +97,18 @@ class _Slab:
     def fft(self, ctx: JetContext):
         """Row-major spectrum ``(R, n, n, nfft)`` of the rows up to the last
         live one (R rows; every reader indexes below it); certified-zero
-        rows (``shi == NEG``) are exact zeros whatever their stored data."""
-        if self._hat is None:
+        rows (``shi == NEG``) are exact zeros whatever their stored data.
+        It is held on the slab while ``ctx.spectra`` keeps it under the
+        budget; one it drops is transformed again on its next use."""
+        hat = self._hat
+        if hat is None:
             rows = np.flatnonzero(self.shi != NEG).max(initial=-1) + 1
-            self._hat = _spectrum(ctx, self.data[:rows])
-            self._hat[self.shi[:rows] == NEG] = 0.0
-        return self._hat
+            hat = self._hat = _spectrum(ctx, self.data[:rows])
+            hat[self.shi[:rows] == NEG] = 0.0
+        for slab in ctx.spectra.use(self, hat.nbytes,
+                                    _SPECTRUM_BUDGET * ctx.spectrum_bytes):
+            slab._hat = None
+        return hat
 
     def is_zero(self) -> bool:
         return bool(np.all(self.shi == NEG))

@@ -6,11 +6,15 @@ import json
 import math
 import pathlib
 import time
+import weakref
 
 import pytest
 
+from loopjet import scenario
 from loopjet.cli import main
-from loopjet.scenario import VALUE_BUDGET_BYTES, Scenario, ScenarioConfig
+from loopjet.scenario import (VALUE_BUDGET_BYTES, Scenario, ScenarioConfig,
+                              _Runner)
+from loopjet.series import Series
 
 from helpers import csv_to_explicit_coeffs
 
@@ -403,17 +407,81 @@ def test_report_records_every_enabled_suite(tmp_path):
     ("akns_standard", "tau", {"tau_shift_constancy", "tau_conjugation"}),
     ("vector_akns", "recovery", {"recovery_k_invariance"})],
     ids=["akns_standard-tau", "vector_akns-recovery"])
-def test_suite_order_does_not_change_the_checks(tmp_path, config, suite,
-                                                needs_stabilizers):
+def test_suite_order_does_not_change_the_checks(tmp_path, monkeypatch, config,
+                                                suite, needs_stabilizers):
     # the tau and recovery suites read the stabilizer factorizations
-    # whether or not the factorization suite ran first
+    # whether or not the factorization suite ran first, and after a suite
+    # that does not read them; they are built once per run
     base = json.loads((SHIPPED / f"{config}.json").read_text())
-    for suites in (["factorization", suite], [suite, "factorization"]):
+    built = []
+    check = scenario.stabilizer_k_check
+    monkeypatch.setattr(scenario, "stabilizer_k_check",
+                        lambda *a: built.append(1) or check(*a))
+    for suites in (["factorization", suite], [suite, "factorization"],
+                   ["factorization", "flows", suite]):
+        built.clear()
         cfgp = _write(tmp_path, "c.json", dict(base, suites=suites))
         out = tmp_path / "r.json"
         assert main(["run", "--config", cfgp, "--out", str(out)]) == 0
         ids = {c["id"] for c in json.loads(out.read_text())["checks"]}
         assert needs_stabilizers <= ids, suites
+        assert len(built) == 1, suites
+
+
+def _shipped_runner(name: str, suites: list[str]) -> _Runner:
+    raw = json.loads((SHIPPED / f"{name}.json").read_text())
+    return _Runner(Scenario(ScenarioConfig.from_dict(dict(raw,
+                                                          suites=suites))))
+
+
+def test_check_only_factorizations_die_once_read(monkeypatch):
+    # the var_choice="last" result is dead before the stabilizers are
+    # built, and the stabilizer results once the last suite reading them
+    # (factorization here; flows does not read them) is done
+    refs = {}
+    calls = {"factorize_jet": scenario.factorize_jet,
+             "stabilizer_h_check": scenario.stabilizer_h_check,
+             "stabilizer_k_check": scenario.stabilizer_k_check}
+
+    def factorize(*args, **kw):
+        res = calls["factorize_jet"](*args, **kw)
+        if kw.get("var_choice") == "last":
+            refs["tie_break"] = weakref.ref(res)
+        return res
+
+    def stabilizer(name, key):
+        def check(*args):
+            assert refs["tie_break"]() is None
+            out = calls[name](*args)
+            refs[key] = weakref.ref(out[key])
+            return out
+        return check
+
+    monkeypatch.setattr(scenario, "factorize_jet", factorize)
+    monkeypatch.setattr(scenario, "stabilizer_h_check",
+                        stabilizer("stabilizer_h_check", "result_h"))
+    monkeypatch.setattr(scenario, "stabilizer_k_check",
+                        stabilizer("stabilizer_k_check", "result_k"))
+    runner = _shipped_runner("akns_standard", ["factorization", "flows"])
+    assert runner.run().passed
+    assert set(refs) == {"tie_break", "result_h", "result_k"}
+    assert runner.stabilizers is None
+    assert all(ref() is None for ref in refs.values())
+
+
+def test_each_eps_refactorization_dies_before_the_next(monkeypatch):
+    refs = []
+    build = scenario.eps_perturbed_result
+
+    def eps(*args):
+        assert all(ref() is None for ref in refs)
+        out = build(*args)
+        refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(scenario, "eps_perturbed_result", eps)
+    assert _shipped_runner("akns_standard", ["virasoro"]).run().passed
+    assert len(refs) == 11  # the tangent sample, then 5 ells x 2 gammas
 
 
 SHIPPED = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -425,14 +493,19 @@ PINNED = json.loads((pathlib.Path(__file__).resolve().parent / "data"
     *((p.stem, None) for p in sorted(SHIPPED.glob("*.json"))),
     ("gl3_full", 4), ("gl3_full", 5), ("akns_standard", 8)])
 def test_jet_shape_is_the_contexts(name, order):
-    # T and W from the config alone, before any context is built; every
-    # shipped config and the larger workloads fit the value budget
+    # T, W, nfft, the pair count and the bytes of a value and of a spectrum
+    # from the config alone, before any context is built; every shipped
+    # config and the larger workloads fit the value budget
     raw = json.loads((SHIPPED / f"{name}.json").read_text())
     cfg = ScenarioConfig.from_dict(raw if order is None else
                                    dict(raw, order=order))
+    shape = cfg.jet_shape()
     ctx = Scenario(cfg).ctx
-    assert cfg.jet_shape() == (ctx.T, ctx.W)
-    assert ctx.T * ctx.W * ctx.n ** 2 * 16 <= VALUE_BUDGET_BYTES
+    assert (shape.T, shape.W, shape.nfft, shape.pairs) == \
+        (ctx.T, ctx.W, ctx.nfft, ctx.pair_a.size)
+    assert shape.value_bytes == Series.zeros(ctx).slabs[0].data.nbytes
+    assert shape.spectrum_bytes == ctx.spectrum_bytes
+    assert shape.value_bytes <= VALUE_BUDGET_BYTES
 
 
 @pytest.mark.parametrize("field,value", [

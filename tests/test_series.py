@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -798,3 +800,84 @@ def test_laurent_inv_memo_matches_uncached_call():
         assert same_slab(again, _neumann_inv(ctx, slab))
     # one entry per distinct (row-0 data, trusted floor)
     assert len(ctx.inv_memo) == 3
+
+
+# -- the spectrum budget -------------------------------------------------------
+
+def _budget_workload():
+    """A chain of products, inverses and a tangent product, then a
+    factorization, each in a fresh context: the values it builds."""
+    from loopjet.hierarchy import akns_sequence
+    from loopjet.scattering import factorize_jet
+    from loopjet.splitting import SplittingSpec, sample_negative_element
+    ctx = JetContext(("t1", "t2"), 3, 2, -14, 4)
+    gen = rng(90)
+    ident = Series.identity(ctx)
+    A = ident + random_jet_series(ctx, gen, -3, -1, 0.3)
+    B = ident + random_jet_series(ctx, gen, -2, 0, 0.3)
+    dA = random_jet_series(ctx, gen, -2, 0, 0.3)
+    AB = A * B
+    out = [AB, AB * A.inv(), B.matmul(AB, 2), A.with_eps(dA) * B * A,
+           A.with_eps(dA).inv() * AB]
+    seq = akns_sequence(2, 3)
+    ctx = seq.context(3)
+    spec = SplittingSpec("standard", 2)
+    res = factorize_jet(spec, seq, ctx, sample_negative_element(
+        spec, ctx, seed=7, depth=3, amplitude=0.3))
+    return out + [res.M, res.Minv, res.E, res.u]
+
+
+def test_spectrum_budget_evicts_without_changing_a_bit(monkeypatch):
+    # after every transform the ledger counts exactly the bytes of the
+    # spectra its context's slabs hold, and never more than the budget;
+    # at the least budgets every product evicts, and the values are those
+    # of the default budget bit for bit
+    seen: dict = {}
+    fft = series._Slab.fft
+
+    def checked(slab, ctx):
+        hat = fft(slab, ctx)
+        live = seen.setdefault(ctx, weakref.WeakSet())
+        live.add(slab)
+        held = sum(s._hat.nbytes for s in live if s._hat is not None)
+        assert ctx.spectra.bytes == held
+        assert held <= series._SPECTRUM_BUDGET * ctx.spectrum_bytes
+        return hat
+
+    monkeypatch.setattr(series._Slab, "fft", checked)
+    default = _budget_workload()
+    assert any(c.spectra.bytes > c.spectrum_bytes for c in seen)
+    for budget in (0, 1):
+        monkeypatch.setattr(series, "_SPECTRUM_BUDGET", budget)
+        again = _budget_workload()
+        assert all(same_value(x, y) for x, y in zip(default, again))
+
+
+def test_a_dead_values_spectrum_stops_counting():
+    ctx = JetContext(("t1", "t2"), 2, 2, -14, 4)
+    gen = rng(91)
+    a = random_jet_series(ctx, gen, -3, 0, 0.3)
+    b = random_jet_series(ctx, gen, -2, 0, 0.3)
+    a * b
+    hats = [x.slabs[0]._hat.nbytes for x in (a, b)]
+    assert ctx.spectra.bytes == sum(hats) == 2 * ctx.spectrum_bytes
+    del a
+    assert ctx.spectra.bytes == hats[1]
+    del b
+    assert ctx.spectra.bytes == 0
+
+
+def test_ledger_drops_the_least_recently_used_first():
+    from loopjet.context import Ledger
+
+    class Holder:
+        pass
+
+    a, b, c = Holder(), Holder(), Holder()
+    ledger = Ledger()
+    assert ledger.use(a, 10, 20) == ledger.use(b, 10, 20) == []
+    assert ledger.use(a, 10, 20) == []
+    assert ledger.use(c, 10, 20) == [b]
+    assert ledger.bytes == 20
+    del c
+    assert ledger.bytes == 10

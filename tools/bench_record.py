@@ -11,14 +11,16 @@ per-workload summary: the median of each metric on each side, the
 quartiles of the parent's runs and the number of pairs the change won.
 
 After the pairs it runs, in 3 rounds, each of the 10 shipped configs
-through the CLI, the two larger workloads ``gl3_full`` at jet order 4
-(full suite) and ``akns_standard`` at order 8, and the Tier-1 suite, once
-per side, alternating which side goes first from item to item and from
+through the CLI, the three larger workloads ``gl3_full`` at jet orders 4
+and 5 (full suite) and ``akns_standard`` at order 8, and the Tier-1 suite,
+once per side, alternating which side goes first from item to item and from
 round to round.  Each of these ``extras`` records its round, wall time,
-exit code, the report's ``timing_s`` and, for the two larger workloads, a
-gate: exit 0, every check passed, and the check ids and conventions of the
-shipped order-3 report pinned in ``tests/data/shipped_reports.json``;
-``extras_wall_s`` holds each item's median wall time on each side, and
+exit code, peak RSS, minor faults, the report's ``timing_s`` and, for the
+three larger workloads, a gate: exit 0, every check passed, and the check
+ids and conventions of the shipped order-3 report pinned in
+``tests/data/shipped_reports.json``;
+``extras_wall_s``, ``extras_rss_mb`` and ``extras_minflt`` hold each
+item's median wall time, ``maxrss_mb`` and ``ru_minflt`` on each side, and
 ``extras_suite_s`` the median of each suite's ``timing_s`` on each side (so
 a per-suite ratio, such as the Virasoro suite's at jet orders 3 and 4, can
 be read from the record).  For
@@ -62,6 +64,7 @@ PAIRS = 10
 ROUNDS = 3  # runs per side of each extra
 # name -> (shipped config, jet order): the gated larger workloads
 LARGE = {"gl3_full_order4": ("gl3_full", 4),
+         "gl3_full_order5": ("gl3_full", 5),
          "akns_standard_order8": ("akns_standard", 8)}
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -244,7 +247,8 @@ def main(argv: list[str] | None = None) -> int:
     record = {"command": "perfbench/run.py --trace 0", "seed": args.seed,
               "pairs": PAIRS, "workloads": list(WORKLOADS), "pair_order": [],
               "host": None, "runs": [], "summary": {}, "extras": [],
-              "extras_wall_s": {}, "extras_suite_s": {}, "identity": {},
+              "extras_wall_s": {}, "extras_rss_mb": {}, "extras_minflt": {},
+              "extras_suite_s": {}, "identity": {},
               "src_lines": {s: src_lines(checkouts[s]) for s in SIDES}}
 
     def save() -> None:
@@ -289,8 +293,11 @@ def main(argv: list[str] | None = None) -> int:
                                          "side": side, **run})
                 mine = [e for e in record["extras"]
                         if e["item"] == item and e["side"] == side]
-                record["extras_wall_s"].setdefault(item, {})[side] = (
-                    statistics.median(e["wall_s"] for e in mine))
+                for key, field in (("extras_wall_s", "wall_s"),
+                                   ("extras_rss_mb", "maxrss_mb"),
+                                   ("extras_minflt", "minflt")):
+                    record[key].setdefault(item, {})[side] = (
+                        statistics.median(e[field] for e in mine))
                 if cfg is not None:
                     record["extras_suite_s"].setdefault(item, {})[side] = (
                         suite_medians(mine))
