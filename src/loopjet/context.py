@@ -17,8 +17,8 @@ together with index maps for partial derivatives and monomial shifts:
   ``grade_out[g]`` is the ``(rows of grade g, upto[d - g])`` view of
   ``pair_c`` holding their outputs.  The outputs along one row, and along
   one column, of a grade's grid are distinct, so a product adds a batch of
-  either straight into its output rows; pairings, scalar-jet products and
-  degree bounds scatter their per-pair values into the ``pair_c`` rows.
+  either straight into its output rows, and a pairing a whole grid; degree
+  bounds and scalar-jet products scatter into the ``pair_c`` rows.
 
 Laurent-degree convolutions are done by FFT along the degree axis, and a
 product keeps only the degrees ``[lo, hi]`` of its ``2W - 1``-term linear

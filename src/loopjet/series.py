@@ -21,10 +21,10 @@ Truncation is tracked, never guessed.  Per jet coefficient:
 
 Products and pairings propagate the bounds with one convolution rule
 (``_pair_bounds``), ``tlo(AB) = max(tlo_A + shi_B, tlo_B + shi_A)`` and its
-mirror for ``thi``, applied per pair of jet rows, where an exact factor
-(``tlo = NEG``) adds no untrusted floor whatever the other's support; the
-plus-projection restores full trust below zero because its result is zero
-there by definition.  ``vorder`` tracks the trusted jet order (a time
+mirror for ``thi``, applied over the live pairs of jet rows, where an exact
+factor (``tlo = NEG``) adds no untrusted floor whatever the other's support;
+the plus-projection restores full trust below zero because its result is
+zero there by definition.  ``vorder`` tracks the trusted jet order (a time
 derivative lowers it by one) and comparisons mask orders beyond it.
 
 Coefficients are stored as ``(T, W, n, n)``: jet row, lambda position,
@@ -47,8 +47,8 @@ is summed entry by entry in ascending k (``_entry_mul``), the one way
 spectra are multiplied here.  This fixed order of operations keeps
 reports bit-identical.  Only the rows up to the last live output are
 transformed back, as a view, so they are copied once, into the data.
-The per-pair degree bounds of a product, the terms of a pairing and of a
-scalar-jet product are scattered into the ``pair_c`` rows (``np.*.at``).
+A pairing walks the same grids and adds each grade's ``einsum`` in
+ascending a; bounds and scalar-jet products scatter into the ``pair_c`` rows.
 A jet-order ``cap`` leaves every row past it certified zero, on the
 jet-constant path as on the general one.
 
@@ -209,6 +209,30 @@ def _product_slab(ctx: JetContext, C, tlo, slo, shi, thi) -> _Slab:
     return _apply_support_mask(ctx, slab, stop)
 
 
+def _product_bounds(ctx: JetContext, a: _Slab, b: _Slab, top: int):
+    """Degree bounds of the jet product of ``a`` and ``b`` up to jet order
+    ``top``: a certified-zero row adds nothing, whatever its trusted floor."""
+    live = ((a.shi != NEG)[ctx.pair_a] & (b.shi != NEG)[ctx.pair_b]
+            & (ctx.totals[ctx.pair_c] <= top))
+    pa, pb, pc = ctx.pair_a[live], ctx.pair_b[live], ctx.pair_c[live]
+    bounds = [np.full(ctx.T, v, dtype=np.int64) for v in (NEG, POS, NEG, POS)]
+    for scatter, out, c in zip((np.maximum.at, np.minimum.at) * 2, bounds,
+                               _pair_bounds(a, pa, b, pb)):
+        scatter(out, pc, c)
+    return bounds
+
+
+def _grades(ctx: JetContext, a: _Slab, top: int, nb_max: int):
+    """The product grid up to jet order ``top``, per grade g: the live rows
+    of ``a`` of grade g, the admissible b prefix length ``nb <= nb_max`` and
+    their outputs ``grade_out[g][rows, :nb]``."""
+    for g, grid in enumerate(ctx.grade_out[:top + 1]):
+        first = ctx.upto[g] - grid.shape[0]
+        rows = np.flatnonzero(a.shi[first:ctx.upto[g]] != NEG)
+        nb = min(ctx.upto[top - g], nb_max)
+        yield rows + first, nb, grid[rows, :nb]
+
+
 def _slab_mul(ctx: JetContext, a: _Slab, b: _Slab,
               cap: int | None = None) -> _Slab:
     if a.is_zero() or b.is_zero():
@@ -219,42 +243,23 @@ def _slab_mul(ctx: JetContext, a: _Slab, b: _Slab,
     if a.jet_const():
         return _slab_mul_const(ctx, a, b, top, b_const=False)
 
-    # pairs with a certified-zero factor or an output order past the cap
-    # contribute nothing; their outputs stay certified zero
-    pa, pb, pc = ctx.pair_a, ctx.pair_b, ctx.pair_c
-    a_live, b_live = a.shi != NEG, b.shi != NEG
-    idx = np.flatnonzero(a_live[pa] & b_live[pb] & (ctx.totals[pc] <= top))
-    cand = _pair_bounds(a, pa[idx], b, pb[idx])
-    pc = pc[idx]
-    tlo = np.full(ctx.T, NEG, dtype=np.int64)
-    slo = np.full(ctx.T, POS, dtype=np.int64)
-    shi = np.full(ctx.T, NEG, dtype=np.int64)
-    thi = np.full(ctx.T, POS, dtype=np.int64)
-    np.maximum.at(tlo, pc, cand[0])
-    np.minimum.at(slo, pc, cand[1])
-    np.maximum.at(shi, pc, cand[2])
-    np.minimum.at(thi, pc, cand[3])
-
-    # grade by grade, batched along the longer side of the grid of live
-    # a-rows and admissible b-rows, in blocks; descending b is ascending a
-    # (see the module docstring).  Dead rows are zero in the cached spectra.
+    # grade by grade, batched along the longer side of the grid, in blocks;
+    # descending b is ascending a (see the module docstring).  Dead rows are
+    # zero in the cached spectra.
     A, B = a.fft(ctx), b.fft(ctx)
     C = np.zeros((ctx.upto[top], ctx.n, ctx.n, ctx.nfft), dtype=np.complex128)
-    for g, grid in enumerate(ctx.grade_out[:top + 1]):
-        first = ctx.upto[g] - grid.shape[0]
-        rows = np.flatnonzero(a_live[first:ctx.upto[g]])
-        nb = min(ctx.upto[top - g], len(B))
-        out, blocks = grid[rows, :nb], _blocks(ctx, max(rows.size, nb))
+    for rows, nb, out in _grades(ctx, a, top, len(B)):
+        blocks = _blocks(ctx, max(rows.size, nb))
         if rows.size <= nb:
-            for ia, row_out in zip(rows + first, out):
+            for ia, row_out in zip(rows, out):
                 for s in blocks:
                     C[row_out[s]] += _entry_mul(A[ia], B[s])
         else:
-            Ag = A[rows + first]
+            Ag = A[rows]
             for j in range(nb - 1, -1, -1):
                 for s in blocks:
                     C[out[s, j]] += _entry_mul(Ag[s], B[j])
-    return _product_slab(ctx, C, tlo, slo, shi, thi)
+    return _product_slab(ctx, C, *_product_bounds(ctx, a, b, top))
 
 
 def _slab_mul_const(ctx: JetContext, a: _Slab, b: _Slab, top: int,
@@ -264,16 +269,11 @@ def _slab_mul_const(ctx: JetContext, a: _Slab, b: _Slab, top: int,
     row of the same index, and every other row is certified zero."""
     full = a if b_const else b
     rows = np.flatnonzero((full.shi != NEG) & (ctx.totals <= top))
-    bounds = [np.full(ctx.T, v, dtype=np.int64) for v in (NEG, POS, NEG, POS)]
-    cand = (_pair_bounds(a, rows, b, 0) if b_const
-            else _pair_bounds(a, 0, b, rows))
-    for out, c in zip(bounds, cand):
-        out[rows] = c
     A, B = a.fft(ctx), b.fft(ctx)
     G = np.empty((rows.max(initial=-1) + 1,) + A.shape[1:], complex)
     for s in _blocks(ctx, len(G)):
         G[s] = _entry_mul(A[s], B[0]) if b_const else _entry_mul(A[0], B[s])
-    return _product_slab(ctx, G, *bounds)
+    return _product_slab(ctx, G, *_product_bounds(ctx, a, b, top))
 
 
 def _slab_add(a: _Slab, b: _Slab, sign: float) -> _Slab:
@@ -729,27 +729,27 @@ class Series(_Jet):
     # -- pairings ------------------------------------------------------------
 
     def _slab_pairing(self, other: "Series", a: _Slab, b: _Slab, k: int):
+        """<a, b>_k on the product's grid and by its bound rule; rows past
+        the trusted jet order stay zero."""
         ctx = self.ctx
-        pa, pb, pc = ctx.pair_a, ctx.pair_b, ctx.pair_c
-        tlo, _, _, thi = _pair_bounds(a, pa, b, pb)
-        live = ctx.totals[pc] <= min(self.vorder, other.vorder)
-        bad = live & ((k < tlo) | (k > thi))
+        top = min(self.vorder, other.vorder)
+        tlo, _, _, thi = _product_bounds(ctx, a, b, top)
+        bad = (k < tlo) | (k > thi)
         if np.any(bad):
-            i = int(np.flatnonzero(bad)[0])
             raise TrustError(
                 f"pairing at degree {k} not trusted for jet index "
-                f"{tuple(ctx.midx[pc[i]].tolist())}")
+                f"{tuple(ctx.midx[np.argmax(bad)].tolist())}")
         # sum_j tr(A_j B_{k-j}); align a reversed copy of B so position w
         # (degree lo+w) of A meets degree k-lo-w of B.
         off = ctx.W - 1 - (k - 2 * ctx.lo)
-        brev = b.data[:, ::-1]
-        wlo = max(0, -off)
-        whi = min(ctx.W, ctx.W - off)
+        wlo, whi = max(0, -off), max(0, -off, min(ctx.W, ctx.W - off))
+        Aw, Bw = a.data[:, wlo:whi], b.data[:, ::-1][:, wlo + off:whi + off]
         out = np.zeros(ctx.T, dtype=np.complex128)
-        if whi > wlo:  # gather only the overlap: (pairs, W) copies are large
-            Ag = a.data[:, wlo:whi][pa]
-            Bg = brev[:, wlo + off:whi + off][pb]
-            np.add.at(out, pc, np.einsum("pwab,pwba->p", Ag, Bg))
+        nb_max = np.flatnonzero(b.shi != NEG).max(initial=-1) + 1
+        for rows, nb, grid in _grades(ctx, a, top, nb_max):
+            # einsum sums a 1 x 1 grid in its own order: take it as 1 x 2
+            np.add.at(out, grid, np.einsum("pwab,qwba->pq", Aw[rows],
+                                           Bw[:max(nb, 2)])[:, :nb])
         return out
 
     def pairing(self, other: "Series", k: int,

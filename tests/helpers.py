@@ -1,8 +1,9 @@
 """Shared oracles, generators and comparisons for the test suite.
 
-The oracles here are deliberately naive (dict-based double sums, and a
-pair-by-pair product that fixes the kernel's floating-point operations) and
-never call the vectorized kernels they are used to check.  The helpers at
+The oracles here are deliberately naive (dict-based double sums, a
+pair-by-pair product that fixes the kernel's floating-point operations, and
+the pairing over the whole pair table that fixes the pairing's) and never
+call the vectorized kernels they are used to check.  The helpers at
 the end (bit-for-bit comparisons, the trusted floor and window reads, the
 repeated-product count, the dump parser, the KdV restriction check, the
 algebra-level reality conditions with the checked projection, and the gl
@@ -98,6 +99,23 @@ def reference_slab_product(ctx: JetContext, a, b, cap=None) -> np.ndarray:
         coeffs = np.fft.ifft(spec, axis=-1)[:, :, ctx.extract]
         data[ic] = np.moveaxis(coeffs, -1, 0)
     return data
+
+
+def reference_pairing(ctx: JetContext, a, b, k: int) -> np.ndarray:
+    """Values ``(T,)`` of the pairing <a, b>_k of slabs ``a`` and ``b`` over
+    the whole pair table: both operands gathered pair by pair over the
+    overlap of their windows, reduced by one ``einsum`` and added into the
+    ``pair_c`` rows in table order, so each output adds its terms in
+    ascending a.  Dead rows and outputs past any trusted order are summed
+    like the others."""
+    off = ctx.W - 1 - (k - 2 * ctx.lo)
+    wlo, whi = max(0, -off), min(ctx.W, ctx.W - off)
+    out = np.zeros(ctx.T, dtype=np.complex128)
+    if whi > wlo:
+        ag = a.data[:, wlo:whi][ctx.pair_a]
+        bg = b.data[:, ::-1][:, wlo + off:whi + off][ctx.pair_b]
+        np.add.at(out, ctx.pair_c, np.einsum("pwab,pwba->p", ag, bg))
+    return out
 
 
 def random_jet_series(ctx: JetContext, gen, lo: int, hi: int,

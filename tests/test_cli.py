@@ -487,6 +487,7 @@ def test_each_eps_refactorization_dies_before_the_next(monkeypatch):
 SHIPPED = pathlib.Path(__file__).resolve().parent.parent / "configs"
 PINNED = json.loads((pathlib.Path(__file__).resolve().parent / "data"
                      / "shipped_reports.json").read_text())
+DEFECT_BAND = 1.0  # decades a check's max_defect may move from its pin
 
 
 @pytest.mark.parametrize("name,order", [
@@ -526,7 +527,9 @@ def test_exit_code_value_over_budget_names_its_field(tmp_path, capsys, field,
 @pytest.mark.parametrize("name", sorted(p.stem for p in SHIPPED.glob("*.json")))
 def test_shipped_configs_all_pass(tmp_path, name):
     # every shipped config passes with the check ids, pass values and
-    # detected conventions pinned in tests/data/shipped_reports.json
+    # detected conventions pinned in tests/data/shipped_reports.json, and
+    # each check's max_defect stays within DEFECT_BAND decades of its pinned
+    # value (the defect ratchet); an exact zero stays an exact zero
     t0 = time.perf_counter()
     rc = main(["run", "--config", str(SHIPPED / f"{name}.json"),
                "--out", str(tmp_path / "r.json")])
@@ -536,8 +539,15 @@ def test_shipped_configs_all_pass(tmp_path, name):
         assert elapsed < 60.0
     doc = json.loads((tmp_path / "r.json").read_text())
     assert doc["passed"]
-    assert sorted([c["id"], c["passed"]] for c in doc["checks"]) == \
-        PINNED[name]["checks"]
+    rows = sorted([c["id"], c["passed"], c["max_defect"]]
+                  for c in doc["checks"])
+    pinned = PINNED[name]["checks"]
+    assert [r[:2] for r in rows] == [p[:2] for p in pinned]
+    moved = [(cid, got, pin)
+             for (cid, _, got), (_, _, pin) in zip(rows, pinned)
+             if (got == 0) != (pin == 0)
+             or (pin and abs(math.log10(got / pin)) > DEFECT_BAND)]
+    assert moved == []
     assert doc["conventions"] == PINNED[name]["conventions"]
 
 

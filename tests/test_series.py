@@ -17,7 +17,7 @@ from loopjet import series
 from loopjet.series import _cap_top, _finalize_tlo, _slab_mul
 
 from helpers import (conv_oracle, jet_conv_oracle, random_jet_series,
-                     random_laurent_dict, random_matrix,
+                     random_laurent_dict, random_matrix, reference_pairing,
                      reference_slab_product, require_window, rng, same_slab,
                      same_value, series_from_dict, trusted_lo)
 
@@ -322,6 +322,63 @@ def test_pairing_shift_identity():
     lhs = x.shift(1).pairing(y, 0).coeff(0)
     rhs = x.pairing(y, -1).coeff(0)
     assert abs(lhs - rhs) < 1e-12
+
+
+def _kill_rows(x: Series, rows) -> Series:
+    """``x`` with ``rows`` certified zero (zero data, any trusted floor)."""
+    s = x.slabs[0]
+    for row in rows:
+        s.data[row] = 0.0
+        s.shi[row], s.slo[row], s.tlo[row], s.thi[row] = NEG, POS, NEG, POS
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("num_vars,order", [
+    (0, 0), *((v, d) for v in (1, 2, 3, 6) for d in (1, 2, 3))])
+def test_pairing_is_the_gathered_reference_bit_for_bit(num_vars, order, n):
+    # a pairing walks the product's grade grid; each output must still add
+    # the terms the gathered pair table summed, in ascending a, with the
+    # same einsum reduction per pair: dense windows, a jet-constant factor
+    # on either side, dead rows, a trusted order below the context's, and
+    # every k from empty window overlaps inward.  A grid of one a-row and
+    # one b-row (the top grade of one variable) is pinned too.  An overlap
+    # of one position sums its n x n terms in another order once a grade
+    # has two live a-rows: that k is held to rounding instead.
+    ctx = JetContext(tuple(f"t{i}" for i in range(num_vars)), order, n, -6,
+                     3)
+    gen = rng(100 * num_vars + 10 * order + n)
+    x, y = (random_jet_series(ctx, gen, ctx.lo, ctx.hi) for _ in range(2))
+    cst = Series.from_degree_matrices(
+        ctx, random_laurent_dict(gen, n, ctx.lo, ctx.hi))
+    dead = _kill_rows(random_jet_series(ctx, gen, ctx.lo, ctx.hi),
+                      range(1, ctx.T, 2))
+    low = Series(ctx, x.slabs, max(ctx.order - 1, 0))
+    for a, b in ((x, y), (cst, y), (x, cst), (dead, y), (x, dead), (low, y)):
+        live = ctx.totals <= min(a.vorder, b.vorder)
+        for k in range(2 * ctx.lo - 1, 2 * ctx.hi + 2):
+            got = a.pairing(b, k).vals[0][live]
+            want = reference_pairing(ctx, a.slabs[0], b.slabs[0], k)[live]
+            if k in (2 * ctx.lo, 2 * ctx.hi) and n > 1:
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+            else:
+                assert np.array_equal(got, want), k
+
+
+def test_a_certified_zero_row_adds_no_untrusted_floor_to_a_pairing():
+    # one bound rule for products and pairings: a certified-zero row adds
+    # nothing, whatever its trusted floor, so the pairing is trusted where
+    # the product is
+    ctx = JetContext(("t1", "t2"), 2, 2, -8, 3)
+    gen = rng(53)
+    a, y = (random_jet_series(ctx, gen, ctx.lo, ctx.hi) for _ in range(2))
+    _kill_rows(a, [1]).slabs[0].tlo[1] = ctx.lo + 4
+    k, row = ctx.lo + 1, ctx.index_of[(0, 1)]
+    assert (a * y).slabs[0].tlo[row] <= k
+    got = a.pairing(y, k)
+    assert np.array_equal(got.vals[0],
+                          reference_pairing(ctx, a.slabs[0], y.slabs[0], k))
+    assert abs(got.coeff(row) - np.trace((a * y).coeff(row, k))) < 1e-12
 
 
 @pytest.mark.parametrize("extra", [0, 5])

@@ -26,16 +26,19 @@ a per-suite ratio, such as the Virasoro suite's at jet orders 3 and 4, can
 be read from the record).  For
 each config run of the first round, ``identity`` records whether the
 change's report equals the parent's apart from ``timing_s``; when it does
-not, it names the first differing check (or report field) and the largest
-change of a check's ``max_defect``.  Every
-child process, ``run.py``
-included, records its ``ru_maxrss`` and ``ru_minflt`` from ``os.wait4``
-(they cover the processes it waited for, so a ``run.py`` run counts its
-workload processes).  BLAS/OpenMP threads are pinned to 1, as ``run.py``
-does.  ``src_lines`` records the line count of ``src/loopjet/*.py`` on
-each side.  Before the first pair it compiles ``src`` in both checkouts
-(``python -m compileall -q src``) and records that in the host line
-(``bytecode``): a child that may not write bytecode
+not, it names the first differing check (or report field), the largest
+move of a check's ``max_defect`` in decades (|log10| of the ratio), the
+checks whose defect changed between zero and nonzero, and whether every
+defect stayed within ``DEFECT_BAND`` decades of the parent's with no such
+change: the band of the defect ratchet in ``tests/test_cli.py``, applied
+here also to the order-4, 5 and 8 workloads, which have no pinned defects.
+Every child process, ``run.py`` included, records its ``ru_maxrss`` and
+``ru_minflt`` from ``os.wait4`` (they cover the processes it waited for, so
+a ``run.py`` run counts its workload processes).  BLAS/OpenMP threads are
+pinned to 1, as ``run.py`` does.  ``src_lines`` records the line count of
+``src/loopjet/*.py`` on each side.  Before the first pair it compiles
+``src`` in both checkouts (``python -m compileall -q src``) and records
+that in the host line (``bytecode``): a child that may not write bytecode
 (``PYTHONDONTWRITEBYTECODE``) recompiles a stale ``__pycache__`` in every
 process, which moves its peak RSS by about 2 MB, so both sides must start
 from valid caches.  The file is rewritten after every run, so an
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -67,6 +71,7 @@ LARGE = {"gl3_full_order4": ("gl3_full", 4),
          "gl3_full_order5": ("gl3_full", 5),
          "akns_standard_order8": ("akns_standard", 8)}
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+DEFECT_BAND = 1.0  # decades, as the defect ratchet of tests/test_cli.py
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -133,19 +138,21 @@ def run_cli(checkout: str, config: str, order: int | None,
             doc and proc["exit"] == 0 and doc["passed"]
             and all(c["passed"] for c in doc["checks"])
             and sorted([c["id"], c["passed"]] for c in doc["checks"])
-            == pinned["checks"]
+            == [p[:2] for p in pinned["checks"]]
             and doc["conventions"] == pinned["conventions"])
     return out, doc
 
 
 def compare_reports(parent: dict | None, change: dict | None) -> dict:
     """Whether two reports are equal apart from ``timing_s``; if not, the
-    first differing check id (or top-level field) and the largest absolute
-    change of ``max_defect`` over the checks both reports hold, pairing
-    them by position among checks of the same id."""
+    first differing check id (or top-level field) and, over the checks both
+    reports hold (paired by position among checks of the same id), the
+    largest |log10| move of ``max_defect``, the checks whose defect changed
+    between zero and nonzero, and whether the change stays in the band."""
     if parent is None or change is None:
         return {"identical": False, "first_diff": "missing report",
-                "max_defect_change": None}
+                "max_log10_move": None, "zero_flips": None,
+                "within_band": False}
     a = {k: v for k, v in parent.items() if k != "timing_s"}
     b = {k: v for k, v in change.items() if k != "timing_s"}
     if a == b:
@@ -160,12 +167,20 @@ def compare_reports(parent: dict | None, change: dict | None) -> dict:
     by_id: dict = {}
     for c in a["checks"]:
         by_id.setdefault(c["id"], []).append(c["max_defect"])
-    deltas = [(abs(c["max_defect"] - by_id[c["id"]].pop(0)), c["id"])
-              for c in b["checks"] if by_id.get(c["id"])]
-    change_max, worst_id = max(deltas, default=(None, None))
+    moves, flips = [], []
+    for c in b["checks"]:
+        if by_id.get(c["id"]):
+            old, new = by_id[c["id"]].pop(0), c["max_defect"]
+            if (old == 0) != (new == 0):
+                flips.append(c["id"])
+            elif old:
+                moves.append((abs(math.log10(new / old)), c["id"]))
+    move, worst_id = max(moves, default=(0.0, None))
     return {"identical": False, "first_diff": first,
-            "max_defect_change": change_max,
-            "max_defect_change_id": worst_id if change_max else None}
+            "max_log10_move": move,
+            "max_log10_move_id": worst_id if move else None,
+            "zero_flips": flips,
+            "within_band": move <= DEFECT_BAND and not flips}
 
 
 def run_tier1(checkout: str) -> dict:
