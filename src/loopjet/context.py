@@ -19,6 +19,8 @@ together with index maps for partial derivatives and monomial shifts:
   one column, of a grade's grid are distinct, so a product adds a batch of
   either straight into its output rows, and a pairing a whole grid; degree
   bounds and scalar-jet products scatter into the ``pair_c`` rows.
+  ``zero_pairs`` is the part of the table with row 0 on either side, the
+  only pairs live in a product with a jet-constant factor.
 
 Laurent-degree convolutions are done by FFT along the degree axis, and a
 product keeps only the degrees ``[lo, hi]`` of its ``2W - 1``-term linear
@@ -177,6 +179,10 @@ class JetContext:
         ends = np.r_[0, np.cumsum(sizes)][np.r_[0, self.upto]]
         self.grade_out = [self.pair_c[s:e].reshape(-1, self.upto[d - g])
                           for g, (s, e) in enumerate(zip(ends, ends[1:]))]
+        # the pairs with a factor's row 0: all a jet-constant factor can meet
+        zero = (self.pair_a == 0) | (self.pair_b == 0)
+        self.zero_pairs = (self.pair_a[zero], self.pair_b[zero],
+                           self.pair_c[zero])
 
     def _build_var_maps(self) -> None:
         nv = len(self.variables)

@@ -5,10 +5,13 @@ the positive one, the reduced frame M solves
 (d/dt_v M) M^-1 = -(M J_v M^-1)_-, M(0) = f, which the factorization
 integrates jet order by jet order: the coefficient of t^alpha is read off
 the product -(M J_v M^-1)_- M at alpha - e_v for the first admissible
-variable v.  The frame is recovered as E = M V f^-1 in one product chain
-(its own ODE is kept as a cross-check), and the formal inverse scattering
-solution is u_f = (M J_1 M^-1)_+ - J_1, a degree-zero jet with the phase
-space shape of the family.
+variable v.  Each order computes only the rows of that product its
+variables integrate, and M^-1 grows by one jet grade per order: each
+order's inverse, and the final one, start from the previous order's, so
+each jet row of M^-1 is solved once.  The frame is recovered as
+E = M V f^-1 in one product chain (its own ODE is kept as a cross-check),
+and the formal inverse scattering solution is u_f = (M J_1 M^-1)_+ - J_1,
+a degree-zero jet with the phase space shape of the family.
 
 An independent oracle solves the same factorization directly from the
 splitting property of M V f^-1 (no flow ODEs involved) and is used by the
@@ -268,10 +271,13 @@ def factorize_jet(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
         trail = base.trajectory
 
     M = Series.from_rows(ctx, [0], f, [0])  # M(0) = f, not an alias
+    Minv = None
     for ell, by_var in sorted(ctx.integration_steps(var_choice).items()):
         cap = ell - 1  # everything this order reads lives at order ell-1
+        # M agrees with the previous order's M up to it, so that inverse
+        # gives the grades below cap and only grade cap is solved for
         Minv = _reuse(trail, (ell, "Minv"),
-                      lambda b: M.inv(cap, base=b), cap)
+                      lambda b: M.inv(cap, base=b, start=Minv), cap)
 
         # the operands M J and -(conj)_- die with these calls, and with
         # them their cached spectra
@@ -280,8 +286,10 @@ def factorize_jet(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
                 seq.base_series(ctx, key), cap, base=c), cap)
             return mj.matmul(Minv, cap, base=b)
 
-        def integrand(gen: str, shift: int, b: Series | None) -> Series:
-            return (-(conj[gen].shift(shift).minus())).matmul(M, cap, base=b)
+        def integrand(gen: str, shift: int, src,
+                      b: Series | None) -> Series:
+            return (-(conj[gen].shift(shift).minus())).matmul(
+                M, cap, base=b, rows=src)
 
         conj = {key: _reuse(trail, (ell, "conj", key),
                             lambda b: conjugate(key, b), cap)
@@ -290,12 +298,13 @@ def factorize_jet(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
         for v, (rows, src, exps) in by_var.items():
             gen, shift = seq.gens[ctx.variables[v]]
             g = _reuse(trail, (ell, "g", v),
-                       lambda b: integrand(gen, shift, b), cap)
+                       lambda b: integrand(gen, shift, src, b), cap)
             nxt = nxt.with_rows(rows, g, src, divisor=exps)
         M = nxt
 
     result = FactorizationResult(
-        spec, seq, ctx, f, M, M.inv(base=None if base is None else base.Minv),
+        spec, seq, ctx, f, M, M.inv(base=None if base is None else base.Minv,
+                                    start=Minv),
         V, var_choice=var_choice, base=base)
     if base is None:  # E and u_f run their spill checks in this call
         result.E, result.u, result.v  # noqa: B018

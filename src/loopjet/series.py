@@ -50,7 +50,16 @@ transformed back, as a view, so they are copied once, into the data.
 A pairing walks the same grids and adds each grade's ``einsum`` in
 ascending a; bounds and scalar-jet products scatter into the ``pair_c`` rows.
 A jet-order ``cap`` leaves every row past it certified zero, on the
-jet-constant path as on the general one.
+jet-constant path as on the general one.  A product restricted to some
+output rows (``rows=``) walks only the pairs that reach them from live
+rows, so each has the whole product's bits, and certifies the other rows
+zero.
+
+An inverse is solved grade by grade (forward substitution over jet grades):
+its row 0 is the memoized Laurent inverse of the value's row 0, polished by
+one Newton step, and each grade g is -X_0 ((A - A_0) X)_g, two products
+restricted to the rows of grade g.  Handed the inverse to a lower jet order
+(``start=``), it solves only the grades past that one.
 
 Every value carries K >= 0 tangent components next to its base value: a
 first-order nilpotent extension with ``eps_i eps_j = 0`` (vector forward
@@ -65,8 +74,6 @@ the first eps refactorization of a result records lazily onto it.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -209,17 +216,36 @@ def _product_slab(ctx: JetContext, C, tlo, slo, shi, thi) -> _Slab:
     return _apply_support_mask(ctx, slab, stop)
 
 
-def _product_bounds(ctx: JetContext, a: _Slab, b: _Slab, top: int):
+def _product_bounds(ctx: JetContext, a: _Slab, b: _Slab, top: int,
+                    want=None, const: bool = False):
     """Degree bounds of the jet product of ``a`` and ``b`` up to jet order
-    ``top``: a certified-zero row adds nothing, whatever its trusted floor."""
-    live = ((a.shi != NEG)[ctx.pair_a] & (b.shi != NEG)[ctx.pair_b]
-            & (ctx.totals[ctx.pair_c] <= top))
-    pa, pb, pc = ctx.pair_a[live], ctx.pair_b[live], ctx.pair_c[live]
+    ``top``, at the output rows ``want`` masks (all without it): a
+    certified-zero row adds nothing, whatever its trusted floor.  With a
+    jet-constant factor (``const``) only the pairs with a row 0 can be
+    live, and only those are scanned."""
+    pa, pb, pc = (ctx.zero_pairs if const
+                  else (ctx.pair_a, ctx.pair_b, ctx.pair_c))
+    live = (a.shi != NEG)[pa] & (b.shi != NEG)[pb] & (ctx.totals[pc] <= top)
+    if want is not None:
+        live &= want[pc]
+    pa, pb, pc = pa[live], pb[live], pc[live]
     bounds = [np.full(ctx.T, v, dtype=np.int64) for v in (NEG, POS, NEG, POS)]
     for scatter, out, c in zip((np.maximum.at, np.minimum.at) * 2, bounds,
                                _pair_bounds(a, pa, b, pb)):
         scatter(out, pc, c)
     return bounds
+
+
+def _spans(ctx: JetContext, idx: np.ndarray) -> list:
+    """The ascending indices ``idx`` in blocks as ``_blocks`` cuts them,
+    each a slice when its indices are consecutive (a view, not a copy)."""
+    out = []
+    for s in _blocks(ctx, idx.size):
+        block = idx[s]
+        if block[-1] - block[0] + 1 == block.size:
+            block = slice(int(block[0]), int(block[-1]) + 1)
+        out.append(block)
+    return out
 
 
 def _grades(ctx: JetContext, a: _Slab, top: int, nb_max: int):
@@ -234,46 +260,62 @@ def _grades(ctx: JetContext, a: _Slab, top: int, nb_max: int):
 
 
 def _slab_mul(ctx: JetContext, a: _Slab, b: _Slab,
-              cap: int | None = None) -> _Slab:
+              cap: int | None = None, want=None) -> _Slab:
+    """The jet product up to jet order ``cap``.  ``want``, a mask of jet
+    rows, restricts it to those output rows: only the pairs that reach one
+    from live rows are computed, each output bit for bit as the whole
+    product computes it, and every other row is certified zero."""
     if a.is_zero() or b.is_zero():
         return _zero_slab(ctx)
     top = ctx.order if cap is None else min(cap, ctx.order)
     if b.jet_const():
-        return _slab_mul_const(ctx, a, b, top, b_const=True)
+        return _slab_mul_const(ctx, a, b, top, True, want)
     if a.jet_const():
-        return _slab_mul_const(ctx, a, b, top, b_const=False)
+        return _slab_mul_const(ctx, a, b, top, False, want)
 
     # grade by grade, batched along the longer side of the grid, in blocks;
     # descending b is ascending a (see the module docstring).  Dead rows are
     # zero in the cached spectra.
     A, B = a.fft(ctx), b.fft(ctx)
     C = np.zeros((ctx.upto[top], ctx.n, ctx.n, ctx.nfft), dtype=np.complex128)
+    live_b = b.shi[:len(B)] != NEG
     for rows, nb, out in _grades(ctx, a, top, len(B)):
-        blocks = _blocks(ctx, max(rows.size, nb))
-        if rows.size <= nb:
-            for ia, row_out in zip(rows, out):
-                for s in blocks:
+        keep, cols = None, nb
+        if want is not None:  # the grid's pairs to compute, and its sides
+            keep = want[out] & live_b[:nb]
+            some = keep.any(axis=1)
+            rows, out, keep = rows[some], out[some], keep[some]
+            cols = np.count_nonzero(keep.any(axis=0))
+        if rows.size <= cols:
+            blocks = _blocks(ctx, nb)
+            for i, (ia, row_out) in enumerate(zip(rows, out)):
+                for s in (blocks if keep is None
+                          else _spans(ctx, np.flatnonzero(keep[i]))):
                     C[row_out[s]] += _entry_mul(A[ia], B[s])
         else:
-            Ag = A[rows]
+            Ag, blocks = A[rows], _blocks(ctx, rows.size)
             for j in range(nb - 1, -1, -1):
-                for s in blocks:
+                for s in (blocks if keep is None
+                          else _spans(ctx, np.flatnonzero(keep[:, j]))):
                     C[out[s, j]] += _entry_mul(Ag[s], B[j])
-    return _product_slab(ctx, C, *_product_bounds(ctx, a, b, top))
+    return _product_slab(ctx, C, *_product_bounds(ctx, a, b, top, want))
 
 
 def _slab_mul_const(ctx: JetContext, a: _Slab, b: _Slab, top: int,
-                    b_const: bool) -> _Slab:
+                    b_const: bool, want=None) -> _Slab:
     """Product where one operand only occupies the zero multi-index: each
-    live row of the other operand up to jet order ``top`` makes the output
-    row of the same index, and every other row is certified zero."""
+    live row of the other operand up to jet order ``top`` (and in ``want``)
+    makes the output row of the same index, and every other row is
+    certified zero."""
     full = a if b_const else b
-    rows = np.flatnonzero((full.shi != NEG) & (ctx.totals <= top))
+    live = (full.shi != NEG) & (ctx.totals <= top)
+    rows = np.flatnonzero(live if want is None else live & want)
     A, B = a.fft(ctx), b.fft(ctx)
-    G = np.empty((rows.max(initial=-1) + 1,) + A.shape[1:], complex)
-    for s in _blocks(ctx, len(G)):
+    G = np.zeros((rows.max(initial=-1) + 1,) + A.shape[1:], complex)
+    for s in _spans(ctx, rows):
         G[s] = _entry_mul(A[s], B[0]) if b_const else _entry_mul(A[0], B[s])
-    return _product_slab(ctx, G, *_product_bounds(ctx, a, b, top))
+    return _product_slab(ctx, G, *_product_bounds(ctx, a, b, top, want,
+                                                  const=True))
 
 
 def _slab_add(a: _Slab, b: _Slab, sign: float) -> _Slab:
@@ -466,16 +508,22 @@ class Series(_Jet):
         return self.scale(other)
 
     def matmul(self, other: "Series", cap: int | None = None,
-               base: "Series | None" = None) -> "Series":
+               base: "Series | None" = None, rows=None) -> "Series":
         """Product; ``cap`` truncates the result to jet orders <= cap (the
         trusted order drops accordingly).  ``base``, the product of the two
         base values computed earlier, is taken as the base component, so
-        only the tangent components are computed."""
+        only the tangent components are computed.  ``rows`` restricts the
+        result to those jet rows, each bit for bit the product's; the other
+        rows are certified zero."""
         self.ctx.require_compatible(other.ctx)
         if self.ctx.n != other.ctx.n:
             raise DimensionMismatch("matrix dimension mismatch")
+        want = None
+        if rows is not None:
+            want = np.zeros(self.ctx.T, dtype=bool)
+            want[rows] = True
         slabs = _leibniz(self.slabs, other.slabs,
-                         lambda a, b: _slab_mul(self.ctx, a, b, cap),
+                         lambda a, b: _slab_mul(self.ctx, a, b, cap, want),
                          lambda x, y: _slab_add(x, y, 1.0),
                          None if base is None else base.slabs[0])
         vorder = min(self.vorder, other.vorder)
@@ -603,24 +651,47 @@ class Series(_Jet):
 
     # -- inverses and exponentials -----------------------------------------
 
-    def inv(self, cap: int | None = None,
-            base: "Series | None" = None) -> "Series":
+    def inv(self, cap: int | None = None, base: "Series | None" = None,
+            start: "Series | None" = None) -> "Series":
         """Inverse; ``cap`` as in :meth:`matmul`.  ``base``, the inverse of
-        the base value computed earlier, is taken as the base component."""
+        the base value computed earlier, is taken as the base component.
+
+        The base component is solved grade by grade from A X = I (forward
+        substitution over jet grades): X_0 is the memoized row-0 Laurent
+        inverse, polished by one jet-constant Newton step, and then
+        X_g = -X_0 ((A - A_0) X)_g, which reads only the grades below g.
+        ``start``, the inverse of this value to a lower jet order (one whose
+        rows agree with this value's up to that order), gives the grades up
+        to its trusted order as they are, and the substitution goes on from
+        there with the same bits as from scratch.  A jet-constant ``start``
+        gives no grade past X_0 and is not used."""
         if self.E > 1:
-            b = self.base_part().inv(cap) if base is None else base
+            b = base if base is not None else self.base_part().inv(
+                cap, start=None if start is None else start.base_part())
             return b.with_eps(*[-b.matmul(self.eps_part(i), cap).matmul(b, cap)
                                 for i in range(self.E - 1)])
         ctx = self.ctx
-        base = _laurent_inv(ctx, self.slabs[0])
-        x = Series(ctx, (base,), self.vorder)
+        a = self.slabs[0]
         goal = ctx.order if cap is None else min(cap, ctx.order)
-        if goal == 0 or self.slabs[0].jet_const():
-            return x
-        two_i = Series.identity(ctx).scale(2.0)
-        for _ in range(max(1, math.ceil(math.log2(goal + 1)))):
-            x = x.matmul(two_i - self.matmul(x, cap), cap)
-        return x
+        if goal == 0 or a.jet_const():
+            return Series(ctx, (_laurent_inv(ctx, a),), self.vorder)
+        if start is None or start.slabs[0].jet_const():
+            x0 = Series(ctx, (_laurent_inv(ctx, a),), self.vorder)
+            a0 = Series.from_rows(ctx, [0], self, [0])
+            x0 = x0.matmul(Series.identity(ctx).scale(2.0) - a0.matmul(x0))
+            x, done = x0, 0
+        else:
+            done = min(start.vorder, goal)
+            known = np.arange(ctx.upto[done])
+            x = Series.from_rows(ctx, known, start.base_part(), known)
+            x0 = Series.from_rows(ctx, [0], x, [0])
+        # x holds the grades below g, so A X at grade g is (A - A_0) X there
+        for g in range(done + 1, goal + 1):
+            rows = np.arange(ctx.upto[g - 1], ctx.upto[g])
+            p = self.matmul(x, g, rows=rows)  # live at grade g alone
+            x = x.with_rows(rows, x0.matmul(p, g), rows, factor=-1.0)
+        return Series(ctx, x.slabs,
+                      self.vorder if cap is None else min(self.vorder, cap))
 
     def with_rows(self, rows, src: "Series", src_rows, factor=None,
                   divisor=None, vorder: int | None = None) -> "Series":
@@ -746,6 +817,10 @@ class Series(_Jet):
         Aw, Bw = a.data[:, wlo:whi], b.data[:, ::-1][:, wlo + off:whi + off]
         out = np.zeros(ctx.T, dtype=np.complex128)
         nb_max = np.flatnonzero(b.shi != NEG).max(initial=-1) + 1
+        dead = np.flatnonzero(b.shi[:nb_max] == NEG)
+        if dead.size:  # as in a product, a dead b-row adds zero
+            Bw = Bw[:max(nb_max, 2)].copy()
+            Bw[dead] = 0.0
         for rows, nb, grid in _grades(ctx, a, top, nb_max):
             # einsum sums a 1 x 1 grid in its own order: take it as 1 x 2
             np.add.at(out, grid, np.einsum("pwab,qwba->pq", Aw[rows],

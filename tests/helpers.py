@@ -183,15 +183,17 @@ def require_window(x: Series, what: str = "result") -> None:
 @contextlib.contextmanager
 def repeated_products():
     """Count the slab products made while the block runs, and those whose
-    operands (data and the four degree-bound arrays of both) and cap repeat
-    an earlier product of the block bit for bit.  Yields a dict with keys
-    ``products`` and ``repeats``, updated as products are made."""
+    operands (data and the four degree-bound arrays of both), cap and row
+    restriction repeat an earlier product of the block bit for bit.  Yields
+    a dict with keys ``products`` and ``repeats``, updated as products are
+    made."""
     count = {"products": 0, "repeats": 0}
     seen = set()
     slab_mul = kernel._slab_mul
 
-    def counted(ctx, a, b, cap=None):
+    def counted(ctx, a, b, cap=None, want=None):
         h = hashlib.blake2b(repr(cap).encode())
+        h.update(b"all" if want is None else want.tobytes())
         for slab in (a, b):
             for arr in (slab.data, slab.tlo, slab.slo, slab.shi, slab.thi):
                 h.update(repr(arr.shape).encode())
@@ -200,7 +202,7 @@ def repeated_products():
         count["products"] += 1
         count["repeats"] += key in seen
         seen.add(key)
-        return slab_mul(ctx, a, b, cap)
+        return slab_mul(ctx, a, b, cap, want)
 
     kernel._slab_mul = counted
     try:

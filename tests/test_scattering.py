@@ -338,16 +338,30 @@ def test_eps_runs_along_the_trajectory_equal_runs_from_scratch(scen):
                    for a in rec[1:]), key
 
 
+@pytest.mark.parametrize("name,order", [("akns_standard", None),
+                                        ("gl3_full", 3)])
+def test_reduced_frame_inverse_is_at_rounding_level_per_grade(name, order):
+    # M^-1 is solved grade by grade from its polished row 0 on: at every
+    # jet grade M M^-1 and M^-1 M are the identity to two ulps
+    s = _scenario(name, order)
+    res = factorize_jet(s.spec, s.seq, s.ctx, s.f)
+    ident = Series.identity(s.ctx)
+    for x, y in ((res.M, res.Minv), (res.Minv, res.M)):
+        r = (x * y - ident).slabs[0].data
+        for g in range(s.ctx.order + 1):
+            assert np.abs(r[s.ctx.totals == g]).max() <= 2 * np.finfo(float).eps
+
+
 def test_second_eps_run_makes_no_base_product(monkeypatch):
     s = _scenario("akns_standard")
     res = factorize_jet(s.spec, s.seq, s.ctx, s.f)
     slab_mul = series._slab_mul
     calls = {"both_live": 0, "all": 0}
 
-    def counted(ctx, a, b, cap=None):
+    def counted(ctx, a, b, cap=None, want=None):
         calls["all"] += 1
         calls["both_live"] += not (a.is_zero() or b.is_zero())
-        return slab_mul(ctx, a, b, cap)
+        return slab_mul(ctx, a, b, cap, want)
 
     monkeypatch.setattr(series, "_slab_mul", counted)
 

@@ -160,6 +160,25 @@ def test_jet_inverse():
     assert (a * ainv - Series.identity(ctx)).max_abs() < 1e-11
 
 
+@pytest.mark.parametrize("K", [0, 2])
+@pytest.mark.parametrize("num_vars", [1, 2, 3])
+def test_warm_started_inverse_is_the_inverse_from_scratch(num_vars, K):
+    # starting from the inverse to jet order k - 1 solves grade k alone,
+    # with the bits and the trusted order of an inverse from scratch
+    ctx = JetContext(tuple(f"t{i}" for i in range(num_vars)), 3, 2, -14, 4)
+    gen = rng(20 * num_vars + K)
+    A = Series.identity(ctx) + random_jet_series(ctx, gen, -3, -1, 0.3)
+    a = A.with_eps(*[random_jet_series(ctx, gen, -2, 0, 0.3)
+                     for _ in range(K)]) if K else A
+    for k in range(1, ctx.order + 1):
+        scratch = a.inv(k)
+        assert scratch.vorder == k
+        assert same_value(a.inv(k, start=a.inv(k - 1)), scratch), k
+    assert same_value(a.inv(start=a.inv(ctx.order - 1)), a.inv())
+    # a start past the goal gives its grades up to the goal alone
+    assert same_value(a.inv(1, start=a.inv(2)), a.inv(1))
+
+
 # -- derivative in lambda ------------------------------------------------------
 
 def test_dlambda_basics():
@@ -379,6 +398,20 @@ def test_a_certified_zero_row_adds_no_untrusted_floor_to_a_pairing():
     assert np.array_equal(got.vals[0],
                           reference_pairing(ctx, a.slabs[0], y.slabs[0], k))
     assert abs(got.coeff(row) - np.trace((a * y).coeff(row, k))) < 1e-12
+
+
+def test_a_certified_zero_b_row_adds_nothing_to_a_pairing():
+    # a dead row of the right factor inside the admissible prefix feeds a
+    # pairing nothing, whatever data it still stores, as in the product
+    ctx = JetContext(("t1", "t2"), 2, 2, -8, 3)
+    gen = rng(59)
+    x, y = (random_jet_series(ctx, gen, -4, 2) for _ in range(2))
+    s = y.slabs[0]
+    s.shi[1], s.slo[1], s.tlo[1], s.thi[1] = NEG, POS, NEG, POS
+    assert np.abs(s.data[1]).max() > 0
+    got, prod = x.pairing(y, -1), x * y
+    for row in range(ctx.T):
+        assert abs(got.coeff(row) - np.trace(prod.coeff(row, -1))) < 1e-12
 
 
 @pytest.mark.parametrize("extra", [0, 5])
@@ -616,6 +649,71 @@ def test_grade_blocked_product_is_the_pair_by_pair_reference(
         keep = (deg >= out.slo[:, None]) & (deg <= out.shi[:, None])
         assert np.any(keep)
         assert np.array_equal(out.data, ref * keep[..., None, None])
+
+
+@pytest.mark.parametrize("one_row_blocks", [False, True])
+@pytest.mark.parametrize("cap", [None, 1, 2])
+@pytest.mark.parametrize("num_vars", [2, 3, 6])
+def test_restricted_rows_are_the_full_products(num_vars, cap, one_row_blocks,
+                                               monkeypatch):
+    # the rows a product is restricted to are the whole product's, data
+    # and all four bounds, bit for bit; every other row is certified zero
+    # with zero data.  Random masks and one grade's rows, on the general
+    # path (both batching sides) and on both jet-constant paths.
+    if one_row_blocks:
+        monkeypatch.setattr(series, "_BLOCK_BYTES", 1)
+    sides = set()
+    entry_mul = series._entry_mul
+
+    def noted(x, y):
+        sides.add((x.ndim, y.ndim))
+        return entry_mul(x, y)
+
+    ctx = JetContext(tuple(f"t{i}" for i in range(num_vars)), 3, 2, -9, 5)
+    gen = rng(500 + 10 * num_vars + (cap or 0))
+    full, _ = _mixed_jet_operand(ctx, gen, dead_rows=(2, ctx.T // 3))
+    other, _ = _mixed_jet_operand(ctx, gen, dead_rows=(1, 5, ctx.T // 2))
+    cst, _ = _mixed_jet_operand(ctx, gen, dead_rows=range(1, ctx.T))
+    masks = [gen.random(ctx.T) < p for p in (0.2, 0.5, 0.9)]
+    masks.append(ctx.totals == (ctx.order if cap is None else cap))
+    for a, b in ((full, other), (other, full), (full, cst), (cst, other)):
+        whole = a.matmul(b, cap).slabs[0]
+        general = cst not in (a, b)
+        for keep in masks:
+            if general:
+                monkeypatch.setattr(series, "_entry_mul", noted)
+            part = a.matmul(b, cap, rows=np.flatnonzero(keep))
+            monkeypatch.setattr(series, "_entry_mul", entry_mul)
+            got = part.slabs[0]
+            for arr in ("data", "tlo", "slo", "shi", "thi"):
+                assert np.array_equal(getattr(got, arr)[keep],
+                                      getattr(whole, arr)[keep]), arr
+            assert np.all(got.shi[~keep] == NEG) and np.all(got.slo[~keep] == POS)
+            assert np.all(got.tlo[~keep] == NEG) and np.all(got.thi[~keep] == POS)
+            assert not np.any(got.data[~keep])
+            assert part.vorder == a.matmul(b, cap).vorder
+    # the general path ran one a-row against b-rows and, past two
+    # variables, also a batch of a-rows against one b-row
+    assert (3, 4) in sides and (num_vars == 2 or (4, 3) in sides)
+
+
+def test_jet_constant_product_bounds_are_the_full_scan():
+    # with a jet-constant factor only the pairs with a row 0 are scanned;
+    # the bounds are those of the scan over the whole table bit for bit
+    ctx = JetContext(("t1", "t2", "t3"), 3, 2, -9, 5)
+    gen = rng(61)
+    full, _ = _mixed_jet_operand(ctx, gen, dead_rows=(2, 7))
+    cst, _ = _mixed_jet_operand(ctx, gen, dead_rows=range(1, ctx.T))
+    cst2, _ = _mixed_jet_operand(ctx, gen, dead_rows=range(1, ctx.T))
+    assert ctx.zero_pairs[0].size == 2 * ctx.T - 1 < ctx.pair_a.size
+    for a, b in ((full, cst), (cst, full), (cst, cst2)):
+        for top in range(ctx.order + 1):
+            for want in (None, gen.random(ctx.T) < 0.5):
+                got, ref = (series._product_bounds(
+                    ctx, a.slabs[0], b.slabs[0], top, want, const=const)
+                    for const in (True, False))
+                for x, y in zip(got, ref):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 @pytest.mark.parametrize("lo,hi", [(-13, 3), (-3, 13), (-26, 11), (-24, 10),
