@@ -38,25 +38,11 @@ L_MINUS_TOL = 1e-10
 REALITY_TOL = 1e-8
 
 
-def _reuse(trajectory: dict | None, key, compute,
-           cap: int | None = None) -> Series:
-    """``compute(base)`` where ``base`` is the base component of ``key``
-    recorded in ``trajectory``: None without a trajectory, and None the
-    first time, when the base component of the value computed is recorded.
-
-    A value capped at jet order ``cap`` is recorded as plain arrays of its
-    rows below ``ctx.upto[cap]`` alone (the rest are certified zero), and
-    each read builds it in fresh arrays, so no spectrum outlives the run
-    that computed it."""
-    rec = None if trajectory is None else trajectory.get(key)
-    if rec is not None:
-        return compute(Series.from_base_rows(*rec))
-    out = compute(None)
-    if trajectory is not None:
-        ctx = out.ctx
-        trajectory[key] = (ctx, out.base_rows(
-            ctx.T if cap is None else int(ctx.upto[cap])))
-    return out
+def _grades_below(x: Series, ell: int, vorder: int) -> Series:
+    """x's rows of grade < ``ell`` in fresh arrays, every later row certified
+    zero, at trusted jet order ``vorder``."""
+    rows = np.arange(x.ctx.upto[ell - 1])
+    return Series.from_rows(x.ctx, rows, x, rows, vorder=vorder)
 
 
 class FactorizationResult:
@@ -66,14 +52,13 @@ class FactorizationResult:
     solution u_f and (gl) v_f are built the first time something reads
     them, E and u_f each with its spill check: a factorization from scratch
     reads all of them before it returns, so its checks fail inside the same
-    call, while an eps refactorization along a base trajectory builds none
-    of them, since the variation checks read only its M, M^-1 and ln tau.
+    call, while an eps refactorization along a base result builds none of
+    them, since the variation checks read only its M, M^-1 and ln tau.
 
-    The result of an eps refactorization keeps its eps-free ``base`` result
-    when it was computed along that result's trajectory; its values then
-    share their component 0 with ``base`` (as do the values it builds later:
-    conjugates, xi and V f^-1; E takes its component 0 from the base's
-    E)."""
+    The result of an eps refactorization keeps the eps-free ``base`` result
+    it was computed along; the component 0 of its values is then the base
+    result's value (M and M^-1 share it, and the values it builds later,
+    conjugates, xi, V f^-1 and E, take it from the base's)."""
 
     def __init__(self, spec, seq, ctx, f, M, Minv, V,
                  var_choice: str = "first",
@@ -87,7 +72,6 @@ class FactorizationResult:
         self.V = V
         self.var_choice = var_choice
         self.base = base
-        self.trajectory: dict | None = None  # see factorize_jet
         self._cache: dict = {}
 
     def cached(self, key, build):
@@ -156,9 +140,7 @@ class FactorizationResult:
     def conjugated_base(self, key: str) -> Series:
         """M J_base M^-1, cached per base element."""
         def build() -> Series:
-            trail = None if self.base is None else self.base.trajectory
-            mj = _reuse(trail, ("MJ", key), lambda b: self.M.matmul(
-                self.seq.base_series(self.ctx, key), base=b))
+            mj = self.M.matmul(self.seq.base_series(self.ctx, key))
             return mj.matmul(self.Minv, base=None if self.base is None
                              else self.base.conjugated_base(key))
 
@@ -215,7 +197,8 @@ def _same_base_value(x: Series, y: Series) -> bool:
 def _require_base(base: FactorizationResult, seq: VacuumSequence,
                   ctx: JetContext, f: Series, V: Series,
                   var_choice: str) -> None:
-    """Refuse a base result whose trajectory is not the base of this run."""
+    """Refuse a base result that is not the factorization of this run's
+    base value."""
     why = None
     if f.E == 1 or base.f.E != 1:
         why = "f must carry tangent data and the base result none"
@@ -228,8 +211,8 @@ def _require_base(base: FactorizationResult, seq: VacuumSequence,
     elif V.E != 1 or not _same_base_value(V, base.V):
         why = "the vacuum frame differs"
     if why is not None:
-        raise ShapeError(f"factorize_jet: cannot reuse the base trajectory: "
-                         f"{why}")
+        raise ShapeError(f"factorize_jet: cannot refactorize along this "
+                         f"base: {why}")
 
 
 def factorize_jet(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
@@ -245,11 +228,14 @@ def factorize_jet(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
     frame may be passed in when many data share one scenario.
 
     ``base``, the result for the base value of an eps datum f, makes this
-    an eps refactorization along its trajectory (the forward-mode split of
-    a tangent sweep over a recorded primal trace): component 0 of every
-    value comes from ``base``, which the first such run records it onto,
-    and only the tangent components are computed.  The base must match f,
-    V, ``var_choice`` and the context, or ShapeError is raised.
+    an eps refactorization along it (the forward-mode sweep over a recorded
+    primal trace): past order 1, component 0 of every value is read off
+    ``base``, each order's M, M^-1 and M J M^-1 being the grades of
+    ``base.M``, ``base.Minv`` and ``base.conjugated_base`` below it, and only
+    the tangent components are computed.  Order 1 computes its own, as a
+    run from scratch does: its M^-1 is the unpolished row-0 inverse, not a
+    prefix of the final one.  The base must match f, V, ``var_choice`` and
+    the context, or ShapeError is raised.
 
     Either way the run builds M and M^-1.  A run from scratch also reads E,
     u_f and v_f before it returns, so their spill checks fail here; an eps
@@ -263,44 +249,44 @@ def factorize_jet(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
 
     if V is None:
         V = vacuum_frame(seq, ctx) if base is None else base.V
-    trail = None
     if base is not None:
         _require_base(base, seq, ctx, f, V, var_choice)
-        if base.trajectory is None:
-            base.trajectory = {}
-        trail = base.trajectory
 
     M = Series.from_rows(ctx, [0], f, [0])  # M(0) = f, not an alias
     Minv = None
     for ell, by_var in sorted(ctx.integration_steps(var_choice).items()):
         cap = ell - 1  # everything this order reads lives at order ell-1
+        along = base is not None and ell > 1
+        if along:  # M's base rows so far are base.M's
+            M = Series(ctx, _grades_below(base.M, ell, M.vorder).slabs
+                       + M.slabs[1:], M.vorder)
         # M agrees with the previous order's M up to it, so that inverse
         # gives the grades below cap and only grade cap is solved for
-        Minv = _reuse(trail, (ell, "Minv"),
-                      lambda b: M.inv(cap, base=b, start=Minv), cap)
+        Minv = M.inv(cap, start=Minv, base=_grades_below(
+            base.Minv, ell, cap) if along else None)
 
         # the operands M J and -(conj)_- die with these calls, and with
         # them their cached spectra
-        def conjugate(key: str, b: Series | None) -> Series:
-            mj = _reuse(trail, (ell, "MJ", key), lambda c: M.matmul(
-                seq.base_series(ctx, key), cap, base=c), cap)
-            return mj.matmul(Minv, cap, base=b)
+        def conjugate(key: str) -> Series:
+            mj = M.matmul(seq.base_series(ctx, key), cap)
+            return mj.matmul(Minv, cap, base=_grades_below(
+                base.conjugated_base(key), ell, cap) if along else None)
 
-        def integrand(gen: str, shift: int, src,
-                      b: Series | None) -> Series:
+        # along a base, M stands in for the integrand's base component: the
+        # base rows it writes are replaced by base.M's after this order
+        def integrand(gen: str, shift: int, src) -> Series:
             return (-(conj[gen].shift(shift).minus())).matmul(
-                M, cap, base=b, rows=src)
+                M, cap, base=M if along else None, rows=src)
 
-        conj = {key: _reuse(trail, (ell, "conj", key),
-                            lambda b: conjugate(key, b), cap)
-                for key in seq.bases}
+        conj = {key: conjugate(key) for key in seq.bases}
         nxt = M
         for v, (rows, src, exps) in by_var.items():
             gen, shift = seq.gens[ctx.variables[v]]
-            g = _reuse(trail, (ell, "g", v),
-                       lambda b: integrand(gen, shift, src, b), cap)
-            nxt = nxt.with_rows(rows, g, src, divisor=exps)
+            nxt = nxt.with_rows(rows, integrand(gen, shift, src), src,
+                                divisor=exps)
         M = nxt
+    if base is not None:
+        M = Series(ctx, base.M.slabs[:1] + M.slabs[1:], M.vorder)
 
     result = FactorizationResult(
         spec, seq, ctx, f, M, M.inv(base=None if base is None else base.Minv,

@@ -34,7 +34,8 @@ from .scattering import (FactorizationResult, e_ode_defect, factorize_jet,
                          reality_propagation_check, stabilizer_h_check,
                          stabilizer_k_check)
 from .series import Series, exp_series
-from .splitting import SplittingSpec, reality_check, sample_negative_element
+from .splitting import (SplitMix64, SplittingSpec, reality_check,
+                        sample_negative_element)
 from .tau import (conjugation_invariance_check, identity_suite, ln_tau_jet,
                   shift_constancy_check, tau_route_defects,
                   vector_akns_recovery, xi_helpers)
@@ -823,9 +824,8 @@ def _leading_term_defect(scen: Scenario) -> float:
     gen[: n - 1, n - 1] = 0.7
     gen[n - 1, : n - 1] = -0.4 + 0.3j
     worst = 0.0
-    import math as _math
     for j in range(1, min(3, ctx.order) + 1):
-        u = Series.monomial(ctx, gen / _math.factorial(j),
+        u = Series.monomial(ctx, gen / math.factorial(j),
                             alpha=ctx.unit_index("t1", j))
         _, P, T = q_recursion_vector_akns(seq, u, j)
         expect = np.linalg.matrix_power(-seq.a / 2.0, j) @ gen
@@ -840,7 +840,6 @@ def _leading_term_defect(scen: Scenario) -> float:
 
 def _trace_g1_defect(scen: Scenario) -> float:
     """tr(v a v) = 0 for every v in the off-diagonal block part."""
-    from .splitting import SplitMix64
     seq, ctx = scen.seq, scen.ctx
     n = ctx.n
     gen = SplitMix64(2024)

@@ -69,8 +69,8 @@ once by running it on ``f.with_eps(df_0, ..., df_{K-1})`` and reading
 same operations as a single-direction run, so it is bit-identical to one.
 A product, inverse or pairing may be handed its base component, computed
 earlier (``base=``), and then computes the tangent components alone: the
-eps route of the factorization reuses the base trajectory this way, which
-the first eps refactorization of a result records lazily onto it.
+eps route of the factorization reads its base values off the base result
+this way.
 """
 
 from __future__ import annotations
@@ -712,25 +712,6 @@ class Series(_Jet):
                 divisor, copy=own)))
         return Series(self.ctx, tuple(slabs),
                       self.vorder if vorder is None else vorder)
-
-    def base_rows(self, stop: int) -> tuple:
-        """The base value's jet rows below ``stop`` as a plain tuple
-        ``(vorder, data, tlo, slo, shi, thi)`` of copies, no spectrum: a
-        compact record of a value whose later rows are certified zero."""
-        s = self.slabs[0]
-        return (self.vorder,) + tuple(
-            a[:stop].copy() for a in (s.data, s.tlo, s.slo, s.shi, s.thi))
-
-    @classmethod
-    def from_base_rows(cls, ctx: JetContext, record: tuple) -> "Series":
-        """The value a :meth:`base_rows` record stands for, in fresh arrays;
-        its rows past the record are certified zero."""
-        vorder, *arrays = record
-        z = _zero_slab(ctx)
-        rows = slice(0, arrays[0].shape[0])
-        return cls(ctx, (_Slab(*_row_copy(
-            (z.data, z.tlo, z.slo, z.shi, z.thi), rows, tuple(arrays), rows,
-            copy=False)),), vorder)
 
     # -- reads ---------------------------------------------------------------
 

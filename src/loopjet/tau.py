@@ -52,9 +52,9 @@ def first_partial_pairing(result: FactorizationResult, base_key: str,
                           shift: int) -> ScalarJet:
     """(ln tau)_{t_v} for the generator (base) lam**shift, evaluated through
     the reduced frame; well defined even for flow times outside the active
-    variable set.  Computed once per result (a result computed along a base
-    trajectory takes component 0 from its base): the value is shared, so
-    callers must not modify it."""
+    variable set.  Computed once per result (an eps refactorization takes
+    component 0 from its base result's): the value is shared, so callers
+    must not modify it."""
     def build() -> ScalarJet:
         j_v = result.seq.base_series(result.ctx, base_key).shift(shift)
         return j_v.pairing(result.xi, -1, base=None if result.base is None

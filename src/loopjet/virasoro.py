@@ -204,11 +204,10 @@ def gl_frame_variation(result: FactorizationResult, ell: int) -> Series:
 
 def eps_perturbed_result(result: FactorizationResult, df: Series
                          ) -> FactorizationResult:
-    """Refactorize f + eps df (the exact variation route) along the
-    trajectory of ``result``: component 0 of every value is read from
-    ``result`` and only the tangent is computed.  The first call records
-    the trajectory onto ``result``; a result nothing refactorizes records
-    nothing."""
+    """Refactorize f + eps df (the exact variation route) along
+    ``result``: past jet order 1, component 0 of every value is read off
+    ``result``'s own values and only the tangent is computed (see
+    :func:`~loopjet.scattering.factorize_jet`)."""
     f0 = result.f.base_part()
     return factorize_jet(result.spec, result.seq, result.ctx,
                          f0.with_eps(df.embed(result.ctx)),

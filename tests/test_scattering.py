@@ -18,7 +18,7 @@ from loopjet.scattering import (e_ode_defect, factorize_jet, factorize_oracle,
 from loopjet.scenario import Scenario, ScenarioConfig
 from loopjet.series import exp_series
 from loopjet.splitting import SplittingSpec, sample_negative_element
-from loopjet.tau import ln_tau_jet, tau_route_defects
+from loopjet.tau import ln_tau_jet
 from loopjet.virasoro import VirasoroFields, eps_perturbed_result, gamma_xi0
 
 from helpers import gl_power_sequence, same_value
@@ -289,7 +289,7 @@ def test_pipeline_stable_under_window_deepening():
     assert worst < 1e-12
 
 
-# -- eps refactorization along the recorded base trajectory -------------------
+# -- eps refactorization along a base result --------------------------------
 
 def _scenario(name: str, order: int | None = None) -> Scenario:
     cfg = ScenarioConfig.from_dict(
@@ -306,11 +306,16 @@ def scen(request):
     return _scenario(*request.param)
 
 
-def test_eps_runs_along_the_trajectory_equal_runs_from_scratch(scen):
-    s = scen
+@pytest.fixture(scope="module", params=[("akns_standard", None),
+                                        ("gl3_full", 3)],
+                ids=["akns_standard", "gl3_order3"])
+def scen3(request):
+    return _scenario(*request.param)
+
+
+def test_eps_runs_along_a_base_equal_runs_from_scratch(scen3):
+    s = scen3
     res = factorize_jet(s.spec, s.seq, s.ctx, s.f)
-    assert res.trajectory is None
-    # the first run records the trajectory, the second reads it
     for ell, gamma in ((1, None), (2, gamma_xi0(s.ctx.n))):
         df = VirasoroFields(s.f)(ell, gamma)
         along = eps_perturbed_result(res, df)
@@ -318,7 +323,6 @@ def test_eps_runs_along_the_trajectory_equal_runs_from_scratch(scen):
                                 res.f.base_part().with_eps(df.embed(s.ctx)),
                                 V=res.V)
         assert along.base is res and scratch.base is None
-        assert res.trajectory is not None
         for name in ("M", "Minv", "E", "u", "v", "vfinv"):
             if getattr(scratch, name) is not None:
                 assert same_value(getattr(along, name),
@@ -327,15 +331,68 @@ def test_eps_runs_along_the_trajectory_equal_runs_from_scratch(scen):
         assert same_value(along.xi, scratch.xi)
         assert same_value(ln_tau_jet(along).eps_part(),
                           ln_tau_jet(scratch).eps_part())
-    # values the base result holds are shared; capped records keep only the
-    # rows up to their cap, as plain arrays (no spectrum)
-    assert along.Minv.slabs[0] is res.Minv.slabs[0]
-    assert along.vfinv.slabs[0] is res.vfinv.slabs[0]
-    for key, (ctx, rec) in res.trajectory.items():
-        rows = s.ctx.upto[key[0] - 1] if isinstance(key[0], int) else s.ctx.T
-        assert ctx is res.ctx, key
-        assert all(type(a) is np.ndarray and a.shape[0] == rows
-                   for a in rec[1:]), key
+    # the base values are the base result's own
+    for name in ("M", "Minv", "vfinv"):
+        assert getattr(along, name).slabs[0] is getattr(res, name).slabs[0]
+
+
+def test_base_run_values_past_order_one_are_grades_of_its_final_ones(scen3):
+    # rebuilt as the base run builds them, each order's capped M^-1 and
+    # M J M^-1 past order 1 are the rows of grade <= cap of the final
+    # values, which an eps run reads off its base; order 1's unpolished
+    # row-0 inverse is not, so an eps run computes order 1 itself
+    s = scen3
+    ctx = s.ctx
+    res = factorize_jet(s.spec, s.seq, ctx, s.f)
+
+    def rows_of(x, cap, vorder):
+        rows = np.arange(ctx.upto[cap])
+        return Series.from_rows(ctx, rows, x, rows, vorder=vorder)
+
+    Minv = None
+    for ell in range(1, ctx.order + 1):
+        cap = ell - 1
+        M = rows_of(res.M, cap, res.M.vorder)
+        Minv = M.inv(cap, start=Minv)
+        assert same_value(Minv, rows_of(res.Minv, cap, cap)) == (ell > 1), ell
+        for key in s.seq.bases if ell > 1 else ():
+            conj = M.matmul(s.seq.base_series(ctx, key), cap).matmul(Minv, cap)
+            assert same_value(conj, rows_of(res.conjugated_base(key), cap,
+                                            cap)), (ell, key)
+
+
+def test_every_eps_run_makes_the_same_products(monkeypatch, scen3):
+    s = scen3
+    res = factorize_jet(s.spec, s.seq, s.ctx, s.f)
+    # the base result's own memos that eps runs read are built by their
+    # first reader, as the suites build them before any eps run
+    ln_tau_jet(res)
+    for key in s.seq.bases:
+        res.conjugated_base(key)
+    slab_mul = series._slab_mul
+    calls = []
+
+    def counted(ctx, a, b, cap=None, want=None):
+        live = not (a.is_zero() or b.is_zero())
+        calls.append((live, live and not (a.jet_const() or b.jet_const())))
+        return slab_mul(ctx, a, b, cap, want)
+
+    monkeypatch.setattr(series, "_slab_mul", counted)
+
+    def run(df):
+        calls.clear()
+        ln_tau_jet(eps_perturbed_result(res, df))
+        return list(calls)
+
+    # along a zero direction every tangent is certified zero, so a live
+    # product is a product of base values: none takes the general path
+    zero = Series.zeros(s.fctx)
+    first, second = run(zero), run(zero)
+    assert first == second
+    assert not any(general for _, general in first)
+    df = VirasoroFields(s.f)(1)
+    first, second = run(df), run(df)
+    assert first == second and any(general for _, general in first)
 
 
 @pytest.mark.parametrize("name,order", [("akns_standard", None),
@@ -350,34 +407,6 @@ def test_reduced_frame_inverse_is_at_rounding_level_per_grade(name, order):
         r = (x * y - ident).slabs[0].data
         for g in range(s.ctx.order + 1):
             assert np.abs(r[s.ctx.totals == g]).max() <= 2 * np.finfo(float).eps
-
-
-def test_second_eps_run_makes_no_base_product(monkeypatch):
-    s = _scenario("akns_standard")
-    res = factorize_jet(s.spec, s.seq, s.ctx, s.f)
-    slab_mul = series._slab_mul
-    calls = {"both_live": 0, "all": 0}
-
-    def counted(ctx, a, b, cap=None, want=None):
-        calls["all"] += 1
-        calls["both_live"] += not (a.is_zero() or b.is_zero())
-        return slab_mul(ctx, a, b, cap, want)
-
-    monkeypatch.setattr(series, "_slab_mul", counted)
-
-    def run(df):
-        calls.update(both_live=0, all=0)
-        eps = eps_perturbed_result(res, df)
-        ln_tau_jet(eps)
-        return dict(calls)
-
-    # along a zero direction every tangent is certified zero, so a product
-    # of two live operands is a product of base values
-    zero = Series.zeros(s.fctx)
-    first, second = run(zero), run(zero)
-    assert first["both_live"] > 0
-    assert second["both_live"] == 0
-    assert run(VirasoroFields(s.f)(1))["both_live"] > 0
 
 
 def test_mismatched_base_is_refused(scen):
@@ -402,26 +431,9 @@ def test_mismatched_base_is_refused(scen):
         "no tangent": lambda: factorize_jet(s.spec, s.seq, s.ctx, f0,
                                             V=res.V, base=res),
     }
-    for what, attempt in attempts.items():
-        with pytest.raises(ShapeError, match="base trajectory"):
+    for attempt in attempts.values():
+        with pytest.raises(ShapeError, match="along this base"):
             attempt()
-        assert res.trajectory is None, what
     eps = eps_perturbed_result(res, df)
-    with pytest.raises(ShapeError, match="base trajectory"):
+    with pytest.raises(ShapeError, match="along this base"):
         eps_perturbed_result(eps, df)
-
-
-def test_factorizations_nothing_refactorizes_record_nothing():
-    s = _scenario("akns_standard")
-    res = factorize_jet(s.spec, s.seq, s.ctx, s.f)
-    alt = factorize_jet(s.spec, s.seq, s.ctx, s.f, var_choice="last", V=res.V)
-    tau_route_defects(res)
-    h = Series.identity(s.fctx) + Series.monomial(
-        s.fctx, np.diag([0.2, -0.2]).astype(complex), -1)
-    chk = stabilizer_h_check(res, h)
-    assert res.trajectory is alt.trajectory is None
-    assert chk["result_h"].trajectory is None
-    eps = eps_perturbed_result(res, VirasoroFields(s.f)(0))
-    assert res.trajectory is not None
-    assert eps.trajectory is None and alt.trajectory is None
-    assert chk["result_h"].trajectory is None

@@ -36,7 +36,8 @@ Every child process, ``run.py`` included, records its ``ru_maxrss`` and
 ``ru_minflt`` from ``os.wait4`` (they cover the processes it waited for, so
 a ``run.py`` run counts its workload processes).  BLAS/OpenMP threads are
 pinned to 1, as ``run.py`` does.  ``src_lines`` records the line count of
-``src/loopjet/*.py`` on each side.  Before the first pair it compiles
+``src/loopjet/*.py`` on each side, and ``src_module_lines`` that of each
+module, so a change's record shows where lines went.  Before the first pair it compiles
 ``src`` in both checkouts (``python -m compileall -q src``) and records
 that in the host line (``bytecode``): a child that may not write bytecode
 (``PYTHONDONTWRITEBYTECODE``) recompiles a stale ``__pycache__`` in every
@@ -190,15 +191,15 @@ def run_tier1(checkout: str) -> dict:
             "summary": lines[-1] if lines else ""}
 
 
-def src_lines(checkout: str) -> int:
-    """Lines of ``src/loopjet/*.py`` in ``checkout``: the package size."""
+def module_lines(checkout: str) -> dict:
+    """Lines of each ``src/loopjet/*.py`` in ``checkout``, by file name."""
     pkg = os.path.join(checkout, "src", "loopjet")
-    total = 0
+    out = {}
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name), encoding="utf-8") as fh:
-                total += sum(1 for _ in fh)
-    return total
+                out[name] = sum(1 for _ in fh)
+    return out
 
 
 def suite_medians(runs: list[dict]) -> dict:
@@ -259,12 +260,14 @@ def main(argv: list[str] | None = None) -> int:
         pinned = json.load(fh)  # shipped config name -> its pinned report
     checkouts = {"parent": os.path.abspath(args.parent),
                  "change": os.path.abspath(args.change)}
+    lines = {s: module_lines(checkouts[s]) for s in SIDES}
     record = {"command": "perfbench/run.py --trace 0", "seed": args.seed,
               "pairs": PAIRS, "workloads": list(WORKLOADS), "pair_order": [],
               "host": None, "runs": [], "summary": {}, "extras": [],
               "extras_wall_s": {}, "extras_rss_mb": {}, "extras_minflt": {},
               "extras_suite_s": {}, "identity": {},
-              "src_lines": {s: src_lines(checkouts[s]) for s in SIDES}}
+              "src_lines": {s: sum(lines[s].values()) for s in SIDES},
+              "src_module_lines": lines}
 
     def save() -> None:
         with open(args.out, "w", encoding="utf-8") as fh:
