@@ -144,6 +144,14 @@ def jet_dict(series: Series, degrees) -> dict:
     return out
 
 
+def dense(slab) -> np.ndarray:
+    """Data ``(T, W, n, n)`` of a slab: its stored rows, then zero rows up
+    to the length T of its degree-bound arrays."""
+    out = np.zeros((slab.shi.size,) + slab.data.shape[1:], dtype=np.complex128)
+    out[:slab.data.shape[0]] = slab.data
+    return out
+
+
 def same_slab(x, y) -> bool:
     """Bit-for-bit equality of two slabs: data and degree bounds."""
     return (np.array_equal(x.data, y.data)
