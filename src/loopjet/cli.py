@@ -22,6 +22,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .checks import catalog_entries
 from .errors import ConfigError, LoopjetError
 from .scenario import Scenario, ScenarioConfig, _Runner
@@ -62,21 +64,15 @@ def _snap(x: float) -> float:
 
 
 def _dump_rows_series(s: Series):
-    ctx = s.ctx
-    slab = s.slabs[0]
+    ctx, data = s.ctx, s.stored_rows()
     rows = []
-    for t in range(ctx.T):
+    for t, p, i, j in zip(*np.nonzero(data)):
+        re, im = _snap(data[t, p, i, j].real), _snap(data[t, p, i, j].imag)
+        if re == 0.0 and im == 0.0:
+            continue
         alpha = ";".join(str(int(a)) for a in ctx.midx[t])
-        for p in range(ctx.W):
-            m = slab.data[t, p]
-            for i in range(ctx.n):
-                for j in range(ctx.n):
-                    re = _snap(m[i, j].real)
-                    im = _snap(m[i, j].imag)
-                    if re == 0.0 and im == 0.0:
-                        continue
-                    rows.append((tuple(ctx.midx[t]), int(ctx.degrees[p]),
-                                 i + 1, j + 1, re, im, alpha))
+        rows.append((tuple(ctx.midx[t]), int(ctx.degrees[p]), int(i) + 1,
+                     int(j) + 1, re, im, alpha))
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
     return [f"{r[6]},{r[1]},{r[2]},{r[3]},{r[4]:.17g},{r[5]:.17g}"
             for r in rows]
@@ -85,8 +81,7 @@ def _dump_rows_series(s: Series):
 def _dump_rows_scalar(s: ScalarJet):
     ctx = s.ctx
     rows = []
-    for t in range(ctx.T):
-        z = s.vals[0][t]
+    for t, z in enumerate(s.vals[0]):
         re, im = _snap(z.real), _snap(z.imag)
         if re == 0.0 and im == 0.0:
             continue

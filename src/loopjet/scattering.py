@@ -185,15 +185,6 @@ def _check_f(spec: SplittingSpec, f: Series) -> None:
                          f"reality condition (defect {bad:.3e})")
 
 
-def _same_base_value(x: Series, y: Series) -> bool:
-    """Whether the base values of x and y agree bit for bit (data and
-    degree bounds)."""
-    a, b = x.slabs[0], y.slabs[0]
-    return all(np.array_equal(p, q) for p, q in zip(
-        (a.data, a.tlo, a.slo, a.shi, a.thi),
-        (b.data, b.tlo, b.slo, b.shi, b.thi)))
-
-
 def _require_base(base: FactorizationResult, seq: VacuumSequence,
                   ctx: JetContext, f: Series, V: Series,
                   var_choice: str) -> None:
@@ -206,9 +197,9 @@ def _require_base(base: FactorizationResult, seq: VacuumSequence,
         why = "the context or vacuum sequence differs"
     elif base.var_choice != var_choice:
         why = f"var_choice {var_choice!r} differs from {base.var_choice!r}"
-    elif not _same_base_value(f, base.f):
+    elif not f.same_base(base.f):
         why = "the base value of f differs"
-    elif V.E != 1 or not _same_base_value(V, base.V):
+    elif V.E != 1 or not V.same_base(base.V):
         why = "the vacuum frame differs"
     if why is not None:
         raise ShapeError(f"factorize_jet: cannot refactorize along this "

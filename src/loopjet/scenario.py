@@ -59,9 +59,9 @@ STABILIZER_SUITES = ("factorization", "tau", "recovery")
 # the variants whose sigma twist flips lambda -> -lambda: their vacuum
 # sequences keep only the odd exponents
 ODD_VARIANTS = ("sigma_twisted", "tau_sigma")
-# the largest jet value (T x W x n^2 complex128 entries) a config may ask
-# for: a run holds a few hundred values at its peak (order-5 gl3_full: 2.7 MB
-# values, 541 MB), so a 64 MiB value already means tens of GB
+# the largest jet value (T x W x n^2 complex128 entries, every row live) a
+# config may ask for: a run holds a few hundred values at its peak, so a
+# 64 MiB value already means tens of GB
 VALUE_BUDGET_BYTES = 64 << 20
 
 
@@ -104,8 +104,9 @@ PAIRS = {
 class JetShape(NamedTuple):
     """The sizes of a context: T jet rows, C(vars + order, order); the
     window width W; the FFT length; the (a, b) pairs of the product table,
-    C(2 vars + order, order); and the bytes of one jet value and of one
-    spectrum of every jet row, the unit of the series spectrum budget."""
+    C(2 vars + order, order); and the bytes of a jet value with every row
+    live, the most one stores, and of one spectrum of every jet row, the
+    unit of the series spectrum budget."""
     T: int
     W: int
     nfft: int

@@ -27,33 +27,34 @@ the plus-projection restores full trust below zero because its result is
 zero there by definition.  ``vorder`` tracks the trusted jet order (a time
 derivative lowers it by one) and comparisons mask orders beyond it.
 
-Coefficients are stored as ``(T, W, n, n)``: jet row, lambda position,
-matrix entry.  Products convolve in lambda by FFT of the window copied into
-a zero-padded buffer.  An operand's spectrum is row-major, ``(R, n, n,
-nfft)`` up to its last live row, with certified-zero rows (``shi == NEG``)
-held at exact zero, and it is held on the operand under a budget per
-context, ``_SPECTRUM_BUDGET`` spectra of every jet row: past it the least
-recently used spectra are dropped and transformed again on their next use,
-which gives the same bits.  The jet product runs over the grades
-g of the left factor: its live rows of grade g and the admissible right
-rows, the prefix ``[0, upto[top - g])``, span a grid whose outputs
+Only live jet rows are stored: coefficients as ``(R, W, n, n)``, jet row,
+lambda position, matrix entry, where R is the last live row (``shi != NEG``)
+plus one, so a jet-constant value stores one row and zero none; the degree
+bounds cover all T rows, and a row at or past R is certified zero.  Products
+convolve in lambda by FFT of the window copied into a zero-padded buffer.
+An operand's spectrum is row-major, ``(R, n, n, nfft)``, with certified-zero
+rows (``shi == NEG``) held at exact zero, and it is held on the operand
+under a budget per context, ``_SPECTRUM_BUDGET`` spectra of every jet row:
+past it the least recently used spectra are dropped and transformed again on
+their next use, which gives the same bits.  The jet product runs over the
+grades g of the left factor: its live rows of grade g and the admissible
+right rows, the prefix ``[0, upto[top - g])``, span a grid whose outputs
 ``grade_out[g]`` are distinct along each row and each column.  A grade is
-batched along the longer side of its grid, by a-row in ascending order or
-by b-column in descending order, in blocks of at most ``_BLOCK_BYTES`` of
-spectrum, which stay in L2.  The terms of an output c from grade g have
-right rows of one grade, where descending b is ascending a = c - b, so
-every output adds its terms in ascending a; the n x n product of spectra
-is summed entry by entry in ascending k (``_entry_mul``), the one way
-spectra are multiplied here.  This fixed order of operations keeps
-reports bit-identical.  Only the rows up to the last live output are
-transformed back, as a view, so they are copied once, into the data.
-A pairing walks the same grids and adds each grade's ``einsum`` in
-ascending a; bounds and scalar-jet products scatter into the ``pair_c`` rows.
-A jet-order ``cap`` leaves every row past it certified zero, on the
-jet-constant path as on the general one.  A product restricted to some
-output rows (``rows=``) walks only the pairs that reach them from live
-rows, so each has the whole product's bits, and certifies the other rows
-zero.
+batched along the longer side of its grid, by a-row in ascending order or by
+b-column in descending order, in blocks of at most ``_BLOCK_BYTES`` of
+spectrum, which stay in L2.  The terms of an output c from grade g have right
+rows of one grade, where descending b is ascending a = c - b, so every
+output adds its terms in ascending a; the n x n product of spectra is summed
+entry by entry in ascending k (``_entry_mul``), the one way spectra are
+multiplied here.  This fixed order of operations keeps reports
+bit-identical.  Only the rows up to the last live output are transformed
+back, as a view, so they are copied once, into the data.  A pairing walks
+the same grids and adds each grade's ``einsum`` in ascending a; bounds and
+scalar-jet products scatter into the ``pair_c`` rows.  A jet-order ``cap``
+leaves every row past it certified zero, on the jet-constant path as on the
+general one.  A product restricted to some output rows (``rows=``) walks
+only the pairs that reach them from live rows, so each has the whole
+product's bits, and certifies the other rows zero.
 
 An inverse is solved grade by grade (forward substitution over jet grades):
 its row 0 is the memoized Laurent inverse of the value's row 0, polished by
@@ -89,7 +90,9 @@ _SPECTRUM_BUDGET = 6  # spectra of every jet row a context holds, at most
 
 
 class _Slab:
-    """One epsilon component: dense data plus per-coefficient degree bounds."""
+    """One epsilon component: the data of jet rows ``[0, R)``, R the last
+    live row (``shi != NEG``) plus one, and the four degree bounds of every
+    jet row.  A row at or past R is certified zero and has no storage."""
 
     __slots__ = ("data", "tlo", "slo", "shi", "thi", "_hat", "__weakref__")
 
@@ -102,26 +105,24 @@ class _Slab:
         self._hat = None
 
     def fft(self, ctx: JetContext):
-        """Row-major spectrum ``(R, n, n, nfft)`` of the rows up to the last
-        live one (R rows; every reader indexes below it); certified-zero
-        rows (``shi == NEG``) are exact zeros whatever their stored data.
-        It is held on the slab while ``ctx.spectra`` keeps it under the
-        budget; one it drops is transformed again on its next use."""
+        """Row-major spectrum ``(R, n, n, nfft)`` of the stored rows, a dead
+        one (``shi == NEG``) exact zero whatever its data.  It is held on the
+        slab while ``ctx.spectra`` keeps it under the budget; one it drops is
+        transformed again on its next use."""
         hat = self._hat
         if hat is None:
-            rows = np.flatnonzero(self.shi != NEG).max(initial=-1) + 1
-            hat = self._hat = _spectrum(ctx, self.data[:rows])
-            hat[self.shi[:rows] == NEG] = 0.0
+            hat = self._hat = _spectrum(ctx, self.data)
+            hat[self.shi[:len(hat)] == NEG] = 0.0
         for slab in ctx.spectra.use(self, hat.nbytes,
                                     _SPECTRUM_BUDGET * ctx.spectrum_bytes):
             slab._hat = None
         return hat
 
     def is_zero(self) -> bool:
-        return bool(np.all(self.shi == NEG))
+        return self.data.shape[0] == 0
 
     def jet_const(self) -> bool:
-        return self.data.shape[0] == 1 or bool(np.all(self.shi[1:] == NEG))
+        return self.data.shape[0] <= 1
 
 
 def _blocks(ctx: JetContext, count: int) -> list[slice]:
@@ -131,19 +132,43 @@ def _blocks(ctx: JetContext, count: int) -> list[slice]:
     return [slice(s, min(s + step, count)) for s in range(0, count, step)]
 
 
+def _live_rows(shi) -> int:
+    """R: the last live row (``shi != NEG``) plus one."""
+    return int(np.flatnonzero(shi != NEG).max(initial=-1)) + 1
+
+
+def _rows_like(data: np.ndarray, rows: int) -> np.ndarray:
+    """A fresh copy of the stored rows ``data`` with ``rows`` rows: cut, or
+    padded with zero rows."""
+    out = np.zeros((rows,) + data.shape[1:], dtype=np.complex128)
+    out[:data.shape[0]] = data[:rows]
+    return out
+
+
+def _one_row(ctx: JetContext, row: int, data=None, tlo=NEG, slo=POS,
+             shi=NEG, thi=POS) -> _Slab:
+    """The slab whose one possibly live row is ``row``, with window data
+    ``data`` ``(W, n, n)`` and these degree bounds."""
+    bounds = [np.full(ctx.T, v, dtype=np.int64) for v in (NEG, POS, NEG, POS)]
+    for b, v in zip(bounds, (tlo, slo, shi, thi)):
+        b[row] = v
+    stored = np.zeros((0 if shi == NEG else row + 1, ctx.W, ctx.n, ctx.n),
+                      dtype=np.complex128)
+    if shi != NEG:
+        stored[row] = data
+    return _Slab(stored, *bounds)
+
+
 def _zero_slab(ctx: JetContext) -> _Slab:
-    T = ctx.T
-    return _Slab(np.zeros((T, ctx.W, ctx.n, ctx.n), dtype=np.complex128),
-                 np.full(T, NEG, dtype=np.int64), np.full(T, POS, dtype=np.int64),
-                 np.full(T, NEG, dtype=np.int64), np.full(T, POS, dtype=np.int64))
+    return _one_row(ctx, 0)
 
 
-def _apply_support_mask(ctx: JetContext, slab: _Slab, stop=None) -> _Slab:
-    """Zero stored entries outside the certified support of the rows below
-    ``stop``; this keeps structural zeros exact (no FFT dust)."""
-    deg = ctx.degrees[None, :]
-    mask = (deg >= slab.slo[:stop, None]) & (deg <= slab.shi[:stop, None])
-    slab.data[:stop] *= mask[:, :, None, None]
+def _apply_support_mask(ctx: JetContext, slab: _Slab) -> _Slab:
+    """Zero stored entries outside the certified support of their rows;
+    this keeps structural zeros exact (no FFT dust)."""
+    deg, rows = ctx.degrees[None, :], slab.data.shape[0]
+    mask = (deg >= slab.slo[:rows, None]) & (deg <= slab.shi[:rows, None])
+    slab.data *= mask[:, :, None, None]
     return slab
 
 
@@ -205,15 +230,12 @@ def _pair_bounds(a: _Slab, ia, b: _Slab, ib):
 
 
 def _product_slab(ctx: JetContext, C, tlo, slo, shi, thi) -> _Slab:
-    """The product with output spectra ``C``; rows past the last live one
-    stay exact zeros, with no inverse transform and no mask."""
-    stop = np.flatnonzero(shi != NEG).max(initial=-1) + 1
-    data = np.zeros((ctx.T, ctx.W, ctx.n, ctx.n), dtype=np.complex128)
-    if stop:
-        data[:stop] = _coefficients(ctx, C[:stop])
+    """The product with output spectra ``C``; only the rows up to the last
+    live one are transformed back and stored."""
+    data = _coefficients(ctx, C[:_live_rows(shi)]).copy()
     slab = _Slab(data, _finalize_tlo(ctx, tlo, slo), slo, shi,
                  _cap_top(ctx, shi, thi))
-    return _apply_support_mask(ctx, slab, stop)
+    return _apply_support_mask(ctx, slab)
 
 
 def _product_bounds(ctx: JetContext, a: _Slab, b: _Slab, top: int,
@@ -319,9 +341,14 @@ def _slab_mul_const(ctx: JetContext, a: _Slab, b: _Slab, top: int,
 
 
 def _slab_add(a: _Slab, b: _Slab, sign: float) -> _Slab:
-    return _Slab(a.data + sign * b.data, np.maximum(a.tlo, b.tlo),
-                 np.minimum(a.slo, b.slo), np.maximum(a.shi, b.shi),
-                 np.minimum(a.thi, b.thi))
+    ra, rb = a.data.shape[0], b.data.shape[0]
+    if ra == rb:
+        data = a.data + sign * b.data
+    else:  # a row past either's stored rows is zero there
+        data = _rows_like(a.data, max(ra, rb))
+        data[:rb] += sign * b.data
+    return _Slab(data, np.maximum(a.tlo, b.tlo), np.minimum(a.slo, b.slo),
+                 np.maximum(a.shi, b.shi), np.minimum(a.thi, b.thi))
 
 
 def _row_copy(dst: tuple, rows, src: tuple, src_rows, factor=None,
@@ -329,16 +356,23 @@ def _row_copy(dst: tuple, rows, src: tuple, src_rows, factor=None,
     """The per-row arrays ``dst`` (data first, then any degree bounds) with
     their ``rows`` holding the ``src_rows`` of ``src``, the data multiplied
     by ``factor`` or divided by ``divisor`` row by row: the one way jet rows
-    are written.  ``dst`` is copied first unless ``copy`` is false (fresh
-    arrays nothing else holds are written in place)."""
+    are written.  A source row past the stored rows of the data reads zero,
+    and a destination row past them is left out (it is certified zero).
+    ``dst`` is copied first unless ``copy`` is false (fresh arrays nothing
+    else holds are written in place)."""
     out = tuple(a.copy() for a in dst) if copy else dst
-    data = src[0][src_rows]
+    rows, src_rows = np.asarray(rows), np.asarray(src_rows)
+    data = src[0]
+    if src_rows.size and src_rows.max() >= data.shape[0]:
+        data = _rows_like(data, src_rows.max() + 1)
+    data = data[src_rows]
     per_row = (-1,) + (1,) * (data.ndim - 1)
     if factor is not None:
         data = data * np.reshape(factor, per_row)
     if divisor is not None:
         data = data / np.reshape(divisor, per_row)
-    out[0][rows] = data
+    keep = rows < out[0].shape[0]
+    out[0][rows[keep]] = data[keep]
     for o, a in zip(out[1:], src[1:]):
         o[rows] = a[src_rows]
     return out
@@ -427,9 +461,9 @@ class Series(_Jet):
         below the window is unknown, so the trusted floor is the window
         bottom rather than minus infinity.
         """
-        slab = _zero_slab(ctx)
         row = alpha if isinstance(alpha, int) else ctx.index_of[tuple(alpha)]
-        degs = []
+        data = np.zeros((ctx.W, ctx.n, ctx.n), dtype=np.complex128)
+        degs, tlo = [], NEG
         for k, m in coeffs.items():
             m = np.asarray(m, dtype=np.complex128)
             if m.shape != (ctx.n, ctx.n):
@@ -438,15 +472,12 @@ class Series(_Jet):
                 raise WindowExhausted(f"degree {k} outside window "
                                       f"[{ctx.lo},{ctx.hi}]")
             if np.any(m != 0):
-                slab.data[row, ctx.pos(k)] = m
+                data[ctx.pos(k)] = m
                 degs.append(k)
-        if degs:
-            slab.slo[row] = min(degs)
-            slab.shi[row] = max(degs)
+        slo, shi = (min(degs), max(degs)) if degs else (POS, NEG)
         if not exact:
-            slab.tlo[row] = ctx.lo
-            slab.slo[row] = NEG
-        return cls(ctx, (slab,), ctx.order)
+            tlo, slo = ctx.lo, NEG
+        return cls(ctx, (_one_row(ctx, row, data, tlo, slo, shi),), ctx.order)
 
     @classmethod
     def monomial(cls, ctx: JetContext, matrix: np.ndarray, degree: int = 0,
@@ -461,6 +492,13 @@ class Series(_Jet):
 
     def base_part(self) -> "Series":
         return Series(self.ctx, (self.slabs[0],), self.vorder)
+
+    def same_base(self, other: "Series") -> bool:
+        """Whether the base values agree bit for bit (data and bounds)."""
+        a, b = self.slabs[0], other.slabs[0]
+        return all(np.array_equal(p, q) for p, q in zip(
+            (a.data, a.tlo, a.slo, a.shi, a.thi),
+            (b.data, b.tlo, b.slo, b.shi, b.thi)))
 
     def eps_part(self, i: int = 0) -> "Series":
         """Tangent component ``i`` (zero if the value has none)."""
@@ -479,28 +517,24 @@ class Series(_Jet):
 
     # -- ring operations ---------------------------------------------------
 
-    def _binary_slabs(self, other: "Series"):
-        E = max(self.E, other.E)
-        za = self.slabs + (_zero_slab(self.ctx),) * (E - self.E)
-        zb = other.slabs + (_zero_slab(self.ctx),) * (E - other.E)
-        return za, zb
+    def _combine(self, other: "Series", sign: float) -> "Series":
+        """self + sign * other; a tangent component one lacks is zero."""
+        self.ctx.require_compatible(other.ctx)
+        E, zero = max(self.E, other.E), (_zero_slab(self.ctx),)
+        return Series(self.ctx, tuple(
+            _slab_add(a, b, sign) for a, b in zip(
+                self.slabs + zero * (E - self.E),
+                other.slabs + zero * (E - other.E))),
+            min(self.vorder, other.vorder))
 
     def __add__(self, other: "Series") -> "Series":
-        self.ctx.require_compatible(other.ctx)
-        za, zb = self._binary_slabs(other)
-        return Series(self.ctx, tuple(_slab_add(a, b, 1.0) for a, b in zip(za, zb)),
-                      min(self.vorder, other.vorder))
+        return self._combine(other, 1.0)
 
     def __sub__(self, other: "Series") -> "Series":
-        self.ctx.require_compatible(other.ctx)
-        za, zb = self._binary_slabs(other)
-        return Series(self.ctx, tuple(_slab_add(a, b, -1.0) for a, b in zip(za, zb)),
-                      min(self.vorder, other.vorder))
+        return self._combine(other, -1.0)
 
     def scale(self, c: complex) -> "Series":
-        return Series(self.ctx, tuple(
-            _Slab(s.data * c, s.tlo.copy(), s.slo.copy(), s.shi.copy(),
-                  s.thi.copy()) for s in self.slabs), self.vorder)
+        return self._map_data(lambda d: d * c)
 
     def __mul__(self, other):
         if isinstance(other, Series):
@@ -581,8 +615,8 @@ class Series(_Jet):
                            np.where(s.shi == 0, s.shi - 2, s.shi - 1))
             thi = np.where(s.thi == POS, POS, s.thi - 1)
             exact = s.tlo == NEG
-            bottom_safe = (s.slo > ctx.lo) | (
-                np.abs(s.data[:, 0]).max(axis=(1, 2)) == 0)
+            floor = np.abs(_rows_like(s.data[:, :1], ctx.T)).max(axis=(1, 2, 3))
+            bottom_safe = (s.slo > ctx.lo) | (floor == 0)
             tlo = np.where(exact & bottom_safe, NEG,
                            np.where(exact, ctx.lo,
                                     np.maximum(s.tlo - 1, ctx.lo)))
@@ -706,10 +740,13 @@ class Series(_Jet):
             own = e < self.E
             dst = self.slabs[e] if own else _zero_slab(self.ctx)
             s = src.slabs[e] if e < src.E else _zero_slab(src.ctx)
-            slabs.append(_Slab(*_row_copy(
-                (dst.data, dst.tlo, dst.slo, dst.shi, dst.thi), rows,
-                (s.data, s.tlo, s.slo, s.shi, s.thi), src_rows, factor,
-                divisor, copy=own)))
+            bounds = _row_copy((dst.tlo, dst.slo, dst.shi, dst.thi), rows,
+                               (s.tlo, s.slo, s.shi, s.thi), src_rows,
+                               copy=own)
+            data = _rows_like(dst.data, _live_rows(bounds[2]))
+            _row_copy((data,), rows, (s.data,), src_rows, factor, divisor,
+                      copy=False)
+            slabs.append(_Slab(data, *bounds))
         return Series(self.ctx, tuple(slabs),
                       self.vorder if vorder is None else vorder)
 
@@ -736,19 +773,14 @@ class Series(_Jet):
             return np.zeros((ctx.n, ctx.n), dtype=np.complex128)
         slab = self.slabs[eps]
         self._check_read(slab, row, k, "coeff")
-        if ctx.lo <= k <= ctx.hi:
+        if ctx.lo <= k <= ctx.hi and row < slab.data.shape[0]:
             return slab.data[row, ctx.pos(k)].copy()
         return np.zeros((ctx.n, ctx.n), dtype=np.complex128)
 
-    def require_trusted(self, k: int, what: str = "read") -> None:
-        """Assert that degree ``k`` of every live coefficient is trusted."""
-        ctx = self.ctx
-        live = ctx.totals <= self.vorder
-        for s in self.slabs:
-            bad = ((s.tlo != NEG) & (k < s.tlo)) | ((s.thi != POS) & (k > s.thi))
-            if np.any(bad & live):
-                row = int(np.flatnonzero(bad & live)[0])
-                self._check_read(s, row, k, what)
+    def stored_rows(self, eps: int = 0) -> np.ndarray:
+        """The stored rows ``(R, W, n, n)`` of component ``eps`` (each later
+        row is certified zero), shared: callers must not modify them."""
+        return self.slabs[eps].data
 
     def degree_slice(self, k: int) -> "Series":
         """The lambda**k coefficient as a jet of constant matrices (placed at
@@ -756,27 +788,35 @@ class Series(_Jet):
         ctx = self.ctx
         out = []
         for s in self.slabs:
-            slab = _zero_slab(ctx)
+            data = np.zeros((ctx.T, ctx.W, ctx.n, ctx.n), dtype=np.complex128)
             if ctx.lo <= k <= ctx.hi:
-                slab.data[:, ctx.pos(0)] = s.data[:, ctx.pos(k)]
+                data[:len(s.data), ctx.pos(0)] = s.data[:, ctx.pos(k)]
             bad = ((s.tlo != NEG) & (k < s.tlo)) | ((s.thi != POS) & (k > s.thi))
-            slab.tlo = np.where(bad, POS, NEG).astype(np.int64)
-            slab.slo = np.zeros(ctx.T, dtype=np.int64)
-            slab.shi = np.zeros(ctx.T, dtype=np.int64)
-            out.append(_apply_support_mask(ctx, slab))
+            live = np.zeros(ctx.T, dtype=np.int64)  # every row: support {0}
+            out.append(_apply_support_mask(ctx, _Slab(
+                data, np.where(bad, POS, NEG).astype(np.int64), live,
+                live.copy(), np.full(ctx.T, POS, dtype=np.int64))))
         return Series(ctx, tuple(out), self.vorder)
+
+    def _scalar(self, k: int, what: str, read) -> "ScalarJet":
+        """The scalar jet ``read`` makes of the degree-k coefficients ``(R,
+        n, n)`` of the stored rows; degree k of every live row is trusted."""
+        ctx = self.ctx
+        live = ctx.totals <= self.vorder
+        vals = []
+        for s in self.slabs:
+            bad = ((s.tlo != NEG) & (k < s.tlo)) | ((s.thi != POS) & (k > s.thi))
+            if np.any(bad & live):
+                self._check_read(s, int(np.flatnonzero(bad & live)[0]), k, what)
+            v = np.zeros(ctx.T, dtype=np.complex128)
+            if ctx.lo <= k <= ctx.hi:
+                v[:len(s.data)] = read(s.data[:, ctx.pos(k)])
+            vals.append(v)
+        return ScalarJet(ctx, tuple(vals), self.vorder)
 
     def entry_jet(self, i: int, j: int, k: int = 0) -> "ScalarJet":
         """Trusted scalar jet of one matrix entry at one lambda degree."""
-        ctx = self.ctx
-        self.require_trusted(k, "entry_jet")
-        vals = []
-        for s in self.slabs:
-            if ctx.lo <= k <= ctx.hi:
-                vals.append(s.data[:, ctx.pos(k), i, j].copy())
-            else:
-                vals.append(np.zeros(ctx.T, dtype=np.complex128))
-        return ScalarJet(ctx, tuple(vals), self.vorder)
+        return self._scalar(k, "entry_jet", lambda c: c[:, i, j])
 
     # -- pairings ------------------------------------------------------------
 
@@ -795,15 +835,16 @@ class Series(_Jet):
         # (degree lo+w) of A meets degree k-lo-w of B.
         off = ctx.W - 1 - (k - 2 * ctx.lo)
         wlo, whi = max(0, -off), max(0, -off, min(ctx.W, ctx.W - off))
-        Aw, Bw = a.data[:, wlo:whi], b.data[:, ::-1][:, wlo + off:whi + off]
-        out = np.zeros(ctx.T, dtype=np.complex128)
-        nb_max = np.flatnonzero(b.shi != NEG).max(initial=-1) + 1
+        # as in a product, a dead b-row adds zero; einsum sums a 1 x 1 grid
+        # in its own order, so b presents at least two rows
+        nb_max, bdata = b.data.shape[0], b.data
         dead = np.flatnonzero(b.shi[:nb_max] == NEG)
-        if dead.size:  # as in a product, a dead b-row adds zero
-            Bw = Bw[:max(nb_max, 2)].copy()
-            Bw[dead] = 0.0
+        if dead.size or nb_max < min(ctx.T, 2):
+            bdata = _rows_like(bdata, max(nb_max, min(ctx.T, 2)))
+            bdata[dead] = 0.0
+        Aw, Bw = a.data[:, wlo:whi], bdata[:, ::-1][:, wlo + off:whi + off]
+        out = np.zeros(ctx.T, dtype=np.complex128)
         for rows, nb, grid in _grades(ctx, a, top, nb_max):
-            # einsum sums a 1 x 1 grid in its own order: take it as 1 x 2
             np.add.at(out, grid, np.einsum("pwab,qwba->pq", Aw[rows],
                                            Bw[:max(nb, 2)])[:, :nb])
         return out
@@ -820,15 +861,8 @@ class Series(_Jet):
 
     def trace_coeff(self, k: int) -> "ScalarJet":
         """Trusted scalar jet tr(X)_k."""
-        ctx = self.ctx
-        self.require_trusted(k, "trace_coeff")
-        vals = []
-        for s in self.slabs:
-            if ctx.lo <= k <= ctx.hi:
-                vals.append(np.trace(s.data[:, ctx.pos(k)], axis1=1, axis2=2))
-            else:
-                vals.append(np.zeros(ctx.T, dtype=np.complex128))
-        return ScalarJet(ctx, tuple(vals), self.vorder)
+        return self._scalar(k, "trace_coeff",
+                            lambda c: np.trace(c, axis1=1, axis2=2))
 
     # -- measurement ---------------------------------------------------------
 
@@ -836,13 +870,14 @@ class Series(_Jet):
         """Largest trusted coefficient magnitude (untrusted entries and jet
         orders beyond ``vorder`` are masked, never compared)."""
         ctx = self.ctx
-        live = ctx.totals <= self.vorder
         deg = ctx.degrees[None, :]
         best = 0.0
-        for s in self.slabs:
-            lo = np.where(s.tlo == NEG, ctx.lo, s.tlo)
-            hi = np.where(s.thi == POS, ctx.hi, s.thi)
-            mask = (deg >= lo[:, None]) & (deg <= hi[:, None]) & live[:, None]
+        for s in self.slabs:  # the rows past the stored ones are zero
+            rows = s.data.shape[0]
+            lo = np.where(s.tlo == NEG, ctx.lo, s.tlo)[:rows, None]
+            hi = np.where(s.thi == POS, ctx.hi, s.thi)[:rows, None]
+            live = (ctx.totals <= self.vorder)[:rows, None]
+            mask = (deg >= lo) & (deg <= hi) & live
             if np.any(mask):
                 best = max(best, float(
                     np.abs(s.data * mask[:, :, None, None]).max()))
@@ -902,23 +937,20 @@ class ScalarJet(_Jet):
             return ScalarJet.zeros(self.ctx)
         return ScalarJet(self.ctx, (self.vals[i + 1],), self.vorder)
 
-    def _binary(self, other: "ScalarJet"):
-        E = max(self.E, other.E)
-        z = np.zeros(self.ctx.T, dtype=np.complex128)
-        return (self.vals + (z,) * (E - self.E),
-                other.vals + (z,) * (E - other.E))
+    def _combine(self, other: "ScalarJet", op) -> "ScalarJet":
+        """op(self, other) per component; one a value lacks is zero."""
+        self.ctx.require_compatible(other.ctx)
+        E, z = max(self.E, other.E), (np.zeros(self.ctx.T, dtype=np.complex128),)
+        return ScalarJet(self.ctx, tuple(
+            op(a, b) for a, b in zip(self.vals + z * (E - self.E),
+                                     other.vals + z * (E - other.E))),
+            min(self.vorder, other.vorder))
 
     def __add__(self, other: "ScalarJet") -> "ScalarJet":
-        self.ctx.require_compatible(other.ctx)
-        va, vb = self._binary(other)
-        return ScalarJet(self.ctx, tuple(a + b for a, b in zip(va, vb)),
-                         min(self.vorder, other.vorder))
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "ScalarJet") -> "ScalarJet":
-        self.ctx.require_compatible(other.ctx)
-        va, vb = self._binary(other)
-        return ScalarJet(self.ctx, tuple(a - b for a, b in zip(va, vb)),
-                         min(self.vorder, other.vorder))
+        return self._combine(other, np.subtract)
 
     def scale(self, c: complex) -> "ScalarJet":
         return ScalarJet(self.ctx, tuple(v * c for v in self.vals), self.vorder)
@@ -987,17 +1019,13 @@ def _laurent_inv(ctx: JetContext, slab: _Slab) -> _Slab:
     once per context and input: the Neumann loop reads only the row-0 data
     and trusted floor, so those key the context's memo.  Every call returns
     a fresh slab."""
-    key = (slab.data[0].tobytes(), int(slab.tlo[0]))
+    key = (_rows_like(slab.data, 1).tobytes(), int(slab.tlo[0]))
     row = ctx.inv_memo.get(key)
     if row is None:
         inv = _neumann_inv(ctx, slab)
-        row = (inv.data[0].copy(), inv.tlo[0], inv.slo[0], inv.shi[0],
-               inv.thi[0])
-        ctx.inv_memo[key] = row
-    out = _zero_slab(ctx)
-    out.data[0] = row[0]
-    out.tlo[0], out.slo[0], out.shi[0], out.thi[0] = row[1:]
-    return out
+        row = ctx.inv_memo[key] = (inv.data[0], inv.tlo[0], inv.slo[0],
+                                   inv.shi[0], inv.thi[0])
+    return _one_row(ctx, 0, *row)
 
 
 def _neumann_inv(ctx: JetContext, slab: _Slab) -> _Slab:
@@ -1006,24 +1034,17 @@ def _neumann_inv(ctx: JetContext, slab: _Slab) -> _Slab:
     Accepts A = A0 (I + N) with N strictly negative (the L- shape), the
     mirrored L+ shape with N strictly positive, and constants.
     """
-    p0 = ctx.pos(0)
-    a0 = slab.data[0, p0]
+    p0, a, a_tlo = ctx.pos(0), _rows_like(slab.data, 1)[0], slab.tlo[0]
+    a0 = a[p0]
     if abs(np.linalg.det(a0)) == 0 or np.linalg.cond(a0) > _SINGULAR_COND:
         raise ShapeError("Series.inv: degree-0 part singular")
     a0inv = np.linalg.inv(a0)
-    n_mat = np.matmul(a0inv, slab.data[0])
+    n_mat = np.matmul(a0inv, a)
     n_mat[p0] = 0.0  # A0^{-1} A0 = I by construction; drop the rounding dust
     n_nz = np.flatnonzero(np.abs(n_mat).max(axis=(1, 2)) > 0)
-    src_exact = slab.tlo[0] == NEG
 
-    out = _zero_slab(ctx)
     if n_nz.size == 0:
-        out.data[0, p0] = a0inv
-        out.slo[0] = 0
-        out.shi[0] = 0
-        if not src_exact:
-            out.tlo[0] = slab.tlo[0]
-        return out
+        return _one_row(ctx, 0, _pad_const(ctx, a0inv), a_tlo, 0, 0)
 
     step_lo = int(ctx.degrees[n_nz[0]])
     step_hi = int(ctx.degrees[n_nz[-1]])
@@ -1055,21 +1076,15 @@ def _neumann_inv(ctx: JetContext, slab: _Slab) -> _Slab:
     clipped = not nilpotent
 
     res = _conv_row(ctx, _spectrum(ctx, acc), _pad_const(ctx, a0inv))
-    out.data[0] = res
     if is_neg:
-        out.shi[0] = 0
-        out.slo[0] = ctx.lo if clipped else max(ctx.lo, k_added * step_lo)
-        out.tlo[0] = ctx.lo if (clipped or not src_exact) else NEG
+        slo = ctx.lo if clipped else max(ctx.lo, k_added * step_lo)
+        shi, thi = 0, POS
+        tlo = ctx.lo if (clipped or a_tlo != NEG) else NEG
     else:
-        out.slo[0] = 0
-        if clipped:
-            out.shi[0] = POS
-            out.thi[0] = ctx.hi
-        else:
-            out.shi[0] = min(ctx.hi, k_added * step_hi)
-        out.tlo[0] = NEG if src_exact else slab.tlo[0]
-    _apply_support_mask(ctx, out)
-    return out
+        shi, thi = ((POS, ctx.hi) if clipped
+                    else (min(ctx.hi, k_added * step_hi), POS))
+        slo, tlo = 0, a_tlo
+    return _apply_support_mask(ctx, _one_row(ctx, 0, res, tlo, slo, shi, thi))
 
 
 # ---------------------------------------------------------------------------

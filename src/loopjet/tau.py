@@ -300,13 +300,10 @@ def _from_entries(ctx: JetContext, entries: dict) -> Series:
     for (i, j), sj in entries.items():
         if sj.E != 1:
             raise ShapeError("recovery runs on base (non-epsilon) data")
-        m = Series.zeros(ctx)
-        slab = m.slabs[0]
-        slab.data[:, ctx.pos(0), i, j] = sj.vals[0]
-        nz = np.abs(sj.vals[0]) > 0
-        slab.slo[:] = np.where(nz, 0, slab.slo)
-        slab.shi[:] = np.where(nz, 0, slab.shi)
-        out = out + Series(ctx, (slab,), sj.vorder)
+        unit = Series.monomial(ctx, np.outer(np.eye(ctx.n)[i], np.eye(ctx.n)[j]))
+        rows = np.flatnonzero(sj.vals[0])
+        out = out + Series.from_rows(ctx, rows, unit, np.zeros_like(rows),
+                                     factor=sj.vals[0][rows], vorder=sj.vorder)
     return out
 
 

@@ -79,7 +79,7 @@ def reference_slab_product(ctx: JetContext, a, b, cap=None) -> np.ndarray:
 
     def spectrum(slab, row):
         buf = np.zeros((n, n, ctx.nfft), dtype=np.complex128)
-        buf[:, :, :W] = np.moveaxis(slab.data[row], 0, -1)
+        buf[:, :, :W] = np.moveaxis(dense(slab)[row], 0, -1)
         return np.fft.fft(buf, axis=-1)
 
     sums: dict = {}
@@ -112,8 +112,8 @@ def reference_pairing(ctx: JetContext, a, b, k: int) -> np.ndarray:
     wlo, whi = max(0, -off), min(ctx.W, ctx.W - off)
     out = np.zeros(ctx.T, dtype=np.complex128)
     if whi > wlo:
-        ag = a.data[:, wlo:whi][ctx.pair_a]
-        bg = b.data[:, ::-1][:, wlo + off:whi + off][ctx.pair_b]
+        ag = dense(a)[:, wlo:whi][ctx.pair_a]
+        bg = dense(b)[:, ::-1][:, wlo + off:whi + off][ctx.pair_b]
         np.add.at(out, ctx.pair_c, np.einsum("pwab,pwba->p", ag, bg))
     return out
 
@@ -150,6 +150,15 @@ def dense(slab) -> np.ndarray:
     out = np.zeros((slab.shi.size,) + slab.data.shape[1:], dtype=np.complex128)
     out[:slab.data.shape[0]] = slab.data
     return out
+
+
+def trim(x: Series) -> Series:
+    """``x`` with the stored rows of each component cut at its last live
+    row, as the kernel stores them, after rows were certified zero in
+    place."""
+    for s in x.slabs:
+        s.data = s.data[:np.flatnonzero(s.shi != NEG).max(initial=-1) + 1].copy()
+    return x
 
 
 def same_slab(x, y) -> bool:

@@ -8,6 +8,7 @@ import pathlib
 import time
 import weakref
 
+import numpy as np
 import pytest
 
 from loopjet import scenario
@@ -504,7 +505,9 @@ def test_jet_shape_is_the_contexts(name, order):
     ctx = Scenario(cfg).ctx
     assert (shape.T, shape.W, shape.nfft, shape.pairs) == \
         (ctx.T, ctx.W, ctx.nfft, ctx.pair_a.size)
-    assert shape.value_bytes == Series.zeros(ctx).slabs[0].data.nbytes
+    # the most a value stores: every jet row live
+    full = Series.monomial(ctx, np.eye(ctx.n), alpha=ctx.T - 1)
+    assert shape.value_bytes == full.stored_rows().nbytes
     assert shape.spectrum_bytes == ctx.spectrum_bytes
     assert shape.value_bytes <= VALUE_BUDGET_BYTES
 

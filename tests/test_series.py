@@ -16,10 +16,10 @@ from loopjet.context import NEG, POS
 from loopjet import series
 from loopjet.series import _cap_top, _finalize_tlo, _slab_mul
 
-from helpers import (conv_oracle, jet_conv_oracle, random_jet_series,
+from helpers import (conv_oracle, dense, jet_conv_oracle, random_jet_series,
                      random_laurent_dict, random_matrix, reference_pairing,
                      reference_slab_product, require_window, rng, same_slab,
-                     same_value, series_from_dict, trusted_lo)
+                     same_value, series_from_dict, trim, trusted_lo)
 
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -349,7 +349,7 @@ def _kill_rows(x: Series, rows) -> Series:
     for row in rows:
         s.data[row] = 0.0
         s.shi[row], s.slo[row], s.tlo[row], s.thi[row] = NEG, POS, NEG, POS
-    return x
+    return trim(x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -540,7 +540,8 @@ class _Laurent:
 
 def _mixed_jet_operand(ctx, gen, dead_rows):
     """Series with its own degree range and exactness on every jet row; the
-    ``dead_rows`` are then certified zero but keep stale non-zero data.
+    ``dead_rows`` are then certified zero but keep stale non-zero data
+    (those below the last live row; the rows past it are not stored).
     Returns the series and the oracle dict of its live rows."""
     out = Series.zeros(ctx)
     live = {}
@@ -557,7 +558,7 @@ def _mixed_jet_operand(ctx, gen, dead_rows):
         assert np.abs(slab.data[row]).max() > 0
         slab.shi[row], slab.slo[row] = NEG, POS
         slab.tlo[row], slab.thi[row] = NEG, POS
-    return out, live
+    return trim(out), live
 
 
 def _pair_table_bounds(ctx, a, b, top):
@@ -581,11 +582,12 @@ def _pair_table_bounds(ctx, a, b, top):
 def _assert_data_matches(ctx, slab, oracle):
     """Every stored coefficient of ``slab`` equals the oracle's (zero where
     the oracle has no term)."""
+    data = dense(slab)
     for row in range(ctx.T):
         want = oracle.get(tuple(ctx.midx[row]), _Laurent({})).coeffs
         for p, k in enumerate(ctx.degrees):
             expect = want.get(int(k), np.zeros((ctx.n, ctx.n)))
-            assert np.abs(slab.data[row, p] - expect).max() < 1e-12
+            assert np.abs(data[row, p] - expect).max() < 1e-12
 
 
 @pytest.mark.parametrize("cap", [None, 0, 1, 2, 3])
@@ -622,7 +624,7 @@ def test_slab_mul_is_the_pair_by_pair_reference_bit_for_bit(n, case, cap):
     deg = ctx.degrees[None, :]
     keep = (deg >= out.slo[:, None]) & (deg <= out.shi[:, None])
     assert np.any(keep)
-    assert np.array_equal(out.data, ref * keep[..., None, None])
+    assert np.array_equal(dense(out), ref * keep[..., None, None])
 
 
 @pytest.mark.parametrize("one_row_blocks", [False, True])
@@ -648,7 +650,7 @@ def test_grade_blocked_product_is_the_pair_by_pair_reference(
         ref = reference_slab_product(ctx, a.slabs[0], b.slabs[0], cap)
         keep = (deg >= out.slo[:, None]) & (deg <= out.shi[:, None])
         assert np.any(keep)
-        assert np.array_equal(out.data, ref * keep[..., None, None])
+        assert np.array_equal(dense(out), ref * keep[..., None, None])
 
 
 @pytest.mark.parametrize("one_row_blocks", [False, True])
@@ -685,12 +687,13 @@ def test_restricted_rows_are_the_full_products(num_vars, cap, one_row_blocks,
             part = a.matmul(b, cap, rows=np.flatnonzero(keep))
             monkeypatch.setattr(series, "_entry_mul", entry_mul)
             got = part.slabs[0]
-            for arr in ("data", "tlo", "slo", "shi", "thi"):
+            assert np.array_equal(dense(got)[keep], dense(whole)[keep])
+            for arr in ("tlo", "slo", "shi", "thi"):
                 assert np.array_equal(getattr(got, arr)[keep],
                                       getattr(whole, arr)[keep]), arr
             assert np.all(got.shi[~keep] == NEG) and np.all(got.slo[~keep] == POS)
             assert np.all(got.tlo[~keep] == NEG) and np.all(got.thi[~keep] == POS)
-            assert not np.any(got.data[~keep])
+            assert not np.any(dense(got)[~keep])
             assert part.vorder == a.matmul(b, cap).vorder
     # the general path ran one a-row against b-rows and, past two
     # variables, also a batch of a-rows against one b-row
@@ -750,13 +753,13 @@ def _full_window_operand(ctx, gen, lo, hi, scale):
 def _relative_error(ctx, slab, oracle):
     """Largest stored-coefficient error of ``slab`` against the oracle,
     relative to the oracle's largest window coefficient."""
-    want = np.zeros_like(slab.data)
+    want = np.zeros_like(dense(slab))
     for row in range(ctx.T):
         got = oracle.get(tuple(ctx.midx[row]), _Laurent({})).coeffs
         for p, k in enumerate(ctx.degrees):
             if int(k) in got:
                 want[row, p] = got[int(k)]
-    return np.abs(slab.data - want).max() / np.abs(want).max()
+    return np.abs(dense(slab) - want).max() / np.abs(want).max()
 
 
 _HALVED = [(-13, 3), (-3, 13)]  # nfft 32 here; 2W - 1 = 33 would need 64
@@ -854,7 +857,7 @@ def test_capped_product_with_jet_constant_factor(b_const):
     assert past.sum() == 7
     assert np.all(out.shi[past] == NEG) and np.all(out.slo[past] == POS)
     assert np.all(out.tlo[past] == NEG) and np.all(out.thi[past] == POS)
-    assert not np.any(out.data[past])
+    assert not np.any(dense(out)[past])
 
 
 def test_exact_times_clipped_lplus_is_trusted():
@@ -883,7 +886,7 @@ def test_slab_mul_const_keeps_dead_rows_dead(b_const):
     for row in (1, 4):
         assert (out.shi[row], out.slo[row]) == (NEG, POS)
         assert (out.tlo[row], out.thi[row]) == (NEG, POS)
-        assert not np.any(out.data[row])
+        assert not np.any(dense(out)[row])
     assert np.all(out.shi[[0, 2, 3, 5]] != NEG)
     # the product of two jet-constant operands is jet-constant
     cst2, _ = _mixed_jet_operand(ctx, gen, dead_rows=range(1, ctx.T))
@@ -1036,3 +1039,44 @@ def test_ledger_drops_the_least_recently_used_first():
     assert ledger.bytes == 20
     del c
     assert ledger.bytes == 10
+
+
+# -- storage: only the live jet rows ------------------------------------------
+
+def test_values_store_only_their_live_rows(monkeypatch):
+    # a slab stores the rows up to its last live one and no more, with
+    # bound arrays of every jet row, through a whole gl3_full run; the
+    # zero value stores none, jet-constant values one
+    import json
+    import pathlib
+
+    from loopjet.scenario import Scenario, ScenarioConfig, _Runner
+
+    slab_init, series_init = series._Slab.__init__, Series.__init__
+    seen = {"slabs": 0, "values": 0}
+
+    def slab_checked(self, data, tlo, slo, shi, thi):
+        slab_init(self, data, tlo, slo, shi, thi)
+        assert data.shape[0] == np.flatnonzero(shi != NEG).max(initial=-1) + 1
+        assert len({b.shape for b in (tlo, slo, shi, thi)}) == 1
+        seen["slabs"] += 1
+
+    def series_checked(self, ctx, slabs, vorder):
+        series_init(self, ctx, slabs, vorder)
+        for s in slabs:
+            assert all(b.shape == (ctx.T,) for b in (s.tlo, s.slo, s.shi, s.thi))
+            assert s.data.shape[1:] == (ctx.W, ctx.n, ctx.n)
+        seen["values"] += 1
+
+    monkeypatch.setattr(series._Slab, "__init__", slab_checked)
+    monkeypatch.setattr(Series, "__init__", series_checked)
+    raw = json.loads((pathlib.Path(__file__).parent.parent / "configs"
+                      / "gl3_full.json").read_text())
+    scen = Scenario(ScenarioConfig.from_dict(raw))
+    assert _Runner(scen).run().passed
+    assert seen["slabs"] > 1000 and seen["values"] > 1000
+    ctx = scen.ctx
+    assert ctx.T == 84 and ctx in scen.seq._j1  # J_1 is memoized
+    assert Series.zeros(ctx).stored_rows().shape[0] == 0
+    for one in (Series.identity(ctx), scen.f.embed(ctx), scen.seq.j1(ctx)):
+        assert one.stored_rows().shape[0] == 1

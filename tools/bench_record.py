@@ -11,12 +11,12 @@ per-workload summary: the median of each metric on each side, the
 quartiles of the parent's runs and the number of pairs the change won.
 
 After the pairs it runs, in 3 rounds, each of the 10 shipped configs
-through the CLI, the three larger workloads ``gl3_full`` at jet orders 4
-and 5 (full suite) and ``akns_standard`` at order 8, and the Tier-1 suite,
+through the CLI, the four larger workloads ``gl3_full`` at jet orders 4,
+5 and 6 (full suite) and ``akns_standard`` at order 8, and the Tier-1 suite,
 once per side, alternating which side goes first from item to item and from
 round to round.  Each of these ``extras`` records its round, wall time,
 exit code, peak RSS, minor faults, the report's ``timing_s`` and, for the
-three larger workloads, a gate: exit 0, every check passed, and the check
+four larger workloads, a gate: exit 0, every check passed, and the check
 ids and conventions of the shipped order-3 report pinned in
 ``tests/data/shipped_reports.json``;
 ``extras_wall_s``, ``extras_rss_mb`` and ``extras_minflt`` hold each
@@ -31,7 +31,9 @@ move of a check's ``max_defect`` in decades (|log10| of the ratio), the
 checks whose defect changed between zero and nonzero, and whether every
 defect stayed within ``DEFECT_BAND`` decades of the parent's with no such
 change: the band of the defect ratchet in ``tests/test_cli.py``, applied
-here also to the order-4, 5 and 8 workloads, which have no pinned defects.
+here also to the order-4, 5, 6 and 8 workloads, which have no pinned
+defects.  The order-6 workload takes about 75 s a run, so its 3 rounds per
+side add about 7.5 minutes to a recording.
 Every child process, ``run.py`` included, records its ``ru_maxrss`` and
 ``ru_minflt`` from ``os.wait4`` (they cover the processes it waited for, so
 a ``run.py`` run counts its workload processes).  BLAS/OpenMP threads are
@@ -70,6 +72,7 @@ ROUNDS = 3  # runs per side of each extra
 # name -> (shipped config, jet order): the gated larger workloads
 LARGE = {"gl3_full_order4": ("gl3_full", 4),
          "gl3_full_order5": ("gl3_full", 5),
+         "gl3_full_order6": ("gl3_full", 6),
          "akns_standard_order8": ("akns_standard", 8)}
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 DEFECT_BAND = 1.0  # decades, as the defect ratchet of tests/test_cli.py
