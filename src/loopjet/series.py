@@ -27,34 +27,36 @@ the plus-projection restores full trust below zero because its result is
 zero there by definition.  ``vorder`` tracks the trusted jet order (a time
 derivative lowers it by one) and comparisons mask orders beyond it.
 
-Only live jet rows are stored: coefficients as ``(R, W, n, n)``, jet row,
-lambda position, matrix entry, where R is the last live row (``shi != NEG``)
-plus one, so a jet-constant value stores one row and zero none; the degree
-bounds cover all T rows, and a row at or past R is certified zero.  Products
-convolve in lambda by FFT of the window copied into a zero-padded buffer.
-An operand's spectrum is row-major, ``(R, n, n, nfft)``, with certified-zero
+Coefficients are stored as ``(R, W, n, n)``: jet row, lambda position,
+matrix entry, where R is the last live row (``shi != NEG``) plus one; the
+degree bounds cover all T rows, and a row at or past R is certified zero and
+has no storage, so a jet-constant value stores one row.  Products convolve
+in lambda by FFT of the window copied into a zero-padded buffer.  An
+operand's spectrum is row-major, ``(R, n, n, nfft)``, with certified-zero
 rows (``shi == NEG``) held at exact zero, and it is held on the operand
-under a budget per context, ``_SPECTRUM_BUDGET`` spectra of every jet row:
-past it the least recently used spectra are dropped and transformed again on
-their next use, which gives the same bits.  The jet product runs over the
-grades g of the left factor: its live rows of grade g and the admissible
-right rows, the prefix ``[0, upto[top - g])``, span a grid whose outputs
+under a budget per
+context, ``_SPECTRUM_BUDGET`` spectra of every jet row: past it the least
+recently used spectra are dropped and transformed again on their next use,
+which gives the same bits.  The jet product runs over the grades
+g of the left factor: its live rows of grade g and the admissible right
+rows, the prefix ``[0, upto[top - g])``, span a grid whose outputs
 ``grade_out[g]`` are distinct along each row and each column.  A grade is
-batched along the longer side of its grid, by a-row in ascending order or by
-b-column in descending order, in blocks of at most ``_BLOCK_BYTES`` of
-spectrum, which stay in L2.  The terms of an output c from grade g have right
-rows of one grade, where descending b is ascending a = c - b, so every
-output adds its terms in ascending a; the n x n product of spectra is summed
-entry by entry in ascending k (``_entry_mul``), the one way spectra are
-multiplied here.  This fixed order of operations keeps reports
-bit-identical.  Only the rows up to the last live output are transformed
-back, as a view, so they are copied once, into the data.  A pairing walks
-the same grids and adds each grade's ``einsum`` in ascending a; bounds and
-scalar-jet products scatter into the ``pair_c`` rows.  A jet-order ``cap``
-leaves every row past it certified zero, on the jet-constant path as on the
-general one.  A product restricted to some output rows (``rows=``) walks
-only the pairs that reach them from live rows, so each has the whole
-product's bits, and certifies the other rows zero.
+batched along the longer side of its grid, by a-row in ascending order or
+by b-column in descending order, in blocks of at most ``_BLOCK_BYTES`` of
+spectrum, which stay in L2.  The terms of an output c from grade g have
+right rows of one grade, where descending b is ascending a = c - b, so
+every output adds its terms in ascending a; the n x n product of spectra
+is summed entry by entry in ascending k (``_entry_mul``), the one way
+spectra are multiplied here.  This fixed order of operations keeps
+reports bit-identical.  Only the rows up to the last live output are
+transformed back, as a view, so they are copied once, into the data.
+A pairing walks the same grids and adds each grade's ``einsum`` in
+ascending a; bounds and scalar-jet products scatter into the ``pair_c`` rows.
+A jet-order ``cap`` leaves every row past it certified zero, on the
+jet-constant path as on the general one.  A product restricted to some
+output rows (``rows=``) walks only the pairs that reach them from live
+rows, so each has the whole product's bits, and certifies the other rows
+zero.
 
 An inverse is solved grade by grade (forward substitution over jet grades):
 its row 0 is the memoized Laurent inverse of the value's row 0, polished by
@@ -90,9 +92,8 @@ _SPECTRUM_BUDGET = 6  # spectra of every jet row a context holds, at most
 
 
 class _Slab:
-    """One epsilon component: the data of jet rows ``[0, R)``, R the last
-    live row (``shi != NEG``) plus one, and the four degree bounds of every
-    jet row.  A row at or past R is certified zero and has no storage."""
+    """One epsilon component: the data of its jet rows ``[0, R)`` (see the
+    module docstring) and the four degree bounds of all T jet rows."""
 
     __slots__ = ("data", "tlo", "slo", "shi", "thi", "_hat", "__weakref__")
 
@@ -356,10 +357,9 @@ def _row_copy(dst: tuple, rows, src: tuple, src_rows, factor=None,
     """The per-row arrays ``dst`` (data first, then any degree bounds) with
     their ``rows`` holding the ``src_rows`` of ``src``, the data multiplied
     by ``factor`` or divided by ``divisor`` row by row: the one way jet rows
-    are written.  A source row past the stored rows of the data reads zero,
-    and a destination row past them is left out (it is certified zero).
-    ``dst`` is copied first unless ``copy`` is false (fresh arrays nothing
-    else holds are written in place)."""
+    are written.  Data rows past the stored ones read zero and are not
+    written (they are certified zero).  ``dst`` is copied first unless
+    ``copy`` is false (fresh arrays nothing else holds are written in place)."""
     out = tuple(a.copy() for a in dst) if copy else dst
     rows, src_rows = np.asarray(rows), np.asarray(src_rows)
     data = src[0]
@@ -777,10 +777,10 @@ class Series(_Jet):
             return slab.data[row, ctx.pos(k)].copy()
         return np.zeros((ctx.n, ctx.n), dtype=np.complex128)
 
-    def stored_rows(self, eps: int = 0) -> np.ndarray:
-        """The stored rows ``(R, W, n, n)`` of component ``eps`` (each later
-        row is certified zero), shared: callers must not modify them."""
-        return self.slabs[eps].data
+    def stored_rows(self) -> np.ndarray:
+        """The stored rows ``(R, W, n, n)`` of the base value (each later row
+        is certified zero), shared: callers must not modify them."""
+        return self.slabs[0].data
 
     def degree_slice(self, k: int) -> "Series":
         """The lambda**k coefficient as a jet of constant matrices (placed at
