@@ -870,14 +870,14 @@ class Series(_Jet):
         """Largest trusted coefficient magnitude (untrusted entries and jet
         orders beyond ``vorder`` are masked, never compared)."""
         ctx = self.ctx
+        live = ctx.totals <= self.vorder
         deg = ctx.degrees[None, :]
         best = 0.0
         for s in self.slabs:  # the rows past the stored ones are zero
             rows = s.data.shape[0]
             lo = np.where(s.tlo == NEG, ctx.lo, s.tlo)[:rows, None]
             hi = np.where(s.thi == POS, ctx.hi, s.thi)[:rows, None]
-            live = (ctx.totals <= self.vorder)[:rows, None]
-            mask = (deg >= lo) & (deg <= hi) & live
+            mask = (deg >= lo) & (deg <= hi) & live[:rows, None]
             if np.any(mask):
                 best = max(best, float(
                     np.abs(s.data * mask[:, :, None, None]).max()))
