@@ -157,7 +157,7 @@ def trim(x: Series) -> Series:
     row, as the kernel stores them, after rows were certified zero in
     place."""
     for s in x.slabs:
-        s.data = s.data[:np.flatnonzero(s.shi != NEG).max(initial=-1) + 1].copy()
+        s.data = s.data[:kernel._live_rows(s.shi)].copy()
     return x
 
 

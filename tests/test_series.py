@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
 import weakref
 
 import numpy as np
@@ -14,6 +16,7 @@ from loopjet import (JetContext, ScalarJet, Series, ShapeError, TrustError,
                      exp_series)
 from loopjet.context import NEG, POS
 from loopjet import series
+from loopjet.scenario import Scenario, ScenarioConfig, _Runner
 from loopjet.series import _cap_top, _finalize_tlo, _slab_mul
 
 from helpers import (conv_oracle, dense, jet_conv_oracle, random_jet_series,
@@ -1047,11 +1050,6 @@ def test_values_store_only_their_live_rows(monkeypatch):
     # a slab stores the rows up to its last live one and no more, with
     # bound arrays of every jet row, through a whole gl3_full run; the
     # zero value stores none, jet-constant values one
-    import json
-    import pathlib
-
-    from loopjet.scenario import Scenario, ScenarioConfig, _Runner
-
     slab_init, series_init = series._Slab.__init__, Series.__init__
     seen = {"slabs": 0, "values": 0}
 
