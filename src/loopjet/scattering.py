@@ -57,8 +57,9 @@ class FactorizationResult:
 
     The result of an eps refactorization keeps the eps-free ``base`` result
     it was computed along; the component 0 of its values is then the base
-    result's value (M and M^-1 share it, and the values it builds later,
-    conjugates, xi, V f^-1 and E, take it from the base's)."""
+    result's value, as it was at every jet order of the run (M and M^-1
+    share it, and the values it builds later, conjugates, xi, V f^-1 and E,
+    take it from the base's)."""
 
     def __init__(self, spec, seq, ctx, f, M, Minv, V,
                  var_choice: str = "first",
@@ -220,13 +221,11 @@ def factorize_jet(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
 
     ``base``, the result for the base value of an eps datum f, makes this
     an eps refactorization along it (the forward-mode sweep over a recorded
-    primal trace): past order 1, component 0 of every value is read off
+    primal trace): at every order, component 0 of every value is read off
     ``base``, each order's M, M^-1 and M J M^-1 being the grades of
     ``base.M``, ``base.Minv`` and ``base.conjugated_base`` below it, and only
-    the tangent components are computed.  Order 1 computes its own, as a
-    run from scratch does: its M^-1 is the unpolished row-0 inverse, not a
-    prefix of the final one.  The base must match f, V, ``var_choice`` and
-    the context, or ShapeError is raised.
+    the tangent components are computed.  The base must match f, V,
+    ``var_choice`` and the context, or ShapeError is raised.
 
     Either way the run builds M and M^-1.  A run from scratch also reads E,
     u_f and v_f before it returns, so their spill checks fail here; an eps
@@ -244,10 +243,9 @@ def factorize_jet(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
         _require_base(base, seq, ctx, f, V, var_choice)
 
     M = Series.from_rows(ctx, [0], f, [0])  # M(0) = f, not an alias
-    Minv = None
+    Minv, along = None, base is not None
     for ell, by_var in sorted(ctx.integration_steps(var_choice).items()):
         cap = ell - 1  # everything this order reads lives at order ell-1
-        along = base is not None and ell > 1
         if along:  # M's base rows so far are base.M's
             M = Series(ctx, _grades_below(base.M, ell, M.vorder).slabs
                        + M.slabs[1:], M.vorder)
@@ -276,7 +274,7 @@ def factorize_jet(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
             nxt = nxt.with_rows(rows, integrand(gen, shift, src), src,
                                 divisor=exps)
         M = nxt
-    if base is not None:
+    if along:
         M = Series(ctx, base.M.slabs[:1] + M.slabs[1:], M.vorder)
 
     result = FactorizationResult(

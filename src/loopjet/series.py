@@ -59,9 +59,10 @@ rows, so each has the whole product's bits, and certifies the other rows
 zero.
 
 An inverse is solved grade by grade (forward substitution over jet grades):
-its row 0 is the memoized Laurent inverse of the value's row 0, polished by
-one Newton step, and each grade g is -X_0 ((A - A_0) X)_g, two products
-restricted to the rows of grade g.  Handed the inverse to a lower jet order
+its row 0 is the Laurent inverse of the value's row 0, polished by one
+Newton step and memoized, one rule for every value, a jet-constant one
+included, and each grade g is -X_0 ((A - A_0) X)_g, two products restricted
+to the rows of grade g.  Handed the inverse to a lower jet order
 (``start=``), it solves only the grades past that one.
 
 Every value carries K >= 0 tangent components next to its base value: a
@@ -227,7 +228,7 @@ def _pair_bounds(a: _Slab, ia, b: _Slab, ib):
                      np.where(btlo == NEG, NEG, btlo + ashi))
     thi = np.minimum(np.where(athi == POS, POS, athi + bslo),
                      np.where(bthi == POS, POS, bthi + aslo))
-    return tlo, aslo + bslo, ashi + bshi, thi
+    return tlo, aslo + bslo, np.minimum(ashi + bshi, POS), thi
 
 
 def _product_slab(ctx: JetContext, C, tlo, slo, shi, thi) -> _Slab:
@@ -691,34 +692,29 @@ class Series(_Jet):
         the base value computed earlier, is taken as the base component.
 
         The base component is solved grade by grade from A X = I (forward
-        substitution over jet grades): X_0 is the memoized row-0 Laurent
-        inverse, polished by one jet-constant Newton step, and then
-        X_g = -X_0 ((A - A_0) X)_g, which reads only the grades below g.
-        ``start``, the inverse of this value to a lower jet order (one whose
-        rows agree with this value's up to that order), gives the grades up
-        to its trusted order as they are, and the substitution goes on from
-        there with the same bits as from scratch.  A jet-constant ``start``
-        gives no grade past X_0 and is not used."""
+        substitution over jet grades): X_0 is the memoized, Newton-polished
+        row-0 Laurent inverse (the whole inverse of a jet-constant value),
+        and then X_g = -X_0 ((A - A_0) X)_g, which reads only the grades
+        below g.  ``start``, the inverse of this value to a lower jet order
+        (one whose rows agree with this value's up to that order, order 0
+        included), gives the grades up to its trusted order as they are, and
+        the substitution goes on from there with the same bits as from
+        scratch."""
         if self.E > 1:
             b = base if base is not None else self.base_part().inv(
                 cap, start=None if start is None else start.base_part())
             return b.with_eps(*[-b.matmul(self.eps_part(i), cap).matmul(b, cap)
                                 for i in range(self.E - 1)])
         ctx = self.ctx
-        a = self.slabs[0]
         goal = ctx.order if cap is None else min(cap, ctx.order)
-        if goal == 0 or a.jet_const():
-            return Series(ctx, (_laurent_inv(ctx, a),), self.vorder)
-        if start is None or start.slabs[0].jet_const():
-            x0 = Series(ctx, (_laurent_inv(ctx, a),), self.vorder)
-            a0 = Series.from_rows(ctx, [0], self, [0])
-            x0 = x0.matmul(Series.identity(ctx).scale(2.0) - a0.matmul(x0))
-            x, done = x0, 0
+        if start is None:
+            x, done = Series(ctx, (_laurent_inv(ctx, self.slabs[0]),),
+                             self.vorder), 0
         else:
             done = min(start.vorder, goal)
             known = np.arange(ctx.upto[done])
             x = Series.from_rows(ctx, known, start.base_part(), known)
-            x0 = Series.from_rows(ctx, [0], x, [0])
+        x0 = Series.from_rows(ctx, [0], x, [0])
         # x holds the grades below g, so A X at grade g is (A - A_0) X there
         for g in range(done + 1, goal + 1):
             rows = np.arange(ctx.upto[g - 1], ctx.upto[g])
@@ -1015,16 +1011,21 @@ def _conv_row(ctx: JetContext, fx: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _laurent_inv(ctx: JetContext, slab: _Slab) -> _Slab:
-    """Inverse of the base (jet index zero) Laurent coefficient, computed
-    once per context and input: the Neumann loop reads only the row-0 data
-    and trusted floor, so those key the context's memo.  Every call returns
-    a fresh slab."""
-    key = (_rows_like(slab.data, 1).tobytes(), int(slab.tlo[0]))
+    """Inverse X_0 of the base (jet index zero) Laurent coefficient A_0: the
+    Neumann inverse polished by one Newton step, X_0 (2I - A_0 X_0).  It is
+    computed once per context and input: the Neumann loop and the polish
+    read only the row-0 data and its four degree bounds, so those key the
+    context's memo.  Every call returns a fresh slab."""
+    bounds = [int(b[0]) for b in (slab.tlo, slab.slo, slab.shi, slab.thi)]
+    data = _rows_like(slab.data, 1)[0]
+    key = (data.tobytes(), *bounds)
     row = ctx.inv_memo.get(key)
     if row is None:
-        inv = _neumann_inv(ctx, slab)
-        row = ctx.inv_memo[key] = (inv.data[0], inv.tlo[0], inv.slo[0],
-                                   inv.shi[0], inv.thi[0])
+        x, a0 = _neumann_inv(ctx, slab), _one_row(ctx, 0, data, *bounds)
+        two = _one_row(ctx, 0, _pad_const(ctx, 2.0 * np.eye(ctx.n)), NEG, 0, 0)
+        x = _slab_mul(ctx, x, _slab_add(two, _slab_mul(ctx, a0, x), -1.0))
+        row = ctx.inv_memo[key] = (x.data[0], x.tlo[0], x.slo[0], x.shi[0],
+                                   x.thi[0])
     return _one_row(ctx, 0, *row)
 
 

@@ -205,7 +205,7 @@ def gl_frame_variation(result: FactorizationResult, ell: int) -> Series:
 def eps_perturbed_result(result: FactorizationResult, df: Series
                          ) -> FactorizationResult:
     """Refactorize f + eps df (the exact variation route) along
-    ``result``: past jet order 1, component 0 of every value is read off
+    ``result``: at every jet order, component 0 of every value is read off
     ``result``'s own values and only the tangent is computed (see
     :func:`~loopjet.scattering.factorize_jet`)."""
     f0 = result.f.base_part()

@@ -336,11 +336,10 @@ def test_eps_runs_along_a_base_equal_runs_from_scratch(scen3):
         assert getattr(along, name).slabs[0] is getattr(res, name).slabs[0]
 
 
-def test_base_run_values_past_order_one_are_grades_of_its_final_ones(scen3):
+def test_base_run_values_at_every_order_are_grades_of_its_final_ones(scen3):
     # rebuilt as the base run builds them, each order's capped M^-1 and
-    # M J M^-1 past order 1 are the rows of grade <= cap of the final
-    # values, which an eps run reads off its base; order 1's unpolished
-    # row-0 inverse is not, so an eps run computes order 1 itself
+    # M J M^-1, order 1's included, are the rows of grade <= cap of the
+    # final values, which an eps run reads off its base at every order
     s = scen3
     ctx = s.ctx
     res = factorize_jet(s.spec, s.seq, ctx, s.f)
@@ -354,8 +353,8 @@ def test_base_run_values_past_order_one_are_grades_of_its_final_ones(scen3):
         cap = ell - 1
         M = rows_of(res.M, cap, res.M.vorder)
         Minv = M.inv(cap, start=Minv)
-        assert same_value(Minv, rows_of(res.Minv, cap, cap)) == (ell > 1), ell
-        for key in s.seq.bases if ell > 1 else ():
+        assert same_value(Minv, rows_of(res.Minv, cap, cap)), ell
+        for key in s.seq.bases:
             conj = M.matmul(s.seq.base_series(ctx, key), cap).matmul(Minv, cap)
             assert same_value(conj, rows_of(res.conjugated_base(key), cap,
                                             cap)), (ell, key)
@@ -407,6 +406,19 @@ def test_reduced_frame_inverse_is_at_rounding_level_per_grade(name, order):
         r = dense((x * y - ident).slabs[0])
         for g in range(s.ctx.order + 1):
             assert np.abs(r[s.ctx.totals == g]).max() <= 2 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_f_inverse_is_at_rounding_level(name):
+    # f^-1 (read by V f^-1, E and the Virasoro fields) is the polished row-0
+    # inverse that M^-1 starts from: f f^-1 and f^-1 f are the identity to
+    # two ulps on every shipped config
+    s = _scenario(name)
+    f = s.f.embed(s.ctx)
+    ident = Series.identity(s.ctx)
+    for x, y in ((f, f.inv()), (f.inv(), f)):
+        r = dense((x * y - ident).slabs[0])
+        assert np.abs(r).max() <= 2 * np.finfo(float).eps
 
 
 def test_mismatched_base_is_refused(scen):

@@ -173,13 +173,19 @@ def test_warm_started_inverse_is_the_inverse_from_scratch(num_vars, K):
     A = Series.identity(ctx) + random_jet_series(ctx, gen, -3, -1, 0.3)
     a = A.with_eps(*[random_jet_series(ctx, gen, -2, 0, 0.3)
                      for _ in range(K)]) if K else A
-    for k in range(1, ctx.order + 1):
+    for k in range(ctx.order + 1):
         scratch = a.inv(k)
         assert scratch.vorder == k
-        assert same_value(a.inv(k, start=a.inv(k - 1)), scratch), k
+        if k:
+            assert same_value(a.inv(k, start=a.inv(k - 1)), scratch), k
     assert same_value(a.inv(start=a.inv(ctx.order - 1)), a.inv())
     # a start past the goal gives its grades up to the goal alone
     assert same_value(a.inv(1, start=a.inv(2)), a.inv(1))
+    # one row-0 rule: the inverse of row 0 alone is the inverse's row 0, and
+    # a start at jet order 0 is used as it is
+    row0 = Series.from_rows(ctx, [0], a, [0])
+    assert same_value(row0.inv(), Series.from_rows(ctx, [0], a.inv(), [0]))
+    assert same_value(a.inv(start=a.inv(0)), a.inv())
 
 
 # -- derivative in lambda ------------------------------------------------------
@@ -879,6 +885,24 @@ def test_exact_times_clipped_lplus_is_trusted():
     assert abs(np.trace(got) - a.pairing(b, -1).coeff(0)) < 1e-15
 
 
+@pytest.mark.parametrize("order", [0, 1])
+def test_clipped_lplus_products_keep_the_pos_sentinel(order):
+    # two clipped L+ inverses both certify support up to POS; their product
+    # does too, not 2 POS, on the jet-constant and the general path
+    ctx = JetContext(("t1",)[:order], order, 2, -6, 4)
+    gen = rng(29 + order)
+    lplus = [Series.identity(ctx) + sum(
+        (series_from_dict(ctx, random_laurent_dict(gen, 2, 1 - row, 2, 0.3),
+                          alpha=row) for row in range(1, ctx.T)),
+        series_from_dict(ctx, random_laurent_dict(gen, 2, 1, 2, 0.3)))
+        for _ in range(2)]
+    a, b = (x.inv() for x in lplus)
+    assert a.slabs[0].shi[0] == b.slabs[0].shi[0] == POS
+    for prod in (a * b, b * a):
+        assert np.all(prod.slabs[0].shi <= POS)
+        assert prod.slabs[0].shi[0] == POS
+
+
 @pytest.mark.parametrize("b_const", [True, False])
 def test_slab_mul_const_keeps_dead_rows_dead(b_const):
     ctx = JetContext(("t1", "t2"), 2, 2, -9, 5)
@@ -944,6 +968,11 @@ def test_laurent_inv_memo_matches_uncached_call():
     from loopjet.series import _laurent_inv, _neumann_inv
     ctx = fctx(lo=-16)
     gen = rng(71)
+
+    def polished(s):  # the Neumann inverse X, polished: X (2I - A X)
+        x = Series(ctx, (_neumann_inv(ctx, s.slabs[0]),), ctx.order)
+        return x.matmul(Series.identity(ctx).scale(2.0) - s * x).slabs[0]
+
     neg = Series.identity(ctx) + series_from_dict(
         ctx, random_laurent_dict(gen, 2, -3, -1, 0.3))
     pos = Series.identity(ctx) + series_from_dict(
@@ -953,13 +982,13 @@ def test_laurent_inv_memo_matches_uncached_call():
     for s in (neg, pos, cut):
         slab = s.slabs[0]
         first = _laurent_inv(ctx, slab)
-        assert same_slab(first, _neumann_inv(ctx, slab))
+        assert same_slab(first, polished(s))
         first.data[0] += 1.0
         first.tlo[0], first.shi[0] = 3, -7
         again = _laurent_inv(ctx, slab)
         assert again is not first
-        assert same_slab(again, _neumann_inv(ctx, slab))
-    # one entry per distinct (row-0 data, trusted floor)
+        assert same_slab(again, polished(s))
+    # one entry per distinct row 0: its data and four degree bounds
     assert len(ctx.inv_memo) == 3
 
 
