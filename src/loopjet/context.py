@@ -34,9 +34,9 @@ run fits into the ``N - W`` residues outside them, that is when
 share a residue.
 
 A context also holds the memo of base Laurent inverses (``inv_memo``):
-the Newton-polished Neumann inverse of a jet's row-0 coefficient depends
-only on that coefficient and its four degree bounds, which key the memo,
-and one scenario inverts the same few coefficients many times.  It also keeps the integration steps that the
+the Newton-polished inverse of a jet's row-0 coefficient depends only on
+that coefficient and its four degree bounds, and one scenario inverts the
+same few coefficients many times.  It also keeps the integration steps that the
 factorization and ln tau share, and the ledger of the spectra its values
 hold (``spectra``), which :mod:`loopjet.series` keeps under a budget.
 Apart from these contexts are immutable and cheap to share; every series
@@ -158,8 +158,7 @@ class JetContext:
         # so degrees [lo, hi] sit at positions [-lo, -lo+W).
         self.extract = slice(-self.lo, -self.lo + self.W)
         self.degrees = np.arange(self.lo, self.hi + 1, dtype=np.int64)
-        # (row-0 coefficient bytes, tlo, slo, shi, thi) -> row 0 of the
-        # polished inverse
+        # (row-0 bytes, tlo, slo, shi, thi) -> row 0 of the polished inverse
         self.inv_memo: dict[tuple[bytes, int, int, int, int], tuple] = {}
         self._steps: dict[str, dict] = {}  # see integration_steps
         # bytes of a spectrum of every jet row: the unit of the budget

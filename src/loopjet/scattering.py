@@ -56,10 +56,10 @@ class FactorizationResult:
     them, since the variation checks read only its M, M^-1 and ln tau.
 
     The result of an eps refactorization keeps the eps-free ``base`` result
-    it was computed along; the component 0 of its values is then the base
-    result's value, as it was at every jet order of the run (M and M^-1
-    share it, and the values it builds later, conjugates, xi, V f^-1 and E,
-    take it from the base's)."""
+    it was computed along; the component 0 of its values, at every jet order
+    of the run, is then the base result's value (M and M^-1 share it, and
+    the values it builds later, conjugates, xi, V f^-1 and E, take it from
+    the base's)."""
 
     def __init__(self, spec, seq, ctx, f, M, Minv, V,
                  var_choice: str = "first",

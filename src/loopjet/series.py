@@ -59,11 +59,10 @@ rows, so each has the whole product's bits, and certifies the other rows
 zero.
 
 An inverse is solved grade by grade (forward substitution over jet grades):
-its row 0 is the Laurent inverse of the value's row 0, polished by one
-Newton step and memoized, one rule for every value, a jet-constant one
-included, and each grade g is -X_0 ((A - A_0) X)_g, two products restricted
-to the rows of grade g.  Handed the inverse to a lower jet order
-(``start=``), it solves only the grades past that one.
+its row 0, for every value alike, is the memoized Laurent inverse of the
+value's row 0, polished by one Newton step, and each grade g is
+-X_0 ((A - A_0) X)_g, two products restricted to the rows of grade g.  Handed
+the inverse to a lower jet order (``start=``), it solves the grades past it.
 
 Every value carries K >= 0 tangent components next to its base value: a
 first-order nilpotent extension with ``eps_i eps_j = 0`` (vector forward
