@@ -58,6 +58,8 @@ class VacuumSequence:
     c: tuple = ()                            # gl: diagonal of a
     _j1: dict = field(default_factory=dict, init=False, repr=False,
                       compare=False)         # context -> J_1, see j1
+    _frame: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)      # context -> V, see frame
 
     @property
     def j_max(self) -> int:
@@ -65,6 +67,13 @@ class VacuumSequence:
         for var, (base, shift) in self.gens.items():
             top = max(top, max(self.bases[base]) + shift)
         return top
+
+    @property
+    def full_grid(self) -> bool:
+        """Whether the flow exponents (shift + 1) are 1, 2, ..., m: the full
+        flow grid of the untwisted hierarchy."""
+        flows = sorted({shift + 1 for _, shift in self.gens.values()})
+        return flows == list(range(1, max(flows) + 1))
 
     def context(self, order: int, window: tuple[int, int] | None = None) -> JetContext:
         lo, hi = window if window is not None else default_window(order, self.j_max)
@@ -93,6 +102,13 @@ class VacuumSequence:
         if ctx not in self._j1:
             self._j1[ctx] = self.x_sum(lambda var: self.generator(ctx, var))
         return self._j1[ctx]
+
+    def frame(self, ctx: JetContext) -> Series:
+        """The vacuum frame V(t) (:func:`vacuum_frame`), built once per
+        context: the value is shared, so callers must not modify it."""
+        if ctx not in self._frame:
+            self._frame[ctx] = vacuum_frame(self, ctx)
+        return self._frame[ctx]
 
     def partial_x(self, value):
         """d/dx = sum_v c_v d/dt_v on a :class:`Series` or

@@ -13,6 +13,10 @@ E = M V f^-1 in one product chain (its own ODE is kept as a cross-check),
 and the formal inverse scattering solution is u_f = (M J_1 M^-1)_+ - J_1,
 a degree-zero jet with the phase space shape of the family.
 
+Every value of a run lives in its one jet context: the datum f = M(0), a
+sample h or a tangent df is a jet-constant value there, stored as one jet
+row.  J_1 and V are the vacuum sequence's, each built once per context.
+
 An independent oracle solves the same factorization directly from the
 splitting property of M V f^-1 (no flow ODEs involved) and is used by the
 tests to validate the recursion.
@@ -25,7 +29,7 @@ import numpy as np
 from .checks import detect
 from .context import JetContext
 from .errors import ShapeError, WindowExhausted
-from .hierarchy import VacuumSequence, lax_bracket, vacuum_frame
+from .hierarchy import VacuumSequence, lax_bracket
 from .series import Series, commutator
 from .splitting import SplittingSpec, reality_check
 
@@ -61,8 +65,7 @@ class FactorizationResult:
     the values it builds later, conjugates, xi, V f^-1 and E, take it from
     the base's)."""
 
-    def __init__(self, spec, seq, ctx, f, M, Minv, V,
-                 var_choice: str = "first",
+    def __init__(self, spec, seq, ctx, f, M, Minv, var_choice: str = "first",
                  base: "FactorizationResult | None" = None):
         self.spec = spec
         self.seq = seq
@@ -70,7 +73,6 @@ class FactorizationResult:
         self.f = f
         self.M = M
         self.Minv = Minv
-        self.V = V
         self.var_choice = var_choice
         self.base = base
         self._cache: dict = {}
@@ -83,6 +85,11 @@ class FactorizationResult:
 
     def _base_value(self, name: str) -> Series | None:
         return None if self.base is None else getattr(self.base, name)
+
+    @property
+    def V(self) -> Series:
+        """The vacuum frame V(t) of the context."""
+        return self.seq.frame(self.ctx)
 
     @property
     def vfinv(self) -> Series:
@@ -187,8 +194,7 @@ def _check_f(spec: SplittingSpec, f: Series) -> None:
 
 
 def _require_base(base: FactorizationResult, seq: VacuumSequence,
-                  ctx: JetContext, f: Series, V: Series,
-                  var_choice: str) -> None:
+                  ctx: JetContext, f: Series, var_choice: str) -> None:
     """Refuse a base result that is not the factorization of this run's
     base value."""
     why = None
@@ -200,8 +206,6 @@ def _require_base(base: FactorizationResult, seq: VacuumSequence,
         why = f"var_choice {var_choice!r} differs from {base.var_choice!r}"
     elif not f.same_base(base.f):
         why = "the base value of f differs"
-    elif V.E != 1 or not V.same_base(base.V):
-        why = "the vacuum frame differs"
     if why is not None:
         raise ShapeError(f"factorize_jet: cannot refactorize along this "
                          f"base: {why}")
@@ -209,22 +213,21 @@ def _require_base(base: FactorizationResult, seq: VacuumSequence,
 
 def factorize_jet(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
                   f: Series, var_choice: str = "first",
-                  V: Series | None = None,
                   base: FactorizationResult | None = None
                   ) -> FactorizationResult:
     """Factor V(t) f^-1 = M^-1 E to jet order ctx.order.
 
     ``var_choice`` picks which admissible variable integrates each
     multi-index ("first" is the production tie-break; "last" exists so the
-    tests can confirm the choice does not matter).  A precomputed vacuum
-    frame may be passed in when many data share one scenario.
+    tests can confirm the choice does not matter).  f lives in ``ctx``; the
+    vacuum frame is the sequence's, built once per context.
 
     ``base``, the result for the base value of an eps datum f, makes this
     an eps refactorization along it (the forward-mode sweep over a recorded
     primal trace): at every order, component 0 of every value is read off
     ``base``, each order's M, M^-1 and M J M^-1 being the grades of
     ``base.M``, ``base.Minv`` and ``base.conjugated_base`` below it, and only
-    the tangent components are computed.  The base must match f, V,
+    the tangent components are computed.  The base must match f,
     ``var_choice`` and the context, or ShapeError is raised.
 
     Either way the run builds M and M^-1.  A run from scratch also reads E,
@@ -234,13 +237,10 @@ def factorize_jet(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
     its M, M^-1 and ln tau.
     """
     _window_budget_check(seq, ctx)
-    f = f.embed(ctx)
+    ctx.require_compatible(f.ctx)
     _check_f(spec, f)
-
-    if V is None:
-        V = vacuum_frame(seq, ctx) if base is None else base.V
     if base is not None:
-        _require_base(base, seq, ctx, f, V, var_choice)
+        _require_base(base, seq, ctx, f, var_choice)
 
     M = Series.from_rows(ctx, [0], f, [0])  # M(0) = f, not an alias
     Minv, along = None, base is not None
@@ -280,14 +280,14 @@ def factorize_jet(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
     result = FactorizationResult(
         spec, seq, ctx, f, M, M.inv(base=None if base is None else base.Minv,
                                     start=Minv),
-        V, var_choice=var_choice, base=base)
+        var_choice=var_choice, base=base)
     if base is None:  # E and u_f run their spill checks in this call
         result.E, result.u, result.v  # noqa: B018
     return result
 
 
-def factorize_oracle(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
-                     f: Series, V: Series | None = None) -> Series:
+def factorize_oracle(seq: VacuumSequence, ctx: JetContext, f: Series
+                     ) -> Series:
     """Independent reduced frame: enforce (M V f^-1)_- = 0 order by order.
 
     With K = (partial M) V f^-1 known below jet order l, the order-l
@@ -295,10 +295,8 @@ def factorize_oracle(spec: SplittingSpec, seq: VacuumSequence, ctx: JetContext,
     M_alpha = -(K_alpha)_- f.  Uses only the splitting property, no flow
     ODEs, so it cross-checks the recursion in :func:`factorize_jet`.
     """
-    f = f.embed(ctx)
-    if V is None:
-        V = vacuum_frame(seq, ctx)
-    vfinv = V * f.inv()
+    ctx.require_compatible(f.ctx)
+    vfinv = seq.frame(ctx) * f.inv()
     M = f.base_part()
     for ell in range(1, ctx.order + 1):
         corr = (-(M.matmul(vfinv, ell).minus())).matmul(f, ell)
@@ -388,12 +386,11 @@ def stabilizer_h_check(result: FactorizationResult, h: Series) -> dict:
     """Right translation by h in the negative subgroup commuting with J_1
     leaves u_f unchanged and maps M to M h; ``result`` factorizes f."""
     res = result
-    h = h.embed(res.ctx)
     j1 = res.seq.j1(res.ctx)
     comm = commutator(h, j1).max_abs()
     if comm > 1e-9 * max(1.0, h.max_abs()):
         raise ShapeError(f"stabilizer_h_check: [h, J_1] != 0 ({comm:.3e})")
-    res_h = factorize_jet(res.spec, res.seq, res.ctx, res.f * h, V=res.V)
+    res_h = factorize_jet(res.spec, res.seq, res.ctx, res.f * h)
     return {
         "u_unchanged": (res_h.u - res.u).max_abs(),
         "reduced_frame_translates": (res_h.M - res.M * h).max_abs(),
@@ -412,8 +409,7 @@ def stabilizer_k_check(result: FactorizationResult, k: np.ndarray) -> dict:
             if np.abs(k @ m - m @ k).max() > 1e-12 * max(1.0, np.abs(m).max()):
                 raise ShapeError("stabilizer_k_check: k does not commute "
                                  f"with generator base {key}")
-    res_k = factorize_jet(res.spec, res.seq, res.ctx, res.f.conjugate_by(k),
-                          V=res.V)
+    res_k = factorize_jet(res.spec, res.seq, res.ctx, res.f.conjugate_by(k))
     return {
         "u_conjugates": (res_k.u - res.u.conjugate_by(k)).max_abs(),
         "m_conjugates": (res_k.M - res.M.conjugate_by(k)).max_abs(),

@@ -3,7 +3,9 @@
 The central value type, :class:`Series`, is a truncated Taylor expansion in
 the flow variables of a :class:`~loopjet.context.JetContext` whose
 coefficients are truncated matrix Laurent series in lambda.  A plain Laurent
-series is the degenerate case of a context with no variables.
+series is the degenerate case of a context with no variables.  Operations,
+row copies included, take values of one context only; data at t = 0, such
+as a scattering datum, are jet-constant values of the jet context.
 
 Truncation is tracked, never guessed.  Per jet coefficient:
 
@@ -333,8 +335,10 @@ def _slab_mul_const(ctx: JetContext, a: _Slab, b: _Slab, top: int,
     full = a if b_const else b
     live = (full.shi != NEG) & (ctx.totals <= top)
     rows = np.flatnonzero(live if want is None else live & want)
+    if rows.size == 0:  # no live output: neither operand is transformed
+        return _zero_slab(ctx)
     A, B = a.fft(ctx), b.fft(ctx)
-    G = np.zeros((rows.max(initial=-1) + 1,) + A.shape[1:], complex)
+    G = np.zeros((rows[-1] + 1,) + A.shape[1:], complex)
     for s in _spans(ctx, rows):
         G[s] = _entry_mul(A[s], B[0]) if b_const else _entry_mul(A[0], B[s])
     return _product_slab(ctx, G, *_product_bounds(ctx, a, b, top, want,
@@ -728,13 +732,13 @@ class Series(_Jet):
         the ``src_rows`` of ``src`` (data and degree bounds, for every
         tangent component; a component one value lacks counts as zero),
         the data multiplied by ``factor`` or divided by ``divisor`` per
-        row.  ``src`` may live in another context of the same window and
-        dimension."""
+        row."""
+        self.ctx.require_compatible(src.ctx)
         slabs = []
         for e in range(max(self.E, src.E)):
             own = e < self.E
             dst = self.slabs[e] if own else _zero_slab(self.ctx)
-            s = src.slabs[e] if e < src.E else _zero_slab(src.ctx)
+            s = src.slabs[e] if e < src.E else _zero_slab(self.ctx)
             bounds = _row_copy((dst.tlo, dst.slo, dst.shi, dst.thi), rows,
                                (s.tlo, s.slo, s.shi, s.thi), src_rows,
                                copy=own)
@@ -878,25 +882,6 @@ class Series(_Jet):
                     np.abs(s.data * mask[:, :, None, None]).max()))
         return best
 
-    # -- context moves -------------------------------------------------------
-
-    def embed(self, ctx: JetContext) -> "Series":
-        """Embed a variable-free series at the zero jet index of ``ctx``;
-        the result is jet-constant, hence valid at every order."""
-        if self.ctx.variables:
-            self.ctx.require_compatible(ctx)
-            return self
-        if (self.ctx.n, self.ctx.lo, self.ctx.hi) != (ctx.n, ctx.lo, ctx.hi):
-            raise DimensionMismatch("window or dimension mismatch in embed")
-        return Series.from_rows(ctx, [0], self, [0])
-
-    def at_zero(self, fctx: JetContext | None = None) -> "Series":
-        """Evaluate at t = 0 (restrict to the zero jet index)."""
-        ctx = self.ctx
-        if fctx is None:
-            fctx = JetContext((), 0, ctx.n, ctx.lo, ctx.hi)
-        return Series.from_rows(fctx, [0], self, [0], vorder=0)
-
 
 class ScalarJet(_Jet):
     """Scalar-valued jet (pairings, ln tau, q/r entries); exact once created.
@@ -970,11 +955,12 @@ class ScalarJet(_Jet):
     def with_rows(self, rows, src: "ScalarJet", src_rows, factor=None,
                   divisor=None, vorder: int | None = None) -> "ScalarJet":
         """The scalar counterpart of :meth:`Series.with_rows`."""
+        self.ctx.require_compatible(src.ctx)
         vals = []
         for e in range(max(self.E, src.E)):
             own = e < self.E
             dst = self.vals[e] if own else np.zeros(self.ctx.T, complex)
-            s = src.vals[e] if e < src.E else np.zeros(src.ctx.T, complex)
+            s = src.vals[e] if e < src.E else np.zeros(self.ctx.T, complex)
             vals.extend(_row_copy((dst,), rows, (s,), src_rows, factor,
                                   divisor, copy=own))
         return ScalarJet(self.ctx, tuple(vals),

@@ -214,7 +214,6 @@ def shift_constancy_check(result: FactorizationResult,
     """(ln tau_{fh})_{t_j} - (ln tau_f)_{t_j} must be the t-independent
     constant <J_j, h_lam h^-1>_{-1}."""
     ctx, seq = result.ctx, result.seq
-    h = h.embed(ctx)
     hterm = h.dlambda() * h.inv()
     worst = 0.0
     for var in seq.variables:

@@ -94,7 +94,7 @@ def datum_fields(result: FactorizationResult) -> VirasoroFields:
     """The fields at the datum f = M(0) of ``result``, built once per
     result."""
     return result.cached("datum_fields", lambda: VirasoroFields(
-        result.f.base_part().at_zero()))
+        result.f.base_part()))
 
 
 def tangency_defect(fields: VirasoroFields, ell: int,
@@ -143,15 +143,15 @@ def _gamma_key(gamma: np.ndarray | None):
 def _conjugated_operand(result: FactorizationResult,
                         gamma: np.ndarray | None) -> Series:
     """E (lam f_lam f^-1 + f Gamma f^-1) E^-1, built once per result and
-    Gamma (it does not depend on l); the jet-constant inner operand embeds
-    the products the fields at the datum hold."""
+    Gamma (it does not depend on l); the jet-constant inner operand is
+    the fields' own products at the datum."""
 
     def build() -> Series:
         fields = datum_fields(result)
         x = fields.log.shift(1)
         if gamma is not None:
             x = x + fields.conj(gamma)
-        return result.E * x.embed(result.ctx) * result.Einv
+        return result.E * x * result.Einv
 
     return result.cached(("operand", _gamma_key(gamma)), build)
 
@@ -210,8 +210,7 @@ def eps_perturbed_result(result: FactorizationResult, df: Series
     :func:`~loopjet.scattering.factorize_jet`)."""
     f0 = result.f.base_part()
     return factorize_jet(result.spec, result.seq, result.ctx,
-                         f0.with_eps(df.embed(result.ctx)),
-                         var_choice=result.var_choice, V=result.V,
+                         f0.with_eps(df), var_choice=result.var_choice,
                          base=result)
 
 
@@ -291,9 +290,8 @@ def theorem76_operator(result: FactorizationResult, ell: int,
     X = ln_tau_jet(result)
     op = ScalarJet.zeros(ctx)
     masked: list[str] = []
-    flows = sorted({shift + 1 for _, shift in seq.gens.values()})
-    m_top = max(flows)
-    if flows != list(range(1, m_top + 1)):
+    m_top = max(shift for _, shift in seq.gens.values()) + 1
+    if not seq.full_grid:
         raise ShapeError("theorem76_operator needs the full (consecutive) "
                          "flow grid of the untwisted hierarchy")
 

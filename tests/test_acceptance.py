@@ -67,25 +67,14 @@ def vector():
 
 @pytest.fixture(scope="module")
 def gl3():
-    seq = gl_sequence([1.0, -0.4 + 0.8j, 0.2 - 1.1j], 2)
-    ctx = seq.context(3)
-    spec = SplittingSpec("standard", 3)
-    f = sample_negative_element(spec, JetContext((), 0, 3, ctx.lo, ctx.hi),
-                                seed=5, depth=3, amplitude=AMP)
-    t0 = time.perf_counter()
-    res = factorize_jet(spec, seq, ctx, f)
-    return spec, seq, ctx, f, res, time.perf_counter() - t0
+    return _setup(SplittingSpec("standard", 3),
+                  gl_sequence([1.0, -0.4 + 0.8j, 0.2 - 1.1j], 2), 3, 5)
 
 
 @pytest.fixture(scope="module")
 def gl2():
-    seq = gl_sequence([1.0, -0.7 + 0.3j], 3)
-    ctx = seq.context(3)
-    spec = SplittingSpec("standard", 2)
-    f = sample_negative_element(spec, JetContext((), 0, 2, ctx.lo, ctx.hi),
-                                seed=11, depth=3, amplitude=AMP)
-    res = factorize_jet(spec, seq, ctx, f)
-    return spec, seq, ctx, f, res, 0.0
+    return _setup(SplittingSpec("standard", 2),
+                  gl_sequence([1.0, -0.7 + 0.3j], 3), 3, 11)
 
 
 @pytest.fixture(scope="module")
@@ -203,8 +192,7 @@ def test_criterion_5_tau_identities(akns, gl3):
     sseq = gl_sequence([1.0, -0.4, 0.2], 2, parity="odd")
     sctx = sseq.context(3)
     sspec = SplittingSpec("sigma_twisted", 3, sigma_mode="transpose_inv")
-    sf = sample_negative_element(sspec, JetContext((), 0, 3, sctx.lo, sctx.hi),
-                                 seed=71, depth=3, amplitude=AMP)
+    sf = sample_negative_element(sspec, sctx, seed=71, depth=3, amplitude=AMP)
     sres = factorize_jet(sspec, sseq, sctx, sf)
     srecs = {r.check_id: r for r in identity_suite(sres)}
     worst = max(worst, srecs["sigma_tau_vv"].max_defect)
@@ -296,7 +284,7 @@ def test_criterion_9_recovery(vector):
     out = vector_akns_recovery(res, chk["result_k"])
     assert not out["degenerate"]
     degenerate = vector_akns_recovery(
-        factorize_jet(spec, seq, ctx, Series.identity(ctx), V=res.V))
+        factorize_jet(spec, seq, ctx, Series.identity(ctx)))
     assert degenerate["degenerate"]
     verdict("9 recovery", max(out["recovery_q"], out["recovery_r"]), 1e-6,
             extra=f"K-invariance {out['k_invariance']:.1e}; "

@@ -177,8 +177,7 @@ def test_partial_x_commutes_with_entry_reads_exactly():
     # gives bit-identical results on a matrix jet and on its scalar entries
     seq = gl_sequence([1.0, -0.4 + 0.8j, 0.2 - 1.1j], 2)
     ctx = seq.context(3)
-    f = sample_negative_element(SplittingSpec("standard", 3),
-                                JetContext((), 0, 3, ctx.lo, ctx.hi), 5, 3, 0.3)
+    f = sample_negative_element(SplittingSpec("standard", 3), ctx, 5, 3, 0.3)
     u = factorize_jet(SplittingSpec("standard", 3), seq, ctx, f).u
     ux = seq.partial_x(u)
     for i in range(3):

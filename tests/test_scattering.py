@@ -8,6 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import loopjet.hierarchy as hierarchy
 import loopjet.series as series
 from loopjet import JetContext, Series, ShapeError, WindowExhausted
 from loopjet.hierarchy import akns_sequence, gl_sequence, kdv_sequence
@@ -15,7 +16,7 @@ from loopjet.scattering import (e_ode_defect, factorize_jet, factorize_oracle,
                                 frame_variation_defect, lax_residual,
                                 m_ode_defect, reality_propagation_check,
                                 stabilizer_h_check, stabilizer_k_check)
-from loopjet.scenario import Scenario, ScenarioConfig
+from loopjet.scenario import Scenario, ScenarioConfig, _Runner
 from loopjet.series import exp_series
 from loopjet.splitting import SplittingSpec, sample_negative_element
 from loopjet.tau import ln_tau_jet
@@ -49,7 +50,7 @@ def test_e21_fixture_constant_solution():
     spec, seq, ctx, _ = akns_setup()
     f = Series.identity(ctx) + Series.monomial(ctx, E21, -1)
     res = factorize_jet(spec, seq, ctx, f)
-    assert (res.M - f.embed(ctx)).max_abs() < 1e-12
+    assert (res.M - f).max_abs() < 1e-12
     expect_u = Series.monomial(ctx, 2j * E21)
     assert (res.u - expect_u).max_abs() < 1e-12
     lax = lax_residual(res)
@@ -59,7 +60,7 @@ def test_e21_fixture_constant_solution():
 def test_recursion_matches_direct_splitting_oracle():
     spec, seq, ctx, f = akns_setup()
     res = factorize_jet(spec, seq, ctx, f)
-    oracle = factorize_oracle(spec, seq, ctx, f)
+    oracle = factorize_oracle(seq, ctx, f)
     assert (res.M - oracle).max_abs() < 1e-9
 
 
@@ -105,7 +106,7 @@ def test_frame_variation_law():
     spec, seq, ctx, f = akns_setup()
     df = sample_negative_element(spec, ctx, seed=99, depth=2, amplitude=0.2) \
         - Series.identity(ctx)
-    res_eps = factorize_jet(spec, seq, ctx, f.embed(ctx).with_eps(df.embed(ctx)))
+    res_eps = factorize_jet(spec, seq, ctx, f.with_eps(df))
     assert frame_variation_defect(res_eps) < 1e-9
 
 
@@ -178,10 +179,12 @@ def test_gl_coordinate_change():
     ctx_t = seq_t.context(2)
     ctx_s = JetContext(seq_s.variables, 2, 3, ctx_t.lo, ctx_t.hi)
     spec = SplittingSpec("standard", 3)
-    fctx = JetContext((), 0, 3, ctx_t.lo, ctx_t.hi)
-    f = sample_negative_element(spec, fctx, seed=5, depth=3, amplitude=0.3)
-    rt = factorize_jet(spec, seq_t, ctx_t, f)
-    rs = factorize_jet(spec, seq_s, ctx_s, f)
+
+    def run(seq, ctx):  # the same datum, sampled in each context
+        f = sample_negative_element(spec, ctx, seed=5, depth=3, amplitude=0.3)
+        return factorize_jet(spec, seq, ctx, f)
+
+    rt, rs = run(seq_t, ctx_t), run(seq_s, ctx_s)
 
     def chain(u_t, i, j):
         out = None
@@ -255,11 +258,11 @@ def test_eps_route_matches_finite_differences_on_u():
     spec, seq, ctx, f = akns_setup(order=2, flows=2)
     df = sample_negative_element(spec, ctx, seed=5, depth=2, amplitude=0.2) \
         - Series.identity(ctx)
-    ext = factorize_jet(spec, seq, ctx, f.embed(ctx).with_eps(df.embed(ctx)))
+    ext = factorize_jet(spec, seq, ctx, f.with_eps(df))
     exact = ext.u.eps_part()
     h = 1e-5
-    up = factorize_jet(spec, seq, ctx, f.embed(ctx) + df.embed(ctx).scale(h)).u
-    dn = factorize_jet(spec, seq, ctx, f.embed(ctx) - df.embed(ctx).scale(h)).u
+    up = factorize_jet(spec, seq, ctx, f + df.scale(h)).u
+    dn = factorize_jet(spec, seq, ctx, f - df.scale(h)).u
     fd = (up - dn).scale(1.0 / (2 * h))
     scale = max(exact.max_abs(), 1.0)
     assert (exact - fd).max_abs() / scale < 1e-6
@@ -320,8 +323,7 @@ def test_eps_runs_along_a_base_equal_runs_from_scratch(scen3):
         df = VirasoroFields(s.f)(ell, gamma)
         along = eps_perturbed_result(res, df)
         scratch = factorize_jet(s.spec, s.seq, s.ctx,
-                                res.f.base_part().with_eps(df.embed(s.ctx)),
-                                V=res.V)
+                                res.f.base_part().with_eps(df))
         assert along.base is res and scratch.base is None
         for name in ("M", "Minv", "E", "u", "v", "vfinv"):
             if getattr(scratch, name) is not None:
@@ -385,7 +387,7 @@ def test_every_eps_run_makes_the_same_products(monkeypatch, scen3):
 
     # along a zero direction every tangent is certified zero, so a live
     # product is a product of base values: none takes the general path
-    zero = Series.zeros(s.fctx)
+    zero = Series.zeros(s.ctx)
     first, second = run(zero), run(zero)
     assert first == second
     assert not any(general for _, general in first)
@@ -414,11 +416,35 @@ def test_f_inverse_is_at_rounding_level(name):
     # inverse that M^-1 starts from: f f^-1 and f^-1 f are the identity to
     # two ulps on every shipped config
     s = _scenario(name)
-    f = s.f.embed(s.ctx)
+    f = s.f
     ident = Series.identity(s.ctx)
     for x, y in ((f, f.inv()), (f.inv(), f)):
         r = dense((x * y - ident).slabs[0])
         assert np.abs(r).max() <= 2 * np.finfo(float).eps
+
+
+def test_vacuum_frame_is_built_once_per_context(monkeypatch):
+    # a whole gl3_full run, and any factorization or oracle in its context
+    # after it, reads the one frame of the context
+    built = []
+    build = hierarchy.vacuum_frame
+
+    def counted(seq, ctx):
+        built.append(ctx)
+        return build(seq, ctx)
+
+    monkeypatch.setattr(hierarchy, "vacuum_frame", counted)
+    s = _scenario("gl3_full")
+    runner = _Runner(s)
+    assert runner.run().passed
+    assert built == [s.ctx]
+    assert runner.result.V is s.seq.frame(s.ctx)
+    factorize_oracle(s.seq, s.ctx, s.f)
+    factorize_jet(s.spec, s.seq, s.ctx, s.f)
+    assert built == [s.ctx]
+    other = s.seq.context(s.ctx.order - 1, (s.ctx.lo, s.ctx.hi))
+    assert s.seq.frame(other) is s.seq.frame(other)
+    assert built == [s.ctx, other]
 
 
 def test_mismatched_base_is_refused(scen):
@@ -426,22 +452,24 @@ def test_mismatched_base_is_refused(scen):
     res = factorize_jet(s.spec, s.seq, s.ctx, s.f)
     df = VirasoroFields(s.f)(0)
     f0 = res.f.base_part()
-    other = sample_negative_element(s.spec, s.fctx, seed=s.cfg.f_seed + 1,
+    other = sample_negative_element(s.spec, s.ctx, seed=s.cfg.f_seed + 1,
                                     depth=3, amplitude=0.3)
+    # the datum and direction again, in a context of one order less
     low = JetContext(s.ctx.variables, s.ctx.order - 1, s.ctx.n, s.ctx.lo,
                      s.ctx.hi)
+    f_low = sample_negative_element(s.spec, low, s.cfg.f_seed,
+                                    s.cfg.f_depth, s.cfg.f_amplitude)
     attempts = {
         "f": lambda: factorize_jet(s.spec, s.seq, s.ctx, other.with_eps(df),
-                                   V=res.V, base=res),
-        "V": lambda: factorize_jet(s.spec, s.seq, s.ctx, f0.with_eps(
-            df.embed(s.ctx)), V=res.V.scale(2.0), base=res),
+                                   base=res),
         "var_choice": lambda: factorize_jet(
-            s.spec, s.seq, s.ctx, f0.with_eps(df.embed(s.ctx)),
-            var_choice="last", V=res.V, base=res),
-        "context": lambda: factorize_jet(s.spec, s.seq, low,
-                                         s.f.with_eps(df), base=res),
+            s.spec, s.seq, s.ctx, f0.with_eps(df), var_choice="last",
+            base=res),
+        "context": lambda: factorize_jet(
+            s.spec, s.seq, low, f_low.with_eps(VirasoroFields(f_low)(0)),
+            base=res),
         "no tangent": lambda: factorize_jet(s.spec, s.seq, s.ctx, f0,
-                                            V=res.V, base=res),
+                                            base=res),
     }
     for attempt in attempts.values():
         with pytest.raises(ShapeError, match="along this base"):

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopjet import (JetContext, ScalarJet, Series, ShapeError, TrustError,
-                     WindowExhausted, cocycle, directional_derivative,
-                     exp_series)
+from loopjet import (DimensionMismatch, JetContext, ScalarJet, Series,
+                     ShapeError, TrustError, WindowExhausted, cocycle,
+                     directional_derivative, exp_series)
 from loopjet.context import NEG, POS
 from loopjet import series
 from loopjet.scenario import Scenario, ScenarioConfig, _Runner
@@ -245,6 +245,22 @@ def test_from_rows_writes_fresh_arrays_with_the_same_bits():
     assert same_value(ScalarJet.from_rows(ctx, dst, j, src, factor=fac),
                       ScalarJet.zeros(ctx).with_rows(dst, j, src, factor=fac))
 
+
+def test_with_rows_refuses_a_source_from_another_context():
+    # jet rows are copied within one context: neither a variable-free
+    # value into a jet context nor a jet out of one
+    ctx = JetContext(("t1", "t2"), 2, 2, -6, 3)
+    plain = JetContext((), 0, 2, -6, 3)
+    gen = rng(38)
+    x = random_jet_series(ctx, gen, -3, 1)
+    f = series_from_dict(plain, random_laurent_dict(gen, 2, -3, 0))
+    for dst, src in ((Series.zeros(ctx), f), (Series.zeros(plain), x),
+                     (ScalarJet.zeros(ctx), ScalarJet.const(plain, 1.0)),
+                     (ScalarJet.zeros(plain), ScalarJet.const(ctx, 1.0))):
+        with pytest.raises(DimensionMismatch):
+            dst.with_rows([0], src, [0])
+        with pytest.raises(DimensionMismatch):
+            type(dst).from_rows(dst.ctx, [0], src, [0])
 
 def test_jet_mul_matches_bruteforce():
     ctx = JetContext(("t1", "t2", "t3"), 3, 2, -6, 3)
@@ -920,6 +936,30 @@ def test_slab_mul_const_keeps_dead_rows_dead(b_const):
     assert cst.matmul(cst2).slabs[0].jet_const()
 
 
+@pytest.mark.parametrize("b_const", [True, False])
+def test_jet_constant_product_with_no_wanted_row_transforms_nothing(
+        monkeypatch, b_const):
+    # no wanted output row is live: the product is the zero slab, bit for
+    # bit, and neither operand is transformed
+    ctx = JetContext(("t1", "t2"), 2, 2, -9, 5)
+    gen = rng(19 if b_const else 20)
+    full, _ = _mixed_jet_operand(ctx, gen, dead_rows=(1, 4))
+    cst, _ = _mixed_jet_operand(ctx, gen, dead_rows=range(1, ctx.T))
+    a, b = (full, cst) if b_const else (cst, full)
+
+    def no_fft(self, ctx):
+        raise AssertionError("an operand was transformed")
+
+    monkeypatch.setattr(series._Slab, "fft", no_fft)
+    want = np.zeros(ctx.T, dtype=bool)
+    want[[1, 4]] = True  # rows the full operand leaves dead
+    for mask in (np.zeros(ctx.T, dtype=bool), want):
+        out = series._slab_mul_const(ctx, a.slabs[0], b.slabs[0], ctx.order,
+                                     b_const, mask)
+        assert same_slab(out, series._zero_slab(ctx))
+    assert same_value(a.matmul(b, rows=[]), Series.zeros(ctx))
+
+
 # -- tangent components and the inverse memo ----------------------------------
 
 @pytest.mark.parametrize("K", [0, 1, 3])
@@ -1105,5 +1145,25 @@ def test_values_store_only_their_live_rows(monkeypatch):
     ctx = scen.ctx
     assert ctx.T == 84 and ctx in scen.seq._j1  # J_1 is memoized
     assert Series.zeros(ctx).stored_rows().shape[0] == 0
-    for one in (Series.identity(ctx), scen.f.embed(ctx), scen.seq.j1(ctx)):
+    for one in (Series.identity(ctx), scen.f, scen.seq.j1(ctx)):
         assert one.stored_rows().shape[0] == 1
+
+
+@pytest.mark.parametrize("name", ["gl3_full", "akns_standard"])
+def test_every_scenario_value_lives_in_the_scenario_context(monkeypatch,
+                                                            name):
+    # the datum f, the samples h and df, the fields at f and everything
+    # built from them are jets of the scenario's one context
+    contexts = []
+    for cls in (Series, ScalarJet):
+        def checked(self, ctx, *rest, _init=cls.__init__):
+            _init(self, ctx, *rest)
+            contexts.append(ctx)
+
+        monkeypatch.setattr(cls, "__init__", checked)
+    raw = json.loads((pathlib.Path(__file__).parent.parent / "configs"
+                      / f"{name}.json").read_text())
+    scen = Scenario(ScenarioConfig.from_dict(raw))
+    assert _Runner(scen).run().passed
+    assert len(contexts) > 1000
+    assert all(ctx is scen.ctx for ctx in contexts)

@@ -141,9 +141,6 @@ def _outputs() -> dict:
         }
         fctx = JetContext((), 0, n, -8, 3)
         f = Series.from_degree_matrices(fctx, random_laurent_dict(gen, n, -5, 0))
-        ops["embed"] = lambda: f.embed(ctx)
-        ops["at_zero"] = lambda: x.at_zero()
-        ops["at_zero_eps"] = lambda: xe.at_zero(fctx)
         ops["plain_inv"] = lambda: (Series.identity(fctx) + f.minus()).inv()
         ops["plain_pairing"] = lambda: f.pairing(f.dlambda(), -3)
         for name, op in ops.items():

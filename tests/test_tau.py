@@ -35,8 +35,7 @@ def gl3():
     seq = gl_sequence([1.0, -0.4 + 0.8j, 0.2 - 1.1j], 2)
     ctx = seq.context(3)
     spec = SplittingSpec("standard", 3)
-    fctx = JetContext((), 0, 3, ctx.lo, ctx.hi)
-    f = sample_negative_element(spec, fctx, seed=5, depth=3, amplitude=0.3)
+    f = sample_negative_element(spec, ctx, seed=5, depth=3, amplitude=0.3)
     res = factorize_jet(spec, seq, ctx, f)
     return spec, seq, ctx, f, res, ln_tau_jet(res)
 
@@ -118,8 +117,7 @@ def test_sigma_gl_symmetric_square():
     seq = gl_sequence([1.0, -0.4, 0.2], 2, parity="odd")
     ctx = seq.context(3)
     spec = SplittingSpec("sigma_twisted", 3, sigma_mode="transpose_inv")
-    fctx = JetContext((), 0, 3, ctx.lo, ctx.hi)
-    f = sample_negative_element(spec, fctx, seed=71, depth=3, amplitude=0.3)
+    f = sample_negative_element(spec, ctx, seed=71, depth=3, amplitude=0.3)
     res = factorize_jet(spec, seq, ctx, f)
     assert (res.v - res.v.transpose()).max_abs() < 1e-9
     recs = {r.check_id: r for r in identity_suite(res)}

@@ -47,8 +47,7 @@ def gl2_setup():
     seq = gl_sequence([1.0, -0.7 + 0.3j], 3)
     ctx = seq.context(3)
     spec = SplittingSpec("standard", 2)
-    f = sample_negative_element(spec, JetContext((), 0, 2, ctx.lo, ctx.hi),
-                                seed=11, depth=3, amplitude=0.3)
+    f = sample_negative_element(spec, ctx, seed=11, depth=3, amplitude=0.3)
     res = factorize_jet(spec, seq, ctx, f)
     return spec, seq, ctx, f, res, ln_tau_jet(res)
 
@@ -180,10 +179,9 @@ def test_variations_at_base_point(gl2_setup):
 
 def test_thm56_general_variation(gl2_setup):
     spec, seq, ctx, f, res, _ = gl2_setup
-    df = sample_negative_element(SplittingSpec("standard", 2),
-                                 JetContext((), 0, 2, ctx.lo, ctx.hi),
+    df = sample_negative_element(SplittingSpec("standard", 2), ctx,
                                  seed=99, depth=2, amplitude=0.2) \
-        - Series.identity(JetContext((), 0, 2, ctx.lo, ctx.hi))
+        - Series.identity(ctx)
     assert thm56_defect(eps_perturbed_result(res, df)) < 1e-9
 
 
@@ -304,8 +302,7 @@ def test_eps_refactorization_defers_frame_and_solution(request, name):
     assert not set(deferred) & (set(eps._cache) | set(vars(eps)))
     # read later, each equals its value in a run from scratch bit for bit
     scratch = factorize_jet(scen.spec, scen.seq, scen.ctx,
-                            res.f.base_part().with_eps(df.embed(scen.ctx)),
-                            V=res.V)
+                            res.f.base_part().with_eps(df))
     for field in deferred:
         want, got = getattr(scratch, field), getattr(eps, field)
         assert got is None if want is None else same_value(got, want), field
