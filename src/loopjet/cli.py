@@ -81,7 +81,7 @@ def _dump_rows_series(s: Series):
 def _dump_rows_scalar(s: ScalarJet):
     ctx = s.ctx
     rows = []
-    for t, z in enumerate(s.vals[0]):
+    for t, z in enumerate(s.slabs[0]):
         re, im = _snap(z.real), _snap(z.imag)
         if re == 0.0 and im == 0.0:
             continue

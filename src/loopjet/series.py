@@ -66,12 +66,17 @@ value's row 0, polished by one Newton step, and each grade g is
 -X_0 ((A - A_0) X)_g, two products restricted to the rows of grade g.  Handed
 the inverse to a lower jet order (``start=``), it solves the grades past it.
 
-Every value carries K >= 0 tangent components next to its base value: a
-first-order nilpotent extension with ``eps_i eps_j = 0`` (vector forward
-mode).  Any pipeline stage is differentiated exactly along K directions at
-once by running it on ``f.with_eps(df_0, ..., df_{K-1})`` and reading
-``.eps_part(i)`` of the result; each tangent component is computed by the
-same operations as a single-direction run, so it is bit-identical to one.
+Every value, a :class:`Series` or a :class:`ScalarJet`, carries K >= 0
+tangent components next to its base value: a first-order nilpotent extension
+with ``eps_i eps_j = 0`` (vector forward mode).  The rules for the
+components (construction, ``base_part``/``eps_part``, sums and row writes)
+are written once, in ``_Jet``, for both; a component a value lacks reads as
+zero, and each type supplies only its zero component, how two components
+add and how one component's rows are written.  Any pipeline stage is
+differentiated exactly along K directions at once by running it on
+``f.with_eps(df_0, ..., df_{K-1})`` and reading ``.eps_part(i)`` of the
+result; each tangent component is computed by the same operations as a
+single-direction run, so it is bit-identical to one.
 A product, inverse or pairing may be handed its base component, computed
 earlier (``base=``), and then computes the tangent components alone: the
 eps route of the factorization reads its base values off the base result
@@ -182,6 +187,12 @@ def _finalize_tlo(ctx: JetContext, tlo, slo):
     out = np.where(tlo <= ctx.lo, ctx.lo, tlo)
     out = np.where(exact, NEG, out)
     return out.astype(np.int64)
+
+
+def _moved(bound, s: int):
+    """Degree bounds moved by ``s``; the sentinels ``NEG`` and ``POS`` stay
+    as they are."""
+    return np.where((bound == NEG) | (bound == POS), bound, bound + s)
 
 
 def _cap_top(ctx: JetContext, shi, thi):
@@ -345,7 +356,7 @@ def _slab_mul_const(ctx: JetContext, a: _Slab, b: _Slab, top: int,
                                                   const=True))
 
 
-def _slab_add(a: _Slab, b: _Slab, sign: float) -> _Slab:
+def _slab_add(a: _Slab, b: _Slab, sign: float = 1.0) -> _Slab:
     ra, rb = a.data.shape[0], b.data.shape[0]
     if ra == rb:
         data = a.data + sign * b.data
@@ -397,11 +408,71 @@ def _leibniz(a: tuple, b: tuple, mul, add, base=None) -> tuple:
 
 
 class _Jet:
-    """What :class:`Series` and :class:`ScalarJet` share: jet rows are
-    written through the subclass's ``with_rows``, and scalar multiples
-    through its ``scale``."""
+    """A jet value with K >= 0 tangent components (see the module
+    docstring): ``slabs[0]`` is the base value, ``slabs[1 + i]`` tangent
+    component i, and ``E = 1 + K``.  A subclass supplies its zero component
+    (``_zero``), how two components add (``_add``), how one component's jet
+    rows are written (``_write_rows``) and ``scale``."""
 
-    __slots__ = ()
+    __slots__ = ("ctx", "slabs", "vorder")
+
+    def __init__(self, ctx: JetContext, slabs: tuple, vorder: int):
+        self.ctx = ctx
+        self.slabs = slabs
+        self.vorder = vorder
+
+    @classmethod
+    def zeros(cls, ctx: JetContext):
+        return cls(ctx, (cls._zero(ctx),), ctx.order)
+
+    @property
+    def E(self) -> int:
+        return len(self.slabs)
+
+    def _padded(self, E: int) -> tuple:
+        """The components, padded to ``E`` with fresh zeros (each its own
+        arrays: rows are written into them in place)."""
+        return self.slabs + tuple(self._zero(self.ctx)
+                                  for _ in range(E - self.E))
+
+    def base_part(self):
+        return type(self)(self.ctx, self.slabs[:1], self.vorder)
+
+    def eps_part(self, i: int = 0):
+        """Tangent component ``i`` (zero if the value has none)."""
+        if i + 1 >= self.E:
+            return self.zeros(self.ctx)
+        return type(self)(self.ctx, (self.slabs[i + 1],), self.vorder)
+
+    def _combine(self, other, sign: float):
+        """self + sign * other, component by component."""
+        self.ctx.require_compatible(other.ctx)
+        E = max(self.E, other.E)
+        return type(self)(self.ctx, tuple(
+            self._add(a, b, sign)
+            for a, b in zip(self._padded(E), other._padded(E))),
+            min(self.vorder, other.vorder))
+
+    def __add__(self, other):
+        return self._combine(other, 1.0)
+
+    def __sub__(self, other):
+        return self._combine(other, -1.0)
+
+    def with_rows(self, rows, src, src_rows, factor=None, divisor=None,
+                  vorder: int | None = None):
+        """A new value equal to this one except at jet ``rows``, which copy
+        the ``src_rows`` of ``src`` (for every tangent component, degree
+        bounds included), the data multiplied by ``factor`` or divided by
+        ``divisor`` per row."""
+        self.ctx.require_compatible(src.ctx)
+        E = max(self.E, src.E)
+        return type(self)(self.ctx, tuple(
+            self._write_rows(dst, rows, s, src_rows, factor, divisor,
+                             copy=e < self.E)
+            for e, (dst, s) in enumerate(zip(self._padded(E),
+                                             src._padded(E)))),
+            self.vorder if vorder is None else vorder)
 
     @classmethod
     def from_rows(cls, ctx: JetContext, rows, src, src_rows, factor=None,
@@ -433,22 +504,24 @@ class _Jet:
 
 
 class Series(_Jet):
-    """Jet of matrix Laurent series with K >= 0 tangent components:
-    ``slabs[0]`` is the base value, ``slabs[1 + i]`` tangent component i,
-    and ``E = 1 + K``."""
+    """Jet of matrix Laurent series; each component is a :class:`_Slab`."""
 
-    __slots__ = ("ctx", "slabs", "vorder")
+    __slots__ = ()
 
-    def __init__(self, ctx: JetContext, slabs: tuple[_Slab, ...], vorder: int):
-        self.ctx = ctx
-        self.slabs = slabs
-        self.vorder = vorder
+    _zero = staticmethod(_zero_slab)
+    _add = staticmethod(_slab_add)
+
+    @staticmethod
+    def _write_rows(dst: _Slab, rows, s: _Slab, src_rows, factor, divisor,
+                    copy: bool) -> _Slab:
+        bounds = _row_copy((dst.tlo, dst.slo, dst.shi, dst.thi), rows,
+                           (s.tlo, s.slo, s.shi, s.thi), src_rows, copy=copy)
+        data = _rows_like(dst.data, _live_rows(bounds[2]))
+        _row_copy((data,), rows, (s.data,), src_rows, factor, divisor,
+                  copy=False)
+        return _Slab(data, *bounds)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, ctx: JetContext) -> "Series":
-        return cls(ctx, (_zero_slab(ctx),), ctx.order)
 
     @classmethod
     def identity(cls, ctx: JetContext) -> "Series":
@@ -490,25 +563,12 @@ class Series(_Jet):
 
     # -- epsilon handling --------------------------------------------------
 
-    @property
-    def E(self) -> int:
-        return len(self.slabs)
-
-    def base_part(self) -> "Series":
-        return Series(self.ctx, (self.slabs[0],), self.vorder)
-
     def same_base(self, other: "Series") -> bool:
         """Whether the base values agree bit for bit (data and bounds)."""
         a, b = self.slabs[0], other.slabs[0]
         return all(np.array_equal(p, q) for p, q in zip(
             (a.data, a.tlo, a.slo, a.shi, a.thi),
             (b.data, b.tlo, b.slo, b.shi, b.thi)))
-
-    def eps_part(self, i: int = 0) -> "Series":
-        """Tangent component ``i`` (zero if the value has none)."""
-        if i + 1 >= self.E:
-            return Series.zeros(self.ctx)
-        return Series(self.ctx, (self.slabs[i + 1],), self.vorder)
 
     def with_eps(self, *dirs: "Series") -> "Series":
         """The base value with one tangent component per direction."""
@@ -520,22 +580,6 @@ class Series(_Jet):
                       min([self.vorder] + [d.vorder for d in dirs]))
 
     # -- ring operations ---------------------------------------------------
-
-    def _combine(self, other: "Series", sign: float) -> "Series":
-        """self + sign * other; a tangent component one lacks is zero."""
-        self.ctx.require_compatible(other.ctx)
-        E, zero = max(self.E, other.E), (_zero_slab(self.ctx),)
-        return Series(self.ctx, tuple(
-            _slab_add(a, b, sign) for a, b in zip(
-                self.slabs + zero * (E - self.E),
-                other.slabs + zero * (E - other.E))),
-            min(self.vorder, other.vorder))
-
-    def __add__(self, other: "Series") -> "Series":
-        return self._combine(other, 1.0)
-
-    def __sub__(self, other: "Series") -> "Series":
-        return self._combine(other, -1.0)
 
     def scale(self, c: complex) -> "Series":
         return self._map_data(lambda d: d * c)
@@ -562,7 +606,7 @@ class Series(_Jet):
             want[rows] = True
         slabs = _leibniz(self.slabs, other.slabs,
                          lambda a, b: _slab_mul(self.ctx, a, b, cap, want),
-                         lambda x, y: _slab_add(x, y, 1.0),
+                         _slab_add,
                          None if base is None else base.slabs[0])
         vorder = min(self.vorder, other.vorder)
         if cap is not None:
@@ -615,21 +659,19 @@ class Series(_Jet):
             k = ctx.degrees[1:]
             data[:, :-1] = s.data[:, 1:] * k[None, :, None, None]
             # a top (bottom) term of degree exactly 0 dies under d/dlambda
-            shi = np.where(s.shi == NEG, NEG,
-                           np.where(s.shi == 0, s.shi - 2, s.shi - 1))
-            thi = np.where(s.thi == POS, POS, s.thi - 1)
+            shi = np.where(s.shi == 0, -2, _moved(s.shi, -1))
+            thi = _moved(s.thi, -1)
             exact = s.tlo == NEG
             floor = np.abs(_rows_like(s.data[:, :1], ctx.T)).max(axis=(1, 2, 3))
             bottom_safe = (s.slo > ctx.lo) | (floor == 0)
             tlo = np.where(exact & bottom_safe, NEG,
                            np.where(exact, ctx.lo,
-                                    np.maximum(s.tlo - 1, ctx.lo)))
+                                    np.maximum(_moved(s.tlo, -1), ctx.lo)))
             slo = np.where(s.slo == POS, POS,
                            np.where(s.slo == 0, 0, s.slo - 1))
             slo = np.where(exact & bottom_safe & (slo != POS),
                            np.maximum(slo, ctx.lo), slo)
-            slab = _Slab(data, tlo.astype(np.int64), slo.astype(np.int64),
-                         shi.astype(np.int64), _cap_top(ctx, shi, thi))
+            slab = _Slab(data, tlo, slo, shi, _cap_top(ctx, shi, thi))
             out.append(_apply_support_mask(ctx, slab))
         return Series(ctx, tuple(out), self.vorder)
 
@@ -640,7 +682,7 @@ class Series(_Jet):
             return self
         out = []
         for sl in self.slabs:
-            shi = np.where(sl.shi == NEG, NEG, sl.shi + s)
+            shi, thi = _moved(sl.shi, s), _moved(sl.thi, s)
             slo = np.where(sl.slo == POS, POS, sl.slo + s)
             # only the overlap of the two windows moves; none once |s| >= W
             w, data = max(ctx.W - abs(s), 0), np.zeros_like(sl.data)
@@ -649,13 +691,10 @@ class Series(_Jet):
             else:
                 data[:, :w] = sl.data[:, ctx.W - w:]
             exact = sl.tlo == NEG
-            keeps = np.where(sl.slo == POS, POS, slo) >= ctx.lo
-            tlo = np.where(exact & keeps, NEG,
+            tlo = np.where(exact & (slo >= ctx.lo), NEG,
                            np.where(exact, ctx.lo,
-                                    np.maximum(sl.tlo + s, ctx.lo)))
-            thi = np.where(sl.thi == POS, POS, sl.thi + s)
-            slab = _Slab(data, tlo.astype(np.int64), slo.astype(np.int64),
-                         shi.astype(np.int64), _cap_top(ctx, shi, thi))
+                                    np.maximum(_moved(sl.tlo, s), ctx.lo)))
+            slab = _Slab(data, tlo, slo, shi, _cap_top(ctx, shi, thi))
             out.append(_apply_support_mask(ctx, slab))
         return Series(ctx, tuple(out), self.vorder)
 
@@ -726,29 +765,6 @@ class Series(_Jet):
         return Series(ctx, x.slabs,
                       self.vorder if cap is None else min(self.vorder, cap))
 
-    def with_rows(self, rows, src: "Series", src_rows, factor=None,
-                  divisor=None, vorder: int | None = None) -> "Series":
-        """A new value equal to this one except at jet ``rows``, which copy
-        the ``src_rows`` of ``src`` (data and degree bounds, for every
-        tangent component; a component one value lacks counts as zero),
-        the data multiplied by ``factor`` or divided by ``divisor`` per
-        row."""
-        self.ctx.require_compatible(src.ctx)
-        slabs = []
-        for e in range(max(self.E, src.E)):
-            own = e < self.E
-            dst = self.slabs[e] if own else _zero_slab(self.ctx)
-            s = src.slabs[e] if e < src.E else _zero_slab(self.ctx)
-            bounds = _row_copy((dst.tlo, dst.slo, dst.shi, dst.thi), rows,
-                               (s.tlo, s.slo, s.shi, s.thi), src_rows,
-                               copy=own)
-            data = _rows_like(dst.data, _live_rows(bounds[2]))
-            _row_copy((data,), rows, (s.data,), src_rows, factor, divisor,
-                      copy=False)
-            slabs.append(_Slab(data, *bounds))
-        return Series(self.ctx, tuple(slabs),
-                      self.vorder if vorder is None else vorder)
-
     # -- reads ---------------------------------------------------------------
 
     def _check_read(self, slab: _Slab, row: int, k: int, what: str) -> None:
@@ -783,18 +799,23 @@ class Series(_Jet):
 
     def degree_slice(self, k: int) -> "Series":
         """The lambda**k coefficient as a jet of constant matrices (placed at
-        degree 0); untrusted source coefficients poison their rows."""
+        degree 0); untrusted source coefficients poison their rows.  A row is
+        live (support {0}) where degree k is untrusted or inside its
+        certified support, and certified zero elsewhere."""
         ctx = self.ctx
         out = []
         for s in self.slabs:
-            data = np.zeros((ctx.T, ctx.W, ctx.n, ctx.n), dtype=np.complex128)
-            if ctx.lo <= k <= ctx.hi:
-                data[:len(s.data), ctx.pos(0)] = s.data[:, ctx.pos(k)]
             bad = ((s.tlo != NEG) & (k < s.tlo)) | ((s.thi != POS) & (k > s.thi))
-            live = np.zeros(ctx.T, dtype=np.int64)  # every row: support {0}
+            live = bad | ((s.slo <= k) & (k <= s.shi))
+            shi = np.where(live, 0, NEG)
+            data = np.zeros((_live_rows(shi), ctx.W, ctx.n, ctx.n),
+                            dtype=np.complex128)
+            if ctx.lo <= k <= ctx.hi:
+                rows = s.data[:len(data), ctx.pos(k)]
+                data[:len(rows), ctx.pos(0)] = rows
             out.append(_apply_support_mask(ctx, _Slab(
-                data, np.where(bad, POS, NEG).astype(np.int64), live,
-                live.copy(), np.full(ctx.T, POS, dtype=np.int64))))
+                data, np.where(bad, POS, NEG), np.where(live, 0, POS), shi,
+                np.full(ctx.T, POS, dtype=np.int64))))
         return Series(ctx, tuple(out), self.vorder)
 
     def _scalar(self, k: int, what: str, read) -> "ScalarJet":
@@ -855,7 +876,7 @@ class Series(_Jet):
         self.ctx.require_compatible(other.ctx)
         vals = _leibniz(self.slabs, other.slabs,
                         lambda a, b: self._slab_pairing(other, a, b, k),
-                        np.add, None if base is None else base.vals[0])
+                        np.add, None if base is None else base.slabs[0])
         return ScalarJet(self.ctx, vals, min(self.vorder, other.vorder))
 
     def trace_coeff(self, k: int) -> "ScalarJet":
@@ -885,18 +906,23 @@ class Series(_Jet):
 
 class ScalarJet(_Jet):
     """Scalar-valued jet (pairings, ln tau, q/r entries); exact once created.
-    ``vals[0]`` is the base value, ``vals[1 + i]`` tangent component i."""
+    Each component is a length-T array of jet coefficients."""
 
-    __slots__ = ("ctx", "vals", "vorder")
+    __slots__ = ()
 
-    def __init__(self, ctx: JetContext, vals: tuple[np.ndarray, ...], vorder: int):
-        self.ctx = ctx
-        self.vals = vals
-        self.vorder = vorder
+    @staticmethod
+    def _zero(ctx: JetContext) -> np.ndarray:
+        return np.zeros(ctx.T, dtype=np.complex128)
 
-    @classmethod
-    def zeros(cls, ctx: JetContext) -> "ScalarJet":
-        return cls(ctx, (np.zeros(ctx.T, dtype=np.complex128),), ctx.order)
+    @staticmethod
+    def _add(a: np.ndarray, b: np.ndarray, sign: float) -> np.ndarray:
+        return a + b if sign > 0 else a - b
+
+    @staticmethod
+    def _write_rows(dst: np.ndarray, rows, s: np.ndarray, src_rows, factor,
+                    divisor, copy: bool) -> np.ndarray:
+        return _row_copy((dst,), rows, (s,), src_rows, factor, divisor,
+                         copy=copy)[0]
 
     @classmethod
     def const(cls, ctx: JetContext, c: complex) -> "ScalarJet":
@@ -904,36 +930,8 @@ class ScalarJet(_Jet):
         v[0] = c
         return cls(ctx, (v,), ctx.order)
 
-    @property
-    def E(self) -> int:
-        return len(self.vals)
-
-    def base_part(self) -> "ScalarJet":
-        return ScalarJet(self.ctx, (self.vals[0],), self.vorder)
-
-    def eps_part(self, i: int = 0) -> "ScalarJet":
-        """Tangent component ``i`` (zero if the value has none)."""
-        if i + 1 >= self.E:
-            return ScalarJet.zeros(self.ctx)
-        return ScalarJet(self.ctx, (self.vals[i + 1],), self.vorder)
-
-    def _combine(self, other: "ScalarJet", op) -> "ScalarJet":
-        """op(self, other) per component; one a value lacks is zero."""
-        self.ctx.require_compatible(other.ctx)
-        E, z = max(self.E, other.E), (np.zeros(self.ctx.T, dtype=np.complex128),)
-        return ScalarJet(self.ctx, tuple(
-            op(a, b) for a, b in zip(self.vals + z * (E - self.E),
-                                     other.vals + z * (E - other.E))),
-            min(self.vorder, other.vorder))
-
-    def __add__(self, other: "ScalarJet") -> "ScalarJet":
-        return self._combine(other, np.add)
-
-    def __sub__(self, other: "ScalarJet") -> "ScalarJet":
-        return self._combine(other, np.subtract)
-
     def scale(self, c: complex) -> "ScalarJet":
-        return ScalarJet(self.ctx, tuple(v * c for v in self.vals), self.vorder)
+        return ScalarJet(self.ctx, tuple(v * c for v in self.slabs), self.vorder)
 
     def _mul_vals(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ctx = self.ctx
@@ -945,26 +943,12 @@ class ScalarJet(_Jet):
         if not isinstance(other, ScalarJet):
             return self.scale(other)
         self.ctx.require_compatible(other.ctx)
-        out = _leibniz(self.vals, other.vals, self._mul_vals, np.add)
+        out = _leibniz(self.slabs, other.slabs, self._mul_vals, np.add)
         return ScalarJet(self.ctx, out, min(self.vorder, other.vorder))
 
     def conj(self) -> "ScalarJet":
-        return ScalarJet(self.ctx, tuple(np.conj(v) for v in self.vals),
+        return ScalarJet(self.ctx, tuple(np.conj(v) for v in self.slabs),
                          self.vorder)
-
-    def with_rows(self, rows, src: "ScalarJet", src_rows, factor=None,
-                  divisor=None, vorder: int | None = None) -> "ScalarJet":
-        """The scalar counterpart of :meth:`Series.with_rows`."""
-        self.ctx.require_compatible(src.ctx)
-        vals = []
-        for e in range(max(self.E, src.E)):
-            own = e < self.E
-            dst = self.vals[e] if own else np.zeros(self.ctx.T, complex)
-            s = src.vals[e] if e < src.E else np.zeros(self.ctx.T, complex)
-            vals.extend(_row_copy((dst,), rows, (s,), src_rows, factor,
-                                  divisor, copy=own))
-        return ScalarJet(self.ctx, tuple(vals),
-                         self.vorder if vorder is None else vorder)
 
     def coeff(self, alpha, eps: int = 0) -> complex:
         ctx = self.ctx
@@ -973,11 +957,11 @@ class ScalarJet(_Jet):
             raise TrustError(f"jet order above trusted order {self.vorder}")
         if eps >= self.E:
             return 0.0 + 0.0j
-        return complex(self.vals[eps][row])
+        return complex(self.slabs[eps][row])
 
     def max_abs(self) -> float:
         live = self.ctx.totals <= self.vorder
-        return max(float(np.abs(v * live).max()) for v in self.vals)
+        return max(float(np.abs(v * live).max()) for v in self.slabs)
 
 
 # ---------------------------------------------------------------------------

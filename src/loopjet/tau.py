@@ -300,9 +300,9 @@ def _from_entries(ctx: JetContext, entries: dict) -> Series:
         if sj.E != 1:
             raise ShapeError("recovery runs on base (non-epsilon) data")
         unit = Series.monomial(ctx, np.outer(np.eye(ctx.n)[i], np.eye(ctx.n)[j]))
-        rows = np.flatnonzero(sj.vals[0])
+        rows = np.flatnonzero(sj.slabs[0])
         out = out + Series.from_rows(ctx, rows, unit, np.zeros_like(rows),
-                                     factor=sj.vals[0][rows], vorder=sj.vorder)
+                                     factor=sj.slabs[0][rows], vorder=sj.vorder)
     return out
 
 

@@ -347,7 +347,7 @@ def masked_scalar_defect(a: ScalarJet, b: ScalarJet,
     for var in masked_vars:
         keep &= ctx.midx[:, ctx.var_index(var)] == 0
     keep &= ctx.totals <= diff.vorder
-    return max(float(np.abs(v * keep).max()) for v in diff.vals)
+    return max(float(np.abs(v * keep).max()) for v in diff.slabs)
 
 
 # ---------------------------------------------------------------------------

@@ -171,13 +171,9 @@ def same_slab(x, y) -> bool:
 def same_value(x, y) -> bool:
     """Bit-for-bit equality of two series or scalar jets, every tangent
     component and the trusted order included."""
-    if isinstance(x, Series):
-        parts = list(zip(x.slabs, y.slabs))
-        same = all(same_slab(a, b) for a, b in parts)
-    else:
-        parts = list(zip(x.vals, y.vals))
-        same = all(np.array_equal(a, b) for a, b in parts)
-    return x.E == y.E and x.vorder == y.vorder and same
+    same = same_slab if isinstance(x, Series) else np.array_equal
+    return (x.E == y.E and x.vorder == y.vorder
+            and all(same(a, b) for a, b in zip(x.slabs, y.slabs)))
 
 
 def trusted_lo(series: Series) -> int:

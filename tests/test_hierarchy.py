@@ -185,7 +185,7 @@ def test_partial_x_commutes_with_entry_reads_exactly():
             a = ux.entry_jet(i, j, 0)
             b = seq.partial_x(u.entry_jet(i, j, 0))
             assert a.vorder == b.vorder
-            assert np.array_equal(a.vals[0], b.vals[0])
+            assert np.array_equal(a.slabs[0], b.slabs[0])
     assert ux.max_abs() > 0.0
 
 

@@ -20,9 +20,10 @@ from loopjet.scenario import Scenario, ScenarioConfig, _Runner
 from loopjet.series import _cap_top, _finalize_tlo, _slab_mul
 
 from helpers import (conv_oracle, dense, jet_conv_oracle, random_jet_series,
-                     random_laurent_dict, random_matrix, reference_pairing,
-                     reference_slab_product, require_window, rng, same_slab,
-                     same_value, series_from_dict, trim, trusted_lo)
+                     random_laurent_dict, random_matrix, random_scalar_jet,
+                     reference_pairing, reference_slab_product, require_window,
+                     rng, same_slab, same_value, series_from_dict, trim,
+                     trusted_lo)
 
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -401,7 +402,7 @@ def test_pairing_is_the_gathered_reference_bit_for_bit(num_vars, order, n):
     for a, b in ((x, y), (cst, y), (x, cst), (dead, y), (x, dead), (low, y)):
         live = ctx.totals <= min(a.vorder, b.vorder)
         for k in range(2 * ctx.lo - 1, 2 * ctx.hi + 2):
-            got = a.pairing(b, k).vals[0][live]
+            got = a.pairing(b, k).slabs[0][live]
             want = reference_pairing(ctx, a.slabs[0], b.slabs[0], k)[live]
             if k in (2 * ctx.lo, 2 * ctx.hi) and n > 1:
                 assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
@@ -420,7 +421,7 @@ def test_a_certified_zero_row_adds_no_untrusted_floor_to_a_pairing():
     k, row = ctx.lo + 1, ctx.index_of[(0, 1)]
     assert (a * y).slabs[0].tlo[row] <= k
     got = a.pairing(y, k)
-    assert np.array_equal(got.vals[0],
+    assert np.array_equal(got.slabs[0],
                           reference_pairing(ctx, a.slabs[0], y.slabs[0], k))
     assert abs(got.coeff(row) - np.trace((a * y).coeff(row, k))) < 1e-12
 
@@ -459,6 +460,45 @@ def test_shift_past_the_window(sign, extra):
             continue
         for k in range(ctx.lo, ctx.hi + 1):
             assert not np.any(y.coeff(0, k))
+
+
+def test_degree_shifts_keep_the_sentinels():
+    # a POS support top (a clipped L+ inverse) and a POS trusted floor (an
+    # untrusted row of a degree slice) stay POS under shift and dlambda
+    ctx = JetContext(("t1",), 2, 2, -12, 6)
+    b = np.array([[0.3, 0.1], [0.2, -0.4]], dtype=complex)
+    inv = (Series.identity(ctx) + Series.monomial(ctx, b, 1)).inv()
+    assert inv.slabs[0].shi[0] == POS
+    loose = Series.from_degree_matrices(ctx, {0: np.eye(2)}, exact=False)
+    poisoned = loose.degree_slice(ctx.lo - 1)
+    assert poisoned.slabs[0].tlo[0] == POS
+    for move in (lambda x: x.shift(1), lambda x: x.shift(-2),
+                 lambda x: x.dlambda()):
+        assert move(inv).slabs[0].shi[0] == POS
+        assert move(poisoned).slabs[0].tlo[0] == POS
+
+
+def test_degree_slice_keeps_certified_zero_rows_dead():
+    # a row is live only where degree k is untrusted or inside its certified
+    # support; rows past the last live one are not stored
+    ctx = JetContext(("t1",), 2, 2, -12, 6)
+    one = Series.monomial(ctx, np.eye(2)).degree_slice(0).slabs[0]
+    assert one.jet_const() and one.data.shape[0] == 1
+    assert one.shi.tolist() == [0, NEG, NEG]
+    assert one.slo.tolist() == [0, POS, POS]
+    assert Series.monomial(ctx, np.eye(2)).degree_slice(1).slabs[0].is_zero()
+    loose = Series.from_degree_matrices(ctx, {0: np.eye(2)}, alpha=1,
+                                        exact=False)
+    poisoned = loose.degree_slice(ctx.lo - 1)
+    assert poisoned.slabs[0].shi.tolist() == [NEG, 0, NEG]
+    assert poisoned.slabs[0].tlo.tolist() == [NEG, POS, NEG]
+    with pytest.raises(TrustError):
+        poisoned.coeff(1, 0)
+    x = random_jet_series(ctx, rng(67), -3, 1)
+    for k in (-3, 0, 2):
+        got = x.degree_slice(k)
+        for row in range(ctx.T):
+            assert np.array_equal(got.coeff(row, 0), x.coeff(row, k))
 
 
 def test_cocycle_values():
@@ -980,7 +1020,7 @@ def test_tangent_components_equal_single_direction_runs(K):
         "matmul_plain_right": (lambda x, y: x.matmul(y.base_part()),
                                lambda r: r.slabs, same_slab),
         "inv": (lambda x, y: x.inv(), lambda r: r.slabs, same_slab),
-        "pairing": (lambda x, y: x.pairing(y, -1), lambda r: r.vals,
+        "pairing": (lambda x, y: x.pairing(y, -1), lambda r: r.slabs,
                     np.array_equal),
     }
     for name, (op, parts, same) in ops.items():
@@ -994,14 +1034,85 @@ def test_tangent_components_equal_single_direction_runs(K):
             for _ in range(2 * K + 2)]
     x = ScalarJet(ctx, tuple(vals[:K + 1]), ctx.order)
     y = ScalarJet(ctx, tuple(vals[K + 1:]), ctx.order)
-    prod = (x * y).vals
+    prod = (x * y).slabs
     assert len(prod) == K + 1
-    assert np.array_equal(prod[0], (x.base_part() * y.base_part()).vals[0])
+    assert np.array_equal(prod[0], (x.base_part() * y.base_part()).slabs[0])
     for i in range(K):
         xi = ScalarJet(ctx, (vals[0], vals[1 + i]), ctx.order)
         yi = ScalarJet(ctx, (vals[K + 1], vals[K + 2 + i]), ctx.order)
-        assert np.array_equal(prod[1 + i], (xi * yi).vals[1])
-        assert np.array_equal((x * y).eps_part(i).vals[0], (xi * yi).vals[1])
+        assert np.array_equal(prod[1 + i], (xi * yi).slabs[1])
+        assert np.array_equal((x * y).eps_part(i).slabs[0], (xi * yi).slabs[1])
+
+
+def _jet_with_tangents(kind, ctx, gen, K: int):
+    """A random Series or ScalarJet with K tangent components."""
+    if kind is Series:
+        parts = [random_jet_series(ctx, gen, -3, 1) for _ in range(K + 1)]
+        return parts[0].with_eps(*parts[1:])
+    return ScalarJet(ctx, tuple(random_scalar_jet(ctx, gen).slabs[0]
+                                for _ in range(K + 1)), ctx.order)
+
+
+def _component_arrays(part) -> tuple:
+    if isinstance(part, series._Slab):
+        return (part.data, part.tlo, part.slo, part.shi, part.thi)
+    return (part,)
+
+
+def test_one_layer_holds_the_component_rules():
+    shared = {"__init__", "E", "zeros", "base_part", "eps_part", "_combine",
+              "__add__", "__sub__", "with_rows"}
+    assert shared <= set(vars(series._Jet))
+    for kind in (Series, ScalarJet):
+        assert not shared & set(vars(kind)), kind
+        assert not hasattr(kind.zeros(JetContext((), 0, 1, -2, 2)), "vals")
+
+
+@pytest.mark.parametrize("kind", [Series, ScalarJet])
+def test_a_component_a_value_lacks_reads_as_zero(kind):
+    ctx = JetContext(("t1", "t2"), 2, 2, -10, 4)
+    gen = rng(311)
+    x, y = (_jet_with_tangents(kind, ctx, gen, K) for K in (2, 0))
+    for got, sign in ((x + y, 1.0), (y + x, 1.0), (y - x, -1.0)):
+        assert got.E == 3 and got.vorder == ctx.order
+        assert same_value(got.base_part(),
+                          x.base_part() + y if sign > 0 else y - x.base_part())
+        for i in range(2):
+            assert same_value(got.eps_part(i), x.eps_part(i).scale(sign))
+
+
+@pytest.mark.parametrize("kind", [Series, ScalarJet])
+def test_parts_past_the_components_read_zero(kind):
+    ctx = JetContext(("t1", "t2"), 2, 2, -10, 4)
+    x = _jet_with_tangents(kind, ctx, rng(313), 1).partial("t1")
+    assert x.vorder == ctx.order - 1
+    base = x.base_part()
+    assert base.E == 1 and base.vorder == x.vorder
+    assert base.slabs[0] is x.slabs[0]
+    for i in (1, 4):
+        past = x.eps_part(i)
+        assert past.E == 1 and past.max_abs() == 0.0
+    assert same_value(x.eps_part(0).base_part(), x.eps_part(0))
+
+
+@pytest.mark.parametrize("kind", [Series, ScalarJet])
+def test_rows_written_into_missing_components_share_no_arrays(kind):
+    # each padded component is a fresh zero: rows are written into it in
+    # place, so a shared one would alias the components it pads
+    ctx = JetContext(("t1", "t2"), 2, 2, -10, 4)
+    src = _jet_with_tangents(kind, ctx, rng(317), 2)
+    rows = np.arange(ctx.T)
+    for out in (kind.from_rows(ctx, rows, src, rows),
+                kind(ctx, (), ctx.order).with_rows(rows, src, rows)):
+        assert same_value(out, src)
+        arrays = [a for part in out.slabs for a in _component_arrays(part)]
+        arrays += [a for part in src.slabs for a in _component_arrays(part)]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+        for a in _component_arrays(out.slabs[1]):
+            a[...] = 7
+        assert same_value(out.eps_part(1), src.eps_part(1))
+        assert same_value(out.base_part(), src.base_part())
 
 
 def test_laurent_inv_memo_matches_uncached_call():

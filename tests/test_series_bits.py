@@ -35,7 +35,7 @@ def _digest(value) -> str:
         return h.hexdigest()
     h.update(repr((type(value).__name__, value.E, value.vorder)).encode())
     if isinstance(value, ScalarJet):
-        for v in value.vals:
+        for v in value.slabs:
             h.update((v + 0.0).tobytes())
         return h.hexdigest()
     for s in value.slabs:
