@@ -33,14 +33,16 @@ run fits into the ``N - W`` residues outside them, that is when
 ``N >= W + max(hi, -lo)``; at one less, the longer run and the window
 share a residue.
 
-A context also holds the memo of base Laurent inverses (``inv_memo``):
-the Newton-polished inverse of a jet's row-0 coefficient depends only on
-that coefficient and its four degree bounds, and one scenario inverts the
-same few coefficients many times.  It also keeps the integration steps that the
-factorization and ln tau share, and the ledger of the spectra its values
-hold (``spectra``), which :mod:`loopjet.series` keeps under a budget.
-Apart from these contexts are immutable and cheap to share; every series
-value carries a reference to the context it lives in.
+Every value built once per key lives in a :class:`Memo`, the one memo
+rule: a context, a vacuum sequence, a factorization result and a field
+family each extend it.  A context's memo holds the Newton-polished inverse
+of a jet's row-0 coefficient (key ``("inv", ...)``), which depends only on
+that coefficient and its four degree bounds, as one scenario inverts the
+same few coefficients many times, and the integration steps that the
+factorization and ln tau share.  A context also keeps the ledger of the
+spectra its values hold (``spectra``), which :mod:`loopjet.series` keeps
+under a budget.  Apart from these contexts are immutable and cheap to
+share; every series value carries a reference to the context it lives in.
 """
 
 from __future__ import annotations
@@ -92,6 +94,19 @@ def _graded_multi_indices(num_vars: int, order: int) -> list[tuple[int, ...]]:
     return out
 
 
+class Memo:
+    """A holder of values built once per key and shared: callers must not
+    modify them.  The dict is made on first use, through ``vars`` so that
+    frozen dataclasses hold one too."""
+
+    def cached(self, key, build):
+        """``build()``, computed once per holder and key."""
+        memo = vars(self).setdefault("_cache", {})
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
+
 class Ledger:
     """The values that hold a cached buffer, least recently used first, and
     the bytes they hold in total.  Holders are referenced weakly: one that
@@ -125,9 +140,9 @@ class Ledger:
         self.bytes -= size
 
 
-class JetContext:
-    """Truncation context with precomputed product tables, the memo of
-    base Laurent inverses and the ledger of the spectra its values hold."""
+class JetContext(Memo):
+    """Truncation context with precomputed product tables, a memo and the
+    ledger of the spectra its values hold."""
 
     def __init__(self, variables: tuple[str, ...] | list[str], order: int,
                  n: int, lo: int, hi: int):
@@ -158,9 +173,6 @@ class JetContext:
         # so degrees [lo, hi] sit at positions [-lo, -lo+W).
         self.extract = slice(-self.lo, -self.lo + self.W)
         self.degrees = np.arange(self.lo, self.hi + 1, dtype=np.int64)
-        # (row-0 bytes, tlo, slo, shi, thi) -> row 0 of the polished inverse
-        self.inv_memo: dict[tuple[bytes, int, int, int, int], tuple] = {}
-        self._steps: dict[str, dict] = {}  # see integration_steps
         # bytes of a spectrum of every jet row: the unit of the budget
         self.spectrum_bytes = self.T * self.n * self.n * self.nfft * 16
         self.spectra = Ledger()
@@ -237,7 +249,7 @@ class JetContext:
         variable v with a positive exponent, from the row of its index minus
         e_v, dividing by that exponent.  ``{order: {v: (rows, src_rows,
         exponents)}}``."""
-        if var_choice not in self._steps:
+        def build() -> dict:
             nv = len(self.variables)
             order_v = range(nv) if var_choice == "first" else range(nv - 1, -1, -1)
             steps: dict = {}
@@ -248,11 +260,12 @@ class JetContext:
                 beta[v] -= 1
                 steps.setdefault(int(self.totals[row]), {}).setdefault(
                     v, []).append((row, self.index_of[tuple(beta)], alpha[v]))
-            self._steps[var_choice] = {
-                ell: {v: tuple(np.array(c, dtype=np.int64) for c in zip(*rows))
-                      for v, rows in by_var.items()}
-                for ell, by_var in steps.items()}
-        return self._steps[var_choice]
+            return {ell: {v: tuple(np.array(c, dtype=np.int64)
+                                   for c in zip(*rows))
+                          for v, rows in by_var.items()}
+                    for ell, by_var in steps.items()}
+
+        return self.cached(("steps", var_choice), build)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"JetContext(vars={self.variables}, order={self.order}, "

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checks import detect
-from .context import JetContext, default_window
+from .context import JetContext, Memo, default_window
 from .errors import DimensionMismatch, ShapeError
 from .series import Series, commutator, exp_series
 
@@ -45,7 +45,7 @@ LAX_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class VacuumSequence:
+class VacuumSequence(Memo):
     """Commuting generators of a hierarchy plus its flow-variable layout."""
 
     family: str
@@ -56,10 +56,6 @@ class VacuumSequence:
     gens: dict = field(repr=False)           # var -> (base key, shift)
     x_comb: tuple = ()                       # ((var, coeff), ...) giving d/dx
     c: tuple = ()                            # gl: diagonal of a
-    _j1: dict = field(default_factory=dict, init=False, repr=False,
-                      compare=False)         # context -> J_1, see j1
-    _frame: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)      # context -> V, see frame
 
     @property
     def j_max(self) -> int:
@@ -99,16 +95,13 @@ class VacuumSequence:
         """J_1 = sum_v c_v J_v, the x-combination of the generators, built
         once per context: the value is shared, so callers must not modify
         it."""
-        if ctx not in self._j1:
-            self._j1[ctx] = self.x_sum(lambda var: self.generator(ctx, var))
-        return self._j1[ctx]
+        return self.cached(("j1", ctx), lambda: self.x_sum(
+            lambda var: self.generator(ctx, var)))
 
     def frame(self, ctx: JetContext) -> Series:
         """The vacuum frame V(t) (:func:`vacuum_frame`), built once per
         context: the value is shared, so callers must not modify it."""
-        if ctx not in self._frame:
-            self._frame[ctx] = vacuum_frame(self, ctx)
-        return self._frame[ctx]
+        return self.cached(("frame", ctx), lambda: vacuum_frame(self, ctx))
 
     def partial_x(self, value):
         """d/dx = sum_v c_v d/dt_v on a :class:`Series` or

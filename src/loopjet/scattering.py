@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .checks import detect
-from .context import JetContext
+from .context import JetContext, Memo
 from .errors import ShapeError, WindowExhausted
 from .hierarchy import VacuumSequence, lax_bracket
 from .series import Series, commutator
@@ -49,7 +49,7 @@ def _grades_below(x: Series, ell: int, vorder: int) -> Series:
     return Series.from_rows(x.ctx, rows, x, rows, vorder=vorder)
 
 
-class FactorizationResult:
+class FactorizationResult(Memo):
     """Reduced frame, frame, and the solution extracted from them.
 
     M and M^-1 are built by :func:`factorize_jet`.  V f^-1, the frame E, the
@@ -75,13 +75,6 @@ class FactorizationResult:
         self.Minv = Minv
         self.var_choice = var_choice
         self.base = base
-        self._cache: dict = {}
-
-    def cached(self, key, build):
-        """``build()``, computed once per result and key."""
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
 
     def _base_value(self, name: str) -> Series | None:
         return None if self.base is None else getattr(self.base, name)

@@ -21,6 +21,11 @@ Truncation is tracked, never guessed.  Per jet coefficient:
   whose true support was clipped at the top of the window (Neumann
   inverses of L+ shapes, products certified past the window top).
 
+The degree maps lambda**s (``shift``) and d/dlambda (``dlambda``, lambda**-1
+times the degree-weighted data, whose degree-0 term dies) are one move: the
+bounds move by s with the sentinels kept, and an exact coefficient stays
+exact, its floor clamped to the window, while nothing nonzero leaves it.
+
 Products and pairings propagate the bounds with one convolution rule
 (``_pair_bounds``), ``tlo(AB) = max(tlo_A + shi_B, tlo_B + shi_A)`` and its
 mirror for ``thi``, applied over the live pairs of jet rows, where an exact
@@ -651,52 +656,41 @@ class Series(_Jet):
         w = np.asarray(weights, dtype=np.complex128)
         return self._map_data(lambda d: d * w)
 
-    def dlambda(self) -> "Series":
-        ctx = self.ctx
-        out = []
-        for s in self.slabs:
-            data = np.zeros_like(s.data)
-            k = ctx.degrees[1:]
-            data[:, :-1] = s.data[:, 1:] * k[None, :, None, None]
-            # a top (bottom) term of degree exactly 0 dies under d/dlambda
-            shi = np.where(s.shi == 0, -2, _moved(s.shi, -1))
-            thi = _moved(s.thi, -1)
-            exact = s.tlo == NEG
-            floor = np.abs(_rows_like(s.data[:, :1], ctx.T)).max(axis=(1, 2, 3))
-            bottom_safe = (s.slo > ctx.lo) | (floor == 0)
-            tlo = np.where(exact & bottom_safe, NEG,
-                           np.where(exact, ctx.lo,
-                                    np.maximum(_moved(s.tlo, -1), ctx.lo)))
-            slo = np.where(s.slo == POS, POS,
-                           np.where(s.slo == 0, 0, s.slo - 1))
-            slo = np.where(exact & bottom_safe & (slo != POS),
+    def _degree_move(self, s: int, weighted: bool = False) -> "Series":
+        """lambda**s times the data, degree-weighted if ``weighted`` (a
+        support bound at degree 0 then moves inward first, to 1 or -1)."""
+        ctx, out = self.ctx, []
+        w = max(ctx.W - abs(s), 0)  # positions kept; none once |s| >= W
+        for sl in self.slabs:
+            data = sl.data * ctx.degrees[:, None, None] if weighted else sl.data
+            moved = np.zeros_like(data)
+            if s > 0:
+                moved[:, ctx.W - w:] = data[:, :w]
+            else:
+                moved[:, :w] = data[:, ctx.W - w:]
+            shi = _moved(np.where(sl.shi == 0, -int(weighted), sl.shi), s)
+            slo = _moved(np.where(sl.slo == 0, int(weighted), sl.slo), s)
+            gone = np.zeros(ctx.T, dtype=bool)
+            gone[:len(data)] = np.any(data[:, :ctx.W - w if s < 0 else 0] != 0,
+                                      axis=(1, 2, 3))
+            exact, safe = sl.tlo == NEG, (slo >= ctx.lo) | ~gone
+            tlo = np.where(exact & safe, NEG, np.where(
+                exact, ctx.lo, np.maximum(_moved(sl.tlo, s), ctx.lo)))
+            slo = np.where(exact & safe & (slo != POS),
                            np.maximum(slo, ctx.lo), slo)
-            slab = _Slab(data, tlo, slo, shi, _cap_top(ctx, shi, thi))
+            thi = _moved(sl.thi, s)
+            slab = _Slab(moved, tlo, slo, shi, _cap_top(ctx, shi, thi))
             out.append(_apply_support_mask(ctx, slab))
         return Series(ctx, tuple(out), self.vorder)
 
+    def dlambda(self) -> "Series":
+        """d/dlambda: lambda**-1 times the degree-weighted data, whose
+        degree-0 term dies."""
+        return self._degree_move(-1, weighted=True)
+
     def shift(self, s: int) -> "Series":
         """Multiply by lambda**s."""
-        ctx = self.ctx
-        if s == 0:
-            return self
-        out = []
-        for sl in self.slabs:
-            shi, thi = _moved(sl.shi, s), _moved(sl.thi, s)
-            slo = np.where(sl.slo == POS, POS, sl.slo + s)
-            # only the overlap of the two windows moves; none once |s| >= W
-            w, data = max(ctx.W - abs(s), 0), np.zeros_like(sl.data)
-            if s > 0:
-                data[:, ctx.W - w:] = sl.data[:, :w]
-            else:
-                data[:, :w] = sl.data[:, ctx.W - w:]
-            exact = sl.tlo == NEG
-            tlo = np.where(exact & (slo >= ctx.lo), NEG,
-                           np.where(exact, ctx.lo,
-                                    np.maximum(_moved(sl.tlo, s), ctx.lo)))
-            slab = _Slab(data, tlo, slo, shi, _cap_top(ctx, shi, thi))
-            out.append(_apply_support_mask(ctx, slab))
-        return Series(ctx, tuple(out), self.vorder)
+        return self if s == 0 else self._degree_move(s)
 
     def restrict_degrees(self, klo: int, khi: int) -> "Series":
         """Restriction to degrees in [klo, khi] (content outside is dropped
@@ -987,15 +981,15 @@ def _laurent_inv(ctx: JetContext, slab: _Slab) -> _Slab:
     context's memo.  Every call returns a fresh slab."""
     bounds = [int(b[0]) for b in (slab.tlo, slab.slo, slab.shi, slab.thi)]
     data = _rows_like(slab.data, 1)[0]
-    key = (data.tobytes(), *bounds)
-    row = ctx.inv_memo.get(key)
-    if row is None:
+
+    def build() -> tuple:
         x, a0 = _neumann_inv(ctx, slab), _one_row(ctx, 0, data, *bounds)
         two = _one_row(ctx, 0, _pad_const(ctx, 2.0 * np.eye(ctx.n)), NEG, 0, 0)
         x = _slab_mul(ctx, x, _slab_add(two, _slab_mul(ctx, a0, x), -1.0))
-        row = ctx.inv_memo[key] = (x.data[0], x.tlo[0], x.slo[0], x.shi[0],
-                                   x.thi[0])
-    return _one_row(ctx, 0, *row)
+        return x.data[0], x.tlo[0], x.slo[0], x.shi[0], x.thi[0]
+
+    return _one_row(ctx, 0, *ctx.cached(("inv", data.tobytes(), *bounds),
+                                        build))
 
 
 def _neumann_inv(ctx: JetContext, slab: _Slab) -> _Slab:

@@ -174,9 +174,8 @@ def _gl_identities(result: FactorizationResult) -> list[CheckRecord]:
     c = seq.c
     v = result.v
     u = result.u
-    worst_vv = 0.0
-    worst_u_div = 0.0
-    worst_u_mul = 0.0
+    twisted = result.spec.variant in ("sigma_twisted", "tau_sigma")
+    worst_vv = worst_sigma = worst_u_div = worst_u_mul = 0.0
     for i in range(n):
         for k in range(n):
             if i == k:
@@ -185,6 +184,8 @@ def _gl_identities(result: FactorizationResult) -> list[CheckRecord]:
             vik = v.entry_jet(i, k, 0)
             vki = v.entry_jet(k, i, 0)
             worst_vv = max(worst_vv, (y + vik * vki).max_abs())
+            if twisted:
+                worst_sigma = max(worst_sigma, (y + vik * vik).max_abs())
             uik = u.entry_jet(i, k, 0)
             uki = u.entry_jet(k, i, 0)
             scale = (c[i] - c[k]) ** 2
@@ -195,16 +196,8 @@ def _gl_identities(result: FactorizationResult) -> list[CheckRecord]:
                                   "multiply": worst_u_mul})
     out.append(record("tau_uu_u_form", worst_u,
                       note=f"scaling = {scaling} by (c_i - c_k)^2"))
-    if result.spec.variant in ("sigma_twisted", "tau_sigma"):
-        worst = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                y = second_partial_formula(result, (f"e{i+1}", 0), (f"e{j+1}", 0))
-                vij = v.entry_jet(i, j, 0)
-                worst = max(worst, (y + vij * vij).max_abs())
-        out.append(record("sigma_tau_vv", worst))
+    if twisted:
+        out.append(record("sigma_tau_vv", worst_sigma))
     return out
 
 

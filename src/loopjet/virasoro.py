@@ -3,19 +3,23 @@
 The vector fields on the negative subgroup are
 Z_l(f) = -(lam**(l+1) f_lam f^-1 + lam**l f Gamma f^-1)_- f for l >= -1,
 parameterized by the constant matrix Gamma (zero, or the diagonal
-(1/n) diag(0, 1, ..., n-1) preset).  The induced variations of the reduced
-frame and of ln tau are evaluated both through their closed pairing
-formulas and through the exact epsilon route (perturb f, refactorize, take
-the epsilon part), and for the diagonal gl coordinates the ln tau variation
-is also produced by a differential operator in ln tau whose coefficient
-convention is detected rather than assumed (the stated and derived
-constants of its quadratic part differ by a factor two).
+(1/n) diag(0, 1, ..., n-1) preset).  They and the induced frame variations
+share one operand X_Gamma(f) = lam f_lam f^-1 + f Gamma f^-1, built once
+per field family and Gamma: Z_l(f) = -(lam**l X_Gamma(f))_- f and
+delta_l(M) M^-1 = -(lam**l E X_Gamma(f) E^-1)_-.  The induced variations of
+the reduced frame and of ln tau are evaluated both through their closed
+pairing formulas and through the exact epsilon route (perturb f,
+refactorize, take the epsilon part), and for the diagonal gl coordinates
+the ln tau variation is also produced by a differential operator in ln tau
+whose coefficient convention is detected rather than assumed (the stated
+and derived constants of its quadratic part differ by a factor two).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .context import Memo
 from .errors import ShapeError
 from .scattering import FactorizationResult, factorize_jet
 from .series import ScalarJet, Series
@@ -35,45 +39,37 @@ def gamma_xi0(n: int) -> np.ndarray:
     return np.diag(np.arange(n) / n).astype(complex)
 
 
-class VirasoroFields:
+class VirasoroFields(Memo):
     """The fields Z_l at one point f, for every l >= -1 and Gamma.
 
-    f^-1 and f_lam f^-1 depend on neither l nor Gamma, and f Gamma f^-1
-    not on l: each is built once, as is each Z_l(f) and the square
-    (f_lam f^-1)^2 that gives the constants c_l(f).  Values are shared, so
-    callers must not modify them."""
+    f^-1 and f_lam f^-1 depend on neither l nor Gamma, and the operand
+    X_Gamma(f) not on l: each is built once, as is each Z_l(f) and the
+    square (f_lam f^-1)^2 that gives the constants c_l(f).  Values are
+    shared, so callers must not modify them."""
 
     def __init__(self, f: Series):
         self.f = f
         self.finv = f.inv()
         self.log = f.dlambda() * self.finv  # f_lam f^-1
-        self._cache: dict = {}
 
-    def _cached(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+    def operand(self, gamma: np.ndarray | None = None) -> Series:
+        """X_Gamma(f) = lam f_lam f^-1 + f Gamma f^-1."""
+        def build() -> Series:
+            x = self.log.shift(1)
+            if gamma is None:
+                return x
+            g = Series.monomial(self.f.ctx, np.asarray(gamma, dtype=complex))
+            return x + self.f * g * self.finv
+
+        return self.cached(("X", _gamma_key(gamma)), build)
 
     def __call__(self, ell: int, gamma: np.ndarray | None = None) -> Series:
-        """Z_l(f), tangent to the negative subgroup at f."""
+        """Z_l(f) = -(lam**l X_Gamma(f))_- f, tangent to the negative
+        subgroup at f."""
         if ell < -1:
             raise ShapeError("Z_l needs l >= -1")
-
-        def build() -> Series:
-            x = self.log.shift(ell + 1)
-            if gamma is not None:
-                x = x + self.conj(gamma).shift(ell)
-            return -(x.minus()) * self.f
-
-        return self._cached(("Z", ell, _gamma_key(gamma)), build)
-
-    def conj(self, gamma: np.ndarray) -> Series:
-        """f Gamma f^-1."""
-        def build() -> Series:
-            g = Series.monomial(self.f.ctx, np.asarray(gamma, dtype=complex))
-            return self.f * g * self.finv
-
-        return self._cached(("conj", _gamma_key(gamma)), build)
+        return self.cached(("Z", ell, _gamma_key(gamma)), lambda: -(
+            self.operand(gamma).shift(ell).minus()) * self.f)
 
     def eta(self, j: int) -> Series:
         """eta_j(f) = (1/2) Z_{2j}(f) with Gamma = 0, tangent to the
@@ -86,7 +82,7 @@ class VirasoroFields:
         """c_l(f) = <lam**(l+2) (f_lam f^-1)^2>_0 (vanishes for l <= 1)."""
         if ell < -1:
             raise ShapeError("c_l needs l >= -1")
-        log2 = self._cached("log2", lambda: self.log * self.log)
+        log2 = self.cached("log2", lambda: self.log * self.log)
         return log2.trace_coeff(-(ell + 2)).coeff(0)
 
 
@@ -142,18 +138,10 @@ def _gamma_key(gamma: np.ndarray | None):
 
 def _conjugated_operand(result: FactorizationResult,
                         gamma: np.ndarray | None) -> Series:
-    """E (lam f_lam f^-1 + f Gamma f^-1) E^-1, built once per result and
-    Gamma (it does not depend on l); the jet-constant inner operand is
-    the fields' own products at the datum."""
-
-    def build() -> Series:
-        fields = datum_fields(result)
-        x = fields.log.shift(1)
-        if gamma is not None:
-            x = x + fields.conj(gamma)
-        return result.E * x * result.Einv
-
-    return result.cached(("operand", _gamma_key(gamma)), build)
+    """E X_Gamma(f) E^-1, built once per result and Gamma (it does not
+    depend on l) from the fields' own operand at the datum."""
+    return result.cached(("operand", _gamma_key(gamma)), lambda: result.E
+                         * datum_fields(result).operand(gamma) * result.Einv)
 
 
 def _e_log(result: FactorizationResult) -> Series:
@@ -290,7 +278,6 @@ def theorem76_operator(result: FactorizationResult, ell: int,
     X = ln_tau_jet(result)
     op = ScalarJet.zeros(ctx)
     masked: list[str] = []
-    m_top = max(shift for _, shift in seq.gens.values()) + 1
     if not seq.full_grid:
         raise ShapeError("theorem76_operator needs the full (consecutive) "
                          "flow grid of the untwisted hierarchy")
@@ -316,23 +303,16 @@ def theorem76_operator(result: FactorizationResult, ell: int,
             masked.append(var)
             continue
         op = op + term.times_var(var) * float(j)
-    if ell >= 2:
-        for i in range(1, seq.n + 1):
-            for j in range(1, ell):
-                if partials == "formula":
-                    a = first_partial_pairing(result, f"e{i}", j - 1)
-                    b = first_partial_pairing(result, f"e{i}", ell - j - 1)
-                    sec = second_partial_formula(result, (f"e{i}", j - 1),
-                                                 (f"e{i}", ell - j - 1))
-                else:
-                    if j > m_top or ell - j > m_top:
-                        raise ShapeError(
-                            "theorem76_operator: quadratic term needs "
-                            f"t_{{i,{j}}} and t_{{i,{ell - j}}} active")
-                    a = X.partial(f"t{i}_{j}")
-                    b = X.partial(f"t{i}_{ell - j}")
-                    sec = X.partial(f"t{i}_{j}").partial(f"t{i}_{ell - j}")
-                op = op + a * b * ca + sec * cb
+    for i in range(1, seq.n + 1):
+        for j in range(1, ell):
+            a, b = f1(i, j), f1(i, ell - j)
+            if isinstance(a, str) or isinstance(b, str):
+                raise ShapeError("theorem76_operator: quadratic term needs "
+                                 f"t_{{i,{j}}} and t_{{i,{ell - j}}} active")
+            sec = (second_partial_formula(result, (f"e{i}", j - 1),
+                                          (f"e{i}", ell - j - 1))
+                   if partials == "formula" else a.partial(f"t{i}_{ell - j}"))
+            op = op + a * b * ca + sec * cb
     op = op - ScalarJet.const(ctx, 0.5 * datum_fields(result).c_ell(ell))
     return op, masked
 

@@ -478,6 +478,67 @@ def test_degree_shifts_keep_the_sentinels():
         assert move(poisoned).slabs[0].tlo[0] == POS
 
 
+def test_degree_moves_keep_a_neg_support_floor():
+    # a loose value has no certified support floor (slo == NEG); a degree
+    # move leaves it uncertified instead of moving the sentinel
+    ctx = JetContext(("t1",), 2, 2, -12, 6)
+    loose = random_jet_series(ctx, rng(73), ctx.lo, 1, exact=False)
+    assert np.all(loose.slabs[0].slo == NEG)
+    for move in (lambda x: x.shift(2), lambda x: x.shift(-3),
+                 lambda x: x.dlambda()):
+        assert np.all(move(loose).slabs[0].slo == NEG)
+
+
+def _deepened(content, exact: bool, seed: int, zero_bottom: int = 0):
+    """One value built in the window [-8, 3] and again 6 degrees deeper:
+    random coefficients on the degrees ``content`` at every jet row.  Where
+    the content reaches below the shallow window the shallow value is cut
+    there and loose; the deep one holds all of it, exactly.  With
+    ``zero_bottom`` k, the value is exact with its support floor certified
+    at the shallow window bottom, and its bottom k degrees hold zero."""
+    out = []
+    for lo in (-8, -14):
+        ctx, gen = JetContext(("t1",), 2, 2, lo, 3), rng(seed)
+        x = Series.zeros(ctx)
+        for row in range(ctx.T):
+            coeffs = random_laurent_dict(gen, 2, *content, 0.5)
+            x = x + Series.from_degree_matrices(
+                ctx, {k: m for k, m in coeffs.items() if k >= lo}, alpha=row,
+                exact=exact or lo <= content[0])
+        if zero_bottom:
+            z = Series.from_degree_matrices(
+                ctx, {-8 + k: np.eye(2) for k in range(zero_bottom)})
+            x = (x + z) - z
+        out.append(x)
+    return out
+
+
+def test_degree_moves_are_sound_under_deepening():
+    # every coefficient a moved value trusts equals the deeper window's, and
+    # every read below its trusted floor raises
+    values = [_deepened((-8, 2), True, 81), _deepened((-14, 1), False, 82),
+              _deepened((-5, 2), True, 83, zero_bottom=3)]
+    moves = [lambda x, s=s: x.shift(s) for s in (-3, -1, 2)]
+    for shallow, deep in values:
+        for move in moves + [lambda x: x.dlambda()]:
+            got, want = move(shallow), move(deep)
+            scale = max(want.max_abs(), 1.0)
+            for row in range(got.ctx.T):
+                tlo = got.slabs[0].tlo[row]
+                for k in range(deep.ctx.lo, deep.ctx.hi + 1):
+                    if tlo != NEG and k < tlo:
+                        with pytest.raises(TrustError):
+                            got.coeff(row, k)
+                        continue
+                    assert (np.abs(got.coeff(row, k) - want.coeff(row, k)).max()
+                            <= 1e-12 * scale), (row, k)
+    # nothing nonzero leaves the window: the value stays exact, its floor
+    # clamped to the window
+    moved = values[2][0].shift(-3)
+    assert np.all(moved.slabs[0].tlo == NEG)
+    assert np.all(moved.slabs[0].slo == moved.ctx.lo)
+
+
 def test_degree_slice_keeps_certified_zero_rows_dead():
     # a row is live only where degree k is untrusted or inside its certified
     # support; rows past the last live one are not stored
@@ -1140,7 +1201,7 @@ def test_laurent_inv_memo_matches_uncached_call():
         assert again is not first
         assert same_slab(again, polished(s))
     # one entry per distinct row 0: its data and four degree bounds
-    assert len(ctx.inv_memo) == 3
+    assert sum(key[0] == "inv" for key in ctx._cache) == 3
 
 
 # -- the spectrum budget -------------------------------------------------------
@@ -1254,7 +1315,7 @@ def test_values_store_only_their_live_rows(monkeypatch):
     assert _Runner(scen).run().passed
     assert seen["slabs"] > 1000 and seen["values"] > 1000
     ctx = scen.ctx
-    assert ctx.T == 84 and ctx in scen.seq._j1  # J_1 is memoized
+    assert ctx.T == 84 and ("j1", ctx) in scen.seq._cache  # J_1 is memoized
     assert Series.zeros(ctx).stored_rows().shape[0] == 0
     for one in (Series.identity(ctx), scen.f, scen.seq.j1(ctx)):
         assert one.stored_rows().shape[0] == 1

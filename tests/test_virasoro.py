@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from loopjet import JetContext, Series, ShapeError
-from loopjet.hierarchy import akns_sequence, gl_sequence
-from loopjet.scattering import factorize_jet
+from loopjet.context import Memo
+from loopjet.hierarchy import VacuumSequence, akns_sequence, gl_sequence
+from loopjet.scattering import FactorizationResult, factorize_jet
 from loopjet.scenario import Scenario, ScenarioConfig
 from loopjet.splitting import SplittingSpec, sample_negative_element
 from loopjet.tau import ln_tau_jet
-from loopjet.virasoro import (VirasoroFields, bracket_defect,
-                              c_ell_const_defect, datum_fields,
+from loopjet.virasoro import (VirasoroFields, _conjugated_operand,
+                              bracket_defect, c_ell_const_defect, datum_fields,
                               eps_perturbed_result, eta_bracket_defect,
                               eta_tangency_defect, gamma_xi0,
                               gl_frame_variation, induced_frame_variation,
@@ -284,22 +285,71 @@ def test_virasoro_l_loop_makes_no_repeat_product(gl3_order2):
     assert count["repeats"] == 0
 
 
-def _akns_standard() -> Scenario:
-    raw = json.loads((CONFIGS / "akns_standard.json").read_text())
+def test_one_memo(gl3_order2):
+    # every holder of values built once per key uses the one Memo rule
+    scen, res, _ = gl3_order2
+    fields = datum_fields(res)
+    holders = (scen.ctx, scen.seq, res, fields)
+    assert [type(h) for h in holders] == [JetContext, VacuumSequence,
+                                          FactorizationResult, VirasoroFields]
+    own = {"_cache", "_cached", "inv_memo", "_steps", "_j1", "_frame"}
+    for h in holders:
+        assert isinstance(h, Memo) and type(h).cached is Memo.cached
+        assert not own & set(vars(type(h)))
+        assert not own & set(getattr(type(h), "__dataclass_fields__", {}))
+        assert set(vars(h)) & own <= {"_cache"}
+        first = h.cached("probe", object)
+        assert h.cached("probe", object) is first
+    ctx = scen.ctx
+    assert scen.seq.j1(ctx) is scen.seq.j1(ctx)
+    assert scen.seq.frame(ctx) is res.V
+    assert ctx.integration_steps("last") is ctx.integration_steps("last")
+    gamma = gamma_xi0(ctx.n)
+    assert fields.operand(gamma) is fields.operand(gamma.copy())
+    assert fields(2, gamma) is fields(2, gamma)
+
+
+def _shipped(name: str) -> Scenario:
+    raw = json.loads((CONFIGS / f"{name}.json").read_text())
     return Scenario(ScenarioConfig.from_dict(raw))
+
+
+@pytest.mark.parametrize("name", ["gl3_full", "akns_standard"])
+def test_operand_moves_no_bit(name):
+    # Z_l(f) = -(lam**l X_Gamma(f))_- f is the two-shift form
+    # -(lam**(l+1) f_lam f^-1 + lam**l f Gamma f^-1)_- f bit for bit, and the
+    # conjugated operand is E (lam f_lam f^-1 + f Gamma f^-1) E^-1
+    scen = _shipped(name)
+    res = factorize_jet(scen.spec, scen.seq, scen.ctx, scen.f)
+    fields = datum_fields(res)
+    f, n = fields.f, scen.ctx.n
+    for gamma in (None, gamma_xi0(n)):
+        conj = (None if gamma is None else
+                f * Series.monomial(scen.ctx, gamma) * fields.finv)
+        for ell in range(-1, 4):
+            x = fields.log.shift(ell + 1)
+            if conj is not None:
+                x = x + conj.shift(ell)
+            assert same_value(fields(ell, gamma), -(x.minus()) * f)
+        x = fields.log.shift(1)
+        if conj is not None:
+            x = x + conj
+        assert same_value(_conjugated_operand(res, gamma),
+                          res.E * x * res.Einv)
 
 
 @pytest.mark.parametrize("name", ["gl3_order2", "akns_standard"])
 def test_eps_refactorization_defers_frame_and_solution(request, name):
     scen = (request.getfixturevalue(name)[0] if name == "gl3_order2"
-            else _akns_standard())
+            else _shipped("akns_standard"))
     res = factorize_jet(scen.spec, scen.seq, scen.ctx, scen.f)
     fields = VirasoroFields(scen.f)
     df = fields(1)
     eps = eps_perturbed_result(res, df)
     # the run builds only M and M^-1
     deferred = ("vfinv", "E", "u", "v")
-    assert not set(deferred) & (set(eps._cache) | set(vars(eps)))
+    assert not set(deferred) & (set(vars(eps).get("_cache", {}))
+                                | set(vars(eps)))
     # read later, each equals its value in a run from scratch bit for bit
     scratch = factorize_jet(scen.spec, scen.seq, scen.ctx,
                             res.f.base_part().with_eps(df))
