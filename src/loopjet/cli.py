@@ -5,9 +5,11 @@ Subcommands:
 * ``run --config c.json --out report.json [--seed N] [--order D]`` --
   execute the configured suites and write the JSON report; the exit code is
   0 when every check passed, 1 on a check failure, 2 for an invalid
-  configuration and 3 for a numerical failure (window exhaustion, untrusted
+  configuration, 3 for a numerical failure (window exhaustion, untrusted
   read, shape violation, a floating overflow or invalid operation, a defect
-  that is not finite), naming the failing stage or check.
+  that is not finite) and 4 for a resource failure (out of memory, or no
+  compiled pair walk: a missing C compiler or a failed build), naming the
+  failing stage or check; no report is written unless the run finished.
 * ``dump --config c.json --target {M,E,u,v,lntau} --out file.csv`` --
   coefficient dump with columns multi_index;lambda_degree;row;col;re;im,
   deterministically ordered, nonzero entries only (magnitudes below 1e-12
@@ -25,8 +27,8 @@ import sys
 import numpy as np
 
 from .checks import catalog_entries
-from .errors import ConfigError, LoopjetError
-from .scenario import Scenario, ScenarioConfig, _Runner
+from .errors import ConfigError, LoopjetError, ResourceError
+from .scenario import Scenario, ScenarioConfig, _Runner, _stage, run_scenario
 from .series import ScalarJet, Series
 from .tau import ln_tau_jet
 
@@ -92,26 +94,18 @@ def _dump_rows_scalar(s: ScalarJet):
 
 
 def dump_series(cfg: ScenarioConfig, target: str) -> str:
-    scen = Scenario(cfg)
-    runner = _Runner(scen)
+    if target not in ("M", "E", "u", "v", "lntau"):
+        raise ConfigError(f"unknown dump target {target!r}")
+    runner = _Runner(Scenario(cfg))
     runner._ensure_factorized()
     res = runner.result
-    header = "multi_index,lambda_degree,row,col,re,im"
-    if target == "M":
-        body = _dump_rows_series(res.M)
-    elif target == "E":
-        body = _dump_rows_series(res.E)
-    elif target == "u":
-        body = _dump_rows_series(res.u)
-    elif target == "v":
-        if res.v is None:
-            raise ConfigError("target 'v' needs the gl_n family")
-        body = _dump_rows_series(res.v)
-    elif target == "lntau":
+    if target == "lntau":
         body = _dump_rows_scalar(ln_tau_jet(res))
+    elif getattr(res, target) is None:
+        raise ConfigError("target 'v' needs the gl_n family")
     else:
-        raise ConfigError(f"unknown dump target {target!r}")
-    return "\n".join([header] + body) + "\n"
+        body = _dump_rows_series(getattr(res, target))
+    return "\n".join(["multi_index,lambda_degree,row,col,re,im"] + body) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -129,6 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     p_dump.add_argument("--config", required=True)
     p_dump.add_argument("--target", required=True)
     p_dump.add_argument("--out", required=True)
+    p_dump.set_defaults(seed=None, order=None)
     sub.add_parser("list-checks", help="print the catalog of named checks")
     args = ap.parse_args(argv)
 
@@ -138,24 +133,22 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        if args.command == "run":
-            cfg = _load_config(args.config, args.seed, args.order)
-        else:
-            cfg = _load_config(args.config, None, None)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-
-    try:
+        cfg = _load_config(args.config, args.seed, args.order)
         if args.command == "dump":
-            _write(args.out, dump_series(cfg, args.target))
+            with _stage("dump"):
+                text = dump_series(cfg, args.target)
+            _write(args.out, text)
             return 0
-        from .scenario import run_scenario
         report = run_scenario(cfg)
-        _write(args.out, report.to_json() + "\n")
+        with _stage("report write"):
+            text = report.to_json() + "\n"
+        _write(args.out, text)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except ResourceError as e:
+        print(f"resource failure: {e}", file=sys.stderr)
+        return 4
     except LoopjetError as e:
         print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 3

@@ -12,13 +12,13 @@ together with index maps for partial derivatives and monomial shifts:
 * the pair table ``pair_a``, ``pair_b``, ``pair_c``: every admissible
   multi-index pair (a, b) with its output index c, the index of a + b.
   Multi-indices are stored in graded order, so for a row ``a`` the rows
-  ``b`` with ``|a| + |b| <= k`` are the prefix ``[0, upto[k - |a|])``; the
-  table is a-major, so the rows of one grade g share that prefix, and
-  ``grade_out[g]`` is the ``(rows of grade g, upto[d - g])`` view of
-  ``pair_c`` holding their outputs.  The outputs along one row, and along
-  one column, of a grade's grid are distinct, so a product adds a batch of
-  either straight into its output rows, and a pairing a whole grid; degree
-  bounds and scalar-jet products scatter into the ``pair_c`` rows.
+  ``b`` with ``|a| + |b| <= k`` are the prefix ``[0, upto[k - |a|])``.  The
+  table is a-major: the compiled walk of a product runs its live pairs in
+  table order, so each output adds its terms in ascending a.  The rows of
+  one grade g share one prefix, and ``grade_out[g]`` is the ``(rows of
+  grade g, upto[d - g])`` view of ``pair_c`` holding their outputs, which a
+  pairing sums grid by grid; degree bounds and scalar-jet products scatter
+  into the ``pair_c`` rows.
   ``zero_pairs`` is the part of the table with row 0 on either side, the
   only pairs live in a product with a jet-constant factor.
 

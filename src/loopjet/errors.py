@@ -34,3 +34,8 @@ class ShapeError(LoopjetError):
 
 class ConfigError(LoopjetError):
     """A scenario configuration failed validation."""
+
+
+class ResourceError(LoopjetError):
+    """The host lacks what a run needs: memory, or a C compiler that builds
+    the compiled pair walk."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from .checks import CATALOG, CheckRecord, detect, record
 from .context import default_window, fft_length
-from .errors import ConfigError, LoopjetError
+from .errors import ConfigError, LoopjetError, ResourceError
 from .hierarchy import (LaxFlows, VacuumSequence, akns_sequence,
                         gl_sequence, kdv_sequence, named_flow_residual,
                         named_flows, odd_akns_sequence,
@@ -736,12 +736,16 @@ class _Runner:
 def _stage(name: str):
     """Raise numpy overflow and invalid operations inside a stage as a
     :class:`LoopjetError` naming it, so a blow-up fails where it happens
-    instead of at a later check."""
+    instead of at a later check, and running out of memory as a
+    :class:`ResourceError` naming it."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except FloatingPointError as e:
         raise LoopjetError(f"{name}: {e}") from None
+    except MemoryError as e:
+        raise ResourceError(f"{name}: out of memory"
+                            + (f" ({e})" if str(e) else "")) from None
 
 
 def _commuting_h(scen: Scenario) -> Series | None:
@@ -849,4 +853,6 @@ def _trace_g1_defect(scen: Scenario) -> float:
 
 
 def run_scenario(cfg: ScenarioConfig) -> Report:
-    return _Runner(Scenario(cfg)).run()
+    with _stage("set-up"):
+        scen = Scenario(cfg)
+    return _Runner(scen).run()

@@ -39,31 +39,24 @@ matrix entry, where R is the last live row (``shi != NEG``) plus one; the
 degree bounds cover all T rows, and a row at or past R is certified zero and
 has no storage, so a jet-constant value stores one row.  Products convolve
 in lambda by FFT of the window copied into a zero-padded buffer.  An
-operand's spectrum is row-major, ``(R, n, n, nfft)``, with certified-zero
-rows (``shi == NEG``) held at exact zero, and it is held on the operand
-under a budget per
-context, ``_SPECTRUM_BUDGET`` spectra of every jet row: past it the least
-recently used spectra are dropped and transformed again on their next use,
-which gives the same bits.  The jet product runs over the grades
-g of the left factor: its live rows of grade g and the admissible right
-rows, the prefix ``[0, upto[top - g])``, span a grid whose outputs
-``grade_out[g]`` are distinct along each row and each column.  A grade is
-batched along the longer side of its grid, by a-row in ascending order or
-by b-column in descending order, in blocks of at most ``_BLOCK_BYTES`` of
-spectrum, which stay in L2.  The terms of an output c from grade g have
-right rows of one grade, where descending b is ascending a = c - b, so
-every output adds its terms in ascending a; the n x n product of spectra
-is summed entry by entry in ascending k (``_entry_mul``), the one way
-spectra are multiplied here.  This fixed order of operations keeps
-reports bit-identical.  Only the rows up to the last live output are
-transformed back, as a view, so they are copied once, into the data.
-A pairing walks the same grids and adds each grade's ``einsum`` in
-ascending a; bounds and scalar-jet products scatter into the ``pair_c`` rows.
-A jet-order ``cap`` leaves every row past it certified zero, on the
-jet-constant path as on the general one.  A product restricted to some
-output rows (``rows=``) walks only the pairs that reach them from live
-rows, so each has the whole product's bits, and certifies the other rows
-zero.
+operand's spectrum is row-major, ``(R, n, n, nfft)``, held on the operand
+under a budget per context, ``_SPECTRUM_BUDGET`` spectra of every jet row:
+past it the least recently used spectra are dropped and transformed again
+on their next use, which gives the same bits.  A jet product is one call of
+the compiled pair walk (:mod:`loopjet.kernel`) over its live pairs: the
+pairs of the a-major pair table (with a jet-constant factor, of its row-0
+part) whose two rows are live, whose output is within the jet order ``cap``
+and, for a product restricted to some output rows (``rows=``), one of them.
+For each pair in table order the walk adds A[a] B[b] to C[c], so every
+output adds its terms in ascending a; each n x n entry first sums its terms
+in ascending k, x y multiplied as numpy multiplies complex doubles,
+re = fma(xr, yr, -(xi yi)) and im = fma(xr, yi, xi yr).  This fixed order
+of operations keeps reports bit-identical, and gives a restricted product
+the whole product's bits at its rows; every other row is certified zero.
+Only the rows up to the last live output are transformed back, as a view,
+so they are copied once, into the data.  A pairing sums each grade's grid
+(``grade_out``) by ``einsum`` in ascending a; bounds and scalar-jet
+products scatter into the ``pair_c`` rows.
 
 An inverse is solved grade by grade (forward substitution over jet grades):
 its row 0, for every value alike, is the memoized Laurent inverse of the
@@ -94,12 +87,12 @@ import numpy as np
 
 from .context import NEG, POS, JetContext
 from .errors import DimensionMismatch, ShapeError, TrustError, WindowExhausted
+from .kernel import walk
 
 __all__ = ["Series", "ScalarJet", "exp_series", "cocycle", "commutator",
            "directional_derivative"]
 
 _SINGULAR_COND = 1e12
-_BLOCK_BYTES = 1 << 17  # spectrum bytes per kernel call: a block fits in L2
 _SPECTRUM_BUDGET = 6  # spectra of every jet row a context holds, at most
 
 
@@ -118,31 +111,20 @@ class _Slab:
         self._hat = None
 
     def fft(self, ctx: JetContext):
-        """Row-major spectrum ``(R, n, n, nfft)`` of the stored rows, a dead
-        one (``shi == NEG``) exact zero whatever its data.  It is held on the
-        slab while ``ctx.spectra`` keeps it under the budget; one it drops is
+        """Row-major spectrum ``(R, n, n, nfft)`` of the stored rows (the
+        walk reads no dead one).  It is held on the slab while
+        ``ctx.spectra`` keeps it under the budget; one it drops is
         transformed again on its next use."""
         hat = self._hat
         if hat is None:
             hat = self._hat = _spectrum(ctx, self.data)
-            hat[self.shi[:len(hat)] == NEG] = 0.0
         for slab in ctx.spectra.use(self, hat.nbytes,
                                     _SPECTRUM_BUDGET * ctx.spectrum_bytes):
             slab._hat = None
         return hat
 
-    def is_zero(self) -> bool:
-        return self.data.shape[0] == 0
-
     def jet_const(self) -> bool:
         return self.data.shape[0] <= 1
-
-
-def _blocks(ctx: JetContext, count: int) -> list[slice]:
-    """Slices of ``range(count)`` of at most ``_BLOCK_BYTES`` of spectrum
-    rows each (at least one row)."""
-    step = max(1, _BLOCK_BYTES // (16 * ctx.n * ctx.n * ctx.nfft))
-    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
 
 
 def _live_rows(shi) -> int:
@@ -224,16 +206,6 @@ def _coefficients(ctx: JetContext, hat: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.fft.ifft(hat, axis=-1)[..., ctx.extract], -1, -3)
 
 
-def _entry_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """n x n product over the entry axes ``(-3, -2)`` of row-major spectra,
-    broadcasting the leading axes; each entry adds its terms in ascending
-    k."""
-    acc = x[..., :, 0:1, :] * y[..., 0:1, :, :]
-    for k in range(1, x.shape[-2]):
-        acc += x[..., :, k:k + 1, :] * y[..., k:k + 1, :, :]
-    return acc
-
-
 def _pair_bounds(a: _Slab, ia, b: _Slab, ib):
     """Degree bounds ``(tlo, slo, shi, thi)`` of the products of jet rows
     ``a[ia]`` and ``b[ib]``, pair by pair: the one convolution rule.  An
@@ -248,28 +220,24 @@ def _pair_bounds(a: _Slab, ia, b: _Slab, ib):
     return tlo, aslo + bslo, np.minimum(ashi + bshi, POS), thi
 
 
-def _product_slab(ctx: JetContext, C, tlo, slo, shi, thi) -> _Slab:
-    """The product with output spectra ``C``; only the rows up to the last
-    live one are transformed back and stored."""
-    data = _coefficients(ctx, C[:_live_rows(shi)]).copy()
-    slab = _Slab(data, _finalize_tlo(ctx, tlo, slo), slo, shi,
-                 _cap_top(ctx, shi, thi))
-    return _apply_support_mask(ctx, slab)
-
-
-def _product_bounds(ctx: JetContext, a: _Slab, b: _Slab, top: int,
-                    want=None, const: bool = False):
-    """Degree bounds of the jet product of ``a`` and ``b`` up to jet order
-    ``top``, at the output rows ``want`` masks (all without it): a
-    certified-zero row adds nothing, whatever its trusted floor.  With a
-    jet-constant factor (``const``) only the pairs with a row 0 can be
+def _live_pairs(ctx: JetContext, a: _Slab, b: _Slab, top: int, want=None):
+    """The pairs ``(pa, pb, pc)`` of the jet product of ``a`` and ``b`` up to
+    jet order ``top`` that can add anything, in the a-major order of the
+    pair table: both rows live and the output in ``want`` (every row without
+    it).  With a jet-constant factor only the pairs with a row 0 can be
     live, and only those are scanned."""
-    pa, pb, pc = (ctx.zero_pairs if const
+    pa, pb, pc = (ctx.zero_pairs if a.jet_const() or b.jet_const()
                   else (ctx.pair_a, ctx.pair_b, ctx.pair_c))
     live = (a.shi != NEG)[pa] & (b.shi != NEG)[pb] & (ctx.totals[pc] <= top)
     if want is not None:
         live &= want[pc]
-    pa, pb, pc = pa[live], pb[live], pc[live]
+    return pa[live], pb[live], pc[live]
+
+
+def _product_bounds(ctx: JetContext, a: _Slab, b: _Slab, pairs):
+    """Degree bounds of the jet product of ``a`` and ``b`` over its live
+    ``pairs``; an output row no pair reaches is certified zero."""
+    pa, pb, pc = pairs
     bounds = [np.full(ctx.T, v, dtype=np.int64) for v in (NEG, POS, NEG, POS)]
     for scatter, out, c in zip((np.maximum.at, np.minimum.at) * 2, bounds,
                                _pair_bounds(a, pa, b, pb)):
@@ -277,88 +245,22 @@ def _product_bounds(ctx: JetContext, a: _Slab, b: _Slab, top: int,
     return bounds
 
 
-def _spans(ctx: JetContext, idx: np.ndarray) -> list:
-    """The ascending indices ``idx`` in blocks as ``_blocks`` cuts them,
-    each a slice when its indices are consecutive (a view, not a copy)."""
-    out = []
-    for s in _blocks(ctx, idx.size):
-        block = idx[s]
-        if block[-1] - block[0] + 1 == block.size:
-            block = slice(int(block[0]), int(block[-1]) + 1)
-        out.append(block)
-    return out
-
-
-def _grades(ctx: JetContext, a: _Slab, top: int, nb_max: int):
-    """The product grid up to jet order ``top``, per grade g: the live rows
-    of ``a`` of grade g, the admissible b prefix length ``nb <= nb_max`` and
-    their outputs ``grade_out[g][rows, :nb]``."""
-    for g, grid in enumerate(ctx.grade_out[:top + 1]):
-        first = ctx.upto[g] - grid.shape[0]
-        rows = np.flatnonzero(a.shi[first:ctx.upto[g]] != NEG)
-        nb = min(ctx.upto[top - g], nb_max)
-        yield rows + first, nb, grid[rows, :nb]
-
-
 def _slab_mul(ctx: JetContext, a: _Slab, b: _Slab,
               cap: int | None = None, want=None) -> _Slab:
-    """The jet product up to jet order ``cap``.  ``want``, a mask of jet
-    rows, restricts it to those output rows: only the pairs that reach one
-    from live rows are computed, each output bit for bit as the whole
-    product computes it, and every other row is certified zero."""
-    if a.is_zero() or b.is_zero():
-        return _zero_slab(ctx)
+    """The jet product up to jet order ``cap``: the compiled walk over its
+    live pairs (see the module docstring).  ``want``, a mask of jet rows,
+    restricts it to those output rows, each bit for bit as the whole product
+    computes it; every other row is certified zero."""
     top = ctx.order if cap is None else min(cap, ctx.order)
-    if b.jet_const():
-        return _slab_mul_const(ctx, a, b, top, True, want)
-    if a.jet_const():
-        return _slab_mul_const(ctx, a, b, top, False, want)
-
-    # grade by grade, batched along the longer side of the grid, in blocks;
-    # descending b is ascending a (see the module docstring).  Dead rows are
-    # zero in the cached spectra.
-    A, B = a.fft(ctx), b.fft(ctx)
-    C = np.zeros((ctx.upto[top], ctx.n, ctx.n, ctx.nfft), dtype=np.complex128)
-    live_b = b.shi[:len(B)] != NEG
-    for rows, nb, out in _grades(ctx, a, top, len(B)):
-        keep, cols = None, nb
-        if want is not None:  # the grid's pairs to compute, and its sides
-            keep = want[out] & live_b[:nb]
-            some = keep.any(axis=1)
-            rows, out, keep = rows[some], out[some], keep[some]
-            cols = np.count_nonzero(keep.any(axis=0))
-        if rows.size <= cols:
-            blocks = _blocks(ctx, nb)
-            for i, (ia, row_out) in enumerate(zip(rows, out)):
-                for s in (blocks if keep is None
-                          else _spans(ctx, np.flatnonzero(keep[i]))):
-                    C[row_out[s]] += _entry_mul(A[ia], B[s])
-        else:
-            Ag, blocks = A[rows], _blocks(ctx, rows.size)
-            for j in range(nb - 1, -1, -1):
-                for s in (blocks if keep is None
-                          else _spans(ctx, np.flatnonzero(keep[:, j]))):
-                    C[out[s, j]] += _entry_mul(Ag[s], B[j])
-    return _product_slab(ctx, C, *_product_bounds(ctx, a, b, top, want))
-
-
-def _slab_mul_const(ctx: JetContext, a: _Slab, b: _Slab, top: int,
-                    b_const: bool, want=None) -> _Slab:
-    """Product where one operand only occupies the zero multi-index: each
-    live row of the other operand up to jet order ``top`` (and in ``want``)
-    makes the output row of the same index, and every other row is
-    certified zero."""
-    full = a if b_const else b
-    live = (full.shi != NEG) & (ctx.totals <= top)
-    rows = np.flatnonzero(live if want is None else live & want)
-    if rows.size == 0:  # no live output: neither operand is transformed
+    pairs = _live_pairs(ctx, a, b, top, want)
+    if pairs[2].size == 0:  # nothing live: neither operand is transformed
         return _zero_slab(ctx)
-    A, B = a.fft(ctx), b.fft(ctx)
-    G = np.zeros((rows[-1] + 1,) + A.shape[1:], complex)
-    for s in _spans(ctx, rows):
-        G[s] = _entry_mul(A[s], B[0]) if b_const else _entry_mul(A[0], B[s])
-    return _product_slab(ctx, G, *_product_bounds(ctx, a, b, top, want,
-                                                  const=True))
+    C = np.zeros((pairs[2].max() + 1, ctx.n, ctx.n, ctx.nfft), complex)
+    walk(a.fft(ctx), b.fft(ctx), pairs, C)
+    tlo, slo, shi, thi = _product_bounds(ctx, a, b, pairs)
+    slab = _Slab(_coefficients(ctx, C).copy(), _finalize_tlo(ctx, tlo, slo),
+                 slo, shi, _cap_top(ctx, shi, thi))
+    return _apply_support_mask(ctx, slab)
 
 
 def _slab_add(a: _Slab, b: _Slab, sign: float = 1.0) -> _Slab:
@@ -605,10 +507,7 @@ class Series(_Jet):
         self.ctx.require_compatible(other.ctx)
         if self.ctx.n != other.ctx.n:
             raise DimensionMismatch("matrix dimension mismatch")
-        want = None
-        if rows is not None:
-            want = np.zeros(self.ctx.T, dtype=bool)
-            want[rows] = True
+        want = None if rows is None else np.isin(np.arange(self.ctx.T), rows)
         slabs = _leibniz(self.slabs, other.slabs,
                          lambda a, b: _slab_mul(self.ctx, a, b, cap, want),
                          _slab_add,
@@ -839,7 +738,8 @@ class Series(_Jet):
         the trusted jet order stay zero."""
         ctx = self.ctx
         top = min(self.vorder, other.vorder)
-        tlo, _, _, thi = _product_bounds(ctx, a, b, top)
+        tlo, _, _, thi = _product_bounds(ctx, a, b,
+                                         _live_pairs(ctx, a, b, top))
         bad = (k < tlo) | (k > thi)
         if np.any(bad):
             raise TrustError(
@@ -858,9 +758,12 @@ class Series(_Jet):
             bdata[dead] = 0.0
         Aw, Bw = a.data[:, wlo:whi], bdata[:, ::-1][:, wlo + off:whi + off]
         out = np.zeros(ctx.T, dtype=np.complex128)
-        for rows, nb, grid in _grades(ctx, a, top, nb_max):
-            np.add.at(out, grid, np.einsum("pwab,qwba->pq", Aw[rows],
-                                           Bw[:max(nb, 2)])[:, :nb])
+        for g, grid in enumerate(ctx.grade_out[:top + 1]):  # see the context
+            first = ctx.upto[g] - grid.shape[0]
+            rows = np.flatnonzero(a.shi[first:ctx.upto[g]] != NEG)
+            nb = min(ctx.upto[top - g], nb_max)
+            np.add.at(out, grid[rows, :nb], np.einsum(
+                "pwab,qwba->pq", Aw[rows + first], Bw[:max(nb, 2)])[:, :nb])
         return out
 
     def pairing(self, other: "Series", k: int,
@@ -969,8 +872,11 @@ def _pad_const(ctx: JetContext, m: np.ndarray) -> np.ndarray:
 
 def _conv_row(ctx: JetContext, fx: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Laurent product X Y of window coefficients ``y`` by the series whose
-    spectrum is ``fx`` ``(n, n, nfft)``."""
-    return _coefficients(ctx, _entry_mul(fx, _spectrum(ctx, y)))
+    spectrum is ``fx`` ``(n, n, nfft)``: one pair of the walk, added to
+    -0.0, which leaves every product, a -0.0 included, as it is."""
+    C = np.full((1,) + fx.shape, -0.0, dtype=complex)
+    walk(fx[None], _spectrum(ctx, y)[None], (np.zeros(1, np.int64),) * 3, C)
+    return _coefficients(ctx, C[0])
 
 
 def _laurent_inv(ctx: JetContext, slab: _Slab) -> _Slab:

@@ -68,12 +68,15 @@ def second_partial_formula(result: FactorizationResult,
                            gen_j: tuple[str, int],
                            gen_k: tuple[str, int]) -> ScalarJet:
     """(ln tau)_{t_j t_k} = <M J_j M^-1, d_lam (M J_k M^-1)_+>_{-1},
-    computed once per result and (gen_j, gen_k) and shared like
-    :func:`first_partial_pairing`."""
+    computed once per result and (gen_j, gen_k), its right operand once per
+    result and gen_k, and shared like :func:`first_partial_pairing`."""
+    def dplus() -> Series:
+        wk = result.conjugated_base(gen_k[0]).shift(gen_k[1])
+        return wk.plus().dlambda()
+
     def build() -> ScalarJet:
         wj = result.conjugated_base(gen_j[0]).shift(gen_j[1])
-        wk = result.conjugated_base(gen_k[0]).shift(gen_k[1])
-        return wj.pairing(wk.plus().dlambda(), -1)
+        return wj.pairing(result.cached(("dplus", tuple(gen_k)), dplus), -1)
 
     return result.cached(("second_partial", tuple(gen_j), tuple(gen_k)),
                          build)

@@ -1,9 +1,10 @@
 """Shared oracles, generators and comparisons for the test suite.
 
 The oracles here are deliberately naive (dict-based double sums, a
-pair-by-pair product that fixes the kernel's floating-point operations, and
-the pairing over the whole pair table that fixes the pairing's) and never
-call the vectorized kernels they are used to check.  The helpers at
+pair-by-pair product that fixes the kernel's floating-point operations, the
+compiled pair walk written in numpy, and the pairing over the whole pair
+table that fixes the pairing's) and never call the kernels they are used to
+check.  The helpers at
 the end (bit-for-bit comparisons, the trusted floor and window reads, the
 repeated-product count, the dump parser, the KdV restriction check, the
 algebra-level reality conditions with the checked projection, and the gl
@@ -99,6 +100,23 @@ def reference_slab_product(ctx: JetContext, a, b, cap=None) -> np.ndarray:
         coeffs = np.fft.ifft(spec, axis=-1)[:, :, ctx.extract]
         data[ic] = np.moveaxis(coeffs, -1, 0)
     return data
+
+
+def entry_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """n x n product over the entry axes ``(-3, -2)`` of row-major spectra,
+    broadcasting the leading axes, in numpy: each entry adds its terms in
+    ascending k.  The oracle of one pair of the compiled walk."""
+    acc = x[..., :, 0:1, :] * y[..., 0:1, :, :]
+    for k in range(1, x.shape[-2]):
+        acc += x[..., :, k:k + 1, :] * y[..., k:k + 1, :, :]
+    return acc
+
+
+def reference_walk(A: np.ndarray, B: np.ndarray, pairs, C: np.ndarray) -> None:
+    """The compiled walk in numpy: ``C[c] += A[a] B[b]`` pair by pair, in
+    order, each product by :func:`entry_mul`."""
+    for ia, ib, ic in zip(*pairs):
+        C[ic] += entry_mul(A[ia], B[ib])
 
 
 def reference_pairing(ctx: JetContext, a, b, k: int) -> np.ndarray:

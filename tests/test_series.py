@@ -547,7 +547,7 @@ def test_degree_slice_keeps_certified_zero_rows_dead():
     assert one.jet_const() and one.data.shape[0] == 1
     assert one.shi.tolist() == [0, NEG, NEG]
     assert one.slo.tolist() == [0, POS, POS]
-    assert Series.monomial(ctx, np.eye(2)).degree_slice(1).slabs[0].is_zero()
+    assert Series.monomial(ctx, np.eye(2)).degree_slice(1).slabs[0].data.shape[0] == 0
     loose = Series.from_degree_matrices(ctx, {0: np.eye(2)}, alpha=1,
                                         exact=False)
     poisoned = loose.degree_slice(ctx.lo - 1)
@@ -753,22 +753,29 @@ def test_slab_mul_is_the_pair_by_pair_reference_bit_for_bit(n, case, cap):
     assert np.array_equal(dense(out), ref * keep[..., None, None])
 
 
-@pytest.mark.parametrize("one_row_blocks", [False, True])
+def _poison_dead_rows(value: Series) -> None:
+    """Overwrite the stored data of the certified-zero rows with NaN: a
+    product that read one would be NaN there."""
+    slab = value.slabs[0]
+    slab.data[np.flatnonzero(slab.shi[:len(slab.data)] == NEG)] = np.nan
+
+
+@pytest.mark.parametrize("poisoned", [False, True])
 @pytest.mark.parametrize("cap", [None, 2])
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("num_vars", [3, 6])
 def test_grade_blocked_product_is_the_pair_by_pair_reference(
-        num_vars, n, cap, one_row_blocks, monkeypatch):
-    # a grade with more live a-rows than admissible b-rows is batched along
-    # its a side, b-column by b-column; each output must still add its
-    # terms in ascending a, whether a batch fits one block or spans many
-    # (6 variables at order 3 is the gl3_full shape)
-    if one_row_blocks:
-        monkeypatch.setattr(series, "_BLOCK_BYTES", 1)
+        num_vars, n, cap, poisoned):
+    # grades with more live a-rows than admissible b-rows and the reverse:
+    # each output must still add its terms in ascending a (6 variables at
+    # order 3 is the gl3_full shape), and the walk reads no dead row
     ctx = JetContext(tuple(f"t{i}" for i in range(num_vars)), 3, n, -9, 5)
     gen = rng(1000 * num_vars + 10 * n + (cap or 0))
     full, _ = _mixed_jet_operand(ctx, gen, dead_rows=(2, ctx.T // 3))
     other, _ = _mixed_jet_operand(ctx, gen, dead_rows=(1, 5, ctx.T // 2))
+    if poisoned:
+        _poison_dead_rows(full)
+        _poison_dead_rows(other)
     cst, _ = _mixed_jet_operand(ctx, gen, dead_rows=range(1, ctx.T))
     deg = ctx.degrees[None, :]
     for a, b in ((full, other), (full, cst), (cst, other)):
@@ -779,39 +786,29 @@ def test_grade_blocked_product_is_the_pair_by_pair_reference(
         assert np.array_equal(dense(out), ref * keep[..., None, None])
 
 
-@pytest.mark.parametrize("one_row_blocks", [False, True])
+@pytest.mark.parametrize("poisoned", [False, True])
 @pytest.mark.parametrize("cap", [None, 1, 2])
 @pytest.mark.parametrize("num_vars", [2, 3, 6])
-def test_restricted_rows_are_the_full_products(num_vars, cap, one_row_blocks,
-                                               monkeypatch):
+def test_restricted_rows_are_the_full_products(num_vars, cap, poisoned):
     # the rows a product is restricted to are the whole product's, data
     # and all four bounds, bit for bit; every other row is certified zero
     # with zero data.  Random masks and one grade's rows, on the general
-    # path (both batching sides) and on both jet-constant paths.
-    if one_row_blocks:
-        monkeypatch.setattr(series, "_BLOCK_BYTES", 1)
-    sides = set()
-    entry_mul = series._entry_mul
-
-    def noted(x, y):
-        sides.add((x.ndim, y.ndim))
-        return entry_mul(x, y)
-
+    # path and on both jet-constant paths, with dead rows that are NaN
+    # (``poisoned``) or stale data.
     ctx = JetContext(tuple(f"t{i}" for i in range(num_vars)), 3, 2, -9, 5)
     gen = rng(500 + 10 * num_vars + (cap or 0))
     full, _ = _mixed_jet_operand(ctx, gen, dead_rows=(2, ctx.T // 3))
     other, _ = _mixed_jet_operand(ctx, gen, dead_rows=(1, 5, ctx.T // 2))
+    if poisoned:
+        _poison_dead_rows(full)
+        _poison_dead_rows(other)
     cst, _ = _mixed_jet_operand(ctx, gen, dead_rows=range(1, ctx.T))
     masks = [gen.random(ctx.T) < p for p in (0.2, 0.5, 0.9)]
     masks.append(ctx.totals == (ctx.order if cap is None else cap))
     for a, b in ((full, other), (other, full), (full, cst), (cst, other)):
         whole = a.matmul(b, cap).slabs[0]
-        general = cst not in (a, b)
         for keep in masks:
-            if general:
-                monkeypatch.setattr(series, "_entry_mul", noted)
             part = a.matmul(b, cap, rows=np.flatnonzero(keep))
-            monkeypatch.setattr(series, "_entry_mul", entry_mul)
             got = part.slabs[0]
             assert np.array_equal(dense(got)[keep], dense(whole)[keep])
             for arr in ("tlo", "slo", "shi", "thi"):
@@ -821,14 +818,12 @@ def test_restricted_rows_are_the_full_products(num_vars, cap, one_row_blocks,
             assert np.all(got.tlo[~keep] == NEG) and np.all(got.thi[~keep] == POS)
             assert not np.any(dense(got)[~keep])
             assert part.vorder == a.matmul(b, cap).vorder
-    # the general path ran one a-row against b-rows and, past two
-    # variables, also a batch of a-rows against one b-row
-    assert (3, 4) in sides and (num_vars == 2 or (4, 3) in sides)
 
 
 def test_jet_constant_product_bounds_are_the_full_scan():
     # with a jet-constant factor only the pairs with a row 0 are scanned;
-    # the bounds are those of the scan over the whole table bit for bit
+    # its live pairs, in order, and so its bounds are those of the scan
+    # over the whole table bit for bit
     ctx = JetContext(("t1", "t2", "t3"), 3, 2, -9, 5)
     gen = rng(61)
     full, _ = _mixed_jet_operand(ctx, gen, dead_rows=(2, 7))
@@ -838,9 +833,18 @@ def test_jet_constant_product_bounds_are_the_full_scan():
     for a, b in ((full, cst), (cst, full), (cst, cst2)):
         for top in range(ctx.order + 1):
             for want in (None, gen.random(ctx.T) < 0.5):
-                got, ref = (series._product_bounds(
-                    ctx, a.slabs[0], b.slabs[0], top, want, const=const)
-                    for const in (True, False))
+                sa, sb = a.slabs[0], b.slabs[0]
+                pairs = series._live_pairs(ctx, sa, sb, top, want)
+                live = ((sa.shi != NEG)[ctx.pair_a] & (sb.shi != NEG)[ctx.pair_b]
+                        & (ctx.totals[ctx.pair_c] <= top))
+                if want is not None:
+                    live &= want[ctx.pair_c]
+                scan = tuple(p[live] for p in (ctx.pair_a, ctx.pair_b,
+                                               ctx.pair_c))
+                for x, y in zip(pairs, scan):
+                    assert np.array_equal(x, y)
+                got, ref = (series._product_bounds(ctx, sa, sb, p)
+                            for p in (pairs, scan))
                 for x, y in zip(got, ref):
                     assert x.dtype == y.dtype and np.array_equal(x, y)
 
@@ -1055,8 +1059,7 @@ def test_jet_constant_product_with_no_wanted_row_transforms_nothing(
     want = np.zeros(ctx.T, dtype=bool)
     want[[1, 4]] = True  # rows the full operand leaves dead
     for mask in (np.zeros(ctx.T, dtype=bool), want):
-        out = series._slab_mul_const(ctx, a.slabs[0], b.slabs[0], ctx.order,
-                                     b_const, mask)
+        out = series._slab_mul(ctx, a.slabs[0], b.slabs[0], None, mask)
         assert same_slab(out, series._zero_slab(ctx))
     assert same_value(a.matmul(b, rows=[]), Series.zeros(ctx))
 

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import collections
+import json
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
 from loopjet import JetContext, Series
 from loopjet.hierarchy import akns_sequence, gl_sequence, kdv_sequence
+from loopjet.scenario import Scenario, ScenarioConfig, _Runner
 from loopjet.scattering import factorize_jet, stabilizer_h_check, stabilizer_k_check
 from loopjet.series import exp_series
 from loopjet.splitting import SplittingSpec, sample_negative_element
@@ -184,3 +190,32 @@ def test_recovery_reduces_to_scalar_case(akns):
     assert not out["degenerate"]
     assert out["recovery_q"] < 1e-6
     assert out["recovery_r"] < 1e-6
+
+
+def test_second_partials_build_each_right_operand_once(monkeypatch):
+    # d_lam (M J_k M^-1)_+ is built once per result and generator k, not
+    # once per (j, k): in the tau suite of gl3_full each result's second
+    # partials make one plus and one dlambda per generator
+    raw = json.loads((pathlib.Path(__file__).parent.parent / "configs"
+                      / "gl3_full.json").read_text())
+    runner = _Runner(Scenario(ScenarioConfig.from_dict(raw)))
+    runner._ensure_factorized()
+    calls = collections.Counter()
+    for name in ("plus", "dlambda"):
+        def counted(self, _orig=getattr(Series, name), _name=name):
+            frame = sys._getframe(1)
+            where = frame.f_code.co_name
+            if where == "dplus":
+                where = (id(frame.f_locals["result"]),
+                         tuple(frame.f_locals["gen_k"]))
+            calls[_name, where] += 1
+            return _orig(self)
+        monkeypatch.setattr(Series, name, counted)
+    runner._suite_tau()
+    built = {name: [w for (n, w), c in calls.items()
+                    if n == name and isinstance(w, tuple)]
+             for name in ("plus", "dlambda")}
+    assert built["plus"] == built["dlambda"] and built["plus"]
+    assert all(calls[n, w] == 1 for n in built for w in built[n])
+    per_result = collections.Counter(r for r, _ in built["plus"])
+    assert set(per_result.values()) == {len(runner.scen.seq.gens)} == {6}

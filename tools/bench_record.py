@@ -38,8 +38,9 @@ Every child process, ``run.py`` included, records its ``ru_maxrss`` and
 ``ru_minflt`` from ``os.wait4`` (they cover the processes it waited for, so
 a ``run.py`` run counts its workload processes).  BLAS/OpenMP threads are
 pinned to 1, as ``run.py`` does.  ``src_lines`` records the line count of
-``src/loopjet/*.py`` on each side, and ``src_module_lines`` that of each
-module, so a change's record shows where lines went.  Before the first pair it compiles
+``src/loopjet/*.py`` and ``*.c`` on each side, and ``src_module_lines``
+that of each file, so a change's record shows where lines went, and code
+moved into the C kernel still counts.  Before the first pair it compiles
 ``src`` in both checkouts (``python -m compileall -q src``) and records
 that in the host line (``bytecode``): a child that may not write bytecode
 (``PYTHONDONTWRITEBYTECODE``) recompiles a stale ``__pycache__`` in every
@@ -195,11 +196,12 @@ def run_tier1(checkout: str) -> dict:
 
 
 def module_lines(checkout: str) -> dict:
-    """Lines of each ``src/loopjet/*.py`` in ``checkout``, by file name."""
+    """Lines of each ``src/loopjet/*.py`` and ``*.c`` in ``checkout``, by
+    file name."""
     pkg = os.path.join(checkout, "src", "loopjet")
     out = {}
     for name in sorted(os.listdir(pkg)):
-        if name.endswith(".py"):
+        if name.endswith((".py", ".c")):
             with open(os.path.join(pkg, name), encoding="utf-8") as fh:
                 out[name] = sum(1 for _ in fh)
     return out
