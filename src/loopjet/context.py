@@ -13,14 +13,15 @@ together with index maps for partial derivatives and monomial shifts:
   multi-index pair (a, b) with its output index c, the index of a + b.
   Multi-indices are stored in graded order, so for a row ``a`` the rows
   ``b`` with ``|a| + |b| <= k`` are the prefix ``[0, upto[k - |a|])``.  The
-  table is a-major: the compiled walk of a product runs its live pairs in
-  table order, so each output adds its terms in ascending a.  The rows of
-  one grade g share one prefix, and ``grade_out[g]`` is the ``(rows of
-  grade g, upto[d - g])`` view of ``pair_c`` holding their outputs, which a
-  pairing sums grid by grid; degree bounds and scalar-jet products scatter
-  into the ``pair_c`` rows.
+  table is a-major: the compiled kernel picks a product's live pairs in
+  table order, scatters its degree bounds over them and walks them, so each
+  output adds its terms in ascending a.  The rows of one grade g share one
+  prefix, and ``grade_out[g]`` is the ``(rows of grade g, upto[d - g])``
+  view of ``pair_c`` holding their outputs, which a pairing sums grid by
+  grid; scalar-jet products scatter into the ``pair_c`` rows.
   ``zero_pairs`` is the part of the table with row 0 on either side, the
-  only pairs live in a product with a jet-constant factor.
+  only pairs live in a product with a jet-constant factor.  ``tables``
+  hands both to the kernel once, with the jet orders ``totals``.
 
 Laurent-degree convolutions are done by FFT along the degree axis, and a
 product keeps only the degrees ``[lo, hi]`` of its ``2W - 1``-term linear
@@ -53,6 +54,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .errors import DimensionMismatch
+from .kernel import Tables
 
 NEG = -(1 << 40)  # sentinel for "minus infinity" degree bounds
 POS = 1 << 40     # sentinel for "plus infinity" degree bounds
@@ -79,19 +81,9 @@ def _graded_multi_indices(num_vars: int, order: int) -> list[tuple[int, ...]]:
     """All exponent vectors with total degree <= order, graded then lex."""
     if num_vars == 0:
         return [()]
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, budget: int) -> None:
-        if remaining == 1:
-            for k in range(budget + 1):
-                out.append(prefix + (k,))
-            return
-        for k in range(budget + 1):
-            rec(prefix + (k,), remaining - 1, budget - k)
-
-    rec((), num_vars, order)
-    out.sort(key=lambda a: (sum(a), a))
-    return out
+    return sorted(((k,) + rest for k in range(order + 1)
+                   for rest in _graded_multi_indices(num_vars - 1, order - k)),
+                  key=lambda a: (sum(a), a))
 
 
 class Memo:
@@ -105,6 +97,12 @@ class Memo:
         if key not in memo:
             memo[key] = build()
         return memo[key]
+
+    def forget(self, kind: str) -> None:
+        """Drop the values whose key is a tuple starting with ``kind``."""
+        memo = vars(self).get("_cache", {})
+        for key in [k for k in memo if isinstance(k, tuple) and k[0] == kind]:
+            del memo[key]
 
 
 class Ledger:
@@ -158,11 +156,8 @@ class JetContext(Memo):
         self.W = self.hi - self.lo + 1
         self.nfft = fft_length(self.lo, self.hi)
 
-        if self.variables:
-            self.midx = np.array(_graded_multi_indices(len(self.variables), order),
-                                 dtype=np.int64)
-        else:
-            self.midx = np.zeros((1, 0), dtype=np.int64)
+        self.midx = np.array(_graded_multi_indices(len(self.variables), order),
+                             dtype=np.int64)
         self.T = self.midx.shape[0]
         self.index_of = {tuple(a): i for i, a in enumerate(self.midx)}
         self.totals = self.midx.sum(axis=1)
@@ -195,29 +190,23 @@ class JetContext(Memo):
         zero = (self.pair_a == 0) | (self.pair_b == 0)
         self.zero_pairs = (self.pair_a[zero], self.pair_b[zero],
                            self.pair_c[zero])
+        self.tables = Tables(self)
 
     def _build_var_maps(self) -> None:
-        nv = len(self.variables)
-        self.partial_maps = []   # per var: (src, dst, factor)
-        self.monomial_maps = []  # per var: (src, dst) for "* t_v"
-        for v in range(nv):
-            src_p, dst_p, fac = [], [], []
-            src_m, dst_m = [], []
-            for i, a in enumerate(self.midx):
-                if a[v] >= 1:
-                    b = tuple(np.r_[a[:v], a[v] - 1, a[v + 1:]])
-                    src_p.append(i)
-                    dst_p.append(self.index_of[b])
-                    fac.append(a[v])
-                if self.totals[i] < self.order:
-                    b = tuple(np.r_[a[:v], a[v] + 1, a[v + 1:]])
-                    src_m.append(i)
-                    dst_m.append(self.index_of[b])
-            self.partial_maps.append((np.array(src_p, dtype=np.int64),
-                                      np.array(dst_p, dtype=np.int64),
-                                      np.array(fac, dtype=np.float64)))
-            self.monomial_maps.append((np.array(src_m, dtype=np.int64),
-                                       np.array(dst_m, dtype=np.int64)))
+        """Per variable v, the rows ``(src, dst, factor)`` of d/dt_v, from
+        the index a to a - e_v times a_v, and ``(src, dst)`` of the product
+        by t_v, from a to a + e_v below the jet order."""
+        self.partial_maps, self.monomial_maps = [], []
+        for e in np.eye(len(self.variables), dtype=np.int64):
+            src_p = np.flatnonzero(self.midx @ e >= 1)
+            src_m = np.flatnonzero(self.totals < self.order)
+            dst_p, dst_m = (np.array([self.index_of[tuple(a)]
+                                      for a in self.midx[src] + step],
+                                     dtype=np.int64)
+                            for src, step in ((src_p, -e), (src_m, e)))
+            self.partial_maps.append(
+                (src_p, dst_p, (self.midx @ e)[src_p].astype(np.float64)))
+            self.monomial_maps.append((src_m, dst_m))
 
     def var_index(self, name: str) -> int:
         try:

@@ -226,12 +226,14 @@ def lax_bracket(seq: VacuumSequence, u: Series,
 
 class LaxFlows:
     """The flows at one (u, Q): the Lax condition is checked once, on
-    construction (a Q that fails it raises :class:`ShapeError`), and the
-    powers of Q that the gl generators are rebuilt from are built once for
-    every variable."""
+    construction (a Q that fails it raises :class:`ShapeError`), from
+    ``bracket``, :func:`lax_bracket` at (u, Q) if it was built before, and
+    the powers of Q that the gl generators are rebuilt from are built once
+    for every variable."""
 
-    def __init__(self, seq: VacuumSequence, u: Series, q: Series):
-        qx, c = lax_bracket(seq, u, q)
+    def __init__(self, seq: VacuumSequence, u: Series, q: Series,
+                 bracket: tuple | None = None):
+        qx, c = bracket or lax_bracket(seq, u, q)
         res = (qx - c).max_abs()
         if res > LAX_TOL * max(1.0, q.max_abs()):
             raise ShapeError(f"LaxFlows: Q fails the Lax condition "

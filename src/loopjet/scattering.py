@@ -156,6 +156,11 @@ class FactorizationResult(Memo):
         generators."""
         return self.seq.x_sum(self.conjugated_generator)
 
+    def lax_bracket(self) -> tuple[Series, Series]:
+        """:func:`~loopjet.hierarchy.lax_bracket` at (u_f, Q), built once."""
+        return self.cached(("lax",), lambda: lax_bracket(self.seq, self.u,
+                                                         self.q_series()))
+
 
 def _window_budget_check(seq: VacuumSequence, ctx: JetContext) -> None:
     """Fail fast if the window cannot supply the degrees the downstream
@@ -305,9 +310,8 @@ def lax_residual(result: FactorizationResult) -> dict:
     """Residuals of both bracket orientations of the Lax condition; the
     defining orientation [d/dx - (J_1 + u), M J_1 M^-1] is the one expected
     to vanish, and the report records which one did."""
-    q = result.q_series()
-    scale = max(1.0, q.max_abs())
-    qx, c = lax_bracket(result.seq, result.u, q)
+    scale = max(1.0, result.q_series().max_abs())
+    qx, c = result.lax_bracket()
     minus_sign = (qx - c).max_abs() / scale
     plus_sign = (qx + c).max_abs() / scale
     convention, _, _ = detect({"[d/dx - (J1+u), Q] = 0": minus_sign,

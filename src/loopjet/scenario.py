@@ -12,6 +12,7 @@ Everything is deterministic given the configuration and seed.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -54,8 +55,9 @@ SCHEMA = "loopjet-scenario/1"
 REPORT_SCHEMA = "loopjet-report/1"
 ALL_SUITES = ("factorization", "flows", "tau", "virasoro",
               "proof_identities", "recovery")
-# the suites that read the stabilizer factorizations
+# the suites that read the stabilizer factorizations, and the Lax bracket
 STABILIZER_SUITES = ("factorization", "tau", "recovery")
+LAX_SUITES = ("factorization", "flows")
 # the variants whose sigma twist flips lambda -> -lambda: their vacuum
 # sequences keep only the odd exponents
 ODD_VARIANTS = ("sigma_twisted", "tau_sigma")
@@ -462,9 +464,11 @@ class _Runner:
 
     def run(self) -> Report:
         order = list(self.cfg.suites)
-        # the stabilizer results go once the last suite that reads them ran
-        last_stab = max((i for i, suite in enumerate(order)
-                         if suite in STABILIZER_SUITES), default=-1)
+        # the stabilizer results and the Lax bracket go once the last suite
+        # that reads them ran
+        last_stab, last_lax = (max((i for i, suite in enumerate(order)
+                                    if suite in readers), default=-1)
+                               for readers in (STABILIZER_SUITES, LAX_SUITES))
         self._ensure_factorized()  # prerequisite of every suite
         for i, suite in enumerate(order):
             t0 = time.perf_counter()
@@ -473,6 +477,8 @@ class _Runner:
             self.timing[suite] = round(time.perf_counter() - t0, 3)
             if i == last_stab:
                 self.stabilizers = None
+            if i == last_lax:
+                self.result.forget("lax")
         return Report(self.cfg.echo(), self.records, self.conventions,
                       self.timing)
 
@@ -547,7 +553,7 @@ class _Runner:
 
     def _suite_flows(self) -> None:
         s, res = self.scen, self.result
-        flows = LaxFlows(s.seq, res.u, res.q_series())
+        flows = LaxFlows(s.seq, res.u, res.q_series(), res.lax_bracket())
         worst = 0.0
         for var in s.seq.variables:
             worst = max(worst, (res.u.partial(var) - flows.rhs(var)).max_abs())
@@ -617,6 +623,10 @@ class _Runner:
         if s.seq.family == "akns" and s.ctx.n >= 3:
             self.add("xi_trace_identity",
                      xi_helpers(res)["trace_identity"])
+        # every second partial is cached by (j, k): no later call needs the
+        # d_lam (M J_k M^-1)_+ operands
+        for r in [res] + [c[f"result_{x}"] for x, c in stab.items()]:
+            r.forget("dplus")
 
     def _suite_virasoro(self) -> None:
         s, res = self.scen, self.result
@@ -795,12 +805,9 @@ def _k_form_defect(scen, res, chk) -> float:
     if seq.family == "gl":
         worst = 0.0
         vk = chk["result_k"].v
-        for i in range(seq.n):
-            for j in range(seq.n):
-                if i == j:
-                    continue
-                expect = res.v.entry_jet(i, j, 0) * (k[i, i] / k[j, j])
-                worst = max(worst, (vk.entry_jet(i, j, 0) - expect).max_abs())
+        for i, j in itertools.permutations(range(seq.n), 2):
+            expect = res.v.entry_jet(i, j, 0) * (k[i, i] / k[j, j])
+            worst = max(worst, (vk.entry_jet(i, j, 0) - expect).max_abs())
         return worst
     uk = chk["result_k"].u
     return (uk - res.u.conjugate_by(k)).max_abs()

@@ -26,37 +26,38 @@ times the degree-weighted data, whose degree-0 term dies) are one move: the
 bounds move by s with the sentinels kept, and an exact coefficient stays
 exact, its floor clamped to the window, while nothing nonzero leaves it.
 
-Products and pairings propagate the bounds with one convolution rule
-(``_pair_bounds``), ``tlo(AB) = max(tlo_A + shi_B, tlo_B + shi_A)`` and its
-mirror for ``thi``, applied over the live pairs of jet rows, where an exact
-factor (``tlo = NEG``) adds no untrusted floor whatever the other's support;
-the plus-projection restores full trust below zero because its result is
-zero there by definition.  ``vorder`` tracks the trusted jet order (a time
-derivative lowers it by one) and comparisons mask orders beyond it.
+Products and pairings propagate the bounds with one convolution rule,
+``tlo(AB) = max(tlo_A + shi_B, tlo_B + shi_A)`` and its mirror for ``thi``,
+over the live pairs of jet rows, where an exact factor (``tlo = NEG``) adds
+no untrusted floor whatever the other's support; the plus-projection
+restores full trust below zero because its result is zero there by
+definition.  ``vorder`` tracks the trusted jet order (a time derivative
+lowers it by one) and comparisons mask orders beyond it.
 
 Coefficients are stored as ``(R, W, n, n)``: jet row, lambda position,
 matrix entry, where R is the last live row (``shi != NEG``) plus one; the
-degree bounds cover all T rows, and a row at or past R is certified zero and
-has no storage, so a jet-constant value stores one row.  Products convolve
-in lambda by FFT of the window copied into a zero-padded buffer.  An
-operand's spectrum is row-major, ``(R, n, n, nfft)``, held on the operand
-under a budget per context, ``_SPECTRUM_BUDGET`` spectra of every jet row:
-past it the least recently used spectra are dropped and transformed again
-on their next use, which gives the same bits.  A jet product is one call of
-the compiled pair walk (:mod:`loopjet.kernel`) over its live pairs: the
-pairs of the a-major pair table (with a jet-constant factor, of its row-0
-part) whose two rows are live, whose output is within the jet order ``cap``
-and, for a product restricted to some output rows (``rows=``), one of them.
-For each pair in table order the walk adds A[a] B[b] to C[c], so every
-output adds its terms in ascending a; each n x n entry first sums its terms
-in ascending k, x y multiplied as numpy multiplies complex doubles,
-re = fma(xr, yr, -(xi yi)) and im = fma(xr, yi, xi yr).  This fixed order
-of operations keeps reports bit-identical, and gives a restricted product
-the whole product's bits at its rows; every other row is certified zero.
-Only the rows up to the last live output are transformed back, as a view,
-so they are copied once, into the data.  A pairing sums each grade's grid
-(``grade_out``) by ``einsum`` in ascending a; bounds and scalar-jet
-products scatter into the ``pair_c`` rows.
+degree bounds cover all T rows, a row at or past R is certified zero and
+has no storage.  The compiled kernel (:mod:`loopjet.kernel`) runs a jet
+product's rules: one call picks its live pairs, those of the a-major pair
+table (of its row-0 part with a jet-constant factor) whose rows are live,
+whose output is within the jet order ``cap`` and, restricted to some output
+rows (``rows=``), one of them, and scatters the bound rule over them, the
+output's floor then clamped to the window and its top capped; the walk adds
+A[a] B[b] to C[c] pair by pair in table order, each n x n entry summed in
+ascending k, x y as numpy multiplies, re = fma(xr, yr, -(xi yi)) and
+im = fma(xr, yi, xi yr); and the rows from the first to the last live
+output, transformed back, are copied into the window, each coefficient
+multiplied by (m + 0i), re = xr m - xi 0 and im = xr 0 + xi m, where m is
+1 inside the row's support [slo, shi] and 0 outside (the support mask that
+keeps structural zeros exact).  This fixed order of operations keeps the
+bits, and a restricted product has the whole product's bits at its rows.
+Operands are transformed by FFT of the window zero-padded to ``nfft``; a
+spectrum ``(R, n, n, nfft)`` is held on its operand under a budget per
+context, ``_SPECTRUM_BUDGET`` spectra of every jet row, past which the
+least recently used are dropped and transformed again on their next use,
+with the same bits.  A pairing reads its trust bounds from the kernel's
+live-pair call and sums each grade's grid (``grade_out``) by ``einsum`` in
+ascending a; scalar-jet products scatter into the ``pair_c`` rows.
 
 An inverse is solved grade by grade (forward substitution over jet grades):
 its row 0, for every value alike, is the memoized Laurent inverse of the
@@ -87,7 +88,7 @@ import numpy as np
 
 from .context import NEG, POS, JetContext
 from .errors import DimensionMismatch, ShapeError, TrustError, WindowExhausted
-from .kernel import walk
+from . import kernel
 
 __all__ = ["Series", "ScalarJet", "exp_series", "cocycle", "commutator",
            "directional_derivative"]
@@ -98,17 +99,16 @@ _SPECTRUM_BUDGET = 6  # spectra of every jet row a context holds, at most
 
 class _Slab:
     """One epsilon component: the data of its jet rows ``[0, R)`` (see the
-    module docstring) and the four degree bounds of all T jet rows."""
+    module docstring) and the degree bounds of all T jet rows, as the kernel
+    reads them: one ``(4, T)`` int64 array ``b``, rows tlo, slo, shi, thi."""
 
-    __slots__ = ("data", "tlo", "slo", "shi", "thi", "_hat", "__weakref__")
+    __slots__ = ("data", "b", "_hat", "__weakref__")
 
-    def __init__(self, data, tlo, slo, shi, thi):
-        self.data = data
-        self.tlo = tlo
-        self.slo = slo
-        self.shi = shi
-        self.thi = thi
-        self._hat = None
+    def __init__(self, data, bounds: np.ndarray):
+        self.data, self.b, self._hat = data, bounds, None
+
+    tlo, slo, shi, thi = (property(lambda self, i=i: self.b[i])
+                          for i in range(4))
 
     def fft(self, ctx: JetContext):
         """Row-major spectrum ``(R, n, n, nfft)`` of the stored rows (the
@@ -140,54 +140,21 @@ def _rows_like(data: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-def _one_row(ctx: JetContext, row: int, data=None, tlo=NEG, slo=POS,
+def _one_row(ctx: JetContext, row: int = 0, data=None, tlo=NEG, slo=POS,
              shi=NEG, thi=POS) -> _Slab:
     """The slab whose one possibly live row is ``row``, with window data
-    ``data`` ``(W, n, n)`` and these degree bounds."""
-    bounds = [np.full(ctx.T, v, dtype=np.int64) for v in (NEG, POS, NEG, POS)]
-    for b, v in zip(bounds, (tlo, slo, shi, thi)):
-        b[row] = v
+    ``data`` ``(W, n, n)`` and these bounds; by default the zero slab."""
+    bounds = np.empty((4, ctx.T), dtype=np.int64)
+    bounds[:] = ((NEG,), (POS,), (NEG,), (POS,))
+    bounds[:, row] = tlo, slo, shi, thi
     stored = np.zeros((0 if shi == NEG else row + 1, ctx.W, ctx.n, ctx.n),
                       dtype=np.complex128)
     if shi != NEG:
         stored[row] = data
-    return _Slab(stored, *bounds)
+    return _Slab(stored, bounds)
 
 
-def _zero_slab(ctx: JetContext) -> _Slab:
-    return _one_row(ctx, 0)
-
-
-def _apply_support_mask(ctx: JetContext, slab: _Slab) -> _Slab:
-    """Zero stored entries outside the certified support of their rows;
-    this keeps structural zeros exact (no FFT dust)."""
-    deg, rows = ctx.degrees[None, :], slab.data.shape[0]
-    mask = (deg >= slab.slo[:rows, None]) & (deg <= slab.shi[:rows, None])
-    slab.data *= mask[:, :, None, None]
-    return slab
-
-
-def _finalize_tlo(ctx: JetContext, tlo, slo):
-    """Clamp finite trusted floors to the window; keep the exact marker only
-    where the certified support floor shows nothing fell below the window."""
-    exact = (tlo <= ctx.lo) & (slo >= ctx.lo)
-    out = np.where(tlo <= ctx.lo, ctx.lo, tlo)
-    out = np.where(exact, NEG, out)
-    return out.astype(np.int64)
-
-
-def _moved(bound, s: int):
-    """Degree bounds moved by ``s``; the sentinels ``NEG`` and ``POS`` stay
-    as they are."""
-    return np.where((bound == NEG) | (bound == POS), bound, bound + s)
-
-
-def _cap_top(ctx: JetContext, shi, thi):
-    """Certified content past the window top cannot be stored: degrees above
-    the window become untrusted rather than silently zero."""
-    thi = np.where(shi > ctx.hi, np.minimum(thi, ctx.hi), thi)
-    return np.where(thi >= ctx.hi, np.where(shi > ctx.hi, ctx.hi, POS),
-                    thi).astype(np.int64)
+_zero_slab = _one_row
 
 
 def _spectrum(ctx: JetContext, x: np.ndarray) -> np.ndarray:
@@ -200,51 +167,6 @@ def _spectrum(ctx: JetContext, x: np.ndarray) -> np.ndarray:
     return np.fft.fft(buf, axis=-1)
 
 
-def _coefficients(ctx: JetContext, hat: np.ndarray) -> np.ndarray:
-    """Window coefficients ``(..., W, n, n)`` of a row-major spectrum, as a
-    view of its inverse transform: the caller's write is the one copy."""
-    return np.moveaxis(np.fft.ifft(hat, axis=-1)[..., ctx.extract], -1, -3)
-
-
-def _pair_bounds(a: _Slab, ia, b: _Slab, ib):
-    """Degree bounds ``(tlo, slo, shi, thi)`` of the products of jet rows
-    ``a[ia]`` and ``b[ib]``, pair by pair: the one convolution rule.  An
-    exact factor (``tlo == NEG``) adds no untrusted floor and an unclipped
-    one (``thi == POS``) no untrusted top, whatever the other's support."""
-    atlo, aslo, ashi, athi = a.tlo[ia], a.slo[ia], a.shi[ia], a.thi[ia]
-    btlo, bslo, bshi, bthi = b.tlo[ib], b.slo[ib], b.shi[ib], b.thi[ib]
-    tlo = np.maximum(np.where(atlo == NEG, NEG, atlo + bshi),
-                     np.where(btlo == NEG, NEG, btlo + ashi))
-    thi = np.minimum(np.where(athi == POS, POS, athi + bslo),
-                     np.where(bthi == POS, POS, bthi + aslo))
-    return tlo, aslo + bslo, np.minimum(ashi + bshi, POS), thi
-
-
-def _live_pairs(ctx: JetContext, a: _Slab, b: _Slab, top: int, want=None):
-    """The pairs ``(pa, pb, pc)`` of the jet product of ``a`` and ``b`` up to
-    jet order ``top`` that can add anything, in the a-major order of the
-    pair table: both rows live and the output in ``want`` (every row without
-    it).  With a jet-constant factor only the pairs with a row 0 can be
-    live, and only those are scanned."""
-    pa, pb, pc = (ctx.zero_pairs if a.jet_const() or b.jet_const()
-                  else (ctx.pair_a, ctx.pair_b, ctx.pair_c))
-    live = (a.shi != NEG)[pa] & (b.shi != NEG)[pb] & (ctx.totals[pc] <= top)
-    if want is not None:
-        live &= want[pc]
-    return pa[live], pb[live], pc[live]
-
-
-def _product_bounds(ctx: JetContext, a: _Slab, b: _Slab, pairs):
-    """Degree bounds of the jet product of ``a`` and ``b`` over its live
-    ``pairs``; an output row no pair reaches is certified zero."""
-    pa, pb, pc = pairs
-    bounds = [np.full(ctx.T, v, dtype=np.int64) for v in (NEG, POS, NEG, POS)]
-    for scatter, out, c in zip((np.maximum.at, np.minimum.at) * 2, bounds,
-                               _pair_bounds(a, pa, b, pb)):
-        scatter(out, pc, c)
-    return bounds
-
-
 def _slab_mul(ctx: JetContext, a: _Slab, b: _Slab,
               cap: int | None = None, want=None) -> _Slab:
     """The jet product up to jet order ``cap``: the compiled walk over its
@@ -252,15 +174,17 @@ def _slab_mul(ctx: JetContext, a: _Slab, b: _Slab,
     restricts it to those output rows, each bit for bit as the whole product
     computes it; every other row is certified zero."""
     top = ctx.order if cap is None else min(cap, ctx.order)
-    pairs = _live_pairs(ctx, a, b, top, want)
-    if pairs[2].size == 0:  # nothing live: neither operand is transformed
+    pairs, first, last, bounds = ctx.tables.select(a, b, top, want, True)
+    if pairs[0] == 0:  # nothing live: neither operand is transformed
         return _zero_slab(ctx)
-    C = np.zeros((pairs[2].max() + 1, ctx.n, ctx.n, ctx.nfft), complex)
-    walk(a.fft(ctx), b.fft(ctx), pairs, C)
-    tlo, slo, shi, thi = _product_bounds(ctx, a, b, pairs)
-    slab = _Slab(_coefficients(ctx, C).copy(), _finalize_tlo(ctx, tlo, slo),
-                 slo, shi, _cap_top(ctx, shi, thi))
-    return _apply_support_mask(ctx, slab)
+    C = np.zeros((last + 1 - first, ctx.n, ctx.n, ctx.nfft), complex)
+    kernel.walk(a.fft(ctx), b.fft(ctx), pairs, C, first)
+    hat = np.fft.ifft(C, axis=-1)  # allocated before the data: fewer faults
+    data = np.empty((last + 1, ctx.W, ctx.n, ctx.n), complex)
+    data[:first] = 0.0  # the window writes every later row
+    kernel.window(data[first:], ctx.lo, bounds[1, first:], bounds[2, first:],
+                  hat)
+    return _Slab(data, bounds)
 
 
 def _slab_add(a: _Slab, b: _Slab, sign: float = 1.0) -> _Slab:
@@ -270,33 +194,31 @@ def _slab_add(a: _Slab, b: _Slab, sign: float = 1.0) -> _Slab:
     else:  # a row past either's stored rows is zero there
         data = _rows_like(a.data, max(ra, rb))
         data[:rb] += sign * b.data
-    return _Slab(data, np.maximum(a.tlo, b.tlo), np.minimum(a.slo, b.slo),
-                 np.maximum(a.shi, b.shi), np.minimum(a.thi, b.thi))
+    bounds = np.maximum(a.b, b.b)  # tlo and shi; slo and thi by min
+    bounds[1::2] = np.minimum(a.b[1::2], b.b[1::2])
+    return _Slab(data, bounds)
 
 
-def _row_copy(dst: tuple, rows, src: tuple, src_rows, factor=None,
-              divisor=None, copy: bool = True) -> tuple:
-    """The per-row arrays ``dst`` (data first, then any degree bounds) with
-    their ``rows`` holding the ``src_rows`` of ``src``, the data multiplied
-    by ``factor`` or divided by ``divisor`` row by row: the one way jet rows
-    are written.  Data rows past the stored ones read zero and are not
-    written (they are certified zero).  ``dst`` is copied first unless
-    ``copy`` is false (fresh arrays nothing else holds are written in place)."""
-    out = tuple(a.copy() for a in dst) if copy else dst
+def _row_copy(dst: np.ndarray, rows, src: np.ndarray, src_rows, factor=None,
+              divisor=None, copy: bool = True) -> np.ndarray:
+    """The per-row data ``dst`` with its ``rows`` holding the ``src_rows`` of
+    ``src``, multiplied by ``factor`` or divided by ``divisor`` row by row:
+    the one way jet rows are written.  Rows past the stored ones read zero
+    and are not written (they are certified zero).  ``dst`` is copied first
+    unless ``copy`` is false (fresh arrays nothing else holds are written in
+    place)."""
+    out = dst.copy() if copy else dst
     rows, src_rows = np.asarray(rows), np.asarray(src_rows)
-    data = src[0]
-    if src_rows.size and src_rows.max() >= data.shape[0]:
-        data = _rows_like(data, src_rows.max() + 1)
-    data = data[src_rows]
+    if src_rows.size and src_rows.max() >= src.shape[0]:
+        src = _rows_like(src, src_rows.max() + 1)
+    data = src[src_rows]
     per_row = (-1,) + (1,) * (data.ndim - 1)
     if factor is not None:
         data = data * np.reshape(factor, per_row)
     if divisor is not None:
         data = data / np.reshape(divisor, per_row)
-    keep = rows < out[0].shape[0]
-    out[0][rows[keep]] = data[keep]
-    for o, a in zip(out[1:], src[1:]):
-        o[rows] = a[src_rows]
+    keep = rows < out.shape[0]
+    out[rows[keep]] = data[keep]
     return out
 
 
@@ -421,12 +343,11 @@ class Series(_Jet):
     @staticmethod
     def _write_rows(dst: _Slab, rows, s: _Slab, src_rows, factor, divisor,
                     copy: bool) -> _Slab:
-        bounds = _row_copy((dst.tlo, dst.slo, dst.shi, dst.thi), rows,
-                           (s.tlo, s.slo, s.shi, s.thi), src_rows, copy=copy)
+        bounds = dst.b.copy() if copy else dst.b
+        bounds[:, rows] = s.b[:, src_rows]
         data = _rows_like(dst.data, _live_rows(bounds[2]))
-        _row_copy((data,), rows, (s.data,), src_rows, factor, divisor,
-                  copy=False)
-        return _Slab(data, *bounds)
+        return _Slab(_row_copy(data, rows, s.data, src_rows, factor, divisor,
+                               copy=False), bounds)
 
     # -- constructors ------------------------------------------------------
 
@@ -473,9 +394,7 @@ class Series(_Jet):
     def same_base(self, other: "Series") -> bool:
         """Whether the base values agree bit for bit (data and bounds)."""
         a, b = self.slabs[0], other.slabs[0]
-        return all(np.array_equal(p, q) for p, q in zip(
-            (a.data, a.tlo, a.slo, a.shi, a.thi),
-            (b.data, b.tlo, b.slo, b.shi, b.thi)))
+        return np.array_equal(a.data, b.data) and np.array_equal(a.b, b.b)
 
     def with_eps(self, *dirs: "Series") -> "Series":
         """The base value with one tangent component per direction."""
@@ -507,7 +426,10 @@ class Series(_Jet):
         self.ctx.require_compatible(other.ctx)
         if self.ctx.n != other.ctx.n:
             raise DimensionMismatch("matrix dimension mismatch")
-        want = None if rows is None else np.isin(np.arange(self.ctx.T), rows)
+        want = None
+        if rows is not None:
+            want = np.zeros(self.ctx.T, dtype=bool)
+            want[rows] = True
         slabs = _leibniz(self.slabs, other.slabs,
                          lambda a, b: _slab_mul(self.ctx, a, b, cap, want),
                          _slab_add,
@@ -520,9 +442,8 @@ class Series(_Jet):
     # -- structure maps ----------------------------------------------------
 
     def _map_data(self, fn) -> "Series":
-        return Series(self.ctx, tuple(
-            _Slab(fn(s.data), s.tlo.copy(), s.slo.copy(), s.shi.copy(),
-                  s.thi.copy()) for s in self.slabs), self.vorder)
+        return Series(self.ctx, tuple(_Slab(fn(s.data), s.b.copy())
+                                      for s in self.slabs), self.vorder)
 
     def conj_coeffs(self) -> "Series":
         """Entrywise conjugation of every coefficient; as a function of
@@ -560,26 +481,24 @@ class Series(_Jet):
         support bound at degree 0 then moves inward first, to 1 or -1)."""
         ctx, out = self.ctx, []
         w = max(ctx.W - abs(s), 0)  # positions kept; none once |s| >= W
+        up, down = max(s, 0), max(-s, 0)  # where they start, after and before
         for sl in self.slabs:
             data = sl.data * ctx.degrees[:, None, None] if weighted else sl.data
             moved = np.zeros_like(data)
-            if s > 0:
-                moved[:, ctx.W - w:] = data[:, :w]
-            else:
-                moved[:, :w] = data[:, ctx.W - w:]
-            shi = _moved(np.where(sl.shi == 0, -int(weighted), sl.shi), s)
-            slo = _moved(np.where(sl.slo == 0, int(weighted), sl.slo), s)
+            moved[:, up:up + w] = data[:, down:down + w]
+            b = sl.b.copy()
+            b[1, b[1] == 0], b[2, b[2] == 0] = int(weighted), -int(weighted)
+            b = np.where((b == NEG) | (b == POS), b, b + s)  # sentinels stay
             gone = np.zeros(ctx.T, dtype=bool)
-            gone[:len(data)] = np.any(data[:, :ctx.W - w if s < 0 else 0] != 0,
-                                      axis=(1, 2, 3))
-            exact, safe = sl.tlo == NEG, (slo >= ctx.lo) | ~gone
-            tlo = np.where(exact & safe, NEG, np.where(
-                exact, ctx.lo, np.maximum(_moved(sl.tlo, s), ctx.lo)))
-            slo = np.where(exact & safe & (slo != POS),
-                           np.maximum(slo, ctx.lo), slo)
-            thi = _moved(sl.thi, s)
-            slab = _Slab(moved, tlo, slo, shi, _cap_top(ctx, shi, thi))
-            out.append(_apply_support_mask(ctx, slab))
+            gone[:len(data)] = np.any(data[:, :down] != 0, axis=(1, 2, 3))
+            exact, safe = sl.tlo == NEG, (b[1] >= ctx.lo) | ~gone
+            b[0] = np.where(exact & safe, NEG, np.where(
+                exact, ctx.lo, np.maximum(b[0], ctx.lo)))
+            b[1] = np.where(exact & safe & (b[1] != POS),
+                            np.maximum(b[1], ctx.lo), b[1])
+            kernel.cap(b, ctx.hi)
+            kernel.window(moved, ctx.lo, b[1], b[2])  # the support mask
+            out.append(_Slab(moved, b))
         return Series(ctx, tuple(out), self.vorder)
 
     def dlambda(self) -> "Series":
@@ -603,12 +522,10 @@ class Series(_Jet):
                 data[:, :ctx.pos(klo)] = 0.0
             if khi < ctx.hi:
                 data[:, ctx.pos(khi) + 1:] = 0.0
-            slo = np.maximum(s.slo, klo)
-            shi = np.minimum(s.shi, khi)
-            tlo = np.where(s.tlo <= klo, NEG, s.tlo)
-            thi = np.where(s.thi >= khi, POS, s.thi)
-            out.append(_Slab(data, tlo.astype(np.int64), slo.astype(np.int64),
-                             shi.astype(np.int64), thi.astype(np.int64)))
+            out.append(_Slab(data, np.array((
+                np.where(s.tlo <= klo, NEG, s.tlo), np.maximum(s.slo, klo),
+                np.minimum(s.shi, khi), np.where(s.thi >= khi, POS, s.thi)),
+                dtype=np.int64)))
         return Series(ctx, tuple(out), self.vorder)
 
     def plus(self) -> "Series":
@@ -706,9 +623,10 @@ class Series(_Jet):
             if ctx.lo <= k <= ctx.hi:
                 rows = s.data[:len(data), ctx.pos(k)]
                 data[:len(rows), ctx.pos(0)] = rows
-            out.append(_apply_support_mask(ctx, _Slab(
-                data, np.where(bad, POS, NEG), np.where(live, 0, POS), shi,
-                np.full(ctx.T, POS, dtype=np.int64))))
+            bounds = np.array((np.where(bad, POS, NEG), np.where(live, 0, POS),
+                               shi, np.full(ctx.T, POS)), dtype=np.int64)
+            kernel.window(data, ctx.lo, bounds[1], bounds[2])  # support mask
+            out.append(_Slab(data, bounds))
         return Series(ctx, tuple(out), self.vorder)
 
     def _scalar(self, k: int, what: str, read) -> "ScalarJet":
@@ -738,8 +656,7 @@ class Series(_Jet):
         the trusted jet order stay zero."""
         ctx = self.ctx
         top = min(self.vorder, other.vorder)
-        tlo, _, _, thi = _product_bounds(ctx, a, b,
-                                         _live_pairs(ctx, a, b, top))
+        tlo, _, _, thi = ctx.tables.select(a, b, top, None, final=False)[3]
         bad = (k < tlo) | (k > thi)
         if np.any(bad):
             raise TrustError(
@@ -815,11 +732,7 @@ class ScalarJet(_Jet):
     def _add(a: np.ndarray, b: np.ndarray, sign: float) -> np.ndarray:
         return a + b if sign > 0 else a - b
 
-    @staticmethod
-    def _write_rows(dst: np.ndarray, rows, s: np.ndarray, src_rows, factor,
-                    divisor, copy: bool) -> np.ndarray:
-        return _row_copy((dst,), rows, (s,), src_rows, factor, divisor,
-                         copy=copy)[0]
+    _write_rows = staticmethod(_row_copy)
 
     @classmethod
     def const(cls, ctx: JetContext, c: complex) -> "ScalarJet":
@@ -870,13 +783,21 @@ def _pad_const(ctx: JetContext, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conv_row(ctx: JetContext, fx: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _conv_row(ctx: JetContext, fx: np.ndarray, y: np.ndarray, slo: int,
+              shi: int, negate: bool = False) -> np.ndarray:
     """Laurent product X Y of window coefficients ``y`` by the series whose
-    spectrum is ``fx`` ``(n, n, nfft)``: one pair of the walk, added to
-    -0.0, which leaves every product, a -0.0 included, as it is."""
+    spectrum is ``fx`` ``(n, n, nfft)``, negated if ``negate``, with the
+    kernel's mask to the degrees ``[slo, shi]``: one pair of the walk, added
+    to -0.0, which leaves every product, a -0.0 included, as it is."""
     C = np.full((1,) + fx.shape, -0.0, dtype=complex)
-    walk(fx[None], _spectrum(ctx, y)[None], (np.zeros(1, np.int64),) * 3, C)
-    return _coefficients(ctx, C[0])
+    kernel.walk(fx[None], _spectrum(ctx, y)[None],
+                (np.zeros(1, np.int64),) * 3, C)
+    hat = np.fft.ifft(C, axis=-1)
+    if negate:
+        np.negative(hat, out=hat)
+    out = np.empty((1, ctx.W, ctx.n, ctx.n), dtype=complex)
+    kernel.window(out, ctx.lo, np.array([slo]), np.array([shi]), hat)
+    return out[0]
 
 
 def _laurent_inv(ctx: JetContext, slab: _Slab) -> _Slab:
@@ -885,14 +806,14 @@ def _laurent_inv(ctx: JetContext, slab: _Slab) -> _Slab:
     computed once per context and input: the Neumann loop and the polish
     read only the row-0 data and its four degree bounds, so those key the
     context's memo.  Every call returns a fresh slab."""
-    bounds = [int(b[0]) for b in (slab.tlo, slab.slo, slab.shi, slab.thi)]
+    bounds = slab.b[:, 0].tolist()
     data = _rows_like(slab.data, 1)[0]
 
     def build() -> tuple:
         x, a0 = _neumann_inv(ctx, slab), _one_row(ctx, 0, data, *bounds)
         two = _one_row(ctx, 0, _pad_const(ctx, 2.0 * np.eye(ctx.n)), NEG, 0, 0)
         x = _slab_mul(ctx, x, _slab_add(two, _slab_mul(ctx, a0, x), -1.0))
-        return x.data[0], x.tlo[0], x.slo[0], x.shi[0], x.thi[0]
+        return (x.data[0], *x.b[:, 0])
 
     return _one_row(ctx, 0, *ctx.cached(("inv", data.tobytes(), *bounds),
                                         build))
@@ -928,13 +849,11 @@ def _neumann_inv(ctx: JetContext, slab: _Slab) -> _Slab:
     nilpotent = False
     n_hat = _spectrum(ctx, n_mat)
     for k in range(1, ctx.W + 2):
-        term = -_conv_row(ctx, n_hat, term)
-        # mask to the certified support of N**k before the zero test, so
+        # masked to the certified support of N**k before the zero test, so
         # FFT round-trip dust cannot fake content
         lo_k = max(k * step_lo, ctx.lo) if is_neg else k * step_lo
         hi_k = k * step_hi if is_neg else min(k * step_hi, ctx.hi)
-        keep = (ctx.degrees >= lo_k) & (ctx.degrees <= hi_k)
-        term *= keep[:, None, None]
+        term = _conv_row(ctx, n_hat, term, lo_k, hi_k, negate=True)
         if not np.any(term != 0):
             # genuine nilpotency only if this power's support could not
             # have left the window
@@ -945,7 +864,6 @@ def _neumann_inv(ctx: JetContext, slab: _Slab) -> _Slab:
         k_added = k
     clipped = not nilpotent
 
-    res = _conv_row(ctx, _spectrum(ctx, acc), _pad_const(ctx, a0inv))
     if is_neg:
         slo = ctx.lo if clipped else max(ctx.lo, k_added * step_lo)
         shi, thi = 0, POS
@@ -954,7 +872,8 @@ def _neumann_inv(ctx: JetContext, slab: _Slab) -> _Slab:
         shi, thi = ((POS, ctx.hi) if clipped
                     else (min(ctx.hi, k_added * step_hi), POS))
         slo, tlo = 0, a_tlo
-    return _apply_support_mask(ctx, _one_row(ctx, 0, res, tlo, slo, shi, thi))
+    res = _conv_row(ctx, _spectrum(ctx, acc), _pad_const(ctx, a0inv), slo, shi)
+    return _one_row(ctx, 0, res, tlo, slo, shi, thi)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 The oracles here are deliberately naive (dict-based double sums, a
 pair-by-pair product that fixes the kernel's floating-point operations, the
-compiled pair walk written in numpy, and the pairing over the whole pair
-table that fixes the pairing's) and never call the kernels they are used to
-check.  The helpers at
+compiled kernel's rules written in numpy (the pair walk, live-pair
+selection, the degree-bound rule, finalization, the top cap and the
+support mask), and the pairing over the whole pair table that fixes the
+pairing's) and never call the kernels they are used to check.  The helpers at
 the end (bit-for-bit comparisons, the trusted floor and window reads, the
 repeated-product count, the dump parser, the KdV restriction check, the
 algebra-level reality conditions with the checked projection, and the gl
@@ -117,6 +118,83 @@ def reference_walk(A: np.ndarray, B: np.ndarray, pairs, C: np.ndarray) -> None:
     order, each product by :func:`entry_mul`."""
     for ia, ib, ic in zip(*pairs):
         C[ic] += entry_mul(A[ia], B[ib])
+
+
+def pair_bounds(a, ia, b, ib):
+    """Degree bounds ``(tlo, slo, shi, thi)`` of the products of jet rows
+    ``a[ia]`` and ``b[ib]``, pair by pair, in numpy: the oracle of the
+    kernel's convolution rule.  An exact factor (``tlo == NEG``) adds no
+    untrusted floor and an unclipped one (``thi == POS``) no untrusted top,
+    whatever the other's support."""
+    atlo, aslo, ashi, athi = a.tlo[ia], a.slo[ia], a.shi[ia], a.thi[ia]
+    btlo, bslo, bshi, bthi = b.tlo[ib], b.slo[ib], b.shi[ib], b.thi[ib]
+    tlo = np.maximum(np.where(atlo == NEG, NEG, atlo + bshi),
+                     np.where(btlo == NEG, NEG, btlo + ashi))
+    thi = np.minimum(np.where(athi == POS, POS, athi + bslo),
+                     np.where(bthi == POS, POS, bthi + aslo))
+    return tlo, aslo + bslo, np.minimum(ashi + bshi, POS), thi
+
+
+def live_pairs(ctx: JetContext, a, b, top: int, want=None):
+    """The pairs ``(pa, pb, pc)`` of the jet product of slabs ``a`` and
+    ``b`` up to jet order ``top`` that can add anything, in the a-major
+    order of the pair table, in numpy: both rows live and the output in
+    ``want`` (every row without it); with a jet-constant factor only the
+    row-0 part of the table is scanned.  The oracle of the kernel's
+    live-pair selection."""
+    pa, pb, pc = (ctx.zero_pairs if a.jet_const() or b.jet_const()
+                  else (ctx.pair_a, ctx.pair_b, ctx.pair_c))
+    live = (a.shi != NEG)[pa] & (b.shi != NEG)[pb] & (ctx.totals[pc] <= top)
+    if want is not None:
+        live &= want[pc]
+    return pa[live], pb[live], pc[live]
+
+
+def product_bounds(ctx: JetContext, a, b, pairs):
+    """Degree bounds ``[tlo, slo, shi, thi]`` of the jet product of slabs
+    ``a`` and ``b`` over its live ``pairs``, scattered in numpy and not
+    finalized; an output row no pair reaches is certified zero."""
+    pa, pb, pc = pairs
+    bounds = [np.full(ctx.T, v, dtype=np.int64) for v in (NEG, POS, NEG, POS)]
+    for scatter, out, c in zip((np.maximum.at, np.minimum.at) * 2, bounds,
+                               pair_bounds(a, pa, b, pb)):
+        scatter(out, pc, c)
+    return bounds
+
+
+def finalize_tlo(ctx: JetContext, tlo, slo):
+    """Finite trusted floors clamped to the window, the exact marker kept
+    only where the certified support floor shows nothing fell below it, in
+    numpy: the oracle of the kernel's finalization."""
+    exact = (tlo <= ctx.lo) & (slo >= ctx.lo)
+    out = np.where(tlo <= ctx.lo, ctx.lo, tlo)
+    out = np.where(exact, NEG, out)
+    return out.astype(np.int64)
+
+
+def cap_top(ctx: JetContext, shi, thi):
+    """The trusted top capped at the window top, in numpy: degrees above
+    the window become untrusted rather than silently zero.  The oracle of
+    the kernel's cap."""
+    thi = np.where(shi > ctx.hi, np.minimum(thi, ctx.hi), thi)
+    return np.where(thi >= ctx.hi, np.where(shi > ctx.hi, ctx.hi, POS),
+                    thi).astype(np.int64)
+
+
+def coefficients(ctx: JetContext, hat: np.ndarray) -> np.ndarray:
+    """Window coefficients ``(..., W, n, n)`` of a row-major spectrum, as a
+    view of its inverse transform, in numpy."""
+    return np.moveaxis(np.fft.ifft(hat, axis=-1)[..., ctx.extract], -1, -3)
+
+
+def apply_support_mask(ctx: JetContext, data: np.ndarray, slo, shi):
+    """Window coefficients ``data (R, W, n, n)`` multiplied in place by the
+    support mask of their rows, ``[slo, shi]``, cast to complex, in numpy:
+    the oracle of the kernel's mask."""
+    deg, rows = ctx.degrees[None, :], data.shape[0]
+    mask = (deg >= slo[:rows, None]) & (deg <= shi[:rows, None])
+    data *= mask[:, :, None, None]
+    return data
 
 
 def reference_pairing(ctx: JetContext, a, b, k: int) -> np.ndarray:

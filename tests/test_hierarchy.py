@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from loopjet import JetContext, Series, ShapeError
+from loopjet import hierarchy, scattering
 from loopjet.checks import detect
 from loopjet.hierarchy import (LaxFlows, akns_sequence, gl_sequence,
                                kdv_sequence, lax_bracket, odd_akns_sequence,
@@ -200,6 +201,27 @@ def test_flows_suite_makes_no_repeat_product():
         runner._suite_flows()
     assert count["products"] > 0
     assert count["repeats"] == 0
+
+
+def test_lax_bracket_is_built_once_per_result(monkeypatch):
+    # the factorization suite's Lax residual and the flows suite's Lax
+    # precondition read the one (Q_x, [J_1 + u, Q]) of the result, which
+    # goes once the flows suite ran
+    raw = json.loads((CONFIGS / "gl3_full.json").read_text())
+    cfg = ScenarioConfig.from_dict(dict(raw, suites=["factorization",
+                                                     "flows"]))
+    runner = _Runner(Scenario(cfg))
+    built = []
+
+    def counted(seq, u, q, _orig=hierarchy.lax_bracket):
+        built.append(u)
+        return _orig(seq, u, q)
+
+    monkeypatch.setattr(hierarchy, "lax_bracket", counted)
+    monkeypatch.setattr(scattering, "lax_bracket", counted)
+    assert runner.run().passed
+    assert built == [runner.result.u]
+    assert ("lax",) not in vars(runner.result)["_cache"]
 
 
 def test_detect_takes_the_first_candidate_on_an_exact_tie():

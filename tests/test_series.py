@@ -17,13 +17,14 @@ from loopjet import (DimensionMismatch, JetContext, ScalarJet, Series,
 from loopjet.context import NEG, POS
 from loopjet import series
 from loopjet.scenario import Scenario, ScenarioConfig, _Runner
-from loopjet.series import _cap_top, _finalize_tlo, _slab_mul
+from loopjet.series import _slab_mul
 
-from helpers import (conv_oracle, dense, jet_conv_oracle, random_jet_series,
-                     random_laurent_dict, random_matrix, random_scalar_jet,
-                     reference_pairing, reference_slab_product, require_window,
-                     rng, same_slab, same_value, series_from_dict, trim,
-                     trusted_lo)
+from helpers import (cap_top, conv_oracle, dense, finalize_tlo,
+                     jet_conv_oracle, live_pairs, product_bounds,
+                     random_jet_series, random_laurent_dict, random_matrix,
+                     random_scalar_jet, reference_pairing,
+                     reference_slab_product, require_window, rng, same_slab,
+                     same_value, series_from_dict, trim, trusted_lo)
 
 E21 = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -702,7 +703,7 @@ def _pair_table_bounds(ctx, a, b, top):
         ta = POS if a.thi[ia] == POS else a.thi[ia] + b.slo[ib]
         tb = POS if b.thi[ib] == POS else b.thi[ib] + a.slo[ia]
         thi[ic] = min(thi[ic], ta, tb)
-    return (_finalize_tlo(ctx, tlo, slo), slo, shi, _cap_top(ctx, shi, thi))
+    return (finalize_tlo(ctx, tlo, slo), slo, shi, cap_top(ctx, shi, thi))
 
 
 def _assert_data_matches(ctx, slab, oracle):
@@ -834,7 +835,7 @@ def test_jet_constant_product_bounds_are_the_full_scan():
         for top in range(ctx.order + 1):
             for want in (None, gen.random(ctx.T) < 0.5):
                 sa, sb = a.slabs[0], b.slabs[0]
-                pairs = series._live_pairs(ctx, sa, sb, top, want)
+                pairs = live_pairs(ctx, sa, sb, top, want)
                 live = ((sa.shi != NEG)[ctx.pair_a] & (sb.shi != NEG)[ctx.pair_b]
                         & (ctx.totals[ctx.pair_c] <= top))
                 if want is not None:
@@ -843,7 +844,7 @@ def test_jet_constant_product_bounds_are_the_full_scan():
                                                ctx.pair_c))
                 for x, y in zip(pairs, scan):
                     assert np.array_equal(x, y)
-                got, ref = (series._product_bounds(ctx, sa, sb, p)
+                got, ref = (product_bounds(ctx, sa, sb, p)
                             for p in (pairs, scan))
                 for x, y in zip(got, ref):
                     assert x.dtype == y.dtype and np.array_equal(x, y)
@@ -1297,8 +1298,9 @@ def test_values_store_only_their_live_rows(monkeypatch):
     slab_init, series_init = series._Slab.__init__, Series.__init__
     seen = {"slabs": 0, "values": 0}
 
-    def slab_checked(self, data, tlo, slo, shi, thi):
-        slab_init(self, data, tlo, slo, shi, thi)
+    def slab_checked(self, data, bounds):
+        slab_init(self, data, bounds)
+        tlo, slo, shi, thi = bounds
         assert data.shape[0] == np.flatnonzero(shi != NEG).max(initial=-1) + 1
         assert len({b.shape for b in (tlo, slo, shi, thi)}) == 1
         seen["slabs"] += 1

@@ -192,6 +192,24 @@ def test_recovery_reduces_to_scalar_case(akns):
     assert out["recovery_r"] < 1e-6
 
 
+def test_tau_suite_leaves_no_right_operand_held():
+    # once the tau suite has made every second partial, cached by (j, k),
+    # the d_lam (M J_k M^-1)_+ operands are dropped from the result and
+    # from the stabilizer results; the second partials stay
+    raw = json.loads((pathlib.Path(__file__).parent.parent / "configs"
+                      / "vector_akns.json").read_text())
+    runner = _Runner(Scenario(ScenarioConfig.from_dict(raw)))
+    runner._ensure_factorized()
+    runner._suite_tau()
+    results = [runner.result] + [chk[f"result_{x}"] for x, chk
+                                 in runner.stabilizers.items()]
+    assert len(results) == 3
+    keys = [k for r in results for k in vars(r).get("_cache", {})
+            if isinstance(k, tuple)]
+    assert not [k for k in keys if k[0] == "dplus"]
+    assert [k for k in keys if k[0] == "second_partial"]
+
+
 def test_second_partials_build_each_right_operand_once(monkeypatch):
     # d_lam (M J_k M^-1)_+ is built once per result and generator k, not
     # once per (j, k): in the tau suite of gl3_full each result's second
