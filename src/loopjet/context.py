@@ -42,8 +42,10 @@ that coefficient and its four degree bounds, as one scenario inverts the
 same few coefficients many times, and the integration steps that the
 factorization and ln tau share.  A context also keeps the ledger of the
 spectra its values hold (``spectra``), which :mod:`loopjet.series` keeps
-under a budget.  Apart from these contexts are immutable and cheap to
-share; every series value carries a reference to the context it lives in.
+under a budget in units of ``spectrum_bytes``, and, in ``tables``, the work
+buffer a product accumulates in.  Apart from these contexts are immutable
+and cheap to share; every series value carries a reference to the context
+it lives in.
 """
 
 from __future__ import annotations
@@ -168,7 +170,8 @@ class JetContext(Memo):
         # so degrees [lo, hi] sit at positions [-lo, -lo+W).
         self.extract = slice(-self.lo, -self.lo + self.W)
         self.degrees = np.arange(self.lo, self.hi + 1, dtype=np.int64)
-        # bytes of a spectrum of every jet row: the unit of the budget
+        # bytes of a dense spectrum of every jet row: the unit of the
+        # budget, which counts the compact bytes of the spectra held
         self.spectrum_bytes = self.T * self.n * self.n * self.nfft * 16
         self.spectra = Ledger()
 

@@ -457,6 +457,7 @@ class _Runner:
         self.timing: dict = {}
         self.result: FactorizationResult | None = None
         self.stabilizers: dict | None = None
+        self.lax_last = False  # whether no later suite reads the bracket
 
     def add(self, cid: str, value: float, note: str = "") -> None:
         self.records.append(record(cid, value, note,
@@ -465,12 +466,14 @@ class _Runner:
     def run(self) -> Report:
         order = list(self.cfg.suites)
         # the stabilizer results and the Lax bracket go once the last suite
-        # that reads them ran
+        # that reads them ran; the flows suite drops the bracket as soon as
+        # it has read it, when it is that suite
         last_stab, last_lax = (max((i for i, suite in enumerate(order)
                                     if suite in readers), default=-1)
                                for readers in (STABILIZER_SUITES, LAX_SUITES))
         self._ensure_factorized()  # prerequisite of every suite
         for i, suite in enumerate(order):
+            self.lax_last = i == last_lax
             t0 = time.perf_counter()
             with _stage(f"suite {suite}"):
                 getattr(self, f"_suite_{suite}")()
@@ -554,6 +557,8 @@ class _Runner:
     def _suite_flows(self) -> None:
         s, res = self.scen, self.result
         flows = LaxFlows(s.seq, res.u, res.q_series(), res.lax_bracket())
+        if self.lax_last:
+            res.forget("lax")
         worst = 0.0
         for var in s.seq.variables:
             worst = max(worst, (res.u.partial(var) - flows.rhs(var)).max_abs())

@@ -51,13 +51,28 @@ multiplied by (m + 0i), re = xr m - xi 0 and im = xr 0 + xi m, where m is
 1 inside the row's support [slo, shi] and 0 outside (the support mask that
 keeps structural zeros exact).  This fixed order of operations keeps the
 bits, and a restricted product has the whole product's bits at its rows.
-Operands are transformed by FFT of the window zero-padded to ``nfft``; a
-spectrum ``(R, n, n, nfft)`` is held on its operand under a budget per
-context, ``_SPECTRUM_BUDGET`` spectra of every jet row, past which the
-least recently used are dropped and transformed again on their next use,
-with the same bits.  A pairing reads its trust bounds from the kernel's
-live-pair call and sums each grade's grid (``grade_out``) by ``einsum`` in
-ascending a; scalar-jet products scatter into the ``pair_c`` rows.
+
+Spectra are entry-sparse.  An operand's spectrum is compact: one row of
+``nfft`` for each (jet row, entry) whose W coefficients are not all +0.0
+bits, which the kernel gathers zero-padded and numpy transforms in place,
+and an int64 index ``(R n n)`` from each entry to its row, -1 for a dead
+one (a diagonal generator a lambda^j, the vacuum frame and their products
+are mostly dead entries).  The walk skips each k term with a dead factor,
+and writes only the output entries that some pair feeds a live term,
+numbered first into an accumulator in the context's work buffer, which is
+transformed back in place; the window writes +0.0 at every other entry.
+The bits are the dense walk's: each FFT vector is transformed alone, that
+of an all +0.0 vector is +0.0 both ways, and a skipped term is a zero that
+can change only the sign of a zero sum, which the +0.0 accumulator, never
+-0.0, absorbs.  The Neumann step, whose accumulator starts at -0.0, stays
+dense (an index of every entry).  A spectrum is held on its operand under
+a budget per context of ``_SPECTRUM_BUDGET`` times
+``ctx.spectrum_bytes``, the bytes of a dense spectrum of every jet row,
+counting each held spectrum's compact bytes; past it the least recently
+used are dropped and transformed again on their next use, with the same
+bits.  A pairing reads its trust bounds from the kernel's live-pair call
+and sums each grade's grid (``grade_out``) by ``einsum`` in ascending a;
+scalar-jet products scatter into the ``pair_c`` rows.
 
 An inverse is solved grade by grade (forward substitution over jet grades):
 its row 0, for every value alike, is the memoized Laurent inverse of the
@@ -94,7 +109,7 @@ __all__ = ["Series", "ScalarJet", "exp_series", "cocycle", "commutator",
            "directional_derivative"]
 
 _SINGULAR_COND = 1e12
-_SPECTRUM_BUDGET = 6  # spectra of every jet row a context holds, at most
+_SPECTRUM_BUDGET = 6  # dense spectra of every jet row a context holds, at most
 
 
 class _Slab:
@@ -110,11 +125,11 @@ class _Slab:
     tlo, slo, shi, thi = (property(lambda self, i=i: self.b[i])
                           for i in range(4))
 
-    def fft(self, ctx: JetContext):
-        """Row-major spectrum ``(R, n, n, nfft)`` of the stored rows (the
-        walk reads no dead one).  It is held on the slab while
-        ``ctx.spectra`` keeps it under the budget; one it drops is
-        transformed again on its next use."""
+    def fft(self, ctx: JetContext) -> kernel.Spectrum:
+        """Compact spectrum of the stored rows (see the module docstring).
+        It is held on the slab while ``ctx.spectra`` keeps it under the
+        budget, counting its compact bytes; one it drops is transformed
+        again on its next use."""
         hat = self._hat
         if hat is None:
             hat = self._hat = _spectrum(ctx, self.data)
@@ -157,14 +172,15 @@ def _one_row(ctx: JetContext, row: int = 0, data=None, tlo=NEG, slo=POS,
 _zero_slab = _one_row
 
 
-def _spectrum(ctx: JetContext, x: np.ndarray) -> np.ndarray:
-    """Row-major spectrum ``(..., n, n, nfft)`` of window coefficients
-    ``(..., W, n, n)``: they are copied into a zero-padded contiguous
-    buffer, and transforming that is bit-identical to ``fft(..., n=nfft)``
-    of the strided view, and faster."""
-    buf = np.zeros(x.shape[:-3] + x.shape[-2:] + (ctx.nfft,), complex)
-    buf[..., :ctx.W] = np.moveaxis(x, -3, -1)
-    return np.fft.fft(buf, axis=-1)
+def _spectrum(ctx: JetContext, x: np.ndarray,
+              dense: bool = False) -> kernel.Spectrum:
+    """Compact spectrum of window coefficients ``x (R, W, n, n)``: the
+    kernel gathers each live entry's coefficients, zero-padded to ``nfft``,
+    into a row (every entry if ``dense``), and the rows are transformed in
+    place, each bit for bit as ``fft(..., n=nfft)`` of that entry alone."""
+    hat = kernel.spectrum(x, ctx.nfft, dense)
+    np.fft.fft(hat.rows, axis=-1, out=hat.rows)
+    return hat
 
 
 def _slab_mul(ctx: JetContext, a: _Slab, b: _Slab,
@@ -177,13 +193,12 @@ def _slab_mul(ctx: JetContext, a: _Slab, b: _Slab,
     pairs, first, last, bounds = ctx.tables.select(a, b, top, want, True)
     if pairs[0] == 0:  # nothing live: neither operand is transformed
         return _zero_slab(ctx)
-    C = np.zeros((last + 1 - first, ctx.n, ctx.n, ctx.nfft), complex)
-    kernel.walk(a.fft(ctx), b.fft(ctx), pairs, C, first)
-    hat = np.fft.ifft(C, axis=-1)  # allocated before the data: fewer faults
+    C = ctx.tables.product(a.fft(ctx), b.fft(ctx), pairs, first, last)
+    np.fft.ifft(C.rows, axis=-1, out=C.rows)
     data = np.empty((last + 1, ctx.W, ctx.n, ctx.n), complex)
     data[:first] = 0.0  # the window writes every later row
     kernel.window(data[first:], ctx.lo, bounds[1, first:], bounds[2, first:],
-                  hat)
+                  C)
     return _Slab(data, bounds)
 
 
@@ -783,20 +798,22 @@ def _pad_const(ctx: JetContext, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conv_row(ctx: JetContext, fx: np.ndarray, y: np.ndarray, slo: int,
+def _conv_row(ctx: JetContext, fx: kernel.Spectrum, y: np.ndarray, slo: int,
               shi: int, negate: bool = False) -> np.ndarray:
     """Laurent product X Y of window coefficients ``y`` by the series whose
-    spectrum is ``fx`` ``(n, n, nfft)``, negated if ``negate``, with the
-    kernel's mask to the degrees ``[slo, shi]``: one pair of the walk, added
-    to -0.0, which leaves every product, a -0.0 included, as it is."""
-    C = np.full((1,) + fx.shape, -0.0, dtype=complex)
-    kernel.walk(fx[None], _spectrum(ctx, y)[None],
+    dense spectrum (every entry a row) is ``fx``, negated if ``negate``,
+    with the kernel's mask to the degrees ``[slo, shi]``: one pair of the
+    walk, added to -0.0, which leaves every product, a -0.0 included, as it
+    is.  Every spectrum here is dense: an entry the walk skipped would keep
+    the -0.0 where the dense walk's +0.0 terms make it +0.0."""
+    C = kernel.Spectrum(np.full(fx.rows.shape, -0.0, dtype=complex), fx.index)
+    kernel.walk(ctx.n, fx, _spectrum(ctx, y[None], dense=True),
                 (np.zeros(1, np.int64),) * 3, C)
-    hat = np.fft.ifft(C, axis=-1)
+    np.fft.ifft(C.rows, axis=-1, out=C.rows)
     if negate:
-        np.negative(hat, out=hat)
+        np.negative(C.rows, out=C.rows)
     out = np.empty((1, ctx.W, ctx.n, ctx.n), dtype=complex)
-    kernel.window(out, ctx.lo, np.array([slo]), np.array([shi]), hat)
+    kernel.window(out, ctx.lo, np.array([slo]), np.array([shi]), C)
     return out[0]
 
 
@@ -847,7 +864,7 @@ def _neumann_inv(ctx: JetContext, slab: _Slab) -> _Slab:
     term = acc.copy()
     k_added = 0
     nilpotent = False
-    n_hat = _spectrum(ctx, n_mat)
+    n_hat = _spectrum(ctx, n_mat[None], dense=True)
     for k in range(1, ctx.W + 2):
         # masked to the certified support of N**k before the zero test, so
         # FFT round-trip dust cannot fake content
@@ -872,7 +889,8 @@ def _neumann_inv(ctx: JetContext, slab: _Slab) -> _Slab:
         shi, thi = ((POS, ctx.hi) if clipped
                     else (min(ctx.hi, k_added * step_hi), POS))
         slo, tlo = 0, a_tlo
-    res = _conv_row(ctx, _spectrum(ctx, acc), _pad_const(ctx, a0inv), slo, shi)
+    res = _conv_row(ctx, _spectrum(ctx, acc[None], dense=True),
+                    _pad_const(ctx, a0inv), slo, shi)
     return _one_row(ctx, 0, res, tlo, slo, shi, thi)
 
 

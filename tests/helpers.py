@@ -24,6 +24,7 @@ from loopjet import (DimensionMismatch, JetContext, ScalarJet, Series,
                      ShapeError, WindowExhausted)
 from loopjet import series as kernel
 from loopjet.context import NEG, POS
+from loopjet.kernel import Spectrum
 from loopjet.hierarchy import (VacuumSequence, akns_sequence,
                                q_recursion_vector_akns)
 from loopjet.splitting import SplitMix64, SplittingSpec, kdv_twist
@@ -111,6 +112,25 @@ def entry_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for k in range(1, x.shape[-2]):
         acc += x[..., :, k:k + 1, :] * y[..., k:k + 1, :, :]
     return acc
+
+
+def compact_spectrum(x: np.ndarray) -> Spectrum:
+    """The compact layout of spectra ``x (R, n, n, nfft)``, in numpy: a row
+    for each entry whose values are not all +0.0 bits, in order, and the
+    index from the entries to their rows, -1 for the others."""
+    flat = x.reshape(-1, x.shape[-1])
+    live = np.any(flat.view(np.int64) != 0, axis=-1)
+    index = np.where(live, np.cumsum(live) - 1, -1).astype(np.int64)
+    return Spectrum(flat[live].copy(), index)
+
+
+def dense_spectrum(hat: Spectrum, n: int) -> np.ndarray:
+    """Spectra ``(R, n, n, nfft)`` of the compact ``hat``, +0.0 at each
+    entry without a row, in numpy."""
+    rows, index = hat.rows, hat.index
+    out = np.zeros((index.size, rows.shape[1]), dtype=np.complex128)
+    out[index >= 0] = rows[index[index >= 0]]
+    return out.reshape(-1, n, n, rows.shape[1])
 
 
 def reference_walk(A: np.ndarray, B: np.ndarray, pairs, C: np.ndarray) -> None:

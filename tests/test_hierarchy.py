@@ -206,22 +206,32 @@ def test_flows_suite_makes_no_repeat_product():
 def test_lax_bracket_is_built_once_per_result(monkeypatch):
     # the factorization suite's Lax residual and the flows suite's Lax
     # precondition read the one (Q_x, [J_1 + u, Q]) of the result, which
-    # goes once the flows suite ran
+    # goes once the last suite that reads it has read it: the flows suite
+    # drops it right after building LaxFlows, before its flows, unless the
+    # factorization suite runs after it
     raw = json.loads((CONFIGS / "gl3_full.json").read_text())
-    cfg = ScenarioConfig.from_dict(dict(raw, suites=["factorization",
-                                                     "flows"]))
-    runner = _Runner(Scenario(cfg))
-    built = []
+    built, held, runner = [], [], None
 
     def counted(seq, u, q, _orig=hierarchy.lax_bracket):
         built.append(u)
         return _orig(seq, u, q)
 
+    def rhs(flows, var, _orig=hierarchy.LaxFlows.rhs):
+        held.append(("lax",) in vars(runner.result)["_cache"])
+        return _orig(flows, var)
+
     monkeypatch.setattr(hierarchy, "lax_bracket", counted)
     monkeypatch.setattr(scattering, "lax_bracket", counted)
-    assert runner.run().passed
-    assert built == [runner.result.u]
-    assert ("lax",) not in vars(runner.result)["_cache"]
+    monkeypatch.setattr(hierarchy.LaxFlows, "rhs", rhs)
+    for suites in (["factorization", "flows"], ["flows", "factorization"]):
+        built.clear()
+        held.clear()
+        cfg = ScenarioConfig.from_dict(dict(raw, suites=suites))
+        runner = _Runner(Scenario(cfg))
+        assert runner.run().passed
+        assert built == [runner.result.u]
+        assert held and set(held) == {suites[0] == "flows"}
+        assert ("lax",) not in vars(runner.result)["_cache"]
 
 
 def test_detect_takes_the_first_candidate_on_an_exact_tie():

@@ -1,8 +1,8 @@
-"""The compiled kernel: the pair walk and a product's bookkeeping (live
-pairs, degree bounds, finalization, the top cap and the masked window),
-bit for bit against their numpy oracles, its floating-point errors, its
-build and cache, and resource failures of a run (a failed build, out of
-memory) as documented exit codes."""
+"""The compiled kernel: the compact spectra, the pair walk and a product's
+bookkeeping (live pairs, degree bounds, finalization, the top cap and the
+masked window), bit for bit against their numpy oracles, its
+floating-point errors, its build and cache, and resource failures of a
+run (a failed build, out of memory) as documented exit codes."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import resource
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -23,9 +24,12 @@ import loopjet
 from loopjet import JetContext, Series, kernel
 from loopjet.cli import main
 from loopjet.context import NEG, POS
-from loopjet.series import _one_row, _Slab, _slab_mul, _zero_slab
+from loopjet.kernel import Spectrum
+from loopjet.series import (_conv_row, _one_row, _Slab, _slab_mul,
+                            _spectrum, _zero_slab)
 
-from helpers import (apply_support_mask, cap_top, coefficients, dense,
+from helpers import (apply_support_mask, cap_top, coefficients,
+                     compact_spectrum, dense, dense_spectrum, entry_mul,
                      finalize_tlo, live_pairs, product_bounds,
                      random_laurent_dict, reference_slab_product,
                      reference_walk, rng, same_slab)
@@ -43,24 +47,188 @@ def _spectra(gen, rows: int, n: int, nfft: int) -> np.ndarray:
     return x
 
 
+def _coefficients(gen, rows: int, W: int, n: int) -> np.ndarray:
+    """Random window coefficients ``(rows, W, n, n)``, as ``_spectra``."""
+    return np.ascontiguousarray(np.moveaxis(_spectra(gen, rows, n, W), -1, 1))
+
+
+def _sparse(gen, rows: int, n: int, nfft: int) -> np.ndarray:
+    """Random spectra with the structural zeros of the gl hierarchy: whole
+    +0.0 entries, entries that hold only -0.0 (live: their bits are not
+    +0.0), a +0.0 jet row and a single-entry row, as of e_kk lambda^j."""
+    x = _spectra(gen, rows, n, nfft)
+    x[gen.random((rows, n, n)) < 0.4] = 0.0
+    x[gen.random((rows, n, n)) < 0.1] = -0.0
+    x[0] = 0.0
+    k = int(gen.integers(n))
+    x[1] = 0.0
+    x[1, k, k] = _spectra(gen, 1, 1, nfft)[0, 0, 0]
+    return x
+
+
+def _fed(A: Spectrum, B: Spectrum, pairs, rows: int, n: int) -> np.ndarray:
+    """The output entries that a pair feeds a live term, in numpy."""
+    la, lb = (x.index.reshape(-1, n, n) >= 0 for x in (A, B))
+    out = np.zeros((rows, n, n), dtype=bool)
+    for a, b, c in zip(*pairs):
+        out[c] |= (la[a].astype(int) @ lb[b].astype(int)) > 0
+    return out.ravel()
+
+
 @pytest.mark.parametrize("nfft", [1, 7, 16, 64, 100, 128, 256])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_walk_is_the_numpy_walk_bit_for_bit(n, nfft):
     # C[c] += A[a] B[b] pair by pair in list order, each product as numpy
-    # multiplies complex doubles and adds the k terms: lengths that are
-    # and are not a multiple of the walk's chunk, repeated outputs, and an
-    # empty pair list, which leaves C as it is
+    # multiplies complex doubles and adds the k terms, on compact spectra
+    # with structural zeros: the output entries a product numbers are
+    # those a pair feeds a live term, in order, and its walk into them from
+    # +0.0 gives the dense walk's bits, dead entries +0.0; into a C whose
+    # every entry has a row (no -0.0 in it) it adds to each as the dense
+    # walk does.  Lengths that are and are not a multiple of the walk's
+    # chunk, repeated outputs, and an empty pair list, which leaves C as it
+    # is
     gen = rng(100 * n + nfft)
-    A, B = _spectra(gen, 5, n, nfft), _spectra(gen, 4, n, nfft)
+    tables = JetContext((), 0, n, -5, 3).tables
+    A, B = _sparse(gen, 5, n, nfft), _sparse(gen, 4, n, nfft)
+    cA, cB = compact_spectrum(A), compact_spectrum(B)
     C0 = _spectra(gen, 6, n, nfft)
     pa = np.sort(gen.integers(0, 5, 40))
     pairs = (pa, gen.integers(0, 4, 40), gen.integers(0, 6, 40))
     empty = tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
     for p in (pairs, empty):
-        got, ref = C0.copy(), C0.copy()
-        kernel.walk(A, B, p, got)
+        got, ref = tables.product(cA, cB, p, 0, 5), np.zeros_like(C0)
+        fed = _fed(cA, cB, p, 6, n)
+        assert _same(got.index, np.where(fed, np.cumsum(fed) - 1, -1))
+        assert got.rows.shape == (fed.sum(), nfft)
         reference_walk(A, B, p, ref)
-        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert _same(dense_spectrum(got, n), ref)
+        got = Spectrum(C0.reshape(-1, nfft).copy(), np.arange(6 * n * n))
+        ref = C0.copy()
+        kernel.walk(n, cA, cB, p, got)
+        reference_walk(A, B, p, ref)
+        assert _same(dense_spectrum(got, n), ref)
+
+
+def test_spectrum_transforms_the_live_entries_alone():
+    # each entry whose coefficients are not all +0.0 bits gets a row, in
+    # order, and the transform of the rows is numpy's of that entry
+    # zero-padded; a -0.0 entry is live, and with dense every entry is
+    ctx = JetContext(("t1",), 1, 3, *WINDOWS[64])
+    gen = rng(8)
+    data = _coefficients(gen, 3, ctx.W, 3)
+    data[:, :, 0, 1] = 0.0
+    data[:, :, 2, 0] = -0.0
+    data[1] = 0.0
+    data[2, 5, 1, 1] = 0.0
+    buf = np.zeros((3, 3, 3, ctx.nfft), complex)
+    buf[..., :ctx.W] = np.moveaxis(data, 1, -1)
+    want = np.fft.fft(buf, axis=-1)
+    got = _spectrum(ctx, data)
+    assert _same(dense_spectrum(got, 3), want)
+    assert _same(got.index, compact_spectrum(buf).index)
+    assert len(got.rows) == 2 * 9 - 2 * 1
+    full = _spectrum(ctx, data, dense=True)
+    assert _same(full.index, np.arange(27))
+    assert _same(full.rows, want.reshape(27, -1))
+
+
+def test_walk_keeps_its_pairs_alive(monkeypatch):
+    # pair arrays that only the call references live until the compiled
+    # walk returns
+    gen = rng(7)
+    A = compact_spectrum(_spectra(gen, 2, 2, 16))
+    refs = []
+
+    def pairs():
+        arrays = tuple(np.zeros(1, dtype=np.int64) for _ in range(3))
+        refs.extend(weakref.ref(x) for x in arrays)
+        return arrays
+
+    lib = kernel._library()
+    real = lib.walk
+
+    def spy(*args):
+        assert all(r() is not None for r in refs)
+        return real(*args)
+
+    monkeypatch.setattr(lib, "walk", spy)
+    C = Spectrum(np.zeros((8, 16), complex), np.arange(8))
+    kernel.walk(2, A, A, pairs(), C)
+    assert refs and all(r() is None for r in refs)
+
+
+def test_conv_row_stays_dense(monkeypatch):
+    # the Neumann step adds its one pair to -0.0: every spectrum it walks
+    # has a row for every entry, whole zero entries of either factor
+    # included, and its bits are numpy's
+    ctx = JetContext((), 0, 3, *WINDOWS[64])
+    gen = rng(9)
+    x, y = _coefficients(gen, 2, ctx.W, 3)
+    x[:, 1] = 0.0
+    y[:, :, 2] = 0.0
+    seen = []
+    walk = kernel.walk
+
+    def spy(n, A, B, pairs, C, first=0):
+        seen.extend((A.index, B.index, C.index))
+        return walk(n, A, B, pairs, C, first)
+
+    monkeypatch.setattr(kernel, "walk", spy)
+    fx = _spectrum(ctx, x[None], dense=True)
+    got = _conv_row(ctx, fx, y, ctx.lo, ctx.hi)
+    assert len(seen) == 3 and all(_same(i, np.arange(9)) for i in seen)
+    pad = np.zeros((2, 3, 3, ctx.nfft), complex)
+    pad[..., :ctx.W] = np.moveaxis(np.stack([x, y]), 1, -1)
+    fxy = np.fft.fft(pad, axis=-1)
+    C = np.full((1, 3, 3, ctx.nfft), -0.0, complex)
+    C += entry_mul(fxy[:1], fxy[1:])
+    want = apply_support_mask(ctx, coefficients(ctx, C).copy(),
+                              np.array([ctx.lo]), np.array([ctx.hi]))
+    assert _same(got, want[0])
+
+
+def test_a_diagonal_generator_walks_only_its_live_terms(monkeypatch):
+    # on the gl3_full scenario, M e_kk lambda^j walks one term for each live
+    # entry (i, k) of M's row a in each live pair: counted by the kernel
+    # itself, walking the same indexes over rows of ones, whose every
+    # output then holds the number of terms walked into it; a dense walk
+    # would take n^3 terms per pair
+    from loopjet.scattering import factorize_jet
+    from loopjet.scenario import Scenario, ScenarioConfig
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    s = Scenario(ScenarioConfig.from_dict(json.loads(
+        (path / "gl3_full.json").read_text())))
+    ctx, n = s.ctx, s.ctx.n
+    M = factorize_jet(s.spec, s.seq, ctx, s.f).M
+    calls = []
+    real = kernel.Tables.product
+
+    def spy(tables, A, B, pairs, first, last):
+        C = real(tables, A, B, pairs, first, last)
+        calls.append((A, B, tables.live[:, :pairs[0]].copy(), C.index,
+                      first))
+        return C
+
+    monkeypatch.setattr(kernel.Tables, "product", spy)
+    for k in range(n):
+        e = np.zeros((n, n))
+        e[k, k] = 1.0
+        E = Series.monomial(ctx, e, 2)
+        product = M * E
+        (A, B, pairs, index, first), = calls[-1:]
+        ones = [Spectrum(np.ones_like(x.rows), x.index) for x in (A, B)]
+        count = Spectrum(np.zeros((int(index.max()) + 1, ctx.nfft), complex),
+                         index)
+        kernel.walk(n, *ones, tuple(pairs), count, first)
+        live = A.index.reshape(-1, n, n)[:, :, k] >= 0  # M's entries (i, k)
+        assert count.rows[:, 0].real.sum() == live[pairs[0]].sum()
+        assert live[pairs[0]].sum() <= pairs.shape[1] * n
+        # the bits are the pair-by-pair reference's
+        ref = reference_slab_product(ctx, M.slabs[0], E.slabs[0])
+        deg = ctx.degrees[None, :]
+        slab = product.slabs[0]
+        keep = (deg >= slab.slo[:, None]) & (deg <= slab.shi[:, None])
+        assert _same(dense(slab), ref * keep[..., None, None])
 
 
 def _operand(ctx, gen, dead_rows) -> Series:
@@ -117,35 +285,52 @@ def test_walk_floating_point_errors_follow_errstate():
     # the walk raises no flag itself: its overflow and invalid operations
     # reach numpy's error handling like a numpy multiply's
     gen = rng(5)
-    A = _spectra(gen, 1, 2, 16) * 0 + 1e300
+    A = compact_spectrum(_spectra(gen, 1, 2, 16) * 0 + 1e300)
     pairs = tuple(np.zeros(1, dtype=np.int64) for _ in range(3))
+
+    def zeros():
+        return Spectrum(np.zeros_like(A.rows), A.index)
+
     with np.errstate(over="raise", invalid="ignore"):
         with pytest.raises(FloatingPointError, match="overflow"):
-            kernel.walk(A, A, pairs, np.zeros_like(A))
+            kernel.walk(2, A, A, pairs, zeros())
     with np.errstate(over="warn", invalid="ignore"):
         with pytest.warns(RuntimeWarning, match="overflow"):
-            kernel.walk(A, A, pairs, np.zeros_like(A))
-    inf = np.full_like(A, np.inf)
+            kernel.walk(2, A, A, pairs, zeros())
+    inf = Spectrum(np.full_like(A.rows, np.inf), A.index)
+    # a zero factor with a row meets the inf: a dead one would be skipped
+    zero = Spectrum(np.full_like(A.rows, -0.0), A.index)
     with np.errstate(over="ignore", invalid="raise"):
         with pytest.raises(FloatingPointError, match="invalid value"):
-            kernel.walk(inf, np.zeros_like(A), pairs, np.zeros_like(A))
+            kernel.walk(2, inf, zero, pairs, zeros())
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        C = np.zeros_like(A)
-        kernel.walk(A, A, pairs, C)
-        assert not np.all(np.isfinite(C))
+        C = zeros()
+        kernel.walk(2, A, A, pairs, C)
+        assert not np.all(np.isfinite(C.rows))
 
 
 def test_walk_raises_for_a_pair_past_the_rows():
     # checked before any write: C is left as it is
     gen = rng(6)
-    A, C = _spectra(gen, 2, 2, 16), _spectra(gen, 3, 2, 16)
+    A = compact_spectrum(_spectra(gen, 2, 2, 16))
+    C = Spectrum(_spectra(gen, 3, 2, 16).reshape(12, 16), np.arange(12))
     for bad in ((2, 0, 0), (0, 2, 0), (0, 0, 3), (-1, 0, 0)):
         pairs = tuple(np.array([0, p], dtype=np.int64) for p in bad)
-        got = C.copy()
+        got = Spectrum(C.rows.copy(), C.index)
         with pytest.raises(ValueError, match="past"):
-            kernel.walk(A, A, pairs, got)
-        assert np.array_equal(got.view(np.int64), C.view(np.int64))
+            kernel.walk(2, A, A, pairs, got)
+        with pytest.raises(ValueError, match="past"):
+            JetContext((), 0, 2, -5, 3).tables.product(A, A, pairs, 0, 2)
+        assert _same(got.rows, C.rows)
+    # an index past the rows of its spectrum, of part of an entry, or of
+    # another length is refused before the walk
+    pairs = tuple(np.zeros(1, dtype=np.int64) for _ in range(3))
+    for short in (Spectrum(A.rows[:-1], A.index),
+                  Spectrum(A.rows, np.r_[A.index, 0]),
+                  Spectrum(A.rows[:, :8].copy(), A.index)):
+        with pytest.raises(ValueError, match="spectra"):
+            kernel.walk(2, short, A, pairs, Spectrum(C.rows.copy(), C.index))
 
 
 # -- a product's bookkeeping ---------------------------------------------------
@@ -247,10 +432,11 @@ def _support(ctx, gen, first: int):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_window_is_the_numpy_masked_copy(n):
-    # the window of the inverse transforms of rows first.. with the support
-    # mask is coefficients(...).copy() and apply_support_mask, the rows
-    # below the first live output +0; raw transforms with signed zeros,
-    # and the mask applied in place, keep numpy's signs of zero as well
+    # the window of the compact inverse transforms of rows first.. with the
+    # support mask is coefficients(...).copy() and apply_support_mask, the
+    # rows below the first live output and the entries without a row +0;
+    # raw transforms with signed zeros, and the mask applied in place, keep
+    # numpy's signs of zero as well
     ctx = JetContext(("t1", "t2"), 2, n, *WINDOWS[64])
     gen = rng(40 + n)
     T, W, lo = ctx.T, ctx.W, ctx.lo
@@ -259,9 +445,14 @@ def test_window_is_the_numpy_masked_copy(n):
         slo, shi = bounds[1, first:], bounds[2, first:]
         C = _spectra(gen, T, n, ctx.nfft)
         C[:first] = 0.0
+        C[gen.random((T, n, n)) < 0.3] = 0.0
+        hat = compact_spectrum(np.fft.ifft(C[first:], axis=-1))
+        assert np.any(hat.index < 0)
         got = np.zeros((T, W, n, n), dtype=complex)
-        kernel.window(got[first:], lo, slo, shi,
-                      np.fft.ifft(C[first:], axis=-1))
+        with pytest.raises(ValueError, match="window"):  # an index past
+            kernel.window(got[first:], lo, slo, shi,
+                          Spectrum(hat.rows[:-1], hat.index))
+        kernel.window(got[first:], lo, slo, shi, hat)
         ref = apply_support_mask(ctx, coefficients(ctx, C).copy(),
                                  bounds[1], bounds[2])
         assert _same(got, ref) and not np.any(got[:first].view(np.int64))
@@ -271,7 +462,7 @@ def test_window_is_the_numpy_masked_copy(n):
         signed = gen.random(raw.shape) < 0.3
         raw.imag[signed] = np.copysign(0.0, gen.standard_normal(signed.sum()))
         got = np.zeros((T, W, n, n), dtype=complex)
-        kernel.window(got[first:], lo, slo, shi, raw[first:].copy())
+        kernel.window(got[first:], lo, slo, shi, compact_spectrum(raw[first:]))
         want = np.moveaxis(raw[..., ctx.extract], -1, -3).copy()
         want[:first] = 0.0
         assert _same(got, apply_support_mask(ctx, want.copy(), bounds[1],
@@ -291,7 +482,8 @@ def test_window_floating_point_errors_follow_errstate():
 
     def run():
         out = np.zeros((1, ctx.W, 2, 2), dtype=complex)
-        kernel.window(out, ctx.lo, np.array([0]), np.array([3]), hat)
+        kernel.window(out, ctx.lo, np.array([0]), np.array([3]),
+                      compact_spectrum(hat))
         return out
 
     with np.errstate(invalid="raise"):

@@ -1234,8 +1234,8 @@ def _budget_workload():
 
 
 def test_spectrum_budget_evicts_without_changing_a_bit(monkeypatch):
-    # after every transform the ledger counts exactly the bytes of the
-    # spectra its context's slabs hold, and never more than the budget;
+    # after every transform the ledger counts exactly the compact bytes of
+    # the spectra its context's slabs hold, and never more than the budget;
     # at the least budgets every product evicts, and the values are those
     # of the default budget bit for bit
     seen: dict = {}
@@ -1265,8 +1265,11 @@ def test_a_dead_values_spectrum_stops_counting():
     a = random_jet_series(ctx, gen, -3, 0, 0.3)
     b = random_jet_series(ctx, gen, -2, 0, 0.3)
     a * b
+    # every entry of every row is live: each compact spectrum is a dense
+    # one's rows and an index of one int64 per entry
     hats = [x.slabs[0]._hat.nbytes for x in (a, b)]
-    assert ctx.spectra.bytes == sum(hats) == 2 * ctx.spectrum_bytes
+    assert ctx.spectra.bytes == sum(hats) == 2 * (ctx.spectrum_bytes
+                                                  + ctx.T * ctx.n ** 2 * 8)
     del a
     assert ctx.spectra.bytes == hats[1]
     del b
