@@ -78,16 +78,15 @@ long pairs(long count, const long *ta, const long *tb, const long *tc,
 }
 
 /* index[r nn + e] = the next compact row, or -1 where the W coefficients
- * of entry e of jet row r of data (R, W, nn) are all +0.0 bits; with
- * dense, every entry gets a row.  Returns the rows. */
-long scan(long R, long W, long nn, const unsigned long long *data,
-          long *index, long dense)
+ * of entry e of jet row r of data (R, W, nn) are all +0.0 bits.  Returns
+ * the rows. */
+long scan(long R, long W, long nn, const unsigned long long *data, long *index)
 {
     long m = 0;
     for (long r = 0; r < R; r++) {
         long *ix = index + r * nn;
         for (long e = 0; e < nn; e++)
-            ix[e] = dense;
+            ix[e] = 0;
         for (long w = 0; w < W; w++) {
             const unsigned long long *x = data + 2 * (r * W + w) * nn;
             for (long e = 0; e < nn; e++)
@@ -142,14 +141,14 @@ static inline void mul(long m, const double *x, const double *y, double *t,
 
 /* Spectra in the compact layout: rows (m, nfft) and an index (R nn) from
  * the entries of the jet rows to their rows, -1 for a dead entry; ra, rb
- * and rc count the entries of the indexes.  Each output entry with a row
- * sums its live k terms in ascending k into a temporary, which is then
- * added to C; a term with a dead factor is skipped.  With room >= 0, the
- * output entries of the rows c0 .. that some pair feeds a live term are
- * first numbered in order into ic, -1 for every other, and their rows of C
- * zeroed; if they need more than room rows, nothing is walked and -2 -
- * rows is returned.  Returns the flags plus 4 times the rows numbered, or
- * -1 if a pair is past the operands' rows. */
+ * and rc count the entries of the indexes.  The output entries of the rows
+ * c0 .. that some pair feeds a live term are first numbered in order into
+ * ic, -1 for every other, and their rows of C zeroed; if they need more
+ * than room rows, nothing is walked and -2 - rows is returned.  Each
+ * numbered entry then sums its live k terms in ascending k into a
+ * temporary, which is added to C; a term with a dead factor is skipped.
+ * Returns the flags plus 4 times the rows numbered, or -1 if a pair is
+ * past the operands' rows. */
 CLONES long walk(long count, const long *pa, const long *pb, const long *pc,
                  long c0, long n, long nfft, const double *A, const long *ia,
                  long ra, const double *B, const long *ib, long rb, double *C,
@@ -162,21 +161,19 @@ CLONES long walk(long count, const long *pa, const long *pb, const long *pc,
         if (pa[p] < 0 || pa[p] >= ra || pb[p] < 0 || pb[p] >= rb
             || pc[p] < c0 || pc[p] - c0 >= rc)
             return -1;
-    if (room >= 0) {
-        for (long x = 0; x < rc * nn; x++)
-            ic[x] = 0;
-        for (long p = 0; p < count; p++) {
-            const long *x = ia + pa[p] * nn, *y = ib + pb[p] * nn;
-            long *z = ic + (pc[p] - c0) * nn;
-            for (long ij = 0; ij < nn; ij++)
-                z[ij] = z[ij] || live(n, ij / n, ij % n, x, y) < n;
-        }
-        for (long x = 0; x < rc * nn; x++)
-            ic[x] = ic[x] ? rows++ : -1;
-        if (rows > room)
-            return -2 - rows;
-        memset(C, 0, rows * entry * sizeof(double));
+    for (long x = 0; x < rc * nn; x++)
+        ic[x] = 0;
+    for (long p = 0; p < count; p++) {
+        const long *x = ia + pa[p] * nn, *y = ib + pb[p] * nn;
+        long *z = ic + (pc[p] - c0) * nn;
+        for (long ij = 0; ij < nn; ij++)
+            z[ij] = z[ij] || live(n, ij / n, ij % n, x, y) < n;
     }
+    for (long x = 0; x < rc * nn; x++)
+        ic[x] = ic[x] ? rows++ : -1;
+    if (rows > room)
+        return -2 - rows;
+    memset(C, 0, rows * entry * sizeof(double));
     feclearexcept(FE_OVERFLOW | FE_INVALID);
     for (long p = 0; p < count; p++) {
         const long *x = ia + pa[p] * nn, *y = ib + pb[p] * nn,

@@ -166,9 +166,6 @@ class JetContext(Memo):
 
         self._build_pair_table()
         self._build_var_maps()
-        # degree-convolution extraction: conv position s holds degree 2*lo+s,
-        # so degrees [lo, hi] sit at positions [-lo, -lo+W).
-        self.extract = slice(-self.lo, -self.lo + self.W)
         self.degrees = np.arange(self.lo, self.hi + 1, dtype=np.int64)
         # bytes of a dense spectrum of every jet row: the unit of the
         # budget, which counts the compact bytes of the spectra held

@@ -5,7 +5,7 @@ top cap, each rule as the docstring of that module states it.  A
 :class:`Spectrum` is compact: ``rows (m, nfft)`` complex, one for each live
 (jet row, entry), and ``index (R n n)`` int64 from the entries to their
 rows, -1 for a dead entry, which the walk skips and the window writes as
-+0.0; a dense spectrum is one whose index is ``arange(R n n)``.
++0.0.
 
 The kernel is built by the C compiler ``CC`` at the first use and cached
 in ``__pycache__`` under a name keyed by the source, the flags and the
@@ -36,7 +36,7 @@ CC = "gcc"
 FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 _I, _P, _EMPTY = ctypes.c_long, ctypes.c_void_p, ctypes.c_char * 0
 SIGNATURES = {"pairs": (_I, "iPPPPPiPiiiiPPPPi"), "cap": (None, "iPi"),
-              "scan": (_I, "iiiPPi"), "gather": (None, "iiiiPPP"),
+              "scan": (_I, "iiiPP"), "gather": (None, "iiiiPPP"),
               "walk": (_I, "iPPPiiiPPiPPiPPii"),
               "window": (_I, "iiiPiiiPiPPPi")}
 
@@ -118,7 +118,7 @@ class Tables:
         """The live pairs of the product of the slabs ``a`` and ``b`` up to
         jet order ``top`` and, unless ``want`` is None, in the rows of that
         bool mask, and its bounds, finalized if ``final``: ``(live pairs as
-        walk takes them, first and last output, bounds (4, T))``."""
+        product takes them, first and last output, bounds (4, T))``."""
         if want is not None and (want.dtype != bool or want.size != self.T):
             raise ValueError("select: want is not a mask of the jet rows")
         out = np.empty((4, self.T), np.int64)
@@ -130,16 +130,26 @@ class Tables:
 
     def product(self, A: "Spectrum", B: "Spectrum", pairs: tuple,
                 first: int, last: int) -> "Spectrum":
-        """The walk of ``pairs`` (as ``walk`` takes them) over the spectra
-        ``A`` and ``B`` into the output rows ``first`` to ``last``, from
-        +0.0: a spectrum whose rows, one for each output entry that some
-        pair feeds a live term, numbered in order, lie in the work buffer,
-        which grows on demand; it is spent once it is windowed."""
-        nfft = A.rows.shape[1]
-        index = np.empty((last + 1 - first) * self.n * self.n, np.int64)
-        at = _pairs(self.n, pairs, A, B)
+        """The walk ``C[c] += A[a] B[b]`` over ``pairs``, in order, of the
+        spectra ``A`` and ``B`` into the output rows ``first`` to ``last``,
+        from +0.0: a spectrum whose rows, one for each output entry that
+        some pair feeds a live term, numbered in order, lie in the work
+        buffer, which grows on demand; it is spent once it is windowed.
+        ``pairs`` are the live pairs of ``select`` as they are, or int64
+        arrays ``(pa, pb, pc)``, with ``A`` and ``B`` checked to be of one
+        length, with indexes of whole ``n x n`` entries within their rows;
+        the caller keeps them referenced through the call."""
+        n, nfft, at = self.n, A.rows.shape[1], pairs
+        if isinstance(pairs[0], np.ndarray):
+            if not (all(p.dtype == np.int64 and p.shape == pairs[0].shape
+                        for p in pairs) and all(
+                    x.rows.shape[1] == nfft and x.index.size % (n * n) == 0
+                    and np.all(x.index < len(x.rows)) for x in (A, B))):
+                raise ValueError("walk: operands are not spectra of one shape")
+            at = (pairs[0].size, *map(address, pairs))
+        index = np.empty((last + 1 - first) * n * n, np.int64)
         while (got := _library().walk(
-                *at, first, self.n, nfft, *A.at, *B.at, address(self._work),
+                *at, first, n, nfft, *A.at, *B.at, address(self._work),
                 address(index), index.size, self._work.size // nfft)) < -1:
             self._work = np.empty((-2 - got) * nfft, complex)
         _raised(got if got < 0 else got & 3)
@@ -167,51 +177,21 @@ class Spectrum:
         return self.rows.nbytes + self.index.nbytes
 
 
-def spectrum(data: np.ndarray, nfft: int, dense: bool = False) -> Spectrum:
+def spectrum(data: np.ndarray, nfft: int) -> Spectrum:
     """The compact layout of the window coefficients ``data (R, W, n, n)``,
     untransformed: a row for each (jet row, entry) whose W coefficients
-    are not all +0.0 bits (every one if ``dense``), zero-padded to
-    ``nfft``, in order."""
+    are not all +0.0 bits, zero-padded to ``nfft``, in order."""
     R, W, n, _ = data.shape
     if data.dtype != complex or W > nfft:
         raise ValueError("spectrum: the data do not fit the transform")
     data = np.require(data, requirements=("C", "W"))
     index = np.empty(R * n * n, np.int64)
     lib = _library()
-    rows = np.empty((lib.scan(R, W, n * n, address(data), address(index),
-                              dense), nfft), complex)
+    rows = np.empty((lib.scan(R, W, n * n, address(data), address(index)),
+                     nfft), complex)
     lib.gather(R, W, n * n, nfft, address(data), address(index),
                address(rows))
     return Spectrum(rows, index)
-
-
-def _pairs(n: int, pairs: tuple, *spectra: Spectrum) -> tuple:
-    """``pairs`` as the kernel takes them: the live pairs of
-    ``Tables.select`` as they are, or int64 arrays ``(pa, pb, pc)``, with
-    the ``spectra`` checked to be of one length, with indexes of whole
-    ``n x n`` entries within their rows.  The caller keeps ``pairs``
-    referenced through the call."""
-    if not isinstance(pairs[0], np.ndarray):
-        return pairs
-    nfft = spectra[0].rows.shape[1]
-    if not (all(p.dtype == np.int64 and p.shape == pairs[0].shape
-                for p in pairs) and all(
-            x.rows.shape[1] == nfft and x.index.size % (n * n) == 0
-            and np.all(x.index < len(x.rows)) for x in spectra)):
-        raise ValueError("walk: operands are not spectra of one shape")
-    return (pairs[0].size, *map(address, pairs))
-
-
-def walk(n: int, A: Spectrum, B: Spectrum, pairs: tuple, C: Spectrum,
-         first: int = 0) -> None:
-    """``C[c - first] += A[a] B[b]`` for each pair of ``pairs`` in order, on
-    ``n x n`` spectra: the int64 arrays ``(pa, pb, pc)``, or the live pairs
-    of ``Tables.select``.  Only the entries of C with a row are written,
-    each adding the terms whose factors both have a row (the others'
-    factors are +0.0 spectra)."""
-    at = _pairs(n, pairs, A, B, C)
-    _raised(_library().walk(*at, first, n, C.rows.shape[1], *A.at, *B.at,
-                            *C.at, -1))
 
 
 def window(dst: np.ndarray, lo: int, slo: np.ndarray, shi: np.ndarray,

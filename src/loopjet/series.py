@@ -21,6 +21,9 @@ Truncation is tracked, never guessed.  Per jet coefficient:
   whose true support was clipped at the top of the window (Neumann
   inverses of L+ shapes, products certified past the window top).
 
+A degree k is trusted where ``tlo <= k <= thi``: the sentinels ``NEG`` and
+``POS`` are -2**40 and 2**40, past every degree.
+
 The degree maps lambda**s (``shift``) and d/dlambda (``dlambda``, lambda**-1
 times the degree-weighted data, whose degree-0 term dies) are one move: the
 bounds move by s with the sentinels kept, and an exact coefficient stays
@@ -64,21 +67,21 @@ transformed back in place; the window writes +0.0 at every other entry.
 The bits are the dense walk's: each FFT vector is transformed alone, that
 of an all +0.0 vector is +0.0 both ways, and a skipped term is a zero that
 can change only the sign of a zero sum, which the +0.0 accumulator, never
--0.0, absorbs.  The Neumann step, whose accumulator starts at -0.0, stays
-dense (an index of every entry).  A spectrum is held on its operand under
-a budget per context of ``_SPECTRUM_BUDGET`` times
-``ctx.spectrum_bytes``, the bytes of a dense spectrum of every jet row,
-counting each held spectrum's compact bytes; past it the least recently
-used are dropped and transformed again on their next use, with the same
-bits.  A pairing reads its trust bounds from the kernel's live-pair call
-and sums each grade's grid (``grade_out``) by ``einsum`` in ascending a;
-scalar-jet products scatter into the ``pair_c`` rows.
+-0.0, absorbs.  A spectrum is held on its operand under a budget per
+context of ``_SPECTRUM_BUDGET`` times ``ctx.spectrum_bytes``, the bytes of
+a dense spectrum of every jet row, counting each held spectrum's compact
+bytes; past it the least recently used are dropped and transformed again
+on their next use, with the same bits.  A pairing reads its trust bounds
+from the kernel's live-pair call and sums each grade's grid
+(``grade_out``) by ``einsum`` in ascending a; scalar-jet products scatter
+into the ``pair_c`` rows.
 
 An inverse is solved grade by grade (forward substitution over jet grades):
 its row 0, for every value alike, is the memoized Laurent inverse of the
-value's row 0, polished by one Newton step, and each grade g is
--X_0 ((A - A_0) X)_g, two products restricted to the rows of grade g.  Handed
-the inverse to a lower jet order (``start=``), it solves the grades past it.
+value's row 0, a Neumann sum of one-row products polished by one Newton
+step, and each grade g is -X_0 ((A - A_0) X)_g, two products restricted to
+the rows of grade g.  Handed the inverse to a lower jet order (``start=``),
+it solves the grades past it.
 
 Every value, a :class:`Series` or a :class:`ScalarJet`, carries K >= 0
 tangent components next to its base value: a first-order nilpotent extension
@@ -169,16 +172,12 @@ def _one_row(ctx: JetContext, row: int = 0, data=None, tlo=NEG, slo=POS,
     return _Slab(stored, bounds)
 
 
-_zero_slab = _one_row
-
-
-def _spectrum(ctx: JetContext, x: np.ndarray,
-              dense: bool = False) -> kernel.Spectrum:
+def _spectrum(ctx: JetContext, x: np.ndarray) -> kernel.Spectrum:
     """Compact spectrum of window coefficients ``x (R, W, n, n)``: the
     kernel gathers each live entry's coefficients, zero-padded to ``nfft``,
-    into a row (every entry if ``dense``), and the rows are transformed in
-    place, each bit for bit as ``fft(..., n=nfft)`` of that entry alone."""
-    hat = kernel.spectrum(x, ctx.nfft, dense)
+    into a row, and the rows are transformed in place, each bit for bit as
+    ``fft(..., n=nfft)`` of that entry alone."""
+    hat = kernel.spectrum(x, ctx.nfft)
     np.fft.fft(hat.rows, axis=-1, out=hat.rows)
     return hat
 
@@ -192,7 +191,7 @@ def _slab_mul(ctx: JetContext, a: _Slab, b: _Slab,
     top = ctx.order if cap is None else min(cap, ctx.order)
     pairs, first, last, bounds = ctx.tables.select(a, b, top, want, True)
     if pairs[0] == 0:  # nothing live: neither operand is transformed
-        return _zero_slab(ctx)
+        return _one_row(ctx)
     C = ctx.tables.product(a.fft(ctx), b.fft(ctx), pairs, first, last)
     np.fft.ifft(C.rows, axis=-1, out=C.rows)
     data = np.empty((last + 1, ctx.W, ctx.n, ctx.n), complex)
@@ -352,7 +351,7 @@ class Series(_Jet):
 
     __slots__ = ()
 
-    _zero = staticmethod(_zero_slab)
+    _zero = staticmethod(_one_row)
     _add = staticmethod(_slab_add)
 
     @staticmethod
@@ -593,11 +592,11 @@ class Series(_Jet):
     # -- reads ---------------------------------------------------------------
 
     def _check_read(self, slab: _Slab, row: int, k: int, what: str) -> None:
-        if slab.tlo[row] != NEG and k < slab.tlo[row]:
+        if k < slab.tlo[row]:
             raise TrustError(
                 f"{what}: degree {k} below trusted floor {int(slab.tlo[row])} "
                 f"at jet index {tuple(self.ctx.midx[row].tolist())}")
-        if slab.thi[row] != POS and k > slab.thi[row]:
+        if k > slab.thi[row]:
             raise TrustError(
                 f"{what}: degree {k} above trusted top {int(slab.thi[row])} "
                 f"at jet index {tuple(self.ctx.midx[row].tolist())}")
@@ -630,7 +629,7 @@ class Series(_Jet):
         ctx = self.ctx
         out = []
         for s in self.slabs:
-            bad = ((s.tlo != NEG) & (k < s.tlo)) | ((s.thi != POS) & (k > s.thi))
+            bad = (k < s.tlo) | (k > s.thi)
             live = bad | ((s.slo <= k) & (k <= s.shi))
             shi = np.where(live, 0, NEG)
             data = np.zeros((_live_rows(shi), ctx.W, ctx.n, ctx.n),
@@ -651,7 +650,7 @@ class Series(_Jet):
         live = ctx.totals <= self.vorder
         vals = []
         for s in self.slabs:
-            bad = ((s.tlo != NEG) & (k < s.tlo)) | ((s.thi != POS) & (k > s.thi))
+            bad = (k < s.tlo) | (k > s.thi)
             if np.any(bad & live):
                 self._check_read(s, int(np.flatnonzero(bad & live)[0]), k, what)
             v = np.zeros(ctx.T, dtype=np.complex128)
@@ -798,25 +797,6 @@ def _pad_const(ctx: JetContext, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conv_row(ctx: JetContext, fx: kernel.Spectrum, y: np.ndarray, slo: int,
-              shi: int, negate: bool = False) -> np.ndarray:
-    """Laurent product X Y of window coefficients ``y`` by the series whose
-    dense spectrum (every entry a row) is ``fx``, negated if ``negate``,
-    with the kernel's mask to the degrees ``[slo, shi]``: one pair of the
-    walk, added to -0.0, which leaves every product, a -0.0 included, as it
-    is.  Every spectrum here is dense: an entry the walk skipped would keep
-    the -0.0 where the dense walk's +0.0 terms make it +0.0."""
-    C = kernel.Spectrum(np.full(fx.rows.shape, -0.0, dtype=complex), fx.index)
-    kernel.walk(ctx.n, fx, _spectrum(ctx, y[None], dense=True),
-                (np.zeros(1, np.int64),) * 3, C)
-    np.fft.ifft(C.rows, axis=-1, out=C.rows)
-    if negate:
-        np.negative(C.rows, out=C.rows)
-    out = np.empty((1, ctx.W, ctx.n, ctx.n), dtype=complex)
-    kernel.window(out, ctx.lo, np.array([slo]), np.array([shi]), C)
-    return out[0]
-
-
 def _laurent_inv(ctx: JetContext, slab: _Slab) -> _Slab:
     """Inverse X_0 of the base (jet index zero) Laurent coefficient A_0: the
     Neumann inverse polished by one Newton step, X_0 (2I - A_0 X_0).  It is
@@ -837,7 +817,8 @@ def _laurent_inv(ctx: JetContext, slab: _Slab) -> _Slab:
 
 
 def _neumann_inv(ctx: JetContext, slab: _Slab) -> _Slab:
-    """Neumann inverse of the base (jet index zero) Laurent coefficient.
+    """Neumann inverse of the base (jet index zero) Laurent coefficient,
+    (sum_k (-N)**k) A0^-1, each power and the last factor a one-row product.
 
     Accepts A = A0 (I + N) with N strictly negative (the L- shape), the
     mirrored L+ shape with N strictly positive, and constants.
@@ -860,24 +841,23 @@ def _neumann_inv(ctx: JetContext, slab: _Slab) -> _Slab:
         raise ShapeError("Series.inv: shape neither L- nor L+ normalizable")
     is_neg = step_hi < 0
 
+    # -N with +0.0 zeros (its dead entries stay dead); the bound rule masks
+    # (-N)**k to [k step_lo, k step_hi] before the zero test, so FFT
+    # round-trip dust cannot fake content
+    neg_n = _one_row(ctx, 0, 0.0 - n_mat, NEG, step_lo, step_hi)
     acc = _pad_const(ctx, np.eye(ctx.n))
-    term = acc.copy()
+    term = _one_row(ctx, 0, acc, NEG, 0, 0)
     k_added = 0
     nilpotent = False
-    n_hat = _spectrum(ctx, n_mat[None], dense=True)
     for k in range(1, ctx.W + 2):
-        # masked to the certified support of N**k before the zero test, so
-        # FFT round-trip dust cannot fake content
-        lo_k = max(k * step_lo, ctx.lo) if is_neg else k * step_lo
-        hi_k = k * step_hi if is_neg else min(k * step_hi, ctx.hi)
-        term = _conv_row(ctx, n_hat, term, lo_k, hi_k, negate=True)
-        if not np.any(term != 0):
+        term = _slab_mul(ctx, neg_n, term)
+        if not np.any(term.data != 0):
             # genuine nilpotency only if this power's support could not
             # have left the window
             nilpotent = (k * step_lo >= ctx.lo) if is_neg else (
                 k * step_hi <= ctx.hi)
             break
-        acc = acc + term
+        acc = acc + term.data[0]
         k_added = k
     clipped = not nilpotent
 
@@ -889,9 +869,9 @@ def _neumann_inv(ctx: JetContext, slab: _Slab) -> _Slab:
         shi, thi = ((POS, ctx.hi) if clipped
                     else (min(ctx.hi, k_added * step_hi), POS))
         slo, tlo = 0, a_tlo
-    res = _conv_row(ctx, _spectrum(ctx, acc[None], dense=True),
-                    _pad_const(ctx, a0inv), slo, shi)
-    return _one_row(ctx, 0, res, tlo, slo, shi, thi)
+    res = _slab_mul(ctx, _one_row(ctx, 0, acc, NEG, slo, shi),
+                    _one_row(ctx, 0, _pad_const(ctx, a0inv), NEG, 0, 0))
+    return _one_row(ctx, 0, res.data[0], tlo, slo, shi, thi)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ The oracles here are deliberately naive (dict-based double sums, a
 pair-by-pair product that fixes the kernel's floating-point operations, the
 compiled kernel's rules written in numpy (the pair walk, live-pair
 selection, the degree-bound rule, finalization, the top cap and the
-support mask), and the pairing over the whole pair table that fixes the
-pairing's) and never call the kernels they are used to check.  The helpers at
-the end (bit-for-bit comparisons, the trusted floor and window reads, the
-repeated-product count, the dump parser, the KdV restriction check, the
-algebra-level reality conditions with the checked projection, and the gl
-hierarchy in power-sum coordinates) serve only the tests, so they live here
-rather than in the package.
+support mask), the dense Neumann inverse, and the pairing over the whole
+pair table that fixes the pairing's) and never call the kernels they are
+used to check.  The helpers at the end (bit-for-bit comparisons, the
+trusted floor and window reads, the repeated-product count, the dump
+parser, the KdV restriction check, the algebra-level reality conditions
+with the checked projection, and the gl hierarchy in power-sum
+coordinates) serve only the tests, so they live here rather than in the
+package.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def reference_slab_product(ctx: JetContext, a, b, cap=None) -> np.ndarray:
         sums[ic] = term if ic not in sums else sums[ic] + term
     data = np.zeros((ctx.T, W, n, n), dtype=np.complex128)
     for ic, spec in sums.items():
-        coeffs = np.fft.ifft(spec, axis=-1)[:, :, ctx.extract]
+        coeffs = np.fft.ifft(spec, axis=-1)[:, :, -ctx.lo:-ctx.lo + W]
         data[ic] = np.moveaxis(coeffs, -1, 0)
     return data
 
@@ -204,7 +205,8 @@ def cap_top(ctx: JetContext, shi, thi):
 def coefficients(ctx: JetContext, hat: np.ndarray) -> np.ndarray:
     """Window coefficients ``(..., W, n, n)`` of a row-major spectrum, as a
     view of its inverse transform, in numpy."""
-    return np.moveaxis(np.fft.ifft(hat, axis=-1)[..., ctx.extract], -1, -3)
+    window = slice(-ctx.lo, -ctx.lo + ctx.W)  # degrees lo..hi
+    return np.moveaxis(np.fft.ifft(hat, axis=-1)[..., window], -1, -3)
 
 
 def apply_support_mask(ctx: JetContext, data: np.ndarray, slo, shi):
@@ -215,6 +217,57 @@ def apply_support_mask(ctx: JetContext, data: np.ndarray, slo, shi):
     mask = (deg >= slo[:rows, None]) & (deg <= shi[:rows, None])
     data *= mask[:, :, None, None]
     return data
+
+
+def reference_neumann_inv(ctx: JetContext, slab):
+    """The Neumann inverse of row 0 of ``slab``, ``(data (W, n, n), (tlo,
+    slo, shi, thi))``, by a dense route in numpy: with N = A0^-1 A - I,
+    each power (-N)^k is -(N (-N)^(k-1)), every entry of both spectra
+    walked into an accumulator of -0.0 by :func:`entry_mul`, transformed
+    back, negated and masked to [k step_lo, k step_hi], until a power is
+    zero; their sum times A0^-1 is masked to the inverse's support the
+    same way, without the negation."""
+    n, W, p0 = ctx.n, ctx.W, -ctx.lo
+
+    def product(x, y, slo, shi, sign=1.0):
+        buf = np.zeros((2, n, n, ctx.nfft), dtype=np.complex128)
+        buf[..., :W] = np.moveaxis(np.stack([x, y]), 1, -1)
+        fx, fy = np.fft.fft(buf, axis=-1)
+        C = np.full((n, n, ctx.nfft), -0.0, dtype=np.complex128)
+        C += entry_mul(fx, fy)
+        out = coefficients(ctx, C)[None].copy()
+        if sign < 0:
+            np.negative(out, out=out)
+        return apply_support_mask(ctx, out, np.array([slo]),
+                                  np.array([shi]))[0]
+
+    a = dense(slab)[0]
+    a_tlo = int(slab.tlo[0])
+    a0inv = np.linalg.inv(a[p0])
+    n_mat = np.matmul(a0inv, a)
+    n_mat[p0] = 0.0
+    steps = ctx.degrees[np.abs(n_mat).max(axis=(1, 2)) > 0]
+    inv = np.zeros((W, n, n), dtype=np.complex128)
+    inv[p0] = a0inv
+    if steps.size == 0:
+        return inv, (a_tlo, 0, 0, POS)
+    lo, hi = int(steps[0]), int(steps[-1])
+    acc = np.zeros((W, n, n), dtype=np.complex128)
+    acc[p0] = np.eye(n)
+    term, top, nilpotent = acc, 0, False
+    for k in range(1, W + 2):
+        term = product(n_mat, term, k * lo, k * hi, -1.0)
+        if not np.any(term):
+            nilpotent = k * lo >= ctx.lo if hi < 0 else k * hi <= ctx.hi
+            break
+        acc, top = acc + term, k
+    if hi < 0:
+        slo = max(ctx.lo, top * lo) if nilpotent else ctx.lo
+        bounds = (NEG if nilpotent and a_tlo == NEG else ctx.lo, slo, 0, POS)
+    else:
+        bounds = ((a_tlo, 0, min(ctx.hi, top * hi), POS) if nilpotent
+                  else (a_tlo, 0, POS, ctx.hi))
+    return product(acc, inv, bounds[1], bounds[2]), bounds
 
 
 def reference_pairing(ctx: JetContext, a, b, k: int) -> np.ndarray:

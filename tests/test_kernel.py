@@ -25,13 +25,13 @@ from loopjet import JetContext, Series, kernel
 from loopjet.cli import main
 from loopjet.context import NEG, POS
 from loopjet.kernel import Spectrum
-from loopjet.series import (_conv_row, _one_row, _Slab, _slab_mul,
-                            _spectrum, _zero_slab)
+from loopjet.series import (_neumann_inv, _one_row, _Slab, _slab_mul,
+                            _spectrum)
 
 from helpers import (apply_support_mask, cap_top, coefficients,
-                     compact_spectrum, dense, dense_spectrum, entry_mul,
-                     finalize_tlo, live_pairs, product_bounds,
-                     random_laurent_dict, reference_slab_product,
+                     compact_spectrum, dense, dense_spectrum, finalize_tlo,
+                     live_pairs, product_bounds, random_laurent_dict,
+                     reference_neumann_inv, reference_slab_product,
                      reference_walk, rng, same_slab)
 
 # lambda windows by their FFT length
@@ -82,29 +82,22 @@ def test_walk_is_the_numpy_walk_bit_for_bit(n, nfft):
     # multiplies complex doubles and adds the k terms, on compact spectra
     # with structural zeros: the output entries a product numbers are
     # those a pair feeds a live term, in order, and its walk into them from
-    # +0.0 gives the dense walk's bits, dead entries +0.0; into a C whose
-    # every entry has a row (no -0.0 in it) it adds to each as the dense
-    # walk does.  Lengths that are and are not a multiple of the walk's
-    # chunk, repeated outputs, and an empty pair list, which leaves C as it
-    # is
+    # +0.0 gives the dense walk's bits, dead entries +0.0.  Lengths that
+    # are and are not a multiple of the walk's chunk, repeated outputs, and
+    # an empty pair list, which numbers no entry
     gen = rng(100 * n + nfft)
     tables = JetContext((), 0, n, -5, 3).tables
     A, B = _sparse(gen, 5, n, nfft), _sparse(gen, 4, n, nfft)
     cA, cB = compact_spectrum(A), compact_spectrum(B)
-    C0 = _spectra(gen, 6, n, nfft)
     pa = np.sort(gen.integers(0, 5, 40))
     pairs = (pa, gen.integers(0, 4, 40), gen.integers(0, 6, 40))
     empty = tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
     for p in (pairs, empty):
-        got, ref = tables.product(cA, cB, p, 0, 5), np.zeros_like(C0)
+        got = tables.product(cA, cB, p, 0, 5)
+        ref = np.zeros((6, n, n, nfft), dtype=complex)
         fed = _fed(cA, cB, p, 6, n)
         assert _same(got.index, np.where(fed, np.cumsum(fed) - 1, -1))
         assert got.rows.shape == (fed.sum(), nfft)
-        reference_walk(A, B, p, ref)
-        assert _same(dense_spectrum(got, n), ref)
-        got = Spectrum(C0.reshape(-1, nfft).copy(), np.arange(6 * n * n))
-        ref = C0.copy()
-        kernel.walk(n, cA, cB, p, got)
         reference_walk(A, B, p, ref)
         assert _same(dense_spectrum(got, n), ref)
 
@@ -112,7 +105,7 @@ def test_walk_is_the_numpy_walk_bit_for_bit(n, nfft):
 def test_spectrum_transforms_the_live_entries_alone():
     # each entry whose coefficients are not all +0.0 bits gets a row, in
     # order, and the transform of the rows is numpy's of that entry
-    # zero-padded; a -0.0 entry is live, and with dense every entry is
+    # zero-padded; a -0.0 entry is live
     ctx = JetContext(("t1",), 1, 3, *WINDOWS[64])
     gen = rng(8)
     data = _coefficients(gen, 3, ctx.W, 3)
@@ -127,14 +120,12 @@ def test_spectrum_transforms_the_live_entries_alone():
     assert _same(dense_spectrum(got, 3), want)
     assert _same(got.index, compact_spectrum(buf).index)
     assert len(got.rows) == 2 * 9 - 2 * 1
-    full = _spectrum(ctx, data, dense=True)
-    assert _same(full.index, np.arange(27))
-    assert _same(full.rows, want.reshape(27, -1))
 
 
 def test_walk_keeps_its_pairs_alive(monkeypatch):
     # pair arrays that only the call references live until the compiled
     # walk returns
+    tables = JetContext((), 0, 2, -5, 3).tables
     gen = rng(7)
     A = compact_spectrum(_spectra(gen, 2, 2, 16))
     refs = []
@@ -152,47 +143,16 @@ def test_walk_keeps_its_pairs_alive(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(lib, "walk", spy)
-    C = Spectrum(np.zeros((8, 16), complex), np.arange(8))
-    kernel.walk(2, A, A, pairs(), C)
+    tables.product(A, A, pairs(), 0, 0)
     assert refs and all(r() is None for r in refs)
-
-
-def test_conv_row_stays_dense(monkeypatch):
-    # the Neumann step adds its one pair to -0.0: every spectrum it walks
-    # has a row for every entry, whole zero entries of either factor
-    # included, and its bits are numpy's
-    ctx = JetContext((), 0, 3, *WINDOWS[64])
-    gen = rng(9)
-    x, y = _coefficients(gen, 2, ctx.W, 3)
-    x[:, 1] = 0.0
-    y[:, :, 2] = 0.0
-    seen = []
-    walk = kernel.walk
-
-    def spy(n, A, B, pairs, C, first=0):
-        seen.extend((A.index, B.index, C.index))
-        return walk(n, A, B, pairs, C, first)
-
-    monkeypatch.setattr(kernel, "walk", spy)
-    fx = _spectrum(ctx, x[None], dense=True)
-    got = _conv_row(ctx, fx, y, ctx.lo, ctx.hi)
-    assert len(seen) == 3 and all(_same(i, np.arange(9)) for i in seen)
-    pad = np.zeros((2, 3, 3, ctx.nfft), complex)
-    pad[..., :ctx.W] = np.moveaxis(np.stack([x, y]), 1, -1)
-    fxy = np.fft.fft(pad, axis=-1)
-    C = np.full((1, 3, 3, ctx.nfft), -0.0, complex)
-    C += entry_mul(fxy[:1], fxy[1:])
-    want = apply_support_mask(ctx, coefficients(ctx, C).copy(),
-                              np.array([ctx.lo]), np.array([ctx.hi]))
-    assert _same(got, want[0])
 
 
 def test_a_diagonal_generator_walks_only_its_live_terms(monkeypatch):
     # on the gl3_full scenario, M e_kk lambda^j walks one term for each live
     # entry (i, k) of M's row a in each live pair: counted by the kernel
-    # itself, walking the same indexes over rows of ones, whose every
-    # output then holds the number of terms walked into it; a dense walk
-    # would take n^3 terms per pair
+    # itself, walking the same pairs over spectra of ones with the same
+    # indexes, whose every output then holds the number of terms walked
+    # into it; a dense walk would take n^3 terms per pair
     from loopjet.scattering import factorize_jet
     from loopjet.scenario import Scenario, ScenarioConfig
     path = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -206,7 +166,7 @@ def test_a_diagonal_generator_walks_only_its_live_terms(monkeypatch):
     def spy(tables, A, B, pairs, first, last):
         C = real(tables, A, B, pairs, first, last)
         calls.append((A, B, tables.live[:, :pairs[0]].copy(), C.index,
-                      first))
+                      first, last))
         return C
 
     monkeypatch.setattr(kernel.Tables, "product", spy)
@@ -215,11 +175,10 @@ def test_a_diagonal_generator_walks_only_its_live_terms(monkeypatch):
         e[k, k] = 1.0
         E = Series.monomial(ctx, e, 2)
         product = M * E
-        (A, B, pairs, index, first), = calls[-1:]
+        (A, B, pairs, index, first, last), = calls[-1:]
         ones = [Spectrum(np.ones_like(x.rows), x.index) for x in (A, B)]
-        count = Spectrum(np.zeros((int(index.max()) + 1, ctx.nfft), complex),
-                         index)
-        kernel.walk(n, *ones, tuple(pairs), count, first)
+        count = real(ctx.tables, *ones, tuple(pairs), first, last)
+        assert _same(count.index, index)
         live = A.index.reshape(-1, n, n)[:, :, k] >= 0  # M's entries (i, k)
         assert count.rows[:, 0].real.sum() == live[pairs[0]].sum()
         assert live[pairs[0]].sum() <= pairs.shape[1] * n
@@ -229,6 +188,43 @@ def test_a_diagonal_generator_walks_only_its_live_terms(monkeypatch):
         slab = product.slabs[0]
         keep = (deg >= slab.slo[:, None]) & (deg <= slab.shi[:, None])
         assert _same(dense(slab), ref * keep[..., None, None])
+
+
+@pytest.mark.parametrize("variables", [(), ("t1",)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_neumann_inverse_is_the_dense_route(n, variables):
+    # each power of -N and the last product are one-row jet products whose
+    # bound rule masks them; the data are the dense route's from -0.0 but
+    # for the sign of a zero, and the four bounds are the same, on L- and
+    # L+ shapes that leave the window (clipped) and nilpotent ones (I +
+    # e12 lambda^-1 and I + e12 lambda^2), an inexact one, and a constant
+    ctx = JetContext(variables, 1, n, -12, 6)
+    gen = rng(50 + n + len(variables))
+    a0 = np.eye(n) + 0.3 * random_laurent_dict(gen, n, 0, 0)[0]
+    e12 = np.zeros((n, n))
+    e12[0, 1] = 1.0
+
+    def value(coeffs, exact=True, const=a0):
+        return Series.from_degree_matrices(ctx, {0: const, **coeffs},
+                                           exact=exact).slabs[0]
+
+    cases = {"minus_clipped": value(random_laurent_dict(gen, n, -3, -1, 0.3)),
+             "minus_loose": value(random_laurent_dict(gen, n, -2, -1, 0.3),
+                                  exact=False),
+             "minus_nilpotent": value({-1: e12}, const=np.eye(n)),
+             "plus_clipped": value(random_laurent_dict(gen, n, 1, 2, 0.3)),
+             "plus_nilpotent": value({2: e12}, const=np.eye(n)),
+             "constant": value({})}
+    for name, slab in cases.items():
+        got = _neumann_inv(ctx, slab)
+        data, bounds = reference_neumann_inv(ctx, slab)
+        assert _same(got.data[0] + 0.0, data + 0.0), name
+        assert _same(got.b[:, 0], bounds), name
+        assert got.data.shape[0] == 1 and np.all(got.b[2, 1:] == NEG), name
+    assert _neumann_inv(ctx, cases["minus_clipped"]).slo[0] == ctx.lo
+    assert _neumann_inv(ctx, cases["plus_clipped"]).thi[0] == ctx.hi
+    assert _neumann_inv(ctx, cases["minus_nilpotent"]).slo[0] == -1
+    assert _neumann_inv(ctx, cases["plus_nilpotent"]).shi[0] == 2
 
 
 def _operand(ctx, gen, dead_rows) -> Series:
@@ -278,59 +274,55 @@ def test_slab_mul_is_the_pair_by_pair_reference(n, nfft):
     # no live pair: a dead factor, or every live output past the cap
     dead = _operand(ctx, gen, dead_rows=range(ctx.T)).slabs[0]
     for a, b in ((full, dead), (dead, cst)):
-        assert same_slab(_slab_mul(ctx, a, b), _zero_slab(ctx))
+        assert same_slab(_slab_mul(ctx, a, b), _one_row(ctx))
 
 
 def test_walk_floating_point_errors_follow_errstate():
     # the walk raises no flag itself: its overflow and invalid operations
     # reach numpy's error handling like a numpy multiply's
+    tables = JetContext((), 0, 2, -5, 3).tables
     gen = rng(5)
     A = compact_spectrum(_spectra(gen, 1, 2, 16) * 0 + 1e300)
     pairs = tuple(np.zeros(1, dtype=np.int64) for _ in range(3))
-
-    def zeros():
-        return Spectrum(np.zeros_like(A.rows), A.index)
-
     with np.errstate(over="raise", invalid="ignore"):
         with pytest.raises(FloatingPointError, match="overflow"):
-            kernel.walk(2, A, A, pairs, zeros())
+            tables.product(A, A, pairs, 0, 0)
     with np.errstate(over="warn", invalid="ignore"):
         with pytest.warns(RuntimeWarning, match="overflow"):
-            kernel.walk(2, A, A, pairs, zeros())
+            tables.product(A, A, pairs, 0, 0)
     inf = Spectrum(np.full_like(A.rows, np.inf), A.index)
     # a zero factor with a row meets the inf: a dead one would be skipped
     zero = Spectrum(np.full_like(A.rows, -0.0), A.index)
     with np.errstate(over="ignore", invalid="raise"):
         with pytest.raises(FloatingPointError, match="invalid value"):
-            kernel.walk(2, inf, zero, pairs, zeros())
+            tables.product(inf, zero, pairs, 0, 0)
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        C = zeros()
-        kernel.walk(2, A, A, pairs, C)
+        C = tables.product(A, A, pairs, 0, 0)
         assert not np.all(np.isfinite(C.rows))
 
 
 def test_walk_raises_for_a_pair_past_the_rows():
-    # checked before any write: C is left as it is
+    # checked before any write: the work buffer is left as it is
+    tables = JetContext((), 0, 2, -5, 3).tables
     gen = rng(6)
     A = compact_spectrum(_spectra(gen, 2, 2, 16))
-    C = Spectrum(_spectra(gen, 3, 2, 16).reshape(12, 16), np.arange(12))
+    ok = tuple(np.array([0, 1], dtype=np.int64) for _ in range(3))
+    work = tables.product(A, A, ok, 0, 2).rows.copy()
     for bad in ((2, 0, 0), (0, 2, 0), (0, 0, 3), (-1, 0, 0)):
         pairs = tuple(np.array([0, p], dtype=np.int64) for p in bad)
-        got = Spectrum(C.rows.copy(), C.index)
         with pytest.raises(ValueError, match="past"):
-            kernel.walk(2, A, A, pairs, got)
-        with pytest.raises(ValueError, match="past"):
-            JetContext((), 0, 2, -5, 3).tables.product(A, A, pairs, 0, 2)
-        assert _same(got.rows, C.rows)
+            tables.product(A, A, pairs, 0, 2)
+        assert _same(tables._work[:work.size].reshape(work.shape), work)
     # an index past the rows of its spectrum, of part of an entry, or of
     # another length is refused before the walk
     pairs = tuple(np.zeros(1, dtype=np.int64) for _ in range(3))
     for short in (Spectrum(A.rows[:-1], A.index),
                   Spectrum(A.rows, np.r_[A.index, 0]),
                   Spectrum(A.rows[:, :8].copy(), A.index)):
-        with pytest.raises(ValueError, match="spectra"):
-            kernel.walk(2, short, A, pairs, Spectrum(C.rows.copy(), C.index))
+        for x, y in ((short, A), (A, short)):
+            with pytest.raises(ValueError, match="spectra"):
+                tables.product(x, y, pairs, 0, 0)
 
 
 # -- a product's bookkeeping ---------------------------------------------------
@@ -463,7 +455,7 @@ def test_window_is_the_numpy_masked_copy(n):
         raw.imag[signed] = np.copysign(0.0, gen.standard_normal(signed.sum()))
         got = np.zeros((T, W, n, n), dtype=complex)
         kernel.window(got[first:], lo, slo, shi, compact_spectrum(raw[first:]))
-        want = np.moveaxis(raw[..., ctx.extract], -1, -3).copy()
+        want = np.moveaxis(raw[..., -lo:W - lo], -1, -3).copy()
         want[:first] = 0.0
         assert _same(got, apply_support_mask(ctx, want.copy(), bounds[1],
                                              bounds[2]))

@@ -143,6 +143,16 @@ def _outputs() -> dict:
         f = Series.from_degree_matrices(fctx, random_laurent_dict(gen, n, -5, 0))
         ops["plain_inv"] = lambda: (Series.identity(fctx) + f.minus()).inv()
         ops["plain_pairing"] = lambda: f.pairing(f.dlambda(), -3)
+        # the L+ branch of the Neumann inverse, and a nilpotent L- shape
+        # (I plus the unit superdiagonal times lambda^-1 at row 0), each
+        # with content on later rows
+        rest = part.with_rows([0], Series.zeros(ctx), [0])
+        up = Series.identity(ctx) + Series.from_degree_matrices(
+            ctx, random_laurent_dict(gen, n, 1, 2, 0.3)) + rest
+        nil = Series.identity(ctx) + Series.monomial(ctx, np.eye(n, k=1),
+                                                     -1) + rest
+        ops["inv_plus"] = lambda: up.inv()
+        ops["inv_nilpotent"] = lambda: nil.inv()
         for name, op in ops.items():
             out[f"n{n}v{nv}d{order}/{name}"] = _digest(op())
     return out
